@@ -52,7 +52,7 @@ def load_function(path: str, space=None) -> np.ndarray:
     return values
 
 
-def _emit(reports: list, as_json: bool = True) -> int:
+def _emit(reports: list) -> int:
     payload = [r.to_json() if isinstance(r, CheckReport) else r for r in reports]
     print(json.dumps(payload, indent=2, default=lab._json_default))
     failed = any(isinstance(r, CheckReport) and r.passed is False for r in reports)

@@ -144,12 +144,12 @@ class CoefficientTables:
     For center c with candidate radii R, ``cumulative[c][i, j]`` is the sum of
     mu(B(c, tau**k R_i)) / lam(c, tau**k R_i) over k = -k_floor .. j - k_floor,
     so the coefficient of (R_i, tau**N R_i) is ``1 + cumulative[c][i, N + k_floor]``.
+    The tables are cached on the space under ``lam`` and hold neither, so no
+    reference cycle delays freeing a dropped space.
     """
 
     def __init__(self, space: PointCloudSpace, lam: DominatingFunction, tau: float,
                  multipliers: Sequence[float] = DEFAULT_MULTIPLIERS, extra_levels: int = 4):
-        self.space = space
-        self.lam = lam
         self.tau = float(tau)
         self.multipliers = tuple(multipliers)
         self.k_floor = floor_log(tau)
@@ -226,65 +226,61 @@ def coefficient_tables(space: PointCloudSpace, lam: DominatingFunction, tau: flo
 # Doubling flags and indices, vectorized
 # ------------------------------------------------------------------------------
 def doubling_flags(space: PointCloudSpace, profile: GeometryProfile, alpha: float,
-                   multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> list:
-    """Per center: boolean array marking candidate balls that are
+                   multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> np.ndarray:
+    """Boolean array over the candidate family marking the balls that are
     (alpha, beta_alpha)-doubling."""
-    beta = profile.beta(alpha)
-    flags = []
-    for c in range(space.n):
-        radii = space.candidate_radii(c, multipliers)
-        mu = space.prefix_weight[c][space.counts(c, radii)]
-        mu_a = space.prefix_weight[c][space.counts(c, alpha * radii)]
-        flags.append(mu_a <= beta * mu)
-    return flags
+    family = space.balls(multipliers)
+    return family.measures(alpha) <= profile.beta(alpha) * family.measures()
 
 
 def doubling_indices(space: PointCloudSpace, profile: GeometryProfile, alpha: float,
-                     multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> list:
-    """Per center: smallest i with alpha**i * B doubling, for every candidate ball."""
+                     multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> np.ndarray:
+    """Over the candidate family: smallest i with alpha**i * B doubling."""
+    family = space.balls(multipliers)
     beta = profile.beta(alpha)
-    out = []
-    for c in range(space.n):
-        radii = space.candidate_radii(c, multipliers)
-        sat = smallest_scale_index(alpha, float(radii[0]), max(space.diameter, float(radii[0])))
-        kmax = sat + 2
-        scales = alpha ** np.arange(kmax + 2)
-        grid = radii[:, None] * scales[None, :]
-        counts = np.searchsorted(space.sorted_dist[c], grid.ravel(), side="right")
-        mus = space.prefix_weight[c][counts].reshape(grid.shape)
-        ok = mus[:, 1:] <= beta * mus[:, :-1]
-        idx = np.argmax(ok, axis=1)
-        # argmax returns 0 when no True exists; saturation guarantees one
-        assert bool(np.all(np.take_along_axis(ok, idx[:, None], axis=1))), \
-            "saturated balls are always doubling"
-        out.append(idx)
-    return out
+    # every ball saturates within the depth of the smallest radius
+    r0 = float(family.radius.min())
+    depth = smallest_scale_index(alpha, r0, max(space.diameter, r0)) + 4
+    idx = np.full(len(family), -1)
+    mu = family.measures()
+    for i, scale in enumerate(alpha ** np.arange(1, depth)):
+        mu_next = space.prefix_weight[family.center, family.counts_of(family.radius * scale)]
+        idx[(idx < 0) & (mu_next <= beta * mu)] = i
+        mu = mu_next
+    assert bool(np.all(idx >= 0)), "saturated balls are always doubling"
+    return idx
 
 
 # ------------------------------------------------------------------------------
-# Sampled non-concentric nested pairs
+# Nested candidate-ball pairs
 # ------------------------------------------------------------------------------
+def nested_pairs(space: PointCloudSpace,
+                 multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> tuple:
+    """Every nested candidate-ball pair, as flat family indices ``(b1, b2)``.
+
+    Ball b1 is nested in b2 when its radius is at most b2's and every member
+    of b1 is a member of b2, that is, when the two share all of b1's members.
+    Pairs come in b1-major order with b2 ascending.  The shared-member table
+    is B x B, so this serves the exhaustive branches of small families.
+    """
+    family = space.balls(multipliers)
+    member = (space.dist[family.center] <= family.radius[:, None]).astype(np.int64)
+    contained = member @ member.T == family.counts()[:, None]
+    return np.nonzero(contained & (family.radius[None, :] >= family.radius[:, None]))
+
+
 @dataclass(eq=False)
 class NestedPairSample:
-    """Arrays describing accepted nested pairs (inner ball, outer ball).
+    """Accepted nested pairs (inner ball, outer ball) as flat indices into
+    the candidate family; ``coeff`` carries the discrete coefficient when a
+    dominating function was supplied at sampling time."""
 
-    ``q1``/``q2`` are member counts (members of a ball are the first q points
-    of its center's distance order), ``i1`` indexes the inner radius in its
-    center's candidate grid, and ``coeff`` carries the discrete coefficient
-    when a dominating function was supplied at sampling time.
-    """
-
-    c1: np.ndarray
-    i1: np.ndarray
-    r1: np.ndarray
-    q1: np.ndarray
-    c2: np.ndarray
-    r2: np.ndarray
-    q2: np.ndarray
+    b1: np.ndarray
+    b2: np.ndarray
     coeff: Optional[np.ndarray]
 
     def __len__(self) -> int:
-        return int(self.c1.shape[0])
+        return int(self.b1.shape[0])
 
 
 def sampled_nested_pairs(space: PointCloudSpace, budget: int, seed: int,
@@ -308,49 +304,35 @@ def sampled_nested_pairs(space: PointCloudSpace, budget: int, seed: int,
     if key in cache:
         return cache[key]
     rng = np.random.default_rng(seed)
+    family = space.balls(multipliers)
+    sizes = np.diff(family.offsets).tolist()
+    counts = family.counts()
     flags = None
     if doubling_profile is not None:
         flags = doubling_flags(space, doubling_profile, doubling_alpha, multipliers)
-    cols: list = []
+    pairs: list = []
+    coeffs: list = []
     n = space.n
     if n > 1:
         for _ in range(budget):
             c1, c2 = (int(v) for v in rng.choice(n, size=2, replace=False))
-            radii1 = space.candidate_radii(c1, multipliers)
-            radii2 = space.candidate_radii(c2, multipliers)
-            i1 = int(rng.integers(radii1.size))
-            i2 = int(rng.integers(radii2.size))
-            if radii2[i2] < radii1[i1]:
-                c1, c2, i1, i2, radii1, radii2 = c2, c1, i2, i1, radii2, radii1
-            r1 = float(radii1[i1])
-            r2 = float(radii2[i2])
-            if flags is not None and not (flags[c1][i1] and flags[c2][i2]):
+            b1 = int(family.offsets[c1] + rng.integers(sizes[c1]))
+            b2 = int(family.offsets[c2] + rng.integers(sizes[c2]))
+            if family.radius[b2] < family.radius[b1]:
+                c1, c2, b1, b2 = c2, c1, b2, b1
+            if flags is not None and not (flags[b1] and flags[b2]):
                 continue
-            q1 = int(np.searchsorted(space.sorted_dist[c1], r1, side="right"))
-            members1 = space.order[c1][:q1]
-            if not np.all(space.dist[c2][members1] <= r2):
+            members1 = space.order[c1][:counts[b1]]
+            if not np.all(space.dist[c2][members1] <= family.radius[b2]):
                 continue
-            q2 = int(np.searchsorted(space.sorted_dist[c2], r2, side="right"))
-            coeff = None
+            pairs.append((b1, b2))
             if lam is not None and tau is not None:
-                coeff = discrete_coefficient(space, lam, Ball(c1, r1), Ball(c2, r2), tau).value
-            cols.append((c1, i1, r1, q1, c2, r2, q2, coeff))
-    if cols:
-        arr = np.asarray([[c[0], c[1], c[3], c[4], c[6]] for c in cols], dtype=np.int64)
-        sample = NestedPairSample(
-            c1=arr[:, 0], i1=arr[:, 1],
-            r1=np.asarray([c[2] for c in cols]),
-            q1=arr[:, 2], c2=arr[:, 3],
-            r2=np.asarray([c[5] for c in cols]),
-            q2=arr[:, 4],
-            coeff=None if lam is None or tau is None else np.asarray([c[7] for c in cols]),
-        )
-    else:
-        empty_i = np.zeros(0, dtype=np.int64)
-        empty_f = np.zeros(0)
-        sample = NestedPairSample(empty_i, empty_i, empty_f, empty_i, empty_i,
-                                  empty_f, empty_i,
-                                  None if lam is None or tau is None else empty_f)
+                coeffs.append(discrete_coefficient(
+                    space, lam, Ball(c1, float(family.radius[b1])),
+                    Ball(c2, float(family.radius[b2])), tau).value)
+    b1s, b2s = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    sample = NestedPairSample(b1s, b2s, None if lam is None or tau is None
+                              else np.asarray(coeffs, dtype=float))
     cache[key] = sample
     return sample
 
@@ -500,15 +482,17 @@ def check_doubling_coefficient_bound(space: PointCloudSpace, lam: DominatingFunc
     doubling enlargement (an empirical constant for stability testing)."""
     tables = coefficient_tables(space, lam, alpha, multipliers)
     idx = doubling_indices(space, profile, alpha, multipliers)
+    family = space.balls(multipliers)
     worst = -math.inf
     witness: dict = {}
     for c in range(space.n):
-        vals = tables.concentric(c, np.arange(tables.radii[c].size), idx[c])
+        steps = idx[family.segment(c)]
+        vals = tables.concentric(c, np.arange(steps.size), steps)
         j = int(np.argmax(vals))
         if vals[j] > worst:
             worst = float(vals[j])
             witness = {"center": c, "radius": float(tables.radii[c][j]),
-                       "doubling_exponent": int(idx[c][j])}
+                       "doubling_exponent": int(steps[j])}
     return CheckReport(
         check="doubling_coefficient_bound",
         passed=None,
@@ -523,18 +507,13 @@ def validate_weak_doubling(space: PointCloudSpace, lam: DominatingFunction,
                            multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> CheckReport:
     """Record the maximal dyadic index between a ball and its smallest
     doubling enlargement (the empirical weak-doubling constant)."""
+    family = space.balls(multipliers)
     idx = doubling_indices(space, profile, tau, multipliers)
-    worst = -1
-    witness: dict = {}
-    for c in range(space.n):
-        j = int(np.argmax(idx[c]))
-        if int(idx[c][j]) > worst:
-            worst = int(idx[c][j])
-            witness = {"center": c, "radius": float(space.candidate_radii(c, multipliers)[j])}
+    j = int(np.argmax(idx))
     return CheckReport(
         check="weak_doubling_index",
         passed=None,
-        value=float(worst),
-        worst_witness=witness,
+        value=float(idx[j]),
+        worst_witness=family.ball(j),
         details={"tau": tau, "beta": profile.beta(tau)},
     )

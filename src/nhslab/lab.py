@@ -635,11 +635,11 @@ def operator_norm_ratios(space, lam, profile, psi, phi, kernel, params,
         if mn <= 1e-13:
             continue
         tl = operators.t_lambda(space, lam, np.abs(f))
-        pot = max(pot, _morrey_of_values(space, tl, p, phi, eta) / mn)
+        pot = max(pot, spaces.morrey_norm(space, tl, p, phi, eta) / mn)
         mf = operators.marcinkiewicz(space, kernel, f, None, params)
-        marc = max(marc, _morrey_of_values(space, mf, p, phi, eta) / mn)
+        marc = max(marc, spaces.morrey_norm(space, mf, p, phi, eta) / mn)
         cf = operators.marcinkiewicz_commutator(space, kernel, b, f, None, params)
-        comm = max(comm, _morrey_of_values(space, cf, q, phi, eta) / (b_norm * mn))
+        comm = max(comm, spaces.morrey_norm(space, cf, q, phi, eta) / (b_norm * mn))
         lpn = lp_norm(space, f, p)
         if lpn > 1e-13:
             maximal = max(maximal, lp_norm(space, operators.maximal_p_tau(space, f, p, 5.0), p) / lpn)
@@ -661,10 +661,6 @@ def operator_norm_ratios(space, lam, profile, psi, phi, kernel, params,
         "sharp_control_ratio": sharp_control,
         "b_norm": b_norm,
     }
-
-
-def _morrey_of_values(space, values, p, phi, eta) -> float:
-    return spaces.morrey_norm(space, values, p, phi, eta)
 
 
 CHECKS: dict = {

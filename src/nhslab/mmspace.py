@@ -5,18 +5,26 @@ and positive weights.  Everything downstream (coefficients, norms, operators)
 enumerates *candidate balls*: for each center, the closed balls whose radii
 come from the pairwise distances of that center, optionally rescaled.  On an
 atomic space ball membership only changes at those distances, so the family
-is finite and canonical.
+is finite and canonical (up to the merging of radii within a relative 1e-12).
+
+The family is built once per space and multiplier set as a flat
+:class:`BallFamily`: ball ``b`` is ``B(center[b], radius[b])``, the balls of
+one center are contiguous with ascending radii, and the members of a ball are
+the first ``counts()[b]`` points of its center's distance order.  Every
+supremum over balls is a gather over this family followed by one argmax;
+exhaustive suprema over nested ball pairs enumerate ``geometry.nested_pairs``.
 
 A :class:`DominatingFunction` is a positive function of (center, radius),
 nondecreasing in the radius, that dominates ball measures and at most doubles
 when the radius halves.  ``fit_power_lambda`` produces one automatically;
-the validators measure how well any candidate satisfies the requirements.
+the validators measure how well any candidate satisfies the requirements and
+return their findings without touching their inputs.
 """
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -54,6 +62,76 @@ def _dedup_sorted(values: np.ndarray, rel: float = RADIUS_DEDUP_TOL) -> np.ndarr
     return np.asarray(out, dtype=float)
 
 
+class BallFamily:
+    """The candidate balls of a space for one multiplier set, flattened
+    center by center.
+
+    Ball ``b`` is ``B(center[b], radius[b])``; the balls of center ``c`` are
+    ``offsets[c]:offsets[c + 1]``, in ascending radius order.  Member counts
+    at rescaled radii come from the one per-center ``searchsorted`` in
+    :meth:`counts_of`; :meth:`counts` caches them for the few scales that
+    several suprema share (the radius itself, the enlargements 2, 5, 6).
+    """
+
+    def __init__(self, space: "PointCloudSpace", multipliers: Sequence[float]):
+        radii = [space.candidate_radii(c, multipliers) for c in range(space.n)]
+        sizes = [r.size for r in radii]
+        self.n = space.n
+        self.offsets = np.concatenate([[0], np.cumsum(sizes)])
+        self.center = np.repeat(np.arange(space.n), sizes)
+        self.radius = np.concatenate(radii)
+        self._sorted_dist = space.sorted_dist
+        self._prefix_weight = space.prefix_weight
+        self._counts: dict = {}
+
+    def __len__(self) -> int:
+        return int(self.radius.size)
+
+    def segment(self, center: int) -> slice:
+        return slice(int(self.offsets[center]), int(self.offsets[center + 1]))
+
+    def ball(self, b: int) -> dict:
+        """Ball ``b`` as a ``{"center", "radius"}`` witness."""
+        return {"center": int(self.center[b]), "radius": float(self.radius[b])}
+
+    def counts_of(self, radii: np.ndarray) -> np.ndarray:
+        """Member counts of the closed balls B(center[b], radii[b])."""
+        out = np.empty(radii.shape, dtype=np.int64)
+        for c in range(self.n):
+            s = self.segment(c)
+            out[s] = np.searchsorted(self._sorted_dist[c], radii[s], side="right")
+        return out
+
+    def counts(self, scale: float = 1.0) -> np.ndarray:
+        """Member counts of the balls enlarged by ``scale`` (cached)."""
+        cached = self._counts.get(scale)
+        if cached is None:
+            cached = self._counts[scale] = self.counts_of(scale * self.radius)
+            cached.setflags(write=False)
+        return cached
+
+    def measures(self, scale: float = 1.0) -> np.ndarray:
+        """Measures of the balls enlarged by ``scale``."""
+        return self._prefix_weight[self.center, self.counts(scale)]
+
+    def sup(self, values: np.ndarray) -> tuple:
+        """Largest of ``values`` (one per ball) floored at 0, with the first
+        ball attaining it as witness."""
+        j = int(np.argmax(values))
+        if not values[j] > 0.0:
+            return 0.0, {}
+        return float(values[j]), self.ball(j)
+
+    def evaluate(self, obj, radii: np.ndarray) -> np.ndarray:
+        """``obj.table`` (a function of a center and its radii) at
+        ``radii[b]`` around ``center[b]``, for every ball."""
+        out = np.empty(radii.shape)
+        for c in range(self.n):
+            s = self.segment(c)
+            out[s] = obj.table(c, radii[s])
+        return out
+
+
 class PointCloudSpace:
     """Finite metric measure space on weighted atoms.
 
@@ -75,6 +153,7 @@ class PointCloudSpace:
         self._sorted_dist: Optional[np.ndarray] = None
         self._prefix_weight: Optional[np.ndarray] = None
         self._radii_cache: dict = {}
+        self._families: dict = {}
         self._union_cache: dict = {}
         self._fn_tables: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._lam_matrices: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -111,10 +190,6 @@ class PointCloudSpace:
         """Number of members of the closed balls B(center, r) for each r."""
         return np.searchsorted(self.sorted_dist[center], radii, side="right")
 
-    def ball_weight(self, center: int, radius: float) -> float:
-        q = int(np.searchsorted(self.sorted_dist[center], radius, side="right"))
-        return float(self.prefix_weight[center, q])
-
     # -- candidate radius grid -------------------------------------------------
     def candidate_radii(self, center: int, multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> np.ndarray:
         key = (center, tuple(multipliers))
@@ -132,27 +207,32 @@ class PointCloudSpace:
         self._radii_cache[key] = radii
         return radii
 
+    def balls(self, multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> BallFamily:
+        """The flat candidate-ball family (cached per multiplier set)."""
+        key = tuple(multipliers)
+        family = self._families.get(key)
+        if family is None:
+            family = self._families[key] = BallFamily(self, multipliers)
+        return family
+
     def radius_union(self, multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> np.ndarray:
         """Sorted union of every center's candidate radii."""
         key = tuple(multipliers)
         cached = self._union_cache.get(key)
         if cached is None:
-            allr = np.sort(np.concatenate([self.candidate_radii(c, multipliers) for c in range(self.n)]))
-            cached = _dedup_sorted(allr)
+            cached = _dedup_sorted(np.sort(self.balls(multipliers).radius))
             cached.setflags(write=False)
             self._union_cache[key] = cached
         return cached
 
-    def fn_table(self, obj, multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> list:
-        """Evaluate ``obj`` (anything with ``.table(center, radii)``) on the
-        candidate grid of every center, caching by object identity."""
+    def fn_table(self, obj, multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> np.ndarray:
+        """Evaluate ``obj`` (anything with ``.table(center, radii)``) on every
+        ball of the candidate family, caching by object identity."""
         per_obj = self._fn_tables.setdefault(obj, {})
         key = tuple(multipliers)
         if key not in per_obj:
-            per_obj[key] = [
-                np.asarray(obj.table(c, self.candidate_radii(c, multipliers)), dtype=float)
-                for c in range(self.n)
-            ]
+            family = self.balls(multipliers)
+            per_obj[key] = family.evaluate(obj, family.radius)
         return per_obj[key]
 
     def pair_table(self, lam: "DominatingFunction") -> np.ndarray:
@@ -322,18 +402,12 @@ def estimate_geometric_doubling(space: PointCloudSpace,
 @dataclass(eq=False)
 class DominatingFunction:
     """Positive function of (center point, radius > 0) with declared doubling
-    constant ``c_lambda`` (the factor allowed when the radius halves).
-
-    ``validated`` is "unchecked" until a validator runs; validators flip it to
-    "pass" or "fail" and store the worst witness.
-    """
+    constant ``c_lambda`` (the factor allowed when the radius halves)."""
 
     fn: Callable[[int, float], float]
     c_lambda: float
     description: str = ""
     fn_vec: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
-    validated: str = "unchecked"
-    witness: Optional[dict] = None
 
     def __post_init__(self):
         if not self.c_lambda >= 1.0:
@@ -366,33 +440,19 @@ def fit_power_lambda(space: PointCloudSpace, kappa="auto", *, existing: Optional
     """
     if existing is not None:
         return existing
-    logs_r = []
-    logs_mu = []
-    best_ratio = -math.inf
-    rows = []
-    for c in range(space.n):
-        radii = space.candidate_radii(c, multipliers)
-        qs = space.counts(c, radii)
-        mus = space.prefix_weight[c][qs]
-        rows.append((radii, mus))
-        logs_r.append(np.log(radii))
-        logs_mu.append(np.log(mus))
+    family = space.balls(multipliers)
+    mus = family.measures()
     if kappa == "auto":
-        lr = np.concatenate(logs_r)
-        lm = np.concatenate(logs_mu)
+        lr = np.log(family.radius)
         if np.ptp(lr) <= RADIUS_DEDUP_TOL:
             raise DegenerateRadii("automatic exponent fit needs at least two distinct radii")
-        slope = float(np.polyfit(lr, lm, 1)[0])
+        slope = float(np.polyfit(lr, np.log(mus), 1)[0])
         kappa_val = max(slope, 0.0)
     else:
         kappa_val = float(kappa)
         if kappa_val < 0:
             raise DegenerateRadii(f"kappa must be nonnegative, got {kappa_val!r}")
-    for radii, mus in rows:
-        ratio = float(np.max(mus / radii ** kappa_val))
-        if ratio > best_ratio:
-            best_ratio = ratio
-    c0 = best_ratio
+    c0 = float(np.max(mus / family.radius ** kappa_val))
 
     def fn(_c: int, r: float) -> float:
         return c0 * r ** kappa_val
@@ -412,59 +472,79 @@ def validate_upper_doubling(space: PointCloudSpace, lam: DominatingFunction,
                             rel_tol: float = DEFAULT_REL_TOL,
                             multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> CheckReport:
     """Check measure domination, the half-radius inequality and radius
-    monotonicity on every (center, candidate radius) pair."""
-    worst_dom = -math.inf
-    worst_half = -math.inf
-    worst_mono = -math.inf
+    monotonicity on every candidate ball.
+
+    The witness is the failing kind whose worst ball comes last in center
+    order; within one center the kinds rank domination, half-radius,
+    monotonicity.  Monotonicity compares consecutive radii of one center.
+    """
+    family = space.balls(multipliers)
+    vals = space.fn_table(lam, multipliers)
+    mus = family.measures()
+    dom = mus / vals
+    half = vals / family.evaluate(lam, family.radius / 2.0)
+    mono = np.where(family.center[1:] == family.center[:-1], vals[:-1] / vals[1:], -math.inf)
+    worst_dom = float(dom.max())
+    worst_half = float(half.max())
+    bounds = (1.0 + rel_tol, lam.c_lambda * (1.0 + rel_tol), 1.0 + rel_tol)
+    failing = []
+    for kind, (ratio, bound) in enumerate(zip((dom, half, mono), bounds)):
+        if ratio.size and ratio.max() > bound:
+            j = int(np.argmax(ratio))
+            failing.append((int(family.center[j]), kind, j))
     witness: dict = {}
-    required_c = 1.0
-    for c in range(space.n):
-        radii = space.candidate_radii(c, multipliers)
-        vals = lam.table(c, radii)
-        half_vals = lam.table(c, radii / 2.0)
-        mus = space.prefix_weight[c][space.counts(c, radii)]
-        dom = mus / vals
-        j = int(np.argmax(dom))
-        if dom[j] > worst_dom:
-            worst_dom = float(dom[j])
-            if dom[j] > 1.0 + rel_tol:
-                witness = {"kind": "domination", "center": c, "radius": float(radii[j]),
-                           "mu": float(mus[j]), "lambda": float(vals[j])}
-        half = vals / half_vals
-        j = int(np.argmax(half))
-        required_c = max(required_c, float(half[j]))
-        if half[j] > worst_half:
-            worst_half = float(half[j])
-            if half[j] > lam.c_lambda * (1.0 + rel_tol):
-                witness = {"kind": "half_radius", "center": c, "radius": float(radii[j]),
-                           "ratio": float(half[j]), "c_lambda": lam.c_lambda}
-        if radii.size > 1:
-            mono = vals[:-1] / vals[1:]
-            j = int(np.argmax(mono))
-            if mono[j] > worst_mono:
-                worst_mono = float(mono[j])
-                if mono[j] > 1.0 + rel_tol:
-                    witness = {"kind": "monotonicity", "center": c,
-                               "radius": float(radii[j]), "next_radius": float(radii[j + 1])}
-    ok = (
-        worst_dom <= 1.0 + rel_tol
-        and worst_half <= lam.c_lambda * (1.0 + rel_tol)
-        and (worst_mono == -math.inf or worst_mono <= 1.0 + rel_tol)
-    )
-    lam.validated = "pass" if ok else "fail"
-    lam.witness = None if ok else witness
+    if failing:
+        _, kind, j = max(failing)
+        if kind == 0:
+            witness = {"kind": "domination", **family.ball(j),
+                       "mu": float(mus[j]), "lambda": float(vals[j])}
+        elif kind == 1:
+            witness = {"kind": "half_radius", **family.ball(j),
+                       "ratio": float(half[j]), "c_lambda": lam.c_lambda}
+        else:
+            witness = {"kind": "monotonicity", **family.ball(j),
+                       "next_radius": float(family.radius[j + 1])}
     return CheckReport(
         check="upper_doubling",
-        passed=ok,
+        passed=not failing,
         value=max(worst_dom, worst_half / lam.c_lambda),
         worst_witness=witness,
         details={
             "worst_domination_ratio": worst_dom,
             "worst_half_radius_ratio": worst_half,
-            "required_c_lambda": required_c,
+            "required_c_lambda": max(1.0, worst_half),
             "declared_c_lambda": lam.c_lambda,
         },
     )
+
+
+def comparability_ratio(space: PointCloudSpace, obj,
+                        multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> tuple:
+    """Largest obj(x, r) / obj(y, r) over ordered pairs x != y with
+    d(x, y) <= r, for r in the radius union, floored at 1.
+
+    Returns the ratio and the first (x, y, radius) attaining it, or an empty
+    witness when no pair exceeds 1.
+    """
+    worst = 1.0
+    witness: dict = {}
+    if space.n < 2:
+        return worst, witness
+    radii = space.radius_union(multipliers)
+    table = np.stack([np.asarray(obj.table(c, radii), dtype=float) for c in range(space.n)])
+    for k, r in enumerate(radii):
+        admissible = space.dist <= r
+        np.fill_diagonal(admissible, False)
+        if not admissible.any():
+            continue
+        col = table[:, k]
+        ratio = np.where(admissible, col[:, None] / col[None, :], 0.0)
+        j = int(np.argmax(ratio))
+        x, y = np.unravel_index(j, ratio.shape)
+        if ratio[x, y] > worst:
+            worst = float(ratio[x, y])
+            witness = {"x": int(x), "y": int(y), "radius": float(r)}
+    return worst, witness
 
 
 def validate_lambda_comparability(space: PointCloudSpace, lam: DominatingFunction,
@@ -472,29 +552,12 @@ def validate_lambda_comparability(space: PointCloudSpace, lam: DominatingFunctio
                                   multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> CheckReport:
     """Check lam(x, r) <= c_lambda * lam(y, r) over ordered pairs with
     d(x, y) <= r, for every candidate radius r in the global grid."""
-    radii = space.radius_union(multipliers)
-    table = np.empty((space.n, radii.size), dtype=float)
-    for c in range(space.n):
-        table[c] = lam.table(c, radii)
-    worst = 1.0
-    witness: dict = {}
-    if space.n > 1:
-        for k, r in enumerate(radii):
-            admissible = space.dist <= r
-            np.fill_diagonal(admissible, False)
-            if not admissible.any():
-                continue
-            col = table[:, k]
-            ratio = np.where(admissible, col[:, None] / col[None, :], 0.0)
-            j = int(np.argmax(ratio))
-            x, y = np.unravel_index(j, ratio.shape)
-            if ratio[x, y] > worst:
-                worst = float(ratio[x, y])
-                witness = {"x": int(x), "y": int(y), "radius": float(r), "ratio": worst}
-    ok = worst <= lam.c_lambda * (1.0 + rel_tol)
+    worst, witness = comparability_ratio(space, lam, multipliers)
+    if witness:
+        witness["ratio"] = worst
     return CheckReport(
         check="lambda_comparability",
-        passed=ok,
+        passed=worst <= lam.c_lambda * (1.0 + rel_tol),
         value=worst,
         worst_witness=witness,
         details={"c_lambda": lam.c_lambda},
@@ -517,6 +580,8 @@ def validate_weak_reverse_doubling(lam: DominatingFunction, space: PointCloudSpa
     if sigma <= 0:
         raise DegenerateRadii(f"sigma must be positive, got {sigma!r}")
     diam = space.diameter if space.diameter > 0 else FALLBACK_RADIUS
+    family = space.balls(multipliers)
+    base = space.fn_table(lam, multipliers)
     rows = []
     all_converged = True
     monotone = True
@@ -525,16 +590,13 @@ def validate_weak_reverse_doubling(lam: DominatingFunction, space: PointCloudSpa
             raise DegenerateRadii(f"dilation factors must exceed 1, got {a!r}")
 
         def measure(factor: float) -> Optional[float]:
-            best = math.inf
-            for c in range(space.n):
-                radii = space.candidate_radii(c, multipliers)
-                keep = radii < 2.0 * diam / factor
-                if not keep.any():
-                    continue
-                rr = radii[keep]
-                ratio = lam.table(c, factor * rr) / lam.table(c, rr)
-                best = min(best, float(ratio.min()))
-            return None if best is math.inf else best
+            keep = family.radius < 2.0 * diam / factor
+            if not keep.any():
+                return None
+            # dropped balls are evaluated at their own radius and ignored
+            radii = family.radius.copy()
+            radii[keep] = factor * radii[keep]
+            return float((family.evaluate(lam, radii) / base)[keep].min())
 
         c_a = measure(a)
         if c_a is None:

@@ -30,6 +30,7 @@ from .geometry import (
     discrete_coefficient,
     doubling_flags,
     coefficient_tables,
+    nested_pairs,
     sampled_nested_pairs,
 )
 from .mmspace import (
@@ -348,22 +349,28 @@ def marcinkiewicz_commutator(space: PointCloudSpace, kernel: KernelSpec,
 # ------------------------------------------------------------------------------
 # Maximal operators
 # ------------------------------------------------------------------------------
-def _scatter_sup(space: PointCloudSpace, per_center_values: list,
+def _scatter_sup(space: PointCloudSpace, values: np.ndarray,
                  multipliers: Sequence[float]) -> np.ndarray:
     """Pointwise supremum over candidate balls containing each point, given
-    one value per (center, radius); -inf marks excluded balls."""
-    out = np.full(space.n, -math.inf)
-    ranks = np.arange(1, space.n + 1)
-    for c in range(space.n):
-        vals = np.asarray(per_center_values[c], dtype=float)
-        counts = space.counts(c, space.candidate_radii(c, multipliers))
-        suffix = np.maximum.accumulate(vals[::-1])[::-1]
-        first = np.searchsorted(counts, ranks, side="left")
-        covered = first < counts.size
-        members = space.order[c][covered]
-        cur = out[members]
-        out[members] = np.maximum(cur, suffix[first[covered]])
-    return out
+    one value per ball of the family; -inf marks excluded balls."""
+    family = space.balls(multipliers)
+    n = space.n
+    # by_count[c, q - 1]: best value among the balls of c with q members
+    by_count = np.full((n, n), -math.inf)
+    np.maximum.at(by_count, (family.center, family.counts() - 1), values)
+    # a ball with q members covers the q points closest to its center
+    by_rank = np.maximum.accumulate(by_count[:, ::-1], axis=1)[:, ::-1]
+    by_point = np.empty((n, n))
+    np.put_along_axis(by_point, space.order, by_rank, axis=1)
+    return by_point.max(axis=0)
+
+
+def _power_means(space: PointCloudSpace, f: np.ndarray, p: float, tau: float,
+                 multipliers: Sequence[float]) -> np.ndarray:
+    """Per ball: (sum of |f|**p w over B / mu(tau*B))**(1/p)."""
+    family = space.balls(multipliers)
+    power = space.prefix_of(np.abs(f) ** p * space.weights)
+    return (power[family.center, family.counts()] / family.measures(tau)) ** (1.0 / p)
 
 
 def maximal_p_tau(space: PointCloudSpace, f: np.ndarray, p: float, tau: float,
@@ -376,14 +383,7 @@ def maximal_p_tau(space: PointCloudSpace, f: np.ndarray, p: float, tau: float,
     if not tau >= 5:
         raise InvalidParams(f"tau must be at least 5, got {tau!r}")
     f = np.asarray(f, dtype=float)
-    power = space.prefix_of(np.abs(f) ** p * space.weights)
-    vals = []
-    for c in range(space.n):
-        radii = space.candidate_radii(c, multipliers)
-        qs = space.counts(c, radii)
-        mu_tau = space.prefix_weight[c][space.counts(c, tau * radii)]
-        vals.append((power[c][qs] / mu_tau) ** (1.0 / p))
-    out = _scatter_sup(space, vals, multipliers)
+    out = _scatter_sup(space, _power_means(space, f, p, tau, multipliers), multipliers)
     return out if x is None else float(out[x])
 
 
@@ -397,14 +397,7 @@ def maximal_psi_p_tau(space: PointCloudSpace, psi: RegularityFunctionPsi,
     if not tau >= 5:
         raise InvalidParams(f"tau must be at least 5, got {tau!r}")
     f = np.asarray(f, dtype=float)
-    power = space.prefix_of(np.abs(f) ** p * space.weights)
-    psit = space.fn_table(psi, multipliers)
-    vals = []
-    for c in range(space.n):
-        radii = space.candidate_radii(c, multipliers)
-        qs = space.counts(c, radii)
-        mu_tau = space.prefix_weight[c][space.counts(c, tau * radii)]
-        vals.append(psit[c] * (power[c][qs] / mu_tau) ** (1.0 / p))
+    vals = space.fn_table(psi, multipliers) * _power_means(space, f, p, tau, multipliers)
     out = _scatter_sup(space, vals, multipliers)
     return out if x is None else float(out[x])
 
@@ -415,16 +408,12 @@ def doubling_maximal(space: PointCloudSpace, profile: GeometryProfile, f: np.nda
     """Supremum of plain means of |f| over doubling candidate balls containing
     the point.  Saturated balls are always doubling, so coverage is total."""
     f = np.asarray(f, dtype=float)
+    family = space.balls(multipliers)
     flags = doubling_flags(space, profile, 6.0, multipliers)
     absf = space.prefix_of(np.abs(f) * space.weights)
-    vals = []
-    for c in range(space.n):
-        radii = space.candidate_radii(c, multipliers)
-        qs = space.counts(c, radii)
-        means = absf[c][qs] / space.prefix_weight[c][qs]
-        means = np.where(flags[c], means, -math.inf)
-        vals.append(means)
-    out = _scatter_sup(space, vals, multipliers)
+    counts = family.counts()
+    means = absf[family.center, counts] / space.prefix_weight[family.center, counts]
+    out = _scatter_sup(space, np.where(flags, means, -math.inf), multipliers)
     if np.any(~np.isfinite(out)):
         raise NoDoublingBall("a point is covered by no doubling candidate ball")
     return out if x is None else float(out[x])
@@ -433,33 +422,28 @@ def doubling_maximal(space: PointCloudSpace, profile: GeometryProfile, f: np.nda
 def _sharp_exhaustive(space, lam, profile, f, tau, multipliers) -> np.ndarray:
     beta = profile.beta(tau)
     f = np.asarray(f, dtype=float)
-    balls = [Ball(c, float(r)) for c in range(space.n)
-             for r in space.candidate_radii(c, multipliers)]
-    means = {}
-    masks = {}
-    dbl = {}
+    family = space.balls(multipliers)
+    balls = [Ball(int(c), float(r)) for c, r in zip(family.center, family.radius)]
+    means = []
+    masks = []
+    dbl = []
     osc = np.zeros(space.n)
     for ball in balls:
         mask = space.dist[ball.center] <= ball.radius
-        masks[ball] = mask
+        masks.append(mask)
         w = space.weights[mask]
         m = float(np.sum(f[mask] * w) / np.sum(w))
-        means[ball] = m
-        dbl[ball] = ball_measure(space, ball.scaled(tau)) <= beta * ball_measure(space, ball)
+        means.append(m)
+        dbl.append(ball_measure(space, ball.scaled(tau)) <= beta * ball_measure(space, ball))
         val = float(np.sum(np.abs(f[mask] - m) * w)) / ball_measure(space, ball.scaled(6.0))
         osc[mask] = np.maximum(osc[mask], val)
     pair = np.zeros(space.n)
-    for b1 in balls:
-        if not dbl[b1]:
+    for i, j in zip(*nested_pairs(space, multipliers)):
+        if not (dbl[i] and dbl[j]):
             continue
-        for b2 in balls:
-            if not dbl[b2] or b2.radius < b1.radius:
-                continue
-            if np.any(masks[b1] & ~masks[b2]):
-                continue
-            coeff = discrete_coefficient(space, lam, b1, b2, 6.0).value
-            val = abs(means[b1] - means[b2]) / coeff
-            pair[masks[b1]] = np.maximum(pair[masks[b1]], val)
+        coeff = discrete_coefficient(space, lam, balls[i], balls[j], 6.0).value
+        val = abs(means[i] - means[j]) / coeff
+        pair[masks[i]] = np.maximum(pair[masks[i]], val)
     return np.maximum(osc, pair)
 
 
@@ -475,38 +459,36 @@ def sharp_maximal(space: PointCloudSpace, lam: DominatingFunction,
     pairs come from a fixed-seed budgeted sample (everything, when the family
     is small enough).
     """
-    n_balls = _ball_count_cached(space, multipliers)
+    family = space.balls(multipliers)
     f = np.asarray(f, dtype=float)
-    if n_balls * n_balls <= exhaustive_limit:
+    if len(family) ** 2 <= exhaustive_limit:
         out = _sharp_exhaustive(space, lam, profile, f, 6.0, multipliers)
         return out if x is None else float(out[x])
 
-    osc_s = oscillation_sums(space, f)
+    counts = family.counts()
+    osc_s = oscillation_sums(space, f)[family.center, counts - 1]
     pf = space.prefix_of(f * space.weights)
     pw = space.prefix_weight
+    means = pf[family.center, counts] / pw[family.center, counts]
     flags = doubling_flags(space, profile, 6.0, multipliers)
     tables = coefficient_tables(space, lam, 6.0, multipliers)
     kf = tables.k_floor
 
-    vals = []
-    pair_vals = []
+    pair_vals = np.empty(len(family))
     for c in range(space.n):
-        radii = space.candidate_radii(c, multipliers)
-        qs = space.counts(c, radii)
-        mu6 = pw[c][space.counts(c, 6.0 * radii)]
-        vals.append(osc_s[c][qs - 1] / mu6)
-
-        fm = pf[c][qs] / pw[c][qs]
+        s = family.segment(c)
+        radii = family.radius[s]
+        fm = means[s]
         n_mat = tables.pair_scale_indices(c)
         coeff = 1.0 + np.take_along_axis(tables.cumulative[c], (n_mat + kf).astype(np.int64), axis=1)
         with np.errstate(invalid="ignore"):
             v = np.abs(fm[:, None] - fm[None, :]) / coeff
         allowed = radii[None, :] >= radii[:, None]
-        allowed &= flags[c][None, :] & flags[c][:, None]
+        allowed &= flags[s][None, :] & flags[s][:, None]
         v = np.where(allowed, v, -math.inf)
-        pair_vals.append(v.max(axis=1))
+        pair_vals[s] = v.max(axis=1)
 
-    osc_part = _scatter_sup(space, vals, multipliers)
+    osc_part = _scatter_sup(space, osc_s / family.measures(6.0), multipliers)
     pair_part = _scatter_sup(space, pair_vals, multipliers)
     pair_part = np.maximum(pair_part, 0.0)
 
@@ -514,18 +496,13 @@ def sharp_maximal(space: PointCloudSpace, lam: DominatingFunction,
                                  lam=lam, tau=6.0,
                                  doubling_profile=profile, doubling_alpha=6.0)
     if len(pairs):
-        m1 = pf[pairs.c1, pairs.q1] / pw[pairs.c1, pairs.q1]
-        m2 = pf[pairs.c2, pairs.q2] / pw[pairs.c2, pairs.q2]
-        ratio = np.abs(m1 - m2) / pairs.coeff
+        ratio = np.abs(means[pairs.b1] - means[pairs.b2]) / pairs.coeff
         for t in np.argsort(ratio):
-            members = space.order[pairs.c1[t]][: pairs.q1[t]]
+            b1 = pairs.b1[t]
+            members = space.order[family.center[b1]][: counts[b1]]
             pair_part[members] = np.maximum(pair_part[members], ratio[t])
     out = np.maximum(osc_part, pair_part)
     return out if x is None else float(out[x])
-
-
-def _ball_count_cached(space: PointCloudSpace, multipliers) -> int:
-    return sum(space.candidate_radii(c, multipliers).size for c in range(space.n))
 
 
 # ------------------------------------------------------------------------------
@@ -613,8 +590,7 @@ def maximal_embedding_constant(space: PointCloudSpace, psi: RegularityFunctionPs
     """Largest value of psi(B) * phi(B)**(1/p - 1/q) over candidate balls."""
     psit = space.fn_table(psi, multipliers)
     phit = space.fn_table(phi, multipliers)
-    expo = 1.0 / p - 1.0 / q
-    return float(max(np.max(psit[c] * phit[c] ** expo) for c in range(space.n)))
+    return float(np.max(psit * phit ** (1.0 / p - 1.0 / q)))
 
 
 def check_maximal_morrey_pointwise(space: PointCloudSpace, psi: RegularityFunctionPsi,

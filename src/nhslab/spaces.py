@@ -23,6 +23,7 @@ from .geometry import (
     ball_members,
     discrete_coefficient,
     coefficient_tables,
+    nested_pairs,
     sampled_nested_pairs,
     scale_index_array,
 )
@@ -30,6 +31,7 @@ from .mmspace import (
     DEFAULT_MULTIPLIERS,
     DominatingFunction,
     PointCloudSpace,
+    comparability_ratio,
 )
 from .report import CheckReport
 
@@ -60,21 +62,16 @@ class RadialFunction:
 
 @dataclass(eq=False)
 class RegularityFunctionPsi(RadialFunction):
-    """Ball normalizer for the Campanato norm; ``c_psi`` is filled by
-    :func:`validate_psi` with the measured doubling/comparability constant."""
-
-    c_psi: Optional[float] = None
+    """Ball normalizer for the Campanato norm; :func:`validate_psi` reports
+    its measured doubling/comparability constant."""
 
 
 @dataclass(eq=False)
 class GrowthFunctionPhi(RadialFunction):
-    """Strictly decreasing Morrey normalizer with concavity exponent delta.
-
-    ``eta_constants`` maps each tested enlargement factor to the measured
-    (lower, upper) nested-ball constants."""
+    """Strictly decreasing Morrey normalizer with concavity exponent delta;
+    :func:`validate_phi_gdec` reports its nested-ball constants."""
 
     delta: float = 0.5
-    eta_constants: dict = field(default_factory=dict)
 
 
 def constant_psi() -> RegularityFunctionPsi:
@@ -194,20 +191,11 @@ def morrey_norm(space: PointCloudSpace, f: np.ndarray, p: float,
     if not eta > 1:
         raise InvalidExponent(f"eta must exceed 1, got {eta!r}")
     f = np.asarray(f, dtype=float)
+    family = space.balls(multipliers)
     power = space.prefix_of(np.abs(f) ** p * space.weights)
-    phit = space.fn_table(phi, multipliers)
-    best = 0.0
-    witness: dict = {}
-    for c in range(space.n):
-        radii = space.candidate_radii(c, multipliers)
-        qs = space.counts(c, radii)
-        mass = power[c][qs]
-        mu_eta = space.prefix_weight[c][space.counts(c, eta * radii)]
-        vals = (mass / (phit[c] * mu_eta)) ** (1.0 / p)
-        j = int(np.argmax(vals))
-        if vals[j] > best:
-            best = float(vals[j])
-            witness = {"center": c, "radius": float(radii[j])}
+    mass = power[family.center, family.counts()]
+    vals = (mass / (space.fn_table(phi, multipliers) * family.measures(eta))) ** (1.0 / p)
+    best, witness = family.sup(vals)
     if with_witness:
         return best, witness
     return best
@@ -231,25 +219,17 @@ class CampanatoNormReport:
     regularity_witness: dict = field(default_factory=dict)
 
 
-def _ball_count(space: PointCloudSpace, multipliers) -> int:
-    return sum(space.candidate_radii(c, multipliers).size for c in range(space.n))
-
-
 def _campanato_exhaustive(space, lam, f, psi, tau, gamma, multipliers) -> CampanatoNormReport:
     """Primitive-based enumeration over every candidate ball and every nested
     candidate pair; used when the family is small enough."""
     f = np.asarray(f, dtype=float)
-    balls = [Ball(c, float(r)) for c in range(space.n)
-             for r in space.candidate_radii(c, multipliers)]
+    family = space.balls(multipliers)
+    balls = [Ball(int(c), float(r)) for c, r in zip(family.center, family.radius)]
+    means = [ball_mean(space, f, b) for b in balls]
     osc = 0.0
     osc_w: dict = {}
-    means = {}
-    masks = {}
-    for b in balls:
+    for b, m in zip(balls, means):
         mask = space.dist[b.center] <= b.radius
-        masks[b] = mask
-        m = ball_mean(space, f, b)
-        means[b] = m
         num = float(np.sum(np.abs(f[mask] - m) * space.weights[mask]))
         den = psi(b.center, b.radius) * ball_measure(space, b.scaled(tau))
         val = num / den
@@ -258,18 +238,14 @@ def _campanato_exhaustive(space, lam, f, psi, tau, gamma, multipliers) -> Campan
             osc_w = {"center": b.center, "radius": b.radius}
     reg = 0.0
     reg_w: dict = {}
-    for b1 in balls:
-        for b2 in balls:
-            if b2.radius < b1.radius:
-                continue
-            if np.any(masks[b1] & ~masks[b2]):
-                continue
-            coeff = discrete_coefficient(space, lam, b1, b2, tau).value
-            val = abs(means[b1] - means[b2]) / (psi(b1.center, b1.radius) * coeff ** gamma)
-            if val > reg:
-                reg = val
-                reg_w = {"inner": {"center": b1.center, "radius": b1.radius},
-                         "outer": {"center": b2.center, "radius": b2.radius}}
+    for i, j in zip(*nested_pairs(space, multipliers)):
+        b1, b2 = balls[i], balls[j]
+        coeff = discrete_coefficient(space, lam, b1, b2, tau).value
+        val = abs(means[i] - means[j]) / (psi(b1.center, b1.radius) * coeff ** gamma)
+        if val > reg:
+            reg = val
+            reg_w = {"inner": {"center": b1.center, "radius": b1.radius},
+                     "outer": {"center": b2.center, "radius": b2.radius}}
     return CampanatoNormReport(osc, reg, max(osc, reg), tau, gamma, osc_w, reg_w)
 
 
@@ -285,34 +261,27 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
             raise InvalidExponent(f"tau must exceed 1, got {tau!r}")
         if not gamma >= 1:
             raise InvalidExponent(f"gamma must be at least 1, got {gamma!r}")
-    n_balls = _ball_count(space, multipliers)
-    if n_balls * n_balls <= exhaustive_limit:
+    family = space.balls(multipliers)
+    if len(family) ** 2 <= exhaustive_limit:
         return [_campanato_exhaustive(space, lam, f, psi, tau, gamma, multipliers)
                 for tau, gamma in combos]
 
     f = np.asarray(f, dtype=float)
     psit = space.fn_table(psi, multipliers)
-    osc_sums = oscillation_sums(space, f)
+    counts = family.counts()
+    osc_sums = oscillation_sums(space, f)[family.center, counts - 1]
     pf, pw = _ball_means(space, f)
+    means = pf[family.center, counts] / pw[family.center, counts]
     reports = []
     for tau, gamma in combos:
         tables = coefficient_tables(space, lam, tau, multipliers)
-        osc = 0.0
-        osc_w: dict = {}
+        osc, osc_w = family.sup(osc_sums / (psit * family.measures(tau)))
         reg = 0.0
         reg_w: dict = {}
+        # concentric dyadic ladder, exhausted up to one step past saturation
         for c in range(space.n):
-            radii = space.candidate_radii(c, multipliers)
-            qs = space.counts(c, radii)
-            mu_tau = space.prefix_weight[c][space.counts(c, tau * radii)]
-            vals = osc_sums[c][qs - 1] / (psit[c] * mu_tau)
-            j = int(np.argmax(vals))
-            if vals[j] > osc:
-                osc = float(vals[j])
-                osc_w = {"center": c, "radius": float(radii[j])}
-
-            # concentric dyadic ladder, exhausted up to one step past saturation
-            m_base = pf[c][qs] / pw[c][qs]
+            s = family.segment(c)
+            radii = family.radius[s]
             sat = scale_index_array(tau, radii, max(space.diameter, float(radii[0])))
             k_cap = int(max(1, sat.max() + 1))
             for k in range(1, k_cap + 1):
@@ -323,7 +292,7 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
                 q_out = space.counts(c, outer_r)
                 m_out = pf[c][q_out] / pw[c][q_out]
                 coeff = tables.concentric(c, np.arange(radii.size), np.full(radii.size, k))
-                vals = np.abs(m_base - m_out) / (psit[c] * coeff ** gamma)
+                vals = np.abs(means[s] - m_out) / (psit[s] * coeff ** gamma)
                 vals[~active] = -np.inf
                 j = int(np.argmax(vals))
                 if vals[j] > reg:
@@ -333,15 +302,12 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
 
         pairs = sampled_nested_pairs(space, pair_budget, seed, multipliers, lam=lam, tau=tau)
         if len(pairs):
-            m1 = pf[pairs.c1, pairs.q1] / pw[pairs.c1, pairs.q1]
-            m2 = pf[pairs.c2, pairs.q2] / pw[pairs.c2, pairs.q2]
-            psi1 = np.asarray([psit[c][i] for c, i in zip(pairs.c1, pairs.i1)])
-            vals = np.abs(m1 - m2) / (psi1 * pairs.coeff ** gamma)
+            b1, b2 = pairs.b1, pairs.b2
+            vals = np.abs(means[b1] - means[b2]) / (psit[b1] * pairs.coeff ** gamma)
             j = int(np.argmax(vals))
             if vals[j] > reg:
                 reg = float(vals[j])
-                reg_w = {"inner": {"center": int(pairs.c1[j]), "radius": float(pairs.r1[j])},
-                         "outer": {"center": int(pairs.c2[j]), "radius": float(pairs.r2[j])}}
+                reg_w = {"inner": family.ball(b1[j]), "outer": family.ball(b2[j])}
         reports.append(CampanatoNormReport(osc, reg, max(osc, reg), tau, gamma, osc_w, reg_w))
     return reports
 
@@ -373,19 +339,10 @@ def p_oscillation_norm(space: PointCloudSpace, f: np.ndarray,
     if not tau > 1:
         raise InvalidExponent(f"tau must exceed 1, got {tau!r}")
     f = np.asarray(f, dtype=float)
-    psit = space.fn_table(psi, multipliers)
-    sums = oscillation_sums(space, f, p)
-    best = 0.0
-    witness: dict = {}
-    for c in range(space.n):
-        radii = space.candidate_radii(c, multipliers)
-        qs = space.counts(c, radii)
-        mu_tau = space.prefix_weight[c][space.counts(c, tau * radii)]
-        vals = (sums[c][qs - 1] / mu_tau) ** (1.0 / p) / psit[c]
-        j = int(np.argmax(vals))
-        if vals[j] > best:
-            best = float(vals[j])
-            witness = {"center": c, "radius": float(radii[j])}
+    family = space.balls(multipliers)
+    sums = oscillation_sums(space, f, p)[family.center, family.counts() - 1]
+    vals = (sums / family.measures(tau)) ** (1.0 / p) / space.fn_table(psi, multipliers)
+    best, witness = family.sup(vals)
     if with_witness:
         return best, witness
     return best
@@ -402,22 +359,6 @@ _LIMIT_TABLE = {
 }
 
 
-def _all_nested_ball_pairs(space: PointCloudSpace, multipliers) -> list:
-    """Every nested candidate-ball pair (inner, outer), by brute force."""
-    balls = [Ball(c, float(r)) for c in range(space.n)
-             for r in space.candidate_radii(c, multipliers)]
-    masks = {b: space.dist[b.center] <= b.radius for b in balls}
-    out = []
-    for b1 in balls:
-        for b2 in balls:
-            if b2.radius < b1.radius:
-                continue
-            if np.any(masks[b1] & ~masks[b2]):
-                continue
-            out.append((b1, b2))
-    return out
-
-
 def validate_phi_gdec(space: PointCloudSpace, phi: GrowthFunctionPhi,
                       etas: Sequence[float] = (2.0,), pair_budget: int = 2000,
                       seed: int = 0, max_concentric: int = 40,
@@ -430,61 +371,40 @@ def validate_phi_gdec(space: PointCloudSpace, phi: GrowthFunctionPhi,
     Pair enumeration is exhaustive for small ball families, otherwise strided
     concentric pairs plus a budgeted non-concentric sample.
     """
+    family = space.balls(multipliers)
     phit = space.fn_table(phi, multipliers)
-    decreasing = True
+    rising = (phit[1:] >= phit[:-1]) & (family.center[1:] == family.center[:-1])
+    decreasing = not rising.any()
     witness: dict = {}
-    for c in range(space.n):
-        vals = phit[c]
-        if vals.size > 1 and np.any(vals[1:] >= vals[:-1]):
-            j = int(np.argmax(vals[1:] >= vals[:-1]))
-            decreasing = False
-            witness = {"center": c,
-                       "radius": float(space.candidate_radii(c, multipliers)[j]),
-                       "next_radius": float(space.candidate_radii(c, multipliers)[j + 1])}
-            break
+    if not decreasing:
+        j = int(np.argmax(rising))
+        witness = {**family.ball(j), "next_radius": float(family.radius[j + 1])}
 
-    # nested pairs: (center, radius, count, phi value) per side
-    pairs: list = []
-    n_balls = _ball_count(space, multipliers)
-    if n_balls * n_balls <= exhaustive_limit:
-        for b1, b2 in _all_nested_ball_pairs(space, multipliers):
-            pairs.append((b1.center, b1.radius, phi(b1.center, b1.radius),
-                          b2.center, b2.radius, phi(b2.center, b2.radius)))
+    # nested pairs as flat family indices (inner, outer)
+    if len(family) ** 2 <= exhaustive_limit:
+        b1, b2 = nested_pairs(space, multipliers)
     else:
+        inner, outer = [], []
         for c in range(space.n):
-            radii = space.candidate_radii(c, multipliers)
-            m = radii.size
-            stride = max(1, m // max_concentric)
-            idx = np.arange(0, m, stride)
-            for a_pos in range(idx.size):
-                for b_pos in range(a_pos + 1, idx.size):
-                    i, j = int(idx[a_pos]), int(idx[b_pos])
-                    pairs.append((c, float(radii[i]), float(phit[c][i]),
-                                  c, float(radii[j]), float(phit[c][j])))
+            s = family.segment(c)
+            m = s.stop - s.start
+            idx = s.start + np.arange(0, m, max(1, m // max_concentric))
+            a, b = np.triu_indices(idx.size, 1)
+            inner.append(idx[a])
+            outer.append(idx[b])
         sample = sampled_nested_pairs(space, pair_budget, seed, multipliers)
-        for t in range(len(sample)):
-            c1, i1, c2 = int(sample.c1[t]), int(sample.i1[t]), int(sample.c2[t])
-            r2 = float(sample.r2[t])
-            pairs.append((c1, float(sample.r1[t]), float(phit[c1][i1]),
-                          c2, r2, float(phi(c2, r2))))
+        b1 = np.concatenate(inner + [sample.b1])
+        b2 = np.concatenate(outer + [sample.b2])
 
     eta_constants = {}
-    if pairs:
-        c1 = np.asarray([p[0] for p in pairs], dtype=int)
-        r1 = np.asarray([p[1] for p in pairs])
-        p1 = np.asarray([p[2] for p in pairs])
-        c2 = np.asarray([p[3] for p in pairs], dtype=int)
-        r2 = np.asarray([p[4] for p in pairs])
-        p2 = np.asarray([p[5] for p in pairs])
+    if b1.size:
+        p1, p2 = phit[b1], phit[b2]
         for eta in etas:
-            mu1 = np.asarray([space.ball_weight(int(c), eta * float(r))
-                              for c, r in zip(c1, r1)])
-            mu2 = np.asarray([space.ball_weight(int(c), eta * float(r))
-                              for c, r in zip(c2, r2)])
+            mu = family.measures(eta)
+            mu1, mu2 = mu[b1], mu[b2]
             lower = float(np.min((p1 * mu1 ** phi.delta) / (p2 * mu2 ** phi.delta)))
             upper = float(np.max((p1 * mu1) / (p2 * mu2)))
             eta_constants[float(eta)] = (lower, upper)
-            phi.eta_constants[float(eta)] = (lower, upper)
 
     limits = _LIMIT_TABLE.get(phi.family)
     limits_known = limits is not None
@@ -510,35 +430,18 @@ def validate_psi(space: PointCloudSpace, psi: RegularityFunctionPsi,
     """Measure the doubling and equal-radius comparability constant of psi
     over the candidate family; finite on finite spaces, so it always passes
     and the value feeds cross-refinement stability tests."""
-    psit = space.fn_table(psi, multipliers)
+    family = space.balls(multipliers)
+    ratios = family.evaluate(psi, 2.0 * family.radius) / space.fn_table(psi, multipliers)
+    j = int(np.argmax(ratios))
     worst = 1.0
     witness: dict = {}
-    for c in range(space.n):
-        radii = space.candidate_radii(c, multipliers)
-        doubled = psi.table(c, 2.0 * radii)
-        ratios = doubled / psit[c]
-        j = int(np.argmax(ratios))
-        if ratios[j] > worst:
-            worst = float(ratios[j])
-            witness = {"kind": "doubling", "center": c, "radius": float(radii[j])}
-    if space.n > 1:
-        union = space.radius_union(multipliers)
-        table = np.empty((space.n, union.size))
-        for c in range(space.n):
-            table[c] = psi.table(c, union)
-        for k, r in enumerate(union):
-            admissible = space.dist <= r
-            np.fill_diagonal(admissible, False)
-            if not admissible.any():
-                continue
-            col = table[:, k]
-            ratio = np.where(admissible, col[:, None] / col[None, :], 0.0)
-            j = int(np.argmax(ratio))
-            x, y = np.unravel_index(j, ratio.shape)
-            if ratio[x, y] > worst:
-                worst = float(ratio[x, y])
-                witness = {"kind": "comparability", "x": int(x), "y": int(y), "radius": float(r)}
-    psi.c_psi = worst
+    if ratios[j] > worst:
+        worst = float(ratios[j])
+        witness = {"kind": "doubling", **family.ball(j)}
+    comparability, pair = comparability_ratio(space, psi, multipliers)
+    if comparability > worst:
+        worst = comparability
+        witness = {"kind": "comparability", **pair}
     return CheckReport(
         check="psi_regularity",
         passed=bool(math.isfinite(worst)),
@@ -639,6 +542,9 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
                      "iterated": 0.0, "comparable": 0.0, "norm": norm},
         )
     pf, pw = _ball_means(space, f)
+    family = space.balls(multipliers)
+    counts = family.counts()
+    means = pf[family.center, counts] / pw[family.center, counts]
     psit = space.fn_table(psi, multipliers)
     per_k = {}
     iterated = 0.0
@@ -648,15 +554,14 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
             continue
         best = 0.0
         for c in range(space.n):
-            radii = space.candidate_radii(c, multipliers)
-            qs = space.counts(c, radii)
-            m_base = pf[c][qs] / pw[c][qs]
+            s = family.segment(c)
+            radii = family.radius[s]
             sat = scale_index_array(k, radii, max(space.diameter, float(radii[0])))
             j_cap = int(max(1, sat.max() + 1))
             for j in range(1, j_cap + 1):
                 q_out = space.counts(c, (k ** j) * radii)
                 m_out = pf[c][q_out] / pw[c][q_out]
-                jumps = np.abs(m_out - m_base) / (psit[c] * norm)
+                jumps = np.abs(m_out - means[s]) / (psit[s] * norm)
                 if j == 1:
                     best = max(best, float(jumps.max()))
                 iterated = max(iterated, float(jumps.max()) / j)

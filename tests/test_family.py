@@ -1,0 +1,369 @@
+"""Property tests for the flat candidate-ball family and the suprema over it.
+
+Every supremum that reads the family is compared, bit for bit in value and
+witness, with a per-center reference loop kept here; the nested-pair
+enumerator is compared with a brute-force double loop over ball masks.
+Spaces are small (n <= 10): points in 1 to 3 dimensions and integer-length
+graph metrics with many tied distances, with weight ratios up to 1e6.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nhslab as nl
+from nhslab import geometry, operators, spaces
+from nhslab.geometry import Ball
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+# ------------------------------------------------------------------------------
+# Strategies
+# ------------------------------------------------------------------------------
+def _graph_metric(n, parents, extra):
+    """Shortest-path metric of a spanning tree plus extra edges."""
+    d = np.full((n, n), np.inf)
+    np.fill_diagonal(d, 0.0)
+    for i, (j, length) in enumerate(parents, start=1):
+        d[i, j] = d[j, i] = min(d[i, j], length)
+    for i, j, length in extra:
+        if i != j:
+            d[i, j] = d[j, i] = min(d[i, j], length)
+    for k in range(n):
+        d = np.minimum(d, d[:, k:k + 1] + d[k:k + 1, :])
+    return d
+
+
+@st.composite
+def small_spaces(draw):
+    n = draw(st.integers(1, 10))
+    weights = draw(st.lists(st.floats(1.0, 1e6), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 3))
+        coord = st.floats(0.0, 1.0, allow_subnormal=False)
+        points = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                               min_size=n, max_size=n))
+        return nl.build_space(points=points, weights=weights)
+    parents = [(draw(st.integers(0, i - 1)), draw(st.integers(1, 4))) for i in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                    st.integers(1, 4)), max_size=n))
+    return nl.build_space(distances=_graph_metric(n, parents, extra), weights=weights)
+
+
+@st.composite
+def spaces_and_functions(draw):
+    space = draw(small_spaces())
+    f = np.asarray(draw(st.lists(st.floats(-1.0, 1.0), min_size=space.n, max_size=space.n)))
+    return space, f
+
+
+@st.composite
+def power_lambdas(draw, n):
+    """Center-dependent a[c] * r**k[c]; fails each validator kind somewhere."""
+    a = np.asarray(draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n)))
+    k = np.asarray(draw(st.lists(st.floats(-1.0, 3.0), min_size=n, max_size=n)))
+    c_lambda = draw(st.floats(1.0, 4.0))
+    return nl.DominatingFunction(lambda c, r: float(a[c] * r ** k[c]), c_lambda=c_lambda,
+                                 fn_vec=lambda c, r: a[c] * np.asarray(r) ** k[c])
+
+
+def _lam(space):
+    return nl.fit_power_lambda(space, 1.0)
+
+
+PROFILE = nl.GeometryProfile(N0=3, nu=1.0)
+
+
+def _segments(space):
+    family = space.balls()
+    return [(c, slice(family.offsets[c], family.offsets[c + 1])) for c in range(space.n)]
+
+
+# ------------------------------------------------------------------------------
+# The family and the enumerator
+# ------------------------------------------------------------------------------
+@PROPERTY
+@given(small_spaces(), st.sampled_from([1.0, 2.0, 5.0, 6.0]))
+def test_family_matches_candidate_radii_and_counts(space, scale):
+    family = space.balls()
+    assert np.array_equal(family.radius,
+                          np.concatenate([space.candidate_radii(c) for c in range(space.n)]))
+    for c, s in _segments(space):
+        assert np.all(family.center[s] == c)
+        radii = space.candidate_radii(c)
+        assert np.array_equal(family.counts(scale)[s], space.counts(c, scale * radii))
+        assert np.array_equal(family.measures(scale)[s],
+                              space.prefix_weight[c][space.counts(c, scale * radii)])
+
+
+@PROPERTY
+@given(small_spaces())
+def test_nested_pairs_equal_brute_force_in_order(space):
+    balls = [Ball(c, float(r)) for c in range(space.n) for r in space.candidate_radii(c)]
+    masks = [space.dist[b.center] <= b.radius for b in balls]
+    want = [(b1, b2) for i, b1 in enumerate(balls) for j, b2 in enumerate(balls)
+            if b2.radius >= b1.radius and not np.any(masks[i] & ~masks[j])]
+    b1, b2 = geometry.nested_pairs(space)
+    assert [(balls[i], balls[j]) for i, j in zip(b1, b2)] == want
+
+
+# ------------------------------------------------------------------------------
+# Per-center reference loops
+# ------------------------------------------------------------------------------
+def _per_center_sup(space, table):
+    """The loop every supremum ran before the family: ``table(c, radii)``
+    gives one value per candidate ball of c; strict improvements only."""
+    best, witness = 0.0, {}
+    for c in range(space.n):
+        radii = space.candidate_radii(c)
+        vals = table(c, radii)
+        j = int(np.argmax(vals))
+        if vals[j] > best:
+            best, witness = float(vals[j]), {"center": c, "radius": float(radii[j])}
+    return best, witness
+
+
+def _mu(space, c, radii):
+    return space.prefix_weight[c][space.counts(c, radii)]
+
+
+def _scatter_reference(space, per_center):
+    out = np.full(space.n, -math.inf)
+    ranks = np.arange(1, space.n + 1)
+    for c in range(space.n):
+        counts = space.counts(c, space.candidate_radii(c))
+        suffix = np.maximum.accumulate(np.asarray(per_center(c), dtype=float)[::-1])[::-1]
+        first = np.searchsorted(counts, ranks, side="left")
+        covered = first < counts.size
+        members = space.order[c][covered]
+        out[members] = np.maximum(out[members], suffix[first[covered]])
+    return out
+
+
+@PROPERTY
+@given(spaces_and_functions(), st.sampled_from([1.0, 2.0, 3.5]), st.sampled_from([1.5, 2.0, 6.0]))
+def test_morrey_and_oscillation_norms_equal_per_center_loops(data, p, tau):
+    space, f = data
+    phi = spaces.shifted_power_phi(1.0)
+    psi = spaces.weight_psi(space)
+    power = space.prefix_of(np.abs(f) ** p * space.weights)
+    want = _per_center_sup(space, lambda c, radii: (
+        power[c][space.counts(c, radii)] / (phi.table(c, radii) * _mu(space, c, tau * radii))) ** (1.0 / p))
+    assert spaces.morrey_norm(space, f, p, phi, tau, with_witness=True) == want
+
+    if p > 1:
+        sums = spaces.oscillation_sums(space, f, p)
+        want = _per_center_sup(space, lambda c, radii: (
+            sums[c][space.counts(c, radii) - 1] / _mu(space, c, tau * radii)) ** (1.0 / p)
+            / psi.table(c, radii))
+        assert spaces.p_oscillation_norm(space, f, psi, p, tau, with_witness=True) == want
+
+    sums = spaces.oscillation_sums(space, f)
+    want = _per_center_sup(space, lambda c, radii: (
+        sums[c][space.counts(c, radii) - 1] / (psi.table(c, radii) * _mu(space, c, tau * radii))))
+    report = spaces.campanato_norm(space, _lam(space), f, psi, tau, exhaustive_limit=0, pair_budget=50)
+    assert (report.oscillation_sup, report.oscillation_witness) == want
+
+
+@PROPERTY
+@given(spaces_and_functions(), st.sampled_from([5.0, 6.0]))
+def test_maximal_operators_equal_per_center_loops(data, tau):
+    space, f = data
+    psi = spaces.weight_psi(space)
+    phi = spaces.power_phi(0.5)
+    power = space.prefix_of(np.abs(f) ** 2.0 * space.weights)
+
+    def p_mean(c):
+        radii = space.candidate_radii(c)
+        return (power[c][space.counts(c, radii)] / _mu(space, c, tau * radii)) ** 0.5
+
+    assert np.array_equal(operators.maximal_p_tau(space, f, 2.0, tau),
+                          _scatter_reference(space, p_mean))
+    assert np.array_equal(operators.maximal_psi_p_tau(space, psi, f, 2.0, tau),
+                          _scatter_reference(space, lambda c: psi.table(c, space.candidate_radii(c)) * p_mean(c)))
+
+    profile = PROFILE
+    beta = profile.beta(6.0)
+    absf = space.prefix_of(np.abs(f) * space.weights)
+
+    def doubling_mean(c):
+        radii = space.candidate_radii(c)
+        qs = space.counts(c, radii)
+        flags = _mu(space, c, 6.0 * radii) <= beta * _mu(space, c, radii)
+        return np.where(flags, absf[c][qs] / space.prefix_weight[c][qs], -math.inf)
+
+    assert np.array_equal(operators.doubling_maximal(space, profile, f),
+                          _scatter_reference(space, doubling_mean))
+
+    want = max(float(np.max(psi.table(c, r) * phi.table(c, r) ** (1.0 / 2.0 - 1.0 / 3.0)))
+               for c, r in ((c, space.candidate_radii(c)) for c in range(space.n)))
+    assert operators.maximal_embedding_constant(space, psi, phi, 2.0, 3.0) == want
+
+
+@PROPERTY
+@given(spaces_and_functions())
+def test_sharp_maximal_ladder_equals_per_center_loop(data):
+    space, f = data
+    lam = _lam(space)
+    profile = PROFILE
+    osc = spaces.oscillation_sums(space, f)
+    pf = space.prefix_of(f * space.weights)
+    pw = space.prefix_weight
+    tables = geometry.coefficient_tables(space, lam, 6.0)
+    beta = profile.beta(6.0)
+
+    def flags(c, radii):
+        return _mu(space, c, 6.0 * radii) <= beta * _mu(space, c, radii)
+
+    def osc_vals(c):
+        radii = space.candidate_radii(c)
+        return osc[c][space.counts(c, radii) - 1] / _mu(space, c, 6.0 * radii)
+
+    def pair_vals(c):
+        radii = space.candidate_radii(c)
+        qs = space.counts(c, radii)
+        fm = pf[c][qs] / pw[c][qs]
+        n_mat = tables.pair_scale_indices(c).astype(np.int64) + tables.k_floor
+        coeff = 1.0 + np.take_along_axis(tables.cumulative[c], n_mat, axis=1)
+        v = np.abs(fm[:, None] - fm[None, :]) / coeff
+        ok = (radii[None, :] >= radii[:, None]) & flags(c, radii)[None, :] & flags(c, radii)[:, None]
+        return np.where(ok, v, -math.inf).max(axis=1)
+
+    want = np.maximum(_scatter_reference(space, osc_vals),
+                      np.maximum(_scatter_reference(space, pair_vals), 0.0))
+    got = operators.sharp_maximal(space, lam, profile, f, exhaustive_limit=0, pair_budget=0)
+    assert np.array_equal(got, want)
+
+
+# ------------------------------------------------------------------------------
+# Validators
+# ------------------------------------------------------------------------------
+def _upper_doubling_reference(space, lam, rel_tol=nl.mmspace.DEFAULT_REL_TOL):
+    """The per-center validator loop: a kind's witness is (re)written each
+    time that kind's running worst strictly grows past its bound."""
+    worst = [-math.inf, -math.inf, -math.inf]
+    witness, kinds = {}, []
+    for c in range(space.n):
+        radii = space.candidate_radii(c)
+        vals = lam.table(c, radii)
+        mus = _mu(space, c, radii)
+        ratios = [mus / vals, vals / lam.table(c, radii / 2.0),
+                  vals[:-1] / vals[1:] if radii.size > 1 else np.zeros(0)]
+        bounds = [1.0 + rel_tol, lam.c_lambda * (1.0 + rel_tol), 1.0 + rel_tol]
+        for kind, (ratio, bound) in enumerate(zip(ratios, bounds)):
+            if not ratio.size:
+                continue
+            j = int(np.argmax(ratio))
+            if ratio[j] > worst[kind]:
+                worst[kind] = float(ratio[j])
+                if ratio[j] > bound:
+                    kinds.append((c, kind))
+                    witness = {"center": c, "radius": float(radii[j])}
+                    if kind == 0:
+                        witness.update(kind="domination", mu=float(mus[j]), **{"lambda": float(vals[j])})
+                    elif kind == 1:
+                        witness.update(kind="half_radius", ratio=float(ratio[j]), c_lambda=lam.c_lambda)
+                    else:
+                        witness.update(kind="monotonicity", next_radius=float(radii[j + 1]))
+    return worst, witness, kinds
+
+
+@PROPERTY
+@given(st.data())
+def test_upper_doubling_equals_per_center_loop(data):
+    space = data.draw(small_spaces())
+    lam = data.draw(power_lambdas(space.n))
+    report = nl.validate_upper_doubling(space, lam)
+    worst, witness, kinds = _upper_doubling_reference(space, lam)
+    assert report.details["worst_domination_ratio"] == worst[0]
+    assert report.details["worst_half_radius_ratio"] == worst[1]
+    assert report.details["required_c_lambda"] == max(1.0, worst[1])
+    assert report.value == max(worst[0], worst[1] / lam.c_lambda)
+    assert report.worst_witness == witness
+    assert report.passed == (not kinds)
+    if kinds:
+        # each failing kind's last write is at the first ball attaining its
+        # worst, so the report names the latest (center, kind) among them
+        last = {kind: c for c, kind in kinds}
+        c, kind = max((c, kind) for kind, c in last.items())
+        assert (witness["center"], witness["kind"]) == \
+            (c, ("domination", "half_radius", "monotonicity")[kind])
+
+
+@PROPERTY
+@given(small_spaces())
+def test_monotonicity_never_compares_two_centers(space):
+    # increasing in r at every center, but dropping from one center to the next
+    scale = 2.0 * space.total_measure * space.n
+    lam = nl.DominatingFunction(lambda c, r: scale * (space.n - c) * (1.0 + r), c_lambda=2.0,
+                                fn_vec=lambda c, r: scale * (space.n - c) * (1.0 + np.asarray(r)))
+    report = nl.validate_upper_doubling(space, lam)
+    assert report.passed, report.worst_witness
+
+
+@PROPERTY
+@given(small_spaces())
+def test_fit_and_doubling_indices_equal_per_center_loops(space):
+    lam = _lam(space)
+    want = max(float(np.max(_mu(space, c, r) / r)) for c, r in
+               ((c, space.candidate_radii(c)) for c in range(space.n)))
+    assert lam(0, 1.0) == want
+
+    profile = PROFILE
+    beta = profile.beta(2.0)
+    flags = geometry.doubling_flags(space, profile, 2.0)
+    idx = geometry.doubling_indices(space, profile, 2.0)
+    for c, s in _segments(space):
+        radii = space.candidate_radii(c)
+        assert np.array_equal(flags[s], _mu(space, c, 2.0 * radii) <= beta * _mu(space, c, radii))
+        i = np.zeros(radii.size, dtype=int)
+        while True:
+            grow = ~(_mu(space, c, 2.0 ** (i + 1) * radii) <= beta * _mu(space, c, 2.0 ** i * radii))
+            if not grow.any():
+                break
+            i += grow
+        assert np.array_equal(idx[s], i)
+    best = _per_center_sup(space, lambda c, r: idx[_segments(space)[c][1]] + 1.0)
+    report = nl.validate_weak_doubling(space, lam, profile, 2.0)
+    assert (report.value + 1.0, report.worst_witness) == best
+
+
+@PROPERTY
+@given(small_spaces())
+def test_psi_and_phi_validators_equal_per_center_loops(space):
+    psi = spaces.weight_psi(space)
+    worst, witness = 1.0, {}
+    for c in range(space.n):
+        radii = space.candidate_radii(c)
+        ratios = psi.table(c, 2.0 * radii) / psi.table(c, radii)
+        j = int(np.argmax(ratios))
+        if ratios[j] > worst:
+            worst, witness = float(ratios[j]), {"kind": "doubling", "center": c, "radius": float(radii[j])}
+    if space.n > 1:
+        union = space.radius_union()
+        table = np.stack([psi.table(c, union) for c in range(space.n)])
+        for k, r in enumerate(union):
+            admissible = (space.dist <= r) & ~np.eye(space.n, dtype=bool)
+            ratio = np.where(admissible, table[:, k][:, None] / table[:, k][None, :], 0.0)
+            x, y = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+            if admissible.any() and ratio[x, y] > worst:
+                worst = float(ratio[x, y])
+                witness = {"kind": "comparability", "x": int(x), "y": int(y), "radius": float(r)}
+    report = nl.validate_psi(space, psi)
+    assert (report.value, report.worst_witness) == (worst, witness)
+
+    phi = spaces.shifted_power_phi(0.5)
+    balls = [Ball(c, float(r)) for c in range(space.n) for r in space.candidate_radii(c)]
+    masks = [space.dist[b.center] <= b.radius for b in balls]
+    values = np.concatenate([phi.table(c, space.candidate_radii(c)) for c in range(space.n)])
+    mu = np.asarray([_mu(space, b.center, 2.0 * b.radius) for b in balls])
+    inner, outer = np.asarray([(i, j) for i, b1 in enumerate(balls) for j, b2 in enumerate(balls)
+                               if b2.radius >= b1.radius and not np.any(masks[i] & ~masks[j])]).T
+    p1, p2, mu1, mu2 = values[inner], values[outer], mu[inner], mu[outer]
+    want = [float(np.min((p1 * mu1 ** 0.5) / (p2 * mu2 ** 0.5))), float(np.max((p1 * mu1) / (p2 * mu2)))]
+    report = nl.validate_phi_gdec(space, phi, etas=(2.0,), exhaustive_limit=10 ** 6)
+    assert report.details["eta_constants"]["2.0"] == want

@@ -176,7 +176,6 @@ def test_upper_doubling_raw_measure_fails():
     report = nl.validate_upper_doubling(space, lam)
     assert not report.passed
     assert report.details["worst_half_radius_ratio"] == pytest.approx(1001.0)
-    assert lam.validated == "fail"
 
 
 def test_upper_doubling_constant_lambda(two_point):

@@ -269,7 +269,6 @@ def test_phi_constants_match_exhaustive(small_space):
             hi = max(hi, (p1 * mu1) / (p2 * mu2))
     assert lower == pytest.approx(lo, rel=1e-12)
     assert upper == pytest.approx(hi, rel=1e-12)
-    assert phi.eta_constants[2.0] == (lower, upper)
 
 
 def test_psi_constant_unit(small_space, psi_const):
