@@ -103,12 +103,11 @@ def discrete_coefficient(space: PointCloudSpace, lam: DominatingFunction,
         raise NotNested("inner ball members are not contained in the outer ball")
     n_idx = smallest_scale_index(tau, inner.radius, outer.radius)
     k_min = -floor_log(tau)
+    radii = [tau ** k * inner.radius for k in range(k_min, n_idx + 1)]
     terms = []
     value = 1.0
-    for k in range(k_min, n_idx + 1):
-        r_k = tau ** k * inner.radius
-        mu = ball_measure(space, Ball(inner.center, r_k))
-        term = mu / lam(inner.center, r_k)
+    for r_k, lam_k in zip(radii, lam.table(inner.center, radii).tolist()):
+        term = ball_measure(space, Ball(inner.center, r_k)) / lam_k
         terms.append(term)
         value += term
     return CoefficientValue(value=value, N=n_idx, k_min=k_min, terms=terms)
@@ -168,10 +167,7 @@ class CoefficientTables:
             grid = radii[:, None] * scales[None, :]
             counts = np.searchsorted(space.sorted_dist[c], grid.ravel(), side="right")
             mus = space.prefix_weight[c][counts].reshape(grid.shape)
-            lam_vals = np.empty_like(grid)
-            for col in range(grid.shape[1]):
-                lam_vals[:, col] = lam.table(c, grid[:, col])
-            self.cumulative.append(np.cumsum(mus / lam_vals, axis=1))
+            self.cumulative.append(np.cumsum(mus / lam.table(c, grid), axis=1))
             self.radii.append(radii)
             self.kmax.append(kmax)
 

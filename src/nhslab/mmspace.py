@@ -14,6 +14,14 @@ the first ``counts()[b]`` points of its center's distance order.  Every
 supremum over balls is a gather over this family followed by one argmax;
 exhaustive suprema over nested ball pairs enumerate ``geometry.nested_pairs``.
 
+Functions of a center and a radius (the dominating function here, the
+normalizers psi and phi in :mod:`nhslab.spaces`) share one protocol,
+:class:`Radial`: a single callable ``fn(center, radius)`` written once with
+NumPy operations, like the kernel modulus ``theta``.  ``table`` calls it on
+an integer center array and a radius array broadcast to one shape, so a flat
+family table, a center-by-radius grid and a scalar call all run the same
+ufunc loops and agree bit for bit.
+
 A :class:`DominatingFunction` is a positive function of (center, radius),
 nondecreasing in the radius, that dominates ball measures and at most doubles
 when the radius halves.  ``fit_power_lambda`` produces one automatically;
@@ -122,15 +130,6 @@ class BallFamily:
             return 0.0, {}
         return float(values[j]), self.ball(j)
 
-    def evaluate(self, obj, radii: np.ndarray) -> np.ndarray:
-        """``obj.table`` (a function of a center and its radii) at
-        ``radii[b]`` around ``center[b]``, for every ball."""
-        out = np.empty(radii.shape)
-        for c in range(self.n):
-            s = self.segment(c)
-            out[s] = obj.table(c, radii[s])
-        return out
-
 
 class PointCloudSpace:
     """Finite metric measure space on weighted atoms.
@@ -225,31 +224,24 @@ class PointCloudSpace:
             self._union_cache[key] = cached
         return cached
 
-    def fn_table(self, obj, multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> np.ndarray:
-        """Evaluate ``obj`` (anything with ``.table(center, radii)``) on every
-        ball of the candidate family, caching by object identity."""
+    def fn_table(self, obj: "Radial", multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> np.ndarray:
+        """``obj`` on every ball of the candidate family, cached by object
+        identity."""
         per_obj = self._fn_tables.setdefault(obj, {})
         key = tuple(multipliers)
         if key not in per_obj:
             family = self.balls(multipliers)
-            per_obj[key] = family.evaluate(obj, family.radius)
+            per_obj[key] = obj.table(family.center, family.radius)
         return per_obj[key]
 
     def pair_table(self, lam: "DominatingFunction") -> np.ndarray:
         """Matrix of lam(x, d(x, y)); entries with d == 0 hold a placeholder 1."""
         cached = self._lam_matrices.get(lam)
         if cached is None:
-            mat = np.empty((self.n, self.n), dtype=float)
-            for c in range(self.n):
-                row = self.dist[c].copy()
-                zero = row <= 0.0
-                row[zero] = 1.0
-                vals = lam.table(c, row)
-                vals = np.asarray(vals, dtype=float).copy()
-                vals[zero] = 1.0
-                mat[c] = vals
-            mat.setflags(write=False)
-            cached = mat
+            zero = self.dist <= 0.0
+            cached = np.where(zero, 1.0, lam.table(np.arange(self.n)[:, None],
+                                                   np.where(zero, 1.0, self.dist)))
+            cached.setflags(write=False)
             self._lam_matrices[lam] = cached
         return cached
 
@@ -397,17 +389,46 @@ def estimate_geometric_doubling(space: PointCloudSpace,
 
 
 # ------------------------------------------------------------------------------
-# Dominating functions
+# Radial functions and dominating functions
 # ------------------------------------------------------------------------------
 @dataclass(eq=False)
-class DominatingFunction:
+class Radial:
+    """A function of (center point, radius), written once as a broadcasting
+    callable ``fn(center, radius)``.
+
+    ``fn`` receives an integer center array and a float radius array of one
+    shape and returns values of that shape (or anything broadcasting to it,
+    such as a constant).  Write it with NumPy operations only, as
+    ``lambda c, r: a[c] * r ** k[c]``.
+    """
+
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    def table(self, center, radii) -> np.ndarray:
+        """``fn`` at the broadcast of ``center`` and ``radii``."""
+        center, radii = np.asarray(center), np.asarray(radii, dtype=float)
+        if center.ndim == 0:
+            # a 0-d center would turn a center-dependent exponent k[c] into a
+            # scalar, for which NumPy's power takes other loops (2, 0.5, -1)
+            center = np.full(radii.shape, center)
+        elif center.shape != radii.shape:
+            center, radii = np.broadcast_arrays(center, radii)
+        vals = np.asarray(self.fn(center, radii), dtype=float)
+        return vals if vals.shape == radii.shape else np.broadcast_to(vals, radii.shape)
+
+    def __call__(self, center: int, radius: float) -> float:
+        # through a 1-element table: Python-float arithmetic takes libm's pow,
+        # which differs from NumPy's array loop in the last bit
+        return float(self.table([center], [radius])[0])
+
+
+@dataclass(eq=False)
+class DominatingFunction(Radial):
     """Positive function of (center point, radius > 0) with declared doubling
     constant ``c_lambda`` (the factor allowed when the radius halves)."""
 
-    fn: Callable[[int, float], float]
     c_lambda: float
     description: str = ""
-    fn_vec: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if not self.c_lambda >= 1.0:
@@ -417,15 +438,6 @@ class DominatingFunction:
     def nu(self) -> float:
         """Dyadic growth exponent log2(c_lambda)."""
         return math.log2(self.c_lambda)
-
-    def __call__(self, center: int, radius: float) -> float:
-        return float(self.fn(center, radius))
-
-    def table(self, center: int, radii) -> np.ndarray:
-        radii = np.asarray(radii, dtype=float)
-        if self.fn_vec is not None:
-            return np.asarray(self.fn_vec(center, radii), dtype=float)
-        return np.asarray([self.fn(center, float(r)) for r in radii], dtype=float)
 
 
 def fit_power_lambda(space: PointCloudSpace, kappa="auto", *, existing: Optional[DominatingFunction] = None,
@@ -453,18 +465,10 @@ def fit_power_lambda(space: PointCloudSpace, kappa="auto", *, existing: Optional
         if kappa_val < 0:
             raise DegenerateRadii(f"kappa must be nonnegative, got {kappa_val!r}")
     c0 = float(np.max(mus / family.radius ** kappa_val))
-
-    def fn(_c: int, r: float) -> float:
-        return c0 * r ** kappa_val
-
-    def fn_vec(_c: int, r: np.ndarray) -> np.ndarray:
-        return c0 * r ** kappa_val
-
     return DominatingFunction(
-        fn,
+        lambda _c, r: c0 * r ** kappa_val,
         c_lambda=2.0 ** kappa_val,
         description=f"power(kappa={kappa_val:.12g}, c0={c0:.12g})",
-        fn_vec=fn_vec,
     )
 
 
@@ -482,7 +486,7 @@ def validate_upper_doubling(space: PointCloudSpace, lam: DominatingFunction,
     vals = space.fn_table(lam, multipliers)
     mus = family.measures()
     dom = mus / vals
-    half = vals / family.evaluate(lam, family.radius / 2.0)
+    half = vals / lam.table(family.center, family.radius / 2.0)
     mono = np.where(family.center[1:] == family.center[:-1], vals[:-1] / vals[1:], -math.inf)
     worst_dom = float(dom.max())
     worst_half = float(half.max())
@@ -531,7 +535,7 @@ def comparability_ratio(space: PointCloudSpace, obj,
     if space.n < 2:
         return worst, witness
     radii = space.radius_union(multipliers)
-    table = np.stack([np.asarray(obj.table(c, radii), dtype=float) for c in range(space.n)])
+    table = obj.table(np.arange(space.n)[:, None], radii)
     for k, r in enumerate(radii):
         admissible = space.dist <= r
         np.fill_diagonal(admissible, False)
@@ -596,7 +600,7 @@ def validate_weak_reverse_doubling(lam: DominatingFunction, space: PointCloudSpa
             # dropped balls are evaluated at their own radius and ignored
             radii = family.radius.copy()
             radii[keep] = factor * radii[keep]
-            return float((family.evaluate(lam, radii) / base)[keep].min())
+            return float((lam.table(family.center, radii) / base)[keep].min())
 
         c_a = measure(a)
         if c_a is None:

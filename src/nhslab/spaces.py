@@ -7,12 +7,17 @@ a power of the discrete nesting coefficient.  Ball-pair enumeration is
 exhaustive when the family is small, and otherwise uses the exhaustive
 concentric dyadic ladder plus a budgeted, fixed-seed sample of non-concentric
 containing pairs.
+
+The normalizers psi and phi follow the radial-function protocol of
+:class:`~nhslab.mmspace.Radial`: each family is one broadcasting
+``fn(center, radius)``, read through ``table`` over the whole candidate
+family at once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from .mmspace import (
     DEFAULT_MULTIPLIERS,
     DominatingFunction,
     PointCloudSpace,
+    Radial,
     comparability_ratio,
 )
 from .report import CheckReport
@@ -42,22 +48,12 @@ _TINY = 1e-300
 # Radial function families
 # ------------------------------------------------------------------------------
 @dataclass(eq=False)
-class RadialFunction:
-    """Positive function of (center point, radius)."""
+class RadialFunction(Radial):
+    """Positive function of (center point, radius): one broadcasting
+    ``fn(center, radius)``, as for every :class:`~nhslab.mmspace.Radial`."""
 
-    fn: Callable[[int, float], float]
-    fn_vec: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
     family: str = "custom"
     param: Optional[float] = None
-
-    def __call__(self, center: int, radius: float) -> float:
-        return float(self.fn(center, radius))
-
-    def table(self, center: int, radii) -> np.ndarray:
-        radii = np.asarray(radii, dtype=float)
-        if self.fn_vec is not None:
-            return np.asarray(self.fn_vec(center, radii), dtype=float)
-        return np.asarray([self.fn(center, float(r)) for r in radii], dtype=float)
 
 
 @dataclass(eq=False)
@@ -75,69 +71,48 @@ class GrowthFunctionPhi(RadialFunction):
 
 
 def constant_psi() -> RegularityFunctionPsi:
-    return RegularityFunctionPsi(lambda c, r: 1.0, lambda c, r: np.ones_like(r),
-                                 family="constant", param=None)
+    return RegularityFunctionPsi(lambda c, r: 1.0, family="constant", param=None)
 
 
 def radius_power_psi(exponent: float) -> RegularityFunctionPsi:
-    return RegularityFunctionPsi(
-        lambda c, r: float(r) ** exponent,
-        lambda c, r: np.asarray(r, dtype=float) ** exponent,
-        family="radius_power", param=exponent,
-    )
+    return RegularityFunctionPsi(lambda c, r: r ** exponent, family="radius_power", param=exponent)
 
 
 def lambda_power_psi(lam: DominatingFunction, alpha: float) -> RegularityFunctionPsi:
-    return RegularityFunctionPsi(
-        lambda c, r: lam(c, r) ** alpha,
-        lambda c, r: np.asarray(lam.table(c, r), dtype=float) ** alpha,
-        family="lambda_power", param=alpha,
-    )
+    return RegularityFunctionPsi(lambda c, r: lam.table(c, r) ** alpha,
+                                 family="lambda_power", param=alpha)
 
 
 def weight_psi(space: PointCloudSpace) -> RegularityFunctionPsi:
     """Center-dependent, radius-free normalizer; useful as a comparability
     stress case because wildly varying weights break the equal-radius bound."""
     w = space.weights
-    return RegularityFunctionPsi(lambda c, r: float(w[c]),
-                                 lambda c, r: np.full_like(np.asarray(r, float), float(w[c])),
-                                 family="weight", param=None)
+    return RegularityFunctionPsi(lambda c, r: w[c], family="weight", param=None)
 
 
 def power_phi(a: float, delta: float = 0.5) -> GrowthFunctionPhi:
     if not a > 0:
         raise InvalidExponent(f"power decay exponent must be positive, got {a!r}")
-    return GrowthFunctionPhi(
-        lambda c, r: float(r) ** (-a),
-        lambda c, r: np.asarray(r, dtype=float) ** (-a),
-        family="power", param=a, delta=delta,
-    )
+    return GrowthFunctionPhi(lambda c, r: r ** (-a), family="power", param=a, delta=delta)
 
 
 def shifted_power_phi(a: float, delta: float = 0.5) -> GrowthFunctionPhi:
     if not a > 0:
         raise InvalidExponent(f"power decay exponent must be positive, got {a!r}")
-    return GrowthFunctionPhi(
-        lambda c, r: (1.0 + float(r)) ** (-a),
-        lambda c, r: (1.0 + np.asarray(r, dtype=float)) ** (-a),
-        family="shifted_power", param=a, delta=delta,
-    )
+    return GrowthFunctionPhi(lambda c, r: (1.0 + r) ** (-a),
+                             family="shifted_power", param=a, delta=delta)
 
 
 def constant_phi(delta: float = 0.5) -> GrowthFunctionPhi:
-    return GrowthFunctionPhi(lambda c, r: 1.0, lambda c, r: np.ones_like(np.asarray(r, float)),
-                             family="constant", param=None, delta=delta)
+    return GrowthFunctionPhi(lambda c, r: 1.0, family="constant", param=None, delta=delta)
 
 
 def phi_compatible_psi(phi: GrowthFunctionPhi, p: float, q: float) -> RegularityFunctionPsi:
     """The normalizer phi**(1/q - 1/p), which satisfies the maximal-operator
     embedding hypothesis with constant 1."""
     expo = 1.0 / q - 1.0 / p
-    return RegularityFunctionPsi(
-        lambda c, r: phi(c, r) ** expo,
-        lambda c, r: np.asarray(phi.table(c, r), dtype=float) ** expo,
-        family="phi_power", param=expo,
-    )
+    return RegularityFunctionPsi(lambda c, r: phi.table(c, r) ** expo,
+                                 family="phi_power", param=expo)
 
 
 # ------------------------------------------------------------------------------
@@ -226,13 +201,13 @@ def _campanato_exhaustive(space, lam, f, psi, tau, gamma, multipliers) -> Campan
     family = space.balls(multipliers)
     balls = [Ball(int(c), float(r)) for c, r in zip(family.center, family.radius)]
     means = [ball_mean(space, f, b) for b in balls]
+    psit = space.fn_table(psi, multipliers).tolist()
     osc = 0.0
     osc_w: dict = {}
-    for b, m in zip(balls, means):
+    for b, m, psi_b in zip(balls, means, psit):
         mask = space.dist[b.center] <= b.radius
         num = float(np.sum(np.abs(f[mask] - m) * space.weights[mask]))
-        den = psi(b.center, b.radius) * ball_measure(space, b.scaled(tau))
-        val = num / den
+        val = num / (psi_b * ball_measure(space, b.scaled(tau)))
         if val > osc:
             osc = val
             osc_w = {"center": b.center, "radius": b.radius}
@@ -241,7 +216,7 @@ def _campanato_exhaustive(space, lam, f, psi, tau, gamma, multipliers) -> Campan
     for i, j in zip(*nested_pairs(space, multipliers)):
         b1, b2 = balls[i], balls[j]
         coeff = discrete_coefficient(space, lam, b1, b2, tau).value
-        val = abs(means[i] - means[j]) / (psi(b1.center, b1.radius) * coeff ** gamma)
+        val = abs(means[i] - means[j]) / (psit[i] * coeff ** gamma)
         if val > reg:
             reg = val
             reg_w = {"inner": {"center": b1.center, "radius": b1.radius},
@@ -368,8 +343,10 @@ def validate_phi_gdec(space: PointCloudSpace, phi: GrowthFunctionPhi,
     constants for each enlargement factor, and resolve the asymptotic limits
     symbolically for the shipped families (reported as unchecked otherwise).
 
-    Pair enumeration is exhaustive for small ball families, otherwise strided
-    concentric pairs plus a budgeted non-concentric sample.
+    Pair enumeration is exhaustive when the squared family size is at most
+    ``exhaustive_limit``, otherwise strided concentric pairs plus a budgeted
+    non-concentric sample; ``details`` names the branch (``pairs``) and the
+    number of pairs measured (``pair_count``).
     """
     family = space.balls(multipliers)
     phit = space.fn_table(phi, multipliers)
@@ -381,7 +358,8 @@ def validate_phi_gdec(space: PointCloudSpace, phi: GrowthFunctionPhi,
         witness = {**family.ball(j), "next_radius": float(family.radius[j + 1])}
 
     # nested pairs as flat family indices (inner, outer)
-    if len(family) ** 2 <= exhaustive_limit:
+    exhaustive = len(family) ** 2 <= exhaustive_limit
+    if exhaustive:
         b1, b2 = nested_pairs(space, multipliers)
     else:
         inner, outer = [], []
@@ -421,6 +399,8 @@ def validate_phi_gdec(space: PointCloudSpace, phi: GrowthFunctionPhi,
                        else {"zero_radius": limits[0], "infinite_radius": limits[1]}),
             "eta_constants": {str(k): list(v) for k, v in eta_constants.items()},
             "family": phi.family,
+            "pairs": "exhaustive" if exhaustive else "strided_and_sampled",
+            "pair_count": int(b1.size),
         },
     )
 
@@ -431,7 +411,7 @@ def validate_psi(space: PointCloudSpace, psi: RegularityFunctionPsi,
     over the candidate family; finite on finite spaces, so it always passes
     and the value feeds cross-refinement stability tests."""
     family = space.balls(multipliers)
-    ratios = family.evaluate(psi, 2.0 * family.radius) / space.fn_table(psi, multipliers)
+    ratios = psi.table(family.center, 2.0 * family.radius) / space.fn_table(psi, multipliers)
     j = int(np.argmax(ratios))
     worst = 1.0
     witness: dict = {}
@@ -576,15 +556,16 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
             if d <= 0:
                 continue
             radii1 = space.candidate_radii(c1, multipliers)
-            small = radii1[radii1 <= d]
-            if small.size == 0:
+            small = int(np.count_nonzero(radii1 <= d))
+            if small == 0:
                 continue
-            r1 = float(small[rng.integers(small.size)])
+            i1 = int(rng.integers(small))
+            r1 = float(radii1[i1])
             q1 = int(np.searchsorted(space.sorted_dist[c1], r1, side="right"))
             q2 = int(np.searchsorted(space.sorted_dist[c2], d, side="right"))
             m1 = pf[c1][q1] / pw[c1][q1]
             m2 = pf[c2][q2] / pw[c2][q2]
-            val = abs(m1 - m2) / (psi(c1, r1) * norm)
+            val = abs(m1 - m2) / (psit[family.offsets[c1] + i1] * norm)
             if val > comparable:
                 comparable = val
                 comp_witness = {"b1": {"center": c1, "radius": r1},

@@ -1,8 +1,12 @@
-"""Property tests for the flat candidate-ball family and the suprema over it.
+"""Property tests for the radial-function protocol, the flat candidate-ball
+family and the suprema over it.
 
-Every supremum that reads the family is compared, bit for bit in value and
-witness, with a per-center reference loop kept here; the nested-pair
-enumerator is compared with a brute-force double loop over ball masks.
+Every shipped dominating, regularity and growth function gives the same bits
+from a scalar call, a 1-element table, a per-center table, a center-by-radius
+grid and the flat family table.  Every supremum that reads the family is
+compared, bit for bit in value and witness, with a per-center reference loop
+kept here; the nested-pair enumerator is compared with a brute-force double
+loop over ball masks.
 Spaces are small (n <= 10): points in 1 to 3 dimensions and integer-length
 graph metrics with many tied distances, with weight ratios up to 1e6.
 """
@@ -15,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nhslab as nl
-from nhslab import geometry, operators, spaces
+from nhslab import geometry, lab, operators, spaces
 from nhslab.geometry import Ball
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -67,8 +71,7 @@ def power_lambdas(draw, n):
     a = np.asarray(draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n)))
     k = np.asarray(draw(st.lists(st.floats(-1.0, 3.0), min_size=n, max_size=n)))
     c_lambda = draw(st.floats(1.0, 4.0))
-    return nl.DominatingFunction(lambda c, r: float(a[c] * r ** k[c]), c_lambda=c_lambda,
-                                 fn_vec=lambda c, r: a[c] * np.asarray(r) ** k[c])
+    return nl.DominatingFunction(lambda c, r: a[c] * r ** k[c], c_lambda=c_lambda)
 
 
 def _lam(space):
@@ -81,6 +84,48 @@ PROFILE = nl.GeometryProfile(N0=3, nu=1.0)
 def _segments(space):
     family = space.balls()
     return [(c, slice(family.offsets[c], family.offsets[c + 1])) for c in range(space.n)]
+
+
+# ------------------------------------------------------------------------------
+# The radial-function protocol
+# ------------------------------------------------------------------------------
+@st.composite
+def radial_functions(draw, space):
+    """Every shipped factory, each with drawn parameters."""
+    expo = draw(st.floats(-2.0, 3.0))
+    decay = draw(st.floats(0.1, 3.0))
+    lam = nl.fit_power_lambda(space, draw(st.floats(0.0, 3.0)))
+    phi = draw(st.sampled_from([spaces.power_phi(decay), spaces.shifted_power_phi(decay),
+                                spaces.constant_phi()]))
+    return draw(st.sampled_from([
+        lam, lab.two_point_lambda(), phi,
+        spaces.constant_psi(), spaces.radius_power_psi(expo),
+        spaces.lambda_power_psi(lam, expo), spaces.weight_psi(space),
+        spaces.phi_compatible_psi(phi, 2.0, draw(st.floats(2.0, 8.0))),
+    ]))
+
+
+@PROPERTY
+@given(st.data())
+def test_scalar_call_table_and_broadcast_agree(data):
+    space = data.draw(small_spaces())
+    obj = data.draw(radial_functions(space))
+    radii = np.asarray(data.draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=20)))
+
+    def same(a, b):
+        # a fitted c0 is inf when a tiny candidate radius ** kappa underflows,
+        # and inf * 0 is NaN on both sides
+        return np.array_equal(a, b, equal_nan=True)
+
+    for c in range(space.n):
+        scalar = [obj(c, r) for r in radii]
+        assert same(scalar, [obj.table(c, [r])[0] for r in radii])
+        assert same(scalar, obj.table(c, radii))
+    grid = obj.table(np.arange(space.n)[:, None], radii)
+    assert same(grid, np.stack([obj.table(c, radii) for c in range(space.n)]))
+    family = space.balls()
+    assert same(obj.table(family.center, family.radius),
+                np.concatenate([obj.table(c, space.candidate_radii(c)) for c in range(space.n)]))
 
 
 # ------------------------------------------------------------------------------
@@ -299,8 +344,7 @@ def test_upper_doubling_equals_per_center_loop(data):
 def test_monotonicity_never_compares_two_centers(space):
     # increasing in r at every center, but dropping from one center to the next
     scale = 2.0 * space.total_measure * space.n
-    lam = nl.DominatingFunction(lambda c, r: scale * (space.n - c) * (1.0 + r), c_lambda=2.0,
-                                fn_vec=lambda c, r: scale * (space.n - c) * (1.0 + np.asarray(r)))
+    lam = nl.DominatingFunction(lambda c, r: scale * (space.n - c) * (1.0 + r), c_lambda=2.0)
     report = nl.validate_upper_doubling(space, lam)
     assert report.passed, report.worst_witness
 

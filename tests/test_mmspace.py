@@ -171,8 +171,9 @@ def test_fit_domination_slack():
 # ------------------------------------------------------------------------------
 def test_upper_doubling_raw_measure_fails():
     space = nl.build_space(points=[[0.0], [1.0]], weights=[1.0, 1000.0])
+    # mu(B(c, r)), broadcast over center and radius arrays
     lam = nl.DominatingFunction(
-        lambda c, r: nl.ball_measure(space, nl.Ball(c, r)), c_lambda=2.0)
+        lambda c, r: np.sum(space.weights * (space.dist[c] <= r[..., None]), axis=-1), c_lambda=2.0)
     report = nl.validate_upper_doubling(space, lam)
     assert not report.passed
     assert report.details["worst_half_radius_ratio"] == pytest.approx(1001.0)
@@ -195,7 +196,7 @@ def test_comparability_center_independent(two_point):
 
 def test_comparability_weighted_failure(two_point):
     space, _ = two_point
-    w = {0: 1.0, 1: 10.0}
+    w = np.array([1.0, 10.0])
     lam = nl.DominatingFunction(lambda c, r: w[c] * r, c_lambda=2.0)
     report = nl.validate_lambda_comparability(space, lam)
     assert not report.passed

@@ -271,6 +271,21 @@ def test_phi_constants_match_exhaustive(small_space):
     assert upper == pytest.approx(hi, rel=1e-12)
 
 
+def test_phi_gdec_reports_its_pair_branch():
+    # ten scattered points give 18 candidate balls per center, 180 in all,
+    # so 180**2 exceeds the default limit of 20000 and pairs are sampled
+    space = nl.build_space(points=np.random.default_rng(1).uniform(0.0, 1.0, (10, 1)),
+                           weights=np.ones(10))
+    phi = spaces.power_phi(1.0)
+    sampled = nl.validate_phi_gdec(space, phi)
+    assert len(space.balls()) == 180
+    assert sampled.details["pairs"] == "strided_and_sampled"
+    assert sampled.details["pair_count"] > 0
+    full = nl.validate_phi_gdec(space, phi, exhaustive_limit=10 ** 6)
+    assert full.details["pairs"] == "exhaustive"
+    assert full.details["pair_count"] == nl.geometry.nested_pairs(space)[0].size
+
+
 def test_psi_constant_unit(small_space, psi_const):
     space, _ = small_space
     report = nl.validate_psi(space, psi_const)
