@@ -326,9 +326,9 @@ def _check_triangle(dist: np.ndarray, rel_tol: float, exhaustive_limit: int,
     if n <= 2:
         return
     if n <= exhaustive_limit:
+        slack = rel_tol * np.maximum(dist, 1.0)
         for k in range(n):
             bound = dist[:, k : k + 1] + dist[k : k + 1, :]
-            slack = rel_tol * np.maximum(dist, 1.0)
             viol = dist - bound - slack
             if np.any(viol > 0):
                 i, j = np.unravel_index(int(np.argmax(viol)), viol.shape)
@@ -358,33 +358,31 @@ def estimate_geometric_doubling(space: PointCloudSpace,
                                 multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> int:
     """Upper bound the geometric doubling count of the space.
 
-    For every candidate ball B(x, r), greedily covers its members with balls
-    of radius r/2 centered at members (farthest-point traversal, ties broken
-    by point index).  The greedy cover is a valid cover, so its maximal size
-    is a valid, possibly non-tight, doubling count.
+    Every candidate ball B(c, r) is covered greedily by balls of radius r/2
+    centered at its members (farthest-point traversal from c, ties going to
+    the lowest point index); a greedy cover is a valid cover, so its largest
+    size is a valid, possibly non-tight, doubling count.  One batched greedy
+    runs per center over all R of its candidate radii, in O(R n N0) time and
+    one R x n buffer: row i holds each member's distance to the cover of
+    B(c, r_i) (-inf off the ball) and every step adds each row's farthest
+    point.  Steps only lower a covered row, so the center's largest cover is
+    the number of steps until no row has a member beyond its r_i/2.
     """
+    family = space.balls(multipliers)
     best = 1
     for c in range(space.n):
+        r = family.radius[family.segment(c)]
         row = space.dist[c]
-        for r in space.candidate_radii(c, multipliers):
-            members = np.nonzero(row <= r)[0]
-            if members.size <= best:
-                continue
-            sub = space.dist[np.ix_(members, members)]
-            start = int(np.searchsorted(members, c))
-            if start >= members.size or members[start] != c:
-                start = 0
-            mind = sub[start].copy()
-            count = 1
-            half = r / 2.0
-            while True:
-                far = int(np.argmax(mind))
-                if mind[far] <= half:
-                    break
-                count += 1
-                np.minimum(mind, sub[far], out=mind)
-            if count > best:
-                best = count
+        mind = np.where(row <= r[:, None], row, -np.inf)
+        half, rows = r / 2.0, np.arange(r.size)
+        count = 1
+        while True:
+            far = np.argmax(mind, axis=1)
+            if not np.any(mind[rows, far] > half):
+                break
+            count += 1
+            np.minimum(mind, space.dist[far], out=mind)
+        best = max(best, count)
     return best
 
 

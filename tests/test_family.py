@@ -6,21 +6,24 @@ from a scalar call, a 1-element table, a per-center table, a center-by-radius
 grid and the flat family table.  Every supremum that reads the family is
 compared, bit for bit in value and witness, with a per-center reference loop
 kept here; the nested-pair enumerator is compared with a brute-force double
-loop over ball masks.
+loop over ball masks, and the batched doubling greedy with the per-ball
+greedy it replaced.
 Spaces are small (n <= 10): points in 1 to 3 dimensions and integer-length
-graph metrics with many tied distances, with weight ratios up to 1e6.
+graph metrics with many tied distances, with weight ratios up to 1e6; the
+doubling property also draws coincident lattice points.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nhslab as nl
 from nhslab import geometry, lab, operators, spaces
 from nhslab.geometry import Ball
+from test_mmspace import _exhaustive_doubling_count
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -43,12 +46,15 @@ def _graph_metric(n, parents, extra):
 
 
 @st.composite
-def small_spaces(draw):
+def small_spaces(draw, coincident=False):
+    """Points or graph metrics; with ``coincident``, points on the integer
+    lattice {0..3}^dim, so atoms coincide and distances tie."""
     n = draw(st.integers(1, 10))
     weights = draw(st.lists(st.floats(1.0, 1e6), min_size=n, max_size=n))
-    if draw(st.booleans()):
+    if coincident or draw(st.booleans()):
         dim = draw(st.integers(1, 3))
-        coord = st.floats(0.0, 1.0, allow_subnormal=False)
+        coord = (st.integers(0, 3).map(float) if coincident
+                 else st.floats(0.0, 1.0, allow_subnormal=False))
         points = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
                                min_size=n, max_size=n))
         return nl.build_space(points=points, weights=weights)
@@ -411,3 +417,49 @@ def test_psi_and_phi_validators_equal_per_center_loops(space):
     want = [float(np.min((p1 * mu1 ** 0.5) / (p2 * mu2 ** 0.5))), float(np.max((p1 * mu1) / (p2 * mu2)))]
     report = nl.validate_phi_gdec(space, phi, etas=(2.0,), exhaustive_limit=10 ** 6)
     assert report.details["eta_constants"]["2.0"] == want
+
+
+# ------------------------------------------------------------------------------
+# Geometric doubling
+# ------------------------------------------------------------------------------
+def _per_ball_doubling(space, multipliers):
+    """The greedy ``estimate_geometric_doubling`` ran before it was batched:
+    one farthest-point traversal per candidate ball, on a copy of the ball's
+    distance submatrix, starting at the center, ties to the lowest index."""
+    best = 1
+    for c in range(space.n):
+        row = space.dist[c]
+        for r in space.candidate_radii(c, multipliers):
+            members = np.nonzero(row <= r)[0]
+            if members.size <= best:
+                continue
+            sub = space.dist[np.ix_(members, members)]
+            mind = sub[int(np.searchsorted(members, c))].copy()
+            count = 1
+            while True:
+                far = int(np.argmax(mind))
+                if mind[far] <= r / 2.0:
+                    break
+                count += 1
+                np.minimum(mind, sub[far], out=mind)
+            best = max(best, count)
+    return best
+
+
+# A graph metric on which the farthest-point ties decide the greedy: ties to
+# the lowest index give 4 balls, ties to the highest 3 (the least cover is 3).
+# Random draws rarely hit one: a few in a thousand small graph metrics.
+TIE_SENSITIVE = nl.build_space(distances=[[0, 3, 5, 1, 2], [3, 0, 2, 3, 2], [5, 2, 0, 5, 4],
+                                          [1, 3, 5, 0, 1], [2, 2, 4, 1, 0]], weights=np.ones(5))
+
+
+@PROPERTY
+@given(st.one_of(small_spaces(), small_spaces(coincident=True)),
+       st.sampled_from([nl.mmspace.DEFAULT_MULTIPLIERS, (1.0,), (0.5, 1.0, 2.0)]))
+@example(TIE_SENSITIVE, nl.mmspace.DEFAULT_MULTIPLIERS)
+def test_doubling_count_equals_per_ball_greedy(space, multipliers):
+    count = nl.estimate_geometric_doubling(space, multipliers)
+    assert count == _per_ball_doubling(space, multipliers)
+    if space.n <= 7:
+        # a greedy cover is a cover, so it is no smaller than the least one
+        assert count >= _exhaustive_doubling_count(space, multipliers)

@@ -86,10 +86,10 @@ def _min_cover_size(space, center, radius):
     raise AssertionError("unreachable: the member set covers itself")
 
 
-def _exhaustive_doubling_count(space):
+def _exhaustive_doubling_count(space, multipliers=nl.mmspace.DEFAULT_MULTIPLIERS):
     best = 1
     for c in range(space.n):
-        for r in space.candidate_radii(c):
+        for r in space.candidate_radii(c, multipliers):
             best = max(best, _min_cover_size(space, c, float(r)))
     return best
 
@@ -108,6 +108,13 @@ def test_doubling_count_matches_exhaustive_on_four_grid():
     space = nl.build_space(points=[[0.0], [1.0], [2.0], [3.0]], weights=[1.0] * 4)
     greedy = nl.estimate_geometric_doubling(space)
     assert greedy == _exhaustive_doubling_count(space) == 3
+
+
+def test_doubling_count_at_the_size_cap():
+    # the per-ball greedy that the batched one replaced also gives 3 here,
+    # after about 140 CPU seconds
+    space = nl.generate_space({"kind": "grid", "d": 1, "n": nl.lab.DEFAULT_MAX_N})
+    assert nl.make_profile(space, nl.fit_power_lambda(space, 0.8)).N0 == 3
 
 
 def test_doubling_count_monotone_under_refinement():
