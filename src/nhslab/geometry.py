@@ -3,9 +3,10 @@
 The coefficient of a nested ball pair (B, S) is 1 plus the sum of
 measure-to-dominating-function ratios along the dyadic enlargements of B up
 to the scale of S; it measures how far the measure is from doubling between
-the two scales.  This module provides the scalar primitives (used directly by
-tests and small fixtures) and vectorized per-center tables (used by the norm
-and operator suprema at larger sizes).
+the two scales.  :class:`CoefficientTables` holds one flat row per candidate
+ball, the running sum along its ladder (``BallFamily.ladder``); the scalar
+:func:`discrete_coefficient` runs the same arithmetic on one ball, so the two
+agree bit for bit, and serves balls outside the family such as chain links.
 """
 from __future__ import annotations
 
@@ -21,6 +22,8 @@ from .mmspace import (
     DominatingFunction,
     GeometryProfile,
     PointCloudSpace,
+    floor_log,
+    smallest_scale_index,
 )
 from .report import CheckReport
 
@@ -49,24 +52,6 @@ def ball_measure(space: PointCloudSpace, ball: Ball) -> float:
     """Total weight of the closed ball, summed in point-index order."""
     mask = space.dist[ball.center] <= ball.radius
     return float(np.sum(space.weights[mask]))
-
-
-def floor_log(tau: float, value: float = 2.0) -> int:
-    """floor(log_tau(value)) with a 1e-12 nudge so representable integer
-    logs (tau = 2 gives exactly 1) are not misclassified downward."""
-    return int(math.floor(math.log(value) / math.log(tau) + 1e-12))
-
-
-def smallest_scale_index(tau: float, r_inner: float, r_outer: float) -> int:
-    """Smallest integer N >= 0 with tau**N * r_inner >= r_outer."""
-    if r_outer <= r_inner:
-        return 0
-    n = max(0, int(math.ceil(math.log(r_outer / r_inner) / math.log(tau) - 1e-12)))
-    while tau ** n * r_inner < r_outer:
-        n += 1
-    while n > 0 and tau ** (n - 1) * r_inner >= r_outer:
-        n -= 1
-    return n
 
 
 # ------------------------------------------------------------------------------
@@ -103,14 +88,11 @@ def discrete_coefficient(space: PointCloudSpace, lam: DominatingFunction,
         raise NotNested("inner ball members are not contained in the outer ball")
     n_idx = smallest_scale_index(tau, inner.radius, outer.radius)
     k_min = -floor_log(tau)
-    radii = [tau ** k * inner.radius for k in range(k_min, n_idx + 1)]
-    terms = []
-    value = 1.0
-    for r_k, lam_k in zip(radii, lam.table(inner.center, radii).tolist()):
-        term = ball_measure(space, Ball(inner.center, r_k)) / lam_k
-        terms.append(term)
-        value += term
-    return CoefficientValue(value=value, N=n_idx, k_min=k_min, terms=terms)
+    radii = inner.radius * tau ** np.arange(k_min, n_idx + 1)
+    counts = np.searchsorted(space.sorted_dist[inner.center], radii, side="right")
+    terms = space.prefix_weight[inner.center][counts] / lam.table(inner.center, radii)
+    return CoefficientValue(value=float(1.0 + np.cumsum(terms)[-1]), N=n_idx,
+                            k_min=k_min, terms=terms.tolist())
 
 
 # ------------------------------------------------------------------------------
@@ -135,46 +117,40 @@ def smallest_doubling_ball(space: PointCloudSpace, profile: GeometryProfile,
 
 
 # ------------------------------------------------------------------------------
-# Vectorized per-center coefficient tables
+# Flat coefficient tables
 # ------------------------------------------------------------------------------
 class CoefficientTables:
-    """Cumulative coefficient sums per center.
+    """Cumulative coefficient sums of every candidate ball.
 
-    For center c with candidate radii R, ``cumulative[c][i, j]`` is the sum of
-    mu(B(c, tau**k R_i)) / lam(c, tau**k R_i) over k = -k_floor .. j - k_floor,
-    so the coefficient of (R_i, tau**N R_i) is ``1 + cumulative[c][i, N + k_floor]``.
-    The tables are cached on the space under ``lam`` and hold neither, so no
-    reference cycle delays freeing a dropped space.
+    ``cumulative[b, j]`` is the sum of mu(tau**k B) / lam(tau**k B) over
+    k = -k_floor .. j - k_floor for family ball B = b, along the family's
+    ladder, so the coefficient of (B, tau**N B), and of any nested pair whose
+    outer scale index is N, is ``1 + cumulative[b, N + k_floor]``.  The tables
+    are cached on the space under ``lam`` and hold neither, so no reference
+    cycle delays freeing a dropped space.
     """
 
     def __init__(self, space: PointCloudSpace, lam: DominatingFunction, tau: float,
-                 multipliers: Sequence[float] = DEFAULT_MULTIPLIERS, extra_levels: int = 4):
+                 multipliers: Sequence[float] = DEFAULT_MULTIPLIERS):
+        family = space.balls(multipliers)
+        ladder = family.ladder(tau)
         self.tau = float(tau)
-        self.multipliers = tuple(multipliers)
-        self.k_floor = floor_log(tau)
-        self.cumulative: list = []
-        self.radii: list = []
-        self.kmax: list = []
+        self.k_floor = ladder.k_floor
+        self._family = family
         self._pair_indices: dict = {}
-        for c in range(space.n):
-            radii = space.candidate_radii(c, multipliers)
-            span = smallest_scale_index(self.tau, float(radii[0]), float(radii[-1]))
-            sat = smallest_scale_index(self.tau, float(radii[0]),
-                                       max(space.diameter, float(radii[0])))
-            kmax = max(span, sat) + extra_levels
-            ks = np.arange(-self.k_floor, kmax + 1)
-            scales = self.tau ** ks
-            grid = radii[:, None] * scales[None, :]
-            counts = np.searchsorted(space.sorted_dist[c], grid.ravel(), side="right")
-            mus = space.prefix_weight[c][counts].reshape(grid.shape)
-            self.cumulative.append(np.cumsum(mus / lam.table(c, grid), axis=1))
-            self.radii.append(radii)
-            self.kmax.append(kmax)
+        terms = space.prefix_weight[family.center[:, None], ladder.counts]
+        terms /= lam.table(family.center[:, None], family.radius[:, None] * ladder.scales)
+        self.cumulative = np.cumsum(terms, axis=1, out=terms)
 
-    def concentric(self, center: int, radius_idx, n_index) -> np.ndarray:
-        """Coefficients for pairs (R_i, tau**N * R_i), vectorized over inputs."""
-        idx = np.asarray(n_index) + self.k_floor
-        return 1.0 + self.cumulative[center][radius_idx, idx]
+    def concentric(self, ball, n_index) -> np.ndarray:
+        """Coefficients of the family balls ``ball`` at outer scale index
+        ``n_index``, vectorized over both."""
+        return 1.0 + self.cumulative[ball, np.asarray(n_index) + self.k_floor]
+
+    def pairs(self, b1, b2) -> np.ndarray:
+        """Coefficients of the nested family pairs ``(b1, b2)``."""
+        radius = self._family.radius
+        return self.concentric(b1, scale_index_array(self.tau, radius[b1], radius[b2]))
 
     def pair_scale_indices(self, center: int, cache_cells: int = 400_000) -> np.ndarray:
         """Matrix of scale indices for every concentric radius pair of a
@@ -182,7 +158,7 @@ class CoefficientTables:
         cached = self._pair_indices.get(center)
         if cached is not None:
             return cached
-        radii = self.radii[center]
+        radii = self._family.radius[self._family.segment(center)]
         mat = scale_index_array(self.tau, radii[:, None], radii[None, :]).astype(np.int16)
         if radii.size * radii.size <= cache_cells:
             self._pair_indices[center] = mat
@@ -233,18 +209,12 @@ def doubling_indices(space: PointCloudSpace, profile: GeometryProfile, alpha: fl
                      multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> np.ndarray:
     """Over the candidate family: smallest i with alpha**i * B doubling."""
     family = space.balls(multipliers)
-    beta = profile.beta(alpha)
-    # every ball saturates within the depth of the smallest radius
-    r0 = float(family.radius.min())
-    depth = smallest_scale_index(alpha, r0, max(space.diameter, r0)) + 4
-    idx = np.full(len(family), -1)
-    mu = family.measures()
-    for i, scale in enumerate(alpha ** np.arange(1, depth)):
-        mu_next = space.prefix_weight[family.center, family.counts_of(family.radius * scale)]
-        idx[(idx < 0) & (mu_next <= beta * mu)] = i
-        mu = mu_next
-    assert bool(np.all(idx >= 0)), "saturated balls are always doubling"
-    return idx
+    ladder = family.ladder(alpha)
+    # column i compares alpha**(i+1) * B with alpha**i * B, from i = 0
+    mu = space.prefix_weight[family.center[:, None], ladder.counts[:, ladder.k_floor:]]
+    doubling = mu[:, 1:] <= profile.beta(alpha) * mu[:, :-1]
+    assert bool(np.all(doubling.any(axis=1))), "saturated balls are always doubling"
+    return np.argmax(doubling, axis=1)
 
 
 # ------------------------------------------------------------------------------
@@ -290,7 +260,9 @@ def sampled_nested_pairs(space: PointCloudSpace, budget: int, seed: int,
 
     The sample is function-independent, so callers cache it per space and
     reuse it across test functions.  When ``doubling_profile`` is given, both
-    balls must be (doubling_alpha, beta)-doubling.
+    balls must be (doubling_alpha, beta)-doubling.  With ``lam`` and ``tau``
+    the coefficients of the accepted pairs are read from the coefficient
+    table in one gather.
     """
     key = ("nested_pairs", budget, seed, tuple(multipliers),
            None if tau is None else float(tau),
@@ -307,7 +279,6 @@ def sampled_nested_pairs(space: PointCloudSpace, budget: int, seed: int,
     if doubling_profile is not None:
         flags = doubling_flags(space, doubling_profile, doubling_alpha, multipliers)
     pairs: list = []
-    coeffs: list = []
     n = space.n
     if n > 1:
         for _ in range(budget):
@@ -322,15 +293,11 @@ def sampled_nested_pairs(space: PointCloudSpace, budget: int, seed: int,
             if not np.all(space.dist[c2][members1] <= family.radius[b2]):
                 continue
             pairs.append((b1, b2))
-            if lam is not None and tau is not None:
-                coeffs.append(discrete_coefficient(
-                    space, lam, Ball(c1, float(family.radius[b1])),
-                    Ball(c2, float(family.radius[b2])), tau).value)
     b1s, b2s = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-    sample = NestedPairSample(b1s, b2s, None if lam is None or tau is None
-                              else np.asarray(coeffs, dtype=float))
-    cache[key] = sample
-    return sample
+    coeff = None if lam is None or tau is None else \
+        coefficient_tables(space, lam, tau, multipliers).pairs(b1s, b2s)
+    cache[key] = NestedPairSample(b1s, b2s, coeff)
+    return cache[key]
 
 
 # ------------------------------------------------------------------------------
@@ -351,6 +318,7 @@ def check_coefficient_inequalities(space: PointCloudSpace, lam: DominatingFuncti
     between the two dilation steps.
     """
     tau1, tau2 = float(tau_pair[0]), float(tau_pair[1])
+    family = space.balls(multipliers)
     t1 = coefficient_tables(space, lam, tau1, multipliers)
     t2 = coefficient_tables(space, lam, tau2, multipliers)
     rng = np.random.default_rng(seed)
@@ -364,21 +332,18 @@ def check_coefficient_inequalities(space: PointCloudSpace, lam: DominatingFuncti
     bounded_max = {2.0: -math.inf, 6.0: -math.inf}
     ge_one_ok = True
 
-    eligible = [c for c in range(space.n) if t1.radii[c].size >= 3]
+    sizes = np.diff(family.offsets)
+    eligible = np.flatnonzero(sizes >= 3)
     attempted = 0
-    if eligible:
+    if eligible.size:
         for _ in range(sample_budget):
             attempted += 1
             c = int(rng.choice(eligible))
-            m = t1.radii[c].size
-            i, j, k = np.sort(rng.choice(m, size=3, replace=False))
-            r_i, r_j, r_k = (float(t1.radii[c][x]) for x in (i, j, k))
-            n_ij = smallest_scale_index(tau1, r_i, r_j)
-            n_ik = smallest_scale_index(tau1, r_i, r_k)
-            n_jk = smallest_scale_index(tau1, r_j, r_k)
-            k_br = float(t1.concentric(c, i, n_ij))
-            k_bs = float(t1.concentric(c, i, n_ik))
-            k_rs = float(t1.concentric(c, j, n_jk))
+            i, j, k = family.offsets[c] + np.sort(rng.choice(sizes[c], size=3, replace=False))
+            r_i, r_j, r_k = (float(family.radius[x]) for x in (i, j, k))
+            k_br = float(t1.concentric(i, smallest_scale_index(tau1, r_i, r_j)))
+            k_bs = float(t1.concentric(i, smallest_scale_index(tau1, r_i, r_k)))
+            k_rs = float(t1.concentric(j, smallest_scale_index(tau1, r_j, r_k)))
             if not (k_br >= 1.0 and k_bs >= 1.0 and k_rs >= 1.0):
                 ge_one_ok = False
             if k_br > k_bs:
@@ -387,9 +352,7 @@ def check_coefficient_inequalities(space: PointCloudSpace, lam: DominatingFuncti
                                     "inner": k_br, "outer": k_bs}
             diff_ratio_max = max(diff_ratio_max, (k_bs - k_br) / k_rs)
             shrink_ratio_max = max(shrink_ratio_max, k_rs / k_bs)
-            n2_ik = smallest_scale_index(tau2, r_i, r_k)
-            k2_bs = float(t2.concentric(c, i, n2_ik))
-            cross = k_bs / k2_bs
+            cross = k_bs / float(t2.concentric(i, smallest_scale_index(tau2, r_i, r_k)))
             cross_max = max(cross_max, cross)
             cross_min = min(cross_min, cross)
             ratio = r_k / r_i
@@ -398,12 +361,10 @@ def check_coefficient_inequalities(space: PointCloudSpace, lam: DominatingFuncti
                     bounded_max[alpha] = max(bounded_max[alpha], k_bs)
 
     # deterministic pass over pairs (B, alpha*B) for the bounded-enlargement record
+    balls = np.arange(len(family))
     for alpha in (2.0, 6.0):
-        for c in range(space.n):
-            radii = t1.radii[c]
-            n_idx = scale_index_array(tau1, radii, alpha * radii)
-            vals = t1.concentric(c, np.arange(radii.size), n_idx)
-            bounded_max[alpha] = max(bounded_max[alpha], float(vals.max()))
+        n_idx = scale_index_array(tau1, family.radius, alpha * family.radius)
+        bounded_max[alpha] = max(bounded_max[alpha], float(t1.concentric(balls, n_idx).max()))
 
     passed = monotone_ok and ge_one_ok
     return CheckReport(
@@ -479,21 +440,13 @@ def check_doubling_coefficient_bound(space: PointCloudSpace, lam: DominatingFunc
     tables = coefficient_tables(space, lam, alpha, multipliers)
     idx = doubling_indices(space, profile, alpha, multipliers)
     family = space.balls(multipliers)
-    worst = -math.inf
-    witness: dict = {}
-    for c in range(space.n):
-        steps = idx[family.segment(c)]
-        vals = tables.concentric(c, np.arange(steps.size), steps)
-        j = int(np.argmax(vals))
-        if vals[j] > worst:
-            worst = float(vals[j])
-            witness = {"center": c, "radius": float(tables.radii[c][j]),
-                       "doubling_exponent": int(steps[j])}
+    vals = tables.concentric(np.arange(len(family)), idx)
+    j = int(np.argmax(vals))
     return CheckReport(
         check="doubling_coefficient_bound",
         passed=None,
-        value=worst,
-        worst_witness=witness,
+        value=float(vals[j]),
+        worst_witness={**family.ball(j), "doubling_exponent": int(idx[j])},
         details={"alpha": alpha, "beta": profile.beta(alpha)},
     )
 

@@ -13,6 +13,9 @@ one center are contiguous with ascending radii, and the members of a ball are
 the first ``counts()[b]`` points of its center's distance order.  Every
 supremum over balls is a gather over this family followed by one argmax;
 exhaustive suprema over nested ball pairs enumerate ``geometry.nested_pairs``.
+Per dilation step tau it caches one :class:`Ladder`, the member counts of
+every tau**k * B from one ``counts_of``, which the coefficient tables, the
+concentric Campanato and mean-jump ladders and the doubling indices read.
 
 Functions of a center and a radius (the dominating function here, the
 normalizers psi and phi in :mod:`nhslab.spaces`) share one protocol,
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -70,6 +73,34 @@ def _dedup_sorted(values: np.ndarray, rel: float = RADIUS_DEDUP_TOL) -> np.ndarr
     return np.asarray(out, dtype=float)
 
 
+def floor_log(tau: float, value: float = 2.0) -> int:
+    """floor(log_tau(value)) with a 1e-12 nudge so representable integer
+    logs (tau = 2 gives exactly 1) are not misclassified downward."""
+    return int(math.floor(math.log(value) / math.log(tau) + 1e-12))
+
+
+def smallest_scale_index(tau: float, r_inner: float, r_outer: float) -> int:
+    """Smallest integer N >= 0 with tau**N * r_inner >= r_outer."""
+    if r_outer <= r_inner:
+        return 0
+    n = max(0, int(math.ceil(math.log(r_outer / r_inner) / math.log(tau) - 1e-12)))
+    while tau ** n * r_inner < r_outer:
+        n += 1
+    while n > 0 and tau ** (n - 1) * r_inner >= r_outer:
+        n -= 1
+    return n
+
+
+class Ladder(NamedTuple):
+    """Member counts of tau**k * B for every ball B of a family: column
+    ``k + k_floor`` of ``counts`` is at the scale ``scales[k + k_floor]``, the
+    power tau**k, for k = -k_floor .. K."""
+
+    k_floor: int
+    scales: np.ndarray
+    counts: np.ndarray
+
+
 class BallFamily:
     """The candidate balls of a space for one multiplier set, flattened
     center by center.
@@ -78,7 +109,8 @@ class BallFamily:
     ``offsets[c]:offsets[c + 1]``, in ascending radius order.  Member counts
     at rescaled radii come from the one per-center ``searchsorted`` in
     :meth:`counts_of`; :meth:`counts` caches them for the few scales that
-    several suprema share (the radius itself, the enlargements 2, 5, 6).
+    several suprema share (the radius itself, the enlargements 2, 5, 6), and
+    :meth:`ladder` for every power of one dilation step tau.
     """
 
     def __init__(self, space: "PointCloudSpace", multipliers: Sequence[float]):
@@ -88,9 +120,11 @@ class BallFamily:
         self.offsets = np.concatenate([[0], np.cumsum(sizes)])
         self.center = np.repeat(np.arange(space.n), sizes)
         self.radius = np.concatenate(radii)
+        self._diameter = space.diameter
         self._sorted_dist = space.sorted_dist
         self._prefix_weight = space.prefix_weight
         self._counts: dict = {}
+        self._ladders: dict = {}
 
     def __len__(self) -> int:
         return int(self.radius.size)
@@ -103,8 +137,8 @@ class BallFamily:
         return {"center": int(self.center[b]), "radius": float(self.radius[b])}
 
     def counts_of(self, radii: np.ndarray) -> np.ndarray:
-        """Member counts of the closed balls B(center[b], radii[b])."""
-        out = np.empty(radii.shape, dtype=np.int64)
+        """Member counts of the closed balls B(center[b], radii[b, ...])."""
+        out = np.empty(radii.shape, dtype=np.int32)
         for c in range(self.n):
             s = self.segment(c)
             out[s] = np.searchsorted(self._sorted_dist[c], radii[s], side="right")
@@ -121,6 +155,22 @@ class BallFamily:
     def measures(self, scale: float = 1.0) -> np.ndarray:
         """Measures of the balls enlarged by ``scale``."""
         return self._prefix_weight[self.center, self.counts(scale)]
+
+    def ladder(self, tau: float) -> Ladder:
+        """The ladder of every ball at dilation step tau (cached).  K is 4 past
+        the scale index from the smallest radius to the larger of the largest
+        radius and the diameter, so the ladder holds every saturation depth
+        and the outer scale of every nested pair."""
+        tau = float(tau)
+        if tau not in self._ladders:
+            top = smallest_scale_index(tau, float(self.radius.min()),
+                                       max(float(self.radius.max()), self._diameter)) + 4
+            k_floor = floor_log(tau)
+            scales = tau ** np.arange(-k_floor, top + 1)
+            counts = self.counts_of(self.radius[:, None] * scales)
+            counts.setflags(write=False)
+            self._ladders[tau] = Ladder(k_floor, scales, counts)
+        return self._ladders[tau]
 
     def sup(self, values: np.ndarray) -> tuple:
         """Largest of ``values`` (one per ball) floored at 0, with the first

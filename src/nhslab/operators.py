@@ -27,7 +27,6 @@ from .errors import (
 from .geometry import (
     Ball,
     ball_measure,
-    discrete_coefficient,
     doubling_flags,
     coefficient_tables,
     nested_pairs,
@@ -438,10 +437,11 @@ def _sharp_exhaustive(space, lam, profile, f, tau, multipliers) -> np.ndarray:
         val = float(np.sum(np.abs(f[mask] - m) * w)) / ball_measure(space, ball.scaled(6.0))
         osc[mask] = np.maximum(osc[mask], val)
     pair = np.zeros(space.n)
-    for i, j in zip(*nested_pairs(space, multipliers)):
+    inner, outer = nested_pairs(space, multipliers)
+    coeffs = coefficient_tables(space, lam, 6.0, multipliers).pairs(inner, outer).tolist()
+    for i, j, coeff in zip(inner, outer, coeffs):
         if not (dbl[i] and dbl[j]):
             continue
-        coeff = discrete_coefficient(space, lam, balls[i], balls[j], 6.0).value
         val = abs(means[i] - means[j]) / coeff
         pair[masks[i]] = np.maximum(pair[masks[i]], val)
     return np.maximum(osc, pair)
@@ -480,7 +480,7 @@ def sharp_maximal(space: PointCloudSpace, lam: DominatingFunction,
         radii = family.radius[s]
         fm = means[s]
         n_mat = tables.pair_scale_indices(c)
-        coeff = 1.0 + np.take_along_axis(tables.cumulative[c], (n_mat + kf).astype(np.int64), axis=1)
+        coeff = 1.0 + np.take_along_axis(tables.cumulative[s], (n_mat + kf).astype(np.int64), axis=1)
         with np.errstate(invalid="ignore"):
             v = np.abs(fm[:, None] - fm[None, :]) / coeff
         allowed = radii[None, :] >= radii[:, None]

@@ -26,7 +26,6 @@ from .geometry import (
     Ball,
     ball_measure,
     ball_members,
-    discrete_coefficient,
     coefficient_tables,
     nested_pairs,
     sampled_nested_pairs,
@@ -146,12 +145,6 @@ def oscillation_sums(space: PointCloudSpace, g: np.ndarray, p: float = 1.0) -> n
     return out
 
 
-def _ball_means(space: PointCloudSpace, f: np.ndarray):
-    pf = space.prefix_of(np.asarray(f, dtype=float) * space.weights)
-    pw = space.prefix_weight
-    return pf, pw
-
-
 # ------------------------------------------------------------------------------
 # Morrey norm
 # ------------------------------------------------------------------------------
@@ -183,7 +176,12 @@ def morrey_norm(space: PointCloudSpace, f: np.ndarray, p: float,
 class CampanatoNormReport:
     """The two suprema defining the oscillation-regularity norm, with argmax
     witnesses.  The norm is their maximum: it is the least constant bounding
-    both the normalized oscillations and the coefficient-controlled jumps."""
+    both the normalized oscillations and the coefficient-controlled jumps.
+
+    ``pairs`` names how the regularity supremum enumerated its ball pairs,
+    ``"exhaustive"`` (every nested pair) or ``"ladder_and_sampled"`` (the
+    concentric ladder plus a sample), and ``pair_count`` how many it measured.
+    """
 
     oscillation_sup: float
     regularity_sup: float
@@ -192,6 +190,8 @@ class CampanatoNormReport:
     gamma: float
     oscillation_witness: dict = field(default_factory=dict)
     regularity_witness: dict = field(default_factory=dict)
+    pairs: str = "exhaustive"
+    pair_count: int = 0
 
 
 def _campanato_exhaustive(space, lam, f, psi, tau, gamma, multipliers) -> CampanatoNormReport:
@@ -213,15 +213,17 @@ def _campanato_exhaustive(space, lam, f, psi, tau, gamma, multipliers) -> Campan
             osc_w = {"center": b.center, "radius": b.radius}
     reg = 0.0
     reg_w: dict = {}
-    for i, j in zip(*nested_pairs(space, multipliers)):
+    inner, outer = nested_pairs(space, multipliers)
+    coeffs = coefficient_tables(space, lam, tau, multipliers).pairs(inner, outer).tolist()
+    for i, j, coeff in zip(inner, outer, coeffs):
         b1, b2 = balls[i], balls[j]
-        coeff = discrete_coefficient(space, lam, b1, b2, tau).value
         val = abs(means[i] - means[j]) / (psit[i] * coeff ** gamma)
         if val > reg:
             reg = val
             reg_w = {"inner": {"center": b1.center, "radius": b1.radius},
                      "outer": {"center": b2.center, "radius": b2.radius}}
-    return CampanatoNormReport(osc, reg, max(osc, reg), tau, gamma, osc_w, reg_w)
+    return CampanatoNormReport(osc, reg, max(osc, reg), tau, gamma, osc_w, reg_w,
+                               "exhaustive", len(coeffs))
 
 
 def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.ndarray,
@@ -245,35 +247,35 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
     psit = space.fn_table(psi, multipliers)
     counts = family.counts()
     osc_sums = oscillation_sums(space, f)[family.center, counts - 1]
-    pf, pw = _ball_means(space, f)
+    pf, pw = space.prefix_of(f * space.weights), space.prefix_weight
     means = pf[family.center, counts] / pw[family.center, counts]
     reports = []
     for tau, gamma in combos:
         tables = coefficient_tables(space, lam, tau, multipliers)
+        ladder = family.ladder(tau)
         osc, osc_w = family.sup(osc_sums / (psit * family.measures(tau)))
-        reg = 0.0
-        reg_w: dict = {}
-        # concentric dyadic ladder, exhausted up to one step past saturation
-        for c in range(space.n):
-            s = family.segment(c)
-            radii = family.radius[s]
-            sat = scale_index_array(tau, radii, max(space.diameter, float(radii[0])))
-            k_cap = int(max(1, sat.max() + 1))
-            for k in range(1, k_cap + 1):
-                active = k <= sat + 1
-                if not np.any(active):
-                    break
-                outer_r = (tau ** k) * radii
-                q_out = space.counts(c, outer_r)
-                m_out = pf[c][q_out] / pw[c][q_out]
-                coeff = tables.concentric(c, np.arange(radii.size), np.full(radii.size, k))
-                vals = np.abs(means[s] - m_out) / (psit[s] * coeff ** gamma)
-                vals[~active] = -np.inf
-                j = int(np.argmax(vals))
-                if vals[j] > reg:
-                    reg = float(vals[j])
-                    reg_w = {"inner": {"center": c, "radius": float(radii[j])},
-                             "outer": {"center": c, "radius": float(outer_r[j])}}
+        # per ball, the best pair (B, tau**k B) up to one step past saturation
+        # (tau**sat B covers the space), and the first k attaining it
+        sat = scale_index_array(tau, family.radius, space.diameter)
+        best, best_k = np.full(len(family), -np.inf), np.zeros(len(family), dtype=np.int64)
+        for k in range(1, int(sat.max()) + 2):
+            q_out = ladder.counts[:, k + ladder.k_floor]
+            m_out = pf[family.center, q_out] / pw[family.center, q_out]
+            coeff = 1.0 + tables.cumulative[:, k + tables.k_floor]
+            vals = np.abs(means - m_out) / (psit * coeff ** gamma)
+            better = (k <= sat + 1) & (vals > best)
+            best[better] = vals[better]
+            best_k[better] = k
+        reg, reg_w = 0.0, {}
+        top = float(best.max())
+        if top > reg:
+            # ties go to the first center, then the first k, then the first radius
+            tied = np.flatnonzero(best == top)
+            tied = tied[family.center[tied] == family.center[tied[0]]]
+            b = int(tied[np.argmin(best_k[tied])])
+            outer = ladder.scales[best_k[b] + ladder.k_floor] * family.radius[b]
+            reg, reg_w = top, {"inner": family.ball(b),
+                               "outer": {"center": int(family.center[b]), "radius": float(outer)}}
 
         pairs = sampled_nested_pairs(space, pair_budget, seed, multipliers, lam=lam, tau=tau)
         if len(pairs):
@@ -283,7 +285,8 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
             if vals[j] > reg:
                 reg = float(vals[j])
                 reg_w = {"inner": family.ball(b1[j]), "outer": family.ball(b2[j])}
-        reports.append(CampanatoNormReport(osc, reg, max(osc, reg), tau, gamma, osc_w, reg_w))
+        reports.append(CampanatoNormReport(osc, reg, max(osc, reg), tau, gamma, osc_w, reg_w,
+                                           "ladder_and_sampled", int(np.sum(sat + 1)) + len(pairs)))
     return reports
 
 
@@ -521,7 +524,7 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
             details={"constant_function": True, "per_k": {str(k): 0.0 for k in k_values},
                      "iterated": 0.0, "comparable": 0.0, "norm": norm},
         )
-    pf, pw = _ball_means(space, f)
+    pf, pw = space.prefix_of(f * space.weights), space.prefix_weight
     family = space.balls(multipliers)
     counts = family.counts()
     means = pf[family.center, counts] / pw[family.center, counts]
@@ -532,20 +535,17 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
         if k == 1.0:
             per_k[str(k)] = 0.0
             continue
-        best = 0.0
-        for c in range(space.n):
-            s = family.segment(c)
-            radii = family.radius[s]
-            sat = scale_index_array(k, radii, max(space.diameter, float(radii[0])))
-            j_cap = int(max(1, sat.max() + 1))
-            for j in range(1, j_cap + 1):
-                q_out = space.counts(c, (k ** j) * radii)
-                m_out = pf[c][q_out] / pw[c][q_out]
-                jumps = np.abs(m_out - means[s]) / (psit[s] * norm)
-                if j == 1:
-                    best = max(best, float(jumps.max()))
-                iterated = max(iterated, float(jumps.max()) / j)
-        per_k[str(k)] = best
+        ladder = family.ladder(k)
+        # past saturation the jump stays and jump / j falls, so each ball
+        # stops one step after it
+        sat = scale_index_array(k, family.radius, space.diameter)
+        for j in range(1, int(sat.max()) + 2):
+            q_out = ladder.counts[:, j + ladder.k_floor]
+            m_out = pf[family.center, q_out] / pw[family.center, q_out]
+            jumps = (np.abs(m_out - means) / (psit * norm))[j <= sat + 1]
+            if j == 1:
+                per_k[str(k)] = max(0.0, float(jumps.max()))
+            iterated = max(iterated, float(jumps.max()) / j)
     comparable = 0.0
     comp_witness: dict = {}
     rng = np.random.default_rng(seed)
@@ -555,17 +555,13 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
             d = float(space.dist[c1, c2])
             if d <= 0:
                 continue
-            radii1 = space.candidate_radii(c1, multipliers)
-            small = int(np.count_nonzero(radii1 <= d))
+            small = int(np.count_nonzero(family.radius[family.segment(c1)] <= d))
             if small == 0:
                 continue
-            i1 = int(rng.integers(small))
-            r1 = float(radii1[i1])
-            q1 = int(np.searchsorted(space.sorted_dist[c1], r1, side="right"))
+            b1 = int(family.offsets[c1] + rng.integers(small))
+            r1 = float(family.radius[b1])
             q2 = int(np.searchsorted(space.sorted_dist[c2], d, side="right"))
-            m1 = pf[c1][q1] / pw[c1][q1]
-            m2 = pf[c2][q2] / pw[c2][q2]
-            val = abs(m1 - m2) / (psit[family.offsets[c1] + i1] * norm)
+            val = abs(means[b1] - pf[c2][q2] / pw[c2][q2]) / (psit[b1] * norm)
             if val > comparable:
                 comparable = val
                 comp_witness = {"b1": {"center": c1, "radius": r1},

@@ -6,8 +6,9 @@ from a scalar call, a 1-element table, a per-center table, a center-by-radius
 grid and the flat family table.  Every supremum that reads the family is
 compared, bit for bit in value and witness, with a per-center reference loop
 kept here; the nested-pair enumerator is compared with a brute-force double
-loop over ball masks, and the batched doubling greedy with the per-ball
-greedy it replaced.
+loop over ball masks, the batched doubling greedy with the per-ball greedy it
+replaced, and the coefficient table with the scalar primitive on every nested
+pair.
 Spaces are small (n <= 10): points in 1 to 3 dimensions and integer-length
 graph metrics with many tied distances, with weight ratios up to 1e6; the
 doubling property also draws coincident lattice points.
@@ -279,7 +280,7 @@ def test_sharp_maximal_ladder_equals_per_center_loop(data):
         qs = space.counts(c, radii)
         fm = pf[c][qs] / pw[c][qs]
         n_mat = tables.pair_scale_indices(c).astype(np.int64) + tables.k_floor
-        coeff = 1.0 + np.take_along_axis(tables.cumulative[c], n_mat, axis=1)
+        coeff = 1.0 + np.take_along_axis(tables.cumulative[space.balls().segment(c)], n_mat, axis=1)
         v = np.abs(fm[:, None] - fm[None, :]) / coeff
         ok = (radii[None, :] >= radii[:, None]) & flags(c, radii)[None, :] & flags(c, radii)[:, None]
         return np.where(ok, v, -math.inf).max(axis=1)
@@ -288,6 +289,149 @@ def test_sharp_maximal_ladder_equals_per_center_loop(data):
                       np.maximum(_scatter_reference(space, pair_vals), 0.0))
     got = operators.sharp_maximal(space, lam, profile, f, exhaustive_limit=0, pair_budget=0)
     assert np.array_equal(got, want)
+
+
+# ------------------------------------------------------------------------------
+# The coefficient: primitive, table and the ladders over it
+# ------------------------------------------------------------------------------
+TAUS = st.sampled_from([1.5, 2.0, 3.0, 6.0])
+
+
+@PROPERTY
+@given(st.data(), TAUS)
+def test_discrete_coefficient_equals_table(data, tau):
+    space = data.draw(small_spaces())
+    lam = data.draw(st.one_of(st.just(_lam(space)), power_lambdas(space.n)))
+    family = space.balls()
+    tables = geometry.coefficient_tables(space, lam, tau)
+
+    def primitive(i, j):
+        return nl.discrete_coefficient(space, lam, Ball(**family.ball(i)), Ball(**family.ball(j)), tau)
+
+    # every nested candidate pair, concentric or not
+    for i, j in zip(*geometry.nested_pairs(space)):
+        value = primitive(i, j)
+        assert value.value == tables.concentric(i, value.N)
+    sample = geometry.sampled_nested_pairs(space, 60, 1, lam=lam, tau=tau)
+    assert np.array_equal(sample.coeff, [primitive(i, j).value for i, j in zip(sample.b1, sample.b2)])
+
+
+def _campanato_ladder_reference(space, lam, f, psi, tau, gamma):
+    """The per-center concentric ladder ``campanato_norm_multi`` ran before
+    it was flat: strict improvements in (center, k, radius) order."""
+    family = space.balls()
+    tables = geometry.coefficient_tables(space, lam, tau)
+    ladder = family.ladder(tau)
+    pf, pw = space.prefix_of(f * space.weights), space.prefix_weight
+    reg, witness = 0.0, {}
+    for c, s in _segments(space):
+        radii = family.radius[s]
+        qs = space.counts(c, radii)
+        means = pf[c][qs] / pw[c][qs]
+        sat = geometry.scale_index_array(tau, radii, max(space.diameter, float(radii[0])))
+        for k in range(1, int(sat.max()) + 2):
+            outer_r = ladder.scales[k + ladder.k_floor] * radii
+            q_out = space.counts(c, outer_r)
+            coeff = tables.concentric(np.arange(s.start, s.stop), k)
+            vals = np.abs(means - pf[c][q_out] / pw[c][q_out]) / (psi.table(c, radii) * coeff ** gamma)
+            vals[k > sat + 1] = -np.inf
+            j = int(np.argmax(vals))
+            if vals[j] > reg:
+                reg = float(vals[j])
+                witness = {"inner": {"center": c, "radius": float(radii[j])},
+                           "outer": {"center": c, "radius": float(outer_r[j])}}
+    return reg, witness
+
+
+def _mean_jump_reference(space, f, psi, k_values, norm):
+    """The per-center mean-jump ladder of ``check_mean_jump_bounds``: every
+    ball of a center runs to one step past the center's deepest saturation."""
+    family = space.balls()
+    pf, pw = space.prefix_of(f * space.weights), space.prefix_weight
+    per_k, iterated = {}, 0.0
+    for k in k_values:
+        ladder = family.ladder(k)
+        best = 0.0
+        for c, s in _segments(space):
+            radii = family.radius[s]
+            qs = space.counts(c, radii)
+            sat = geometry.scale_index_array(k, radii, max(space.diameter, float(radii[0])))
+            for j in range(1, int(sat.max()) + 2):
+                q_out = space.counts(c, ladder.scales[j + ladder.k_floor] * radii)
+                jumps = np.abs(pf[c][q_out] / pw[c][q_out] - pf[c][qs] / pw[c][qs]) \
+                    / (psi.table(c, radii) * norm)
+                if j == 1:
+                    best = max(best, float(jumps.max()))
+                iterated = max(iterated, float(jumps.max()) / j)
+        per_k[str(k)] = best
+    return per_k, iterated
+
+
+def _tree(parents, f):
+    space = nl.build_space(distances=_graph_metric(len(f), parents, []), weights=np.ones(len(f)))
+    return space, np.asarray(f, dtype=float)
+
+
+@PROPERTY
+@given(spaces_and_functions(), TAUS, st.sampled_from([1.0, 2.0]), st.sampled_from([0.0, 1.0]))
+# trees on which the ladder maximum ties between balls of the first center:
+# at different k, and at one k
+@example(_tree([(0, 1), (0, 3), (2, 1), (2, 4)], [1, 1, -1, 0, 1]), 1.5, 1.0, 0.0)
+@example(_tree([(0, 3), (1, 4), (0, 3)], [1, -1, 0, 1]), 6.0, 1.0, 0.0)
+def test_campanato_and_mean_jump_ladders_equal_per_center_loops(data, tau, gamma, kappa):
+    space, f = data
+    # a constant lambda (kappa = 0) gives equal coefficients to balls with equal
+    # member counts along their ladders, so values tie and the witness order counts
+    lam = nl.fit_power_lambda(space, kappa)
+    psi = spaces.weight_psi(space)
+    report = spaces.campanato_norm(space, lam, f, psi, tau, gamma, exhaustive_limit=0, pair_budget=0)
+    assert (report.regularity_sup, report.regularity_witness) == \
+        _campanato_ladder_reference(space, lam, f, psi, tau, gamma)
+    g = np.round(f)
+    report = spaces.campanato_norm(space, lam, g, psi, tau, gamma, exhaustive_limit=0, pair_budget=0)
+    assert (report.regularity_sup, report.regularity_witness) == \
+        _campanato_ladder_reference(space, lam, g, psi, tau, gamma)
+
+    k_values = (tau, 6.0)
+    report = spaces.check_mean_jump_bounds(space, lam, f, psi, k_values, pair_budget=0, norm=0.5)
+    assert (report.details["per_k"], report.details["iterated"]) == \
+        _mean_jump_reference(space, f, psi, k_values, 0.5)
+
+
+def _doubling_indices_reference(space, profile, alpha):
+    """The scale loop ``doubling_indices`` ran before it read the ladder."""
+    family = space.balls()
+    ladder = family.ladder(alpha)
+    r0 = float(family.radius.min())
+    depth = geometry.smallest_scale_index(alpha, r0, max(space.diameter, r0)) + 4
+    idx = np.full(len(family), -1)
+    mu = family.measures()
+    for i in range(depth - 1):
+        scale = ladder.scales[i + 1 + ladder.k_floor]
+        mu_next = space.prefix_weight[family.center, family.counts_of(family.radius * scale)]
+        idx[(idx < 0) & (mu_next <= profile.beta(alpha) * mu)] = i
+        mu = mu_next
+    return idx
+
+
+@PROPERTY
+@given(small_spaces(), TAUS)
+def test_doubling_indices_and_coefficient_bound_equal_per_center_loops(space, alpha):
+    lam = _lam(space)
+    idx = geometry.doubling_indices(space, PROFILE, alpha)
+    assert np.array_equal(idx, _doubling_indices_reference(space, PROFILE, alpha))
+
+    tables = geometry.coefficient_tables(space, lam, alpha)
+    worst, witness = -math.inf, {}
+    for c, s in _segments(space):
+        vals = tables.concentric(np.arange(s.start, s.stop), idx[s])
+        j = int(np.argmax(vals))
+        if vals[j] > worst:
+            worst = float(vals[j])
+            witness = {"center": c, "radius": float(space.candidate_radii(c)[j]),
+                       "doubling_exponent": int(idx[s][j])}
+    report = nl.check_doubling_coefficient_bound(space, lam, PROFILE, alpha)
+    assert (report.value, report.worst_witness) == (worst, witness)
 
 
 # ------------------------------------------------------------------------------

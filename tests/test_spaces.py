@@ -150,6 +150,28 @@ def test_campanato_fast_path_matches_exhaustive(small_space, psi_const):
     assert fast.norm == pytest.approx(exh.norm, rel=1e-12)
 
 
+def test_campanato_reports_exhaustive_pairs(small_space, psi_const):
+    space, lam = small_space
+    f = np.random.default_rng(5).uniform(-1, 1, space.n)
+    report = nl.campanato_norm(space, lam, f, psi_const)
+    assert len(space.balls()) ** 2 <= 20000
+    assert report.pairs == "exhaustive"
+    assert report.pair_count == nl.geometry.nested_pairs(space)[0].size
+
+
+def test_campanato_reports_ladder_and_sampled_pairs(small_space, psi_const):
+    space, lam = small_space
+    f = np.random.default_rng(5).uniform(-1, 1, space.n)
+    report = nl.campanato_norm(space, lam, f, psi_const, 3.0, exhaustive_limit=0, pair_budget=40)
+    assert report.pairs == "ladder_and_sampled"
+    # each ball B is paired with 3**k B for k = 1 .. one past its saturation depth
+    ladder = sum(nl.geometry.smallest_scale_index(3.0, float(r), max(space.diameter, float(radii[0]))) + 1
+                 for radii in (space.candidate_radii(c) for c in range(space.n)) for r in radii)
+    sample = nl.geometry.sampled_nested_pairs(space, 40, 0, lam=lam, tau=3.0)
+    assert 0 < len(sample) < 40
+    assert report.pair_count == ladder + len(sample)
+
+
 def test_campanato_term_monotonicity(two_point, psi_const):
     space, lam = two_point
     f = np.array([0.0, 1.0])
