@@ -18,11 +18,11 @@ import numpy as np
 
 from .errors import NotNested
 from .mmspace import (
-    DEFAULT_MULTIPLIERS,
     DominatingFunction,
     GeometryProfile,
     PointCloudSpace,
     floor_log,
+    scale_index_array,
     smallest_scale_index,
 )
 from .report import CheckReport
@@ -130,9 +130,8 @@ class CoefficientTables:
     cycle delays freeing a dropped space.
     """
 
-    def __init__(self, space: PointCloudSpace, lam: DominatingFunction, tau: float,
-                 multipliers: Sequence[float] = DEFAULT_MULTIPLIERS):
-        family = space.balls(multipliers)
+    def __init__(self, space: PointCloudSpace, lam: DominatingFunction, tau: float):
+        family = space.balls()
         ladder = family.ladder(tau)
         self.tau = float(tau)
         self.k_floor = ladder.k_floor
@@ -152,63 +151,42 @@ class CoefficientTables:
         radius = self._family.radius
         return self.concentric(b1, scale_index_array(self.tau, radius[b1], radius[b2]))
 
-    def pair_scale_indices(self, center: int, cache_cells: int = 400_000) -> np.ndarray:
+    def pair_scale_indices(self, center: int) -> np.ndarray:
         """Matrix of scale indices for every concentric radius pair of a
-        center; function-independent, so cached below a memory gate."""
+        center; function-independent, so cached for centers with at most
+        400,000 pairs."""
         cached = self._pair_indices.get(center)
         if cached is not None:
             return cached
         radii = self._family.radius[self._family.segment(center)]
         mat = scale_index_array(self.tau, radii[:, None], radii[None, :]).astype(np.int16)
-        if radii.size * radii.size <= cache_cells:
+        if radii.size * radii.size <= 400_000:
             self._pair_indices[center] = mat
         return mat
 
 
-def scale_index_array(tau: float, inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
-    """Vectorized smallest N >= 0 with tau**N * inner >= outer.
-
-    ``inner`` and ``outer`` broadcast against each other; the float estimate
-    is corrected exactly afterwards.
-    """
-    inner = np.asarray(inner, dtype=float)
-    outer = np.asarray(outer, dtype=float)
-    ratio = np.maximum(outer / inner, 1.0)
-    n = np.ceil(np.log(ratio) / math.log(tau) - 1e-12).astype(np.int64)
-    n = np.maximum(n, 0)
-    # exact adjustment of the float estimate; one step each way suffices
-    for _ in range(2):
-        n = n + (tau ** n * inner < outer)
-        back = (n > 0) & (tau ** np.maximum(n - 1, 0) * inner >= outer)
-        n = n - back
-    return n
-
-
-def coefficient_tables(space: PointCloudSpace, lam: DominatingFunction, tau: float,
-                       multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> CoefficientTables:
+def coefficient_tables(space: PointCloudSpace, lam: DominatingFunction, tau: float) -> CoefficientTables:
     """Cached access to :class:`CoefficientTables` for (space, lam, tau)."""
     per_lam = space._coeff_cache.setdefault(lam, {})
-    key = (float(tau), tuple(multipliers))
-    if key not in per_lam:
-        per_lam[key] = CoefficientTables(space, lam, tau, multipliers)
-    return per_lam[key]
+    tau = float(tau)
+    if tau not in per_lam:
+        per_lam[tau] = CoefficientTables(space, lam, tau)
+    return per_lam[tau]
 
 
 # ------------------------------------------------------------------------------
 # Doubling flags and indices, vectorized
 # ------------------------------------------------------------------------------
-def doubling_flags(space: PointCloudSpace, profile: GeometryProfile, alpha: float,
-                   multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> np.ndarray:
+def doubling_flags(space: PointCloudSpace, profile: GeometryProfile, alpha: float) -> np.ndarray:
     """Boolean array over the candidate family marking the balls that are
     (alpha, beta_alpha)-doubling."""
-    family = space.balls(multipliers)
+    family = space.balls()
     return family.measures(alpha) <= profile.beta(alpha) * family.measures()
 
 
-def doubling_indices(space: PointCloudSpace, profile: GeometryProfile, alpha: float,
-                     multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> np.ndarray:
+def doubling_indices(space: PointCloudSpace, profile: GeometryProfile, alpha: float) -> np.ndarray:
     """Over the candidate family: smallest i with alpha**i * B doubling."""
-    family = space.balls(multipliers)
+    family = space.balls()
     ladder = family.ladder(alpha)
     # column i compares alpha**(i+1) * B with alpha**i * B, from i = 0
     mu = space.prefix_weight[family.center[:, None], ladder.counts[:, ladder.k_floor:]]
@@ -220,8 +198,7 @@ def doubling_indices(space: PointCloudSpace, profile: GeometryProfile, alpha: fl
 # ------------------------------------------------------------------------------
 # Nested candidate-ball pairs
 # ------------------------------------------------------------------------------
-def nested_pairs(space: PointCloudSpace,
-                 multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> tuple:
+def nested_pairs(space: PointCloudSpace) -> tuple:
     """Every nested candidate-ball pair, as flat family indices ``(b1, b2)``.
 
     Ball b1 is nested in b2 when its radius is at most b2's and every member
@@ -229,7 +206,7 @@ def nested_pairs(space: PointCloudSpace,
     Pairs come in b1-major order with b2 ascending.  The shared-member table
     is B x B, so this serves the exhaustive branches of small families.
     """
-    family = space.balls(multipliers)
+    family = space.balls()
     member = (space.dist[family.center] <= family.radius[:, None]).astype(np.int64)
     contained = member @ member.T == family.counts()[:, None]
     return np.nonzero(contained & (family.radius[None, :] >= family.radius[:, None]))
@@ -250,34 +227,31 @@ class NestedPairSample:
 
 
 def sampled_nested_pairs(space: PointCloudSpace, budget: int, seed: int,
-                         multipliers: Sequence[float] = DEFAULT_MULTIPLIERS,
                          lam: Optional[DominatingFunction] = None,
                          tau: Optional[float] = None,
-                         doubling_profile: Optional[GeometryProfile] = None,
-                         doubling_alpha: float = 6.0) -> NestedPairSample:
+                         doubling_profile: Optional[GeometryProfile] = None) -> NestedPairSample:
     """Draw up to ``budget`` non-concentric nested candidate-ball pairs with a
     fixed-seed generator, verifying member containment.
 
     The sample is function-independent, so callers cache it per space and
     reuse it across test functions.  When ``doubling_profile`` is given, both
-    balls must be (doubling_alpha, beta)-doubling.  With ``lam`` and ``tau``
-    the coefficients of the accepted pairs are read from the coefficient
-    table in one gather.
+    balls must be (6, beta_6)-doubling, as the balls of the sharp maximal
+    function are.  With ``lam`` and ``tau`` the coefficients of the accepted
+    pairs are read from the coefficient table in one gather.
     """
-    key = ("nested_pairs", budget, seed, tuple(multipliers),
-           None if tau is None else float(tau),
-           None if doubling_profile is None else (doubling_profile.N0, doubling_profile.nu, doubling_alpha))
+    key = ("nested_pairs", budget, seed, None if tau is None else float(tau),
+           None if doubling_profile is None else (doubling_profile.N0, doubling_profile.nu))
     anchor = lam if lam is not None else space
     cache = space._coeff_cache.setdefault(anchor, {})
     if key in cache:
         return cache[key]
     rng = np.random.default_rng(seed)
-    family = space.balls(multipliers)
+    family = space.balls()
     sizes = np.diff(family.offsets).tolist()
     counts = family.counts()
     flags = None
     if doubling_profile is not None:
-        flags = doubling_flags(space, doubling_profile, doubling_alpha, multipliers)
+        flags = doubling_flags(space, doubling_profile, 6.0)
     pairs: list = []
     n = space.n
     if n > 1:
@@ -295,7 +269,7 @@ def sampled_nested_pairs(space: PointCloudSpace, budget: int, seed: int,
             pairs.append((b1, b2))
     b1s, b2s = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
     coeff = None if lam is None or tau is None else \
-        coefficient_tables(space, lam, tau, multipliers).pairs(b1s, b2s)
+        coefficient_tables(space, lam, tau).pairs(b1s, b2s)
     cache[key] = NestedPairSample(b1s, b2s, coeff)
     return cache[key]
 
@@ -306,8 +280,7 @@ def sampled_nested_pairs(space: PointCloudSpace, budget: int, seed: int,
 def check_coefficient_inequalities(space: PointCloudSpace, lam: DominatingFunction,
                                    tau_pair: tuple = (2.0, 6.0),
                                    sample_budget: int = 5000,
-                                   seed: int = 0,
-                                   multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> CheckReport:
+                                   seed: int = 0) -> CheckReport:
     """Sample concentric nested triples B ⊆ R ⊆ S and check/record the
     coefficient inequalities.
 
@@ -318,9 +291,9 @@ def check_coefficient_inequalities(space: PointCloudSpace, lam: DominatingFuncti
     between the two dilation steps.
     """
     tau1, tau2 = float(tau_pair[0]), float(tau_pair[1])
-    family = space.balls(multipliers)
-    t1 = coefficient_tables(space, lam, tau1, multipliers)
-    t2 = coefficient_tables(space, lam, tau2, multipliers)
+    family = space.balls()
+    t1 = coefficient_tables(space, lam, tau1)
+    t2 = coefficient_tables(space, lam, tau2)
     rng = np.random.default_rng(seed)
 
     monotone_ok = True
@@ -433,13 +406,12 @@ def check_coefficient_chain_bound(space: PointCloudSpace, lam: DominatingFunctio
 
 
 def check_doubling_coefficient_bound(space: PointCloudSpace, lam: DominatingFunction,
-                                     profile: GeometryProfile, alpha: float,
-                                     multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> CheckReport:
+                                     profile: GeometryProfile, alpha: float) -> CheckReport:
     """Record the maximal coefficient between a ball and its smallest
     doubling enlargement (an empirical constant for stability testing)."""
-    tables = coefficient_tables(space, lam, alpha, multipliers)
-    idx = doubling_indices(space, profile, alpha, multipliers)
-    family = space.balls(multipliers)
+    tables = coefficient_tables(space, lam, alpha)
+    idx = doubling_indices(space, profile, alpha)
+    family = space.balls()
     vals = tables.concentric(np.arange(len(family)), idx)
     j = int(np.argmax(vals))
     return CheckReport(
@@ -452,12 +424,11 @@ def check_doubling_coefficient_bound(space: PointCloudSpace, lam: DominatingFunc
 
 
 def validate_weak_doubling(space: PointCloudSpace, lam: DominatingFunction,
-                           profile: GeometryProfile, tau: float,
-                           multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> CheckReport:
+                           profile: GeometryProfile, tau: float) -> CheckReport:
     """Record the maximal dyadic index between a ball and its smallest
     doubling enlargement (the empirical weak-doubling constant)."""
-    family = space.balls(multipliers)
-    idx = doubling_indices(space, profile, tau, multipliers)
+    family = space.balls()
+    idx = doubling_indices(space, profile, tau)
     j = int(np.argmax(idx))
     return CheckReport(
         check="weak_doubling_index",

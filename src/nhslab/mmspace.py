@@ -3,19 +3,20 @@
 A :class:`PointCloudSpace` is a finite set of atoms with pairwise distances
 and positive weights.  Everything downstream (coefficients, norms, operators)
 enumerates *candidate balls*: for each center, the closed balls whose radii
-come from the pairwise distances of that center, optionally rescaled.  On an
-atomic space ball membership only changes at those distances, so the family
-is finite and canonical (up to the merging of radii within a relative 1e-12).
+are the distances of that center and their halves (``RADIUS_MULTIPLIERS``).
+On an atomic space ball membership only changes at those distances, so the
+family is finite and canonical (up to the merging of radii within a relative
+1e-12).
 
-The family is built once per space and multiplier set as a flat
-:class:`BallFamily`: ball ``b`` is ``B(center[b], radius[b])``, the balls of
-one center are contiguous with ascending radii, and the members of a ball are
-the first ``counts()[b]`` points of its center's distance order.  Every
-supremum over balls is a gather over this family followed by one argmax;
-exhaustive suprema over nested ball pairs enumerate ``geometry.nested_pairs``.
-Per dilation step tau it caches one :class:`Ladder`, the member counts of
-every tau**k * B from one ``counts_of``, which the coefficient tables, the
-concentric Campanato and mean-jump ladders and the doubling indices read.
+The family is built once per space as a flat :class:`BallFamily`: ball ``b``
+is ``B(center[b], radius[b])``, the balls of one center are contiguous with
+ascending radii, and the members of a ball are the first ``counts()[b]``
+points of its center's distance order.  Every supremum over balls is a
+gather over this family followed by one argmax; exhaustive suprema over
+nested ball pairs enumerate ``geometry.nested_pairs``.  Per dilation step tau
+it caches one :class:`Ladder`, the member counts of every tau**k * B from one
+``counts_of``, which the coefficient tables, the concentric Campanato and
+mean-jump ladders and the doubling indices read.
 
 Functions of a center and a radius (the dominating function here, the
 normalizers psi and phi in :mod:`nhslab.spaces`) share one protocol,
@@ -55,10 +56,10 @@ DEFAULT_REL_TOL = 1e-9
 #: Relative tolerance used when deduplicating candidate radii.
 RADIUS_DEDUP_TOL = 1e-12
 
-#: Default rescalings applied to per-center distances when building the
-#: candidate radius grid.  Half radii are needed by the doubling inequality
-#: and by the lowest dyadic term of the discrete coefficient.
-DEFAULT_MULTIPLIERS = (0.5, 1.0)
+#: The radius rule of the candidate family: each center's distances and their
+#: halves.  Half radii are needed by the doubling inequality and by the lowest
+#: dyadic term of the discrete coefficient.
+RADIUS_MULTIPLIERS = (0.5, 1.0)
 
 #: Radius assigned to a center with no positive distances (singleton space).
 FALLBACK_RADIUS = 1.0
@@ -91,6 +92,25 @@ def smallest_scale_index(tau: float, r_inner: float, r_outer: float) -> int:
     return n
 
 
+def scale_index_array(tau: float, inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """Vectorized smallest N >= 0 with tau**N * inner >= outer.
+
+    ``inner`` and ``outer`` broadcast against each other; the float estimate
+    is corrected exactly afterwards.
+    """
+    inner = np.asarray(inner, dtype=float)
+    outer = np.asarray(outer, dtype=float)
+    ratio = np.maximum(outer / inner, 1.0)
+    n = np.ceil(np.log(ratio) / math.log(tau) - 1e-12).astype(np.int64)
+    n = np.maximum(n, 0)
+    # exact adjustment of the float estimate; one step each way suffices
+    for _ in range(2):
+        n = n + (tau ** n * inner < outer)
+        back = (n > 0) & (tau ** np.maximum(n - 1, 0) * inner >= outer)
+        n = n - back
+    return n
+
+
 class Ladder(NamedTuple):
     """Member counts of tau**k * B for every ball B of a family: column
     ``k + k_floor`` of ``counts`` is at the scale ``scales[k + k_floor]``, the
@@ -102,8 +122,7 @@ class Ladder(NamedTuple):
 
 
 class BallFamily:
-    """The candidate balls of a space for one multiplier set, flattened
-    center by center.
+    """The candidate balls of a space, flattened center by center.
 
     Ball ``b`` is ``B(center[b], radius[b])``; the balls of center ``c`` are
     ``offsets[c]:offsets[c + 1]``, in ascending radius order.  Member counts
@@ -113,13 +132,18 @@ class BallFamily:
     :meth:`ladder` for every power of one dilation step tau.
     """
 
-    def __init__(self, space: "PointCloudSpace", multipliers: Sequence[float]):
-        radii = [space.candidate_radii(c, multipliers) for c in range(space.n)]
+    def __init__(self, space: "PointCloudSpace"):
+        radii = []
+        for row in space.dist:
+            base = np.unique(row[row > 0.0])
+            scaled = np.sort(np.concatenate([m * base for m in RADIUS_MULTIPLIERS]))
+            radii.append(_dedup_sorted(scaled) if base.size else np.asarray([FALLBACK_RADIUS]))
         sizes = [r.size for r in radii]
         self.n = space.n
         self.offsets = np.concatenate([[0], np.cumsum(sizes)])
         self.center = np.repeat(np.arange(space.n), sizes)
         self.radius = np.concatenate(radii)
+        self.radius.setflags(write=False)
         self._diameter = space.diameter
         self._sorted_dist = space.sorted_dist
         self._prefix_weight = space.prefix_weight
@@ -160,11 +184,14 @@ class BallFamily:
         """The ladder of every ball at dilation step tau (cached).  K is 4 past
         the scale index from the smallest radius to the larger of the largest
         radius and the diameter, so the ladder holds every saturation depth
-        and the outer scale of every nested pair."""
+        and the outer scale of every nested pair, and at least the scale index
+        of every 6-fold enlargement, the largest bounded enlargement that
+        ``check_coefficient_inequalities`` records."""
         tau = float(tau)
         if tau not in self._ladders:
             top = smallest_scale_index(tau, float(self.radius.min()),
                                        max(float(self.radius.max()), self._diameter)) + 4
+            top = max(top, int(scale_index_array(tau, self.radius, 6.0 * self.radius).max()))
             k_floor = floor_log(tau)
             scales = tau ** np.arange(-k_floor, top + 1)
             counts = self.counts_of(self.radius[:, None] * scales)
@@ -193,7 +220,6 @@ class PointCloudSpace:
         self.weights = np.ascontiguousarray(weights, dtype=float)
         self.coords = None if coords is None else np.ascontiguousarray(coords, dtype=float)
         self.n = int(self.weights.shape[0])
-        self.point_ids = list(range(self.n))
         self.diameter = float(self.dist.max()) if self.n else 0.0
         self.total_measure = float(self.weights.sum())
         self.dist.setflags(write=False)
@@ -201,9 +227,8 @@ class PointCloudSpace:
         self._order: Optional[np.ndarray] = None
         self._sorted_dist: Optional[np.ndarray] = None
         self._prefix_weight: Optional[np.ndarray] = None
-        self._radii_cache: dict = {}
-        self._families: dict = {}
-        self._union_cache: dict = {}
+        self._family: Optional[BallFamily] = None
+        self._radius_union: Optional[np.ndarray] = None
         self._fn_tables: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._lam_matrices: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._coeff_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -240,49 +265,33 @@ class PointCloudSpace:
         return np.searchsorted(self.sorted_dist[center], radii, side="right")
 
     # -- candidate radius grid -------------------------------------------------
-    def candidate_radii(self, center: int, multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> np.ndarray:
-        key = (center, tuple(multipliers))
-        cached = self._radii_cache.get(key)
-        if cached is not None:
-            return cached
-        row = self.dist[center]
-        base = np.unique(row[row > 0.0])
-        if base.size == 0:
-            radii = np.asarray([FALLBACK_RADIUS])
-        else:
-            scaled = np.sort(np.concatenate([m * base for m in multipliers]))
-            radii = _dedup_sorted(scaled)
-        radii.setflags(write=False)
-        self._radii_cache[key] = radii
-        return radii
+    def candidate_radii(self, center: int) -> np.ndarray:
+        """The ascending candidate radii of ``center``: a read-only view of its
+        segment of the family."""
+        family = self.balls()
+        return family.radius[family.segment(center)]
 
-    def balls(self, multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> BallFamily:
-        """The flat candidate-ball family (cached per multiplier set)."""
-        key = tuple(multipliers)
-        family = self._families.get(key)
-        if family is None:
-            family = self._families[key] = BallFamily(self, multipliers)
-        return family
+    def balls(self) -> BallFamily:
+        """The flat candidate-ball family (cached)."""
+        if self._family is None:
+            self._family = BallFamily(self)
+        return self._family
 
-    def radius_union(self, multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> np.ndarray:
+    def radius_union(self) -> np.ndarray:
         """Sorted union of every center's candidate radii."""
-        key = tuple(multipliers)
-        cached = self._union_cache.get(key)
-        if cached is None:
-            cached = _dedup_sorted(np.sort(self.balls(multipliers).radius))
-            cached.setflags(write=False)
-            self._union_cache[key] = cached
-        return cached
+        if self._radius_union is None:
+            self._radius_union = _dedup_sorted(np.sort(self.balls().radius))
+            self._radius_union.setflags(write=False)
+        return self._radius_union
 
-    def fn_table(self, obj: "Radial", multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> np.ndarray:
+    def fn_table(self, obj: "Radial") -> np.ndarray:
         """``obj`` on every ball of the candidate family, cached by object
         identity."""
-        per_obj = self._fn_tables.setdefault(obj, {})
-        key = tuple(multipliers)
-        if key not in per_obj:
-            family = self.balls(multipliers)
-            per_obj[key] = obj.table(family.center, family.radius)
-        return per_obj[key]
+        table = self._fn_tables.get(obj)
+        if table is None:
+            family = self.balls()
+            table = self._fn_tables[obj] = obj.table(family.center, family.radius)
+        return table
 
     def pair_table(self, lam: "DominatingFunction") -> np.ndarray:
         """Matrix of lam(x, d(x, y)); entries with d == 0 hold a placeholder 1."""
@@ -404,8 +413,7 @@ def _check_triangle(dist: np.ndarray, rel_tol: float, exhaustive_limit: int,
 # ------------------------------------------------------------------------------
 # Geometric doubling estimate
 # ------------------------------------------------------------------------------
-def estimate_geometric_doubling(space: PointCloudSpace,
-                                multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> int:
+def estimate_geometric_doubling(space: PointCloudSpace) -> int:
     """Upper bound the geometric doubling count of the space.
 
     Every candidate ball B(c, r) is covered greedily by balls of radius r/2
@@ -418,7 +426,7 @@ def estimate_geometric_doubling(space: PointCloudSpace,
     point.  Steps only lower a covered row, so the center's largest cover is
     the number of steps until no row has a member beyond its r_i/2.
     """
-    family = space.balls(multipliers)
+    family = space.balls()
     best = 1
     for c in range(space.n):
         r = family.radius[family.segment(c)]
@@ -488,8 +496,8 @@ class DominatingFunction(Radial):
         return math.log2(self.c_lambda)
 
 
-def fit_power_lambda(space: PointCloudSpace, kappa="auto", *, existing: Optional[DominatingFunction] = None,
-                     multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> DominatingFunction:
+def fit_power_lambda(space: PointCloudSpace, kappa="auto", *,
+                     existing: Optional[DominatingFunction] = None) -> DominatingFunction:
     """Fit a center-independent power law C0 * r**kappa dominating all
     candidate ball measures, with equality at the tightest ball.
 
@@ -500,7 +508,7 @@ def fit_power_lambda(space: PointCloudSpace, kappa="auto", *, existing: Optional
     """
     if existing is not None:
         return existing
-    family = space.balls(multipliers)
+    family = space.balls()
     mus = family.measures()
     if kappa == "auto":
         lr = np.log(family.radius)
@@ -521,8 +529,7 @@ def fit_power_lambda(space: PointCloudSpace, kappa="auto", *, existing: Optional
 
 
 def validate_upper_doubling(space: PointCloudSpace, lam: DominatingFunction,
-                            rel_tol: float = DEFAULT_REL_TOL,
-                            multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> CheckReport:
+                            rel_tol: float = DEFAULT_REL_TOL) -> CheckReport:
     """Check measure domination, the half-radius inequality and radius
     monotonicity on every candidate ball.
 
@@ -530,8 +537,8 @@ def validate_upper_doubling(space: PointCloudSpace, lam: DominatingFunction,
     order; within one center the kinds rank domination, half-radius,
     monotonicity.  Monotonicity compares consecutive radii of one center.
     """
-    family = space.balls(multipliers)
-    vals = space.fn_table(lam, multipliers)
+    family = space.balls()
+    vals = space.fn_table(lam)
     mus = family.measures()
     dom = mus / vals
     half = vals / lam.table(family.center, family.radius / 2.0)
@@ -570,8 +577,7 @@ def validate_upper_doubling(space: PointCloudSpace, lam: DominatingFunction,
     )
 
 
-def comparability_ratio(space: PointCloudSpace, obj,
-                        multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> tuple:
+def comparability_ratio(space: PointCloudSpace, obj) -> tuple:
     """Largest obj(x, r) / obj(y, r) over ordered pairs x != y with
     d(x, y) <= r, for r in the radius union, floored at 1.
 
@@ -582,7 +588,7 @@ def comparability_ratio(space: PointCloudSpace, obj,
     witness: dict = {}
     if space.n < 2:
         return worst, witness
-    radii = space.radius_union(multipliers)
+    radii = space.radius_union()
     table = obj.table(np.arange(space.n)[:, None], radii)
     for k, r in enumerate(radii):
         admissible = space.dist <= r
@@ -600,11 +606,10 @@ def comparability_ratio(space: PointCloudSpace, obj,
 
 
 def validate_lambda_comparability(space: PointCloudSpace, lam: DominatingFunction,
-                                  rel_tol: float = DEFAULT_REL_TOL,
-                                  multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> CheckReport:
+                                  rel_tol: float = DEFAULT_REL_TOL) -> CheckReport:
     """Check lam(x, r) <= c_lambda * lam(y, r) over ordered pairs with
     d(x, y) <= r, for every candidate radius r in the global grid."""
-    worst, witness = comparability_ratio(space, lam, multipliers)
+    worst, witness = comparability_ratio(space, lam)
     if witness:
         witness["ratio"] = worst
     return CheckReport(
@@ -619,8 +624,7 @@ def validate_lambda_comparability(space: PointCloudSpace, lam: DominatingFunctio
 def validate_weak_reverse_doubling(lam: DominatingFunction, space: PointCloudSpace,
                                    sigma: float, a_grid: Sequence[float],
                                    tol: float = 1e-6,
-                                   max_terms: int = 10000,
-                                   multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> CheckReport:
+                                   max_terms: int = 10000) -> CheckReport:
     """Measure the dilation constants C_(a) = min lam(x, a*r)/lam(x, r) and
     check that the series of C_(a^j)**(-sigma) converges numerically.
 
@@ -632,8 +636,8 @@ def validate_weak_reverse_doubling(lam: DominatingFunction, space: PointCloudSpa
     if sigma <= 0:
         raise DegenerateRadii(f"sigma must be positive, got {sigma!r}")
     diam = space.diameter if space.diameter > 0 else FALLBACK_RADIUS
-    family = space.balls(multipliers)
-    base = space.fn_table(lam, multipliers)
+    family = space.balls()
+    base = space.fn_table(lam)
     rows = []
     all_converged = True
     monotone = True
@@ -713,8 +717,7 @@ class GeometryProfile:
 
 
 def make_profile(space: PointCloudSpace, lam: DominatingFunction,
-                 N0: Optional[int] = None,
-                 multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> GeometryProfile:
+                 N0: Optional[int] = None) -> GeometryProfile:
     if N0 is None:
-        N0 = estimate_geometric_doubling(space, multipliers)
+        N0 = estimate_geometric_doubling(space)
     return GeometryProfile(N0=N0, nu=lam.nu)

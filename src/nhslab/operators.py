@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -33,7 +33,6 @@ from .geometry import (
     sampled_nested_pairs,
 )
 from .mmspace import (
-    DEFAULT_MULTIPLIERS,
     DominatingFunction,
     GeometryProfile,
     PointCloudSpace,
@@ -348,11 +347,10 @@ def marcinkiewicz_commutator(space: PointCloudSpace, kernel: KernelSpec,
 # ------------------------------------------------------------------------------
 # Maximal operators
 # ------------------------------------------------------------------------------
-def _scatter_sup(space: PointCloudSpace, values: np.ndarray,
-                 multipliers: Sequence[float]) -> np.ndarray:
+def _scatter_sup(space: PointCloudSpace, values: np.ndarray) -> np.ndarray:
     """Pointwise supremum over candidate balls containing each point, given
     one value per ball of the family; -inf marks excluded balls."""
-    family = space.balls(multipliers)
+    family = space.balls()
     n = space.n
     # by_count[c, q - 1]: best value among the balls of c with q members
     by_count = np.full((n, n), -math.inf)
@@ -364,17 +362,15 @@ def _scatter_sup(space: PointCloudSpace, values: np.ndarray,
     return by_point.max(axis=0)
 
 
-def _power_means(space: PointCloudSpace, f: np.ndarray, p: float, tau: float,
-                 multipliers: Sequence[float]) -> np.ndarray:
+def _power_means(space: PointCloudSpace, f: np.ndarray, p: float, tau: float) -> np.ndarray:
     """Per ball: (sum of |f|**p w over B / mu(tau*B))**(1/p)."""
-    family = space.balls(multipliers)
+    family = space.balls()
     power = space.prefix_of(np.abs(f) ** p * space.weights)
     return (power[family.center, family.counts()] / family.measures(tau)) ** (1.0 / p)
 
 
 def maximal_p_tau(space: PointCloudSpace, f: np.ndarray, p: float, tau: float,
-                  x: Optional[int] = None,
-                  multipliers: Sequence[float] = DEFAULT_MULTIPLIERS):
+                  x: Optional[int] = None):
     """Supremum over candidate balls containing x of the (1/mu(tau*B)
     normalized) p-mean of |f| on B."""
     if not p > 1:
@@ -382,46 +378,44 @@ def maximal_p_tau(space: PointCloudSpace, f: np.ndarray, p: float, tau: float,
     if not tau >= 5:
         raise InvalidParams(f"tau must be at least 5, got {tau!r}")
     f = np.asarray(f, dtype=float)
-    out = _scatter_sup(space, _power_means(space, f, p, tau, multipliers), multipliers)
+    out = _scatter_sup(space, _power_means(space, f, p, tau))
     return out if x is None else float(out[x])
 
 
 def maximal_psi_p_tau(space: PointCloudSpace, psi: RegularityFunctionPsi,
                       f: np.ndarray, p: float, tau: float,
-                      x: Optional[int] = None,
-                      multipliers: Sequence[float] = DEFAULT_MULTIPLIERS):
+                      x: Optional[int] = None):
     """As maximal_p_tau with the factor psi(B) inside the supremum."""
     if not p > 1:
         raise InvalidParams(f"p must exceed 1, got {p!r}")
     if not tau >= 5:
         raise InvalidParams(f"tau must be at least 5, got {tau!r}")
     f = np.asarray(f, dtype=float)
-    vals = space.fn_table(psi, multipliers) * _power_means(space, f, p, tau, multipliers)
-    out = _scatter_sup(space, vals, multipliers)
+    vals = space.fn_table(psi) * _power_means(space, f, p, tau)
+    out = _scatter_sup(space, vals)
     return out if x is None else float(out[x])
 
 
 def doubling_maximal(space: PointCloudSpace, profile: GeometryProfile, f: np.ndarray,
-                     x: Optional[int] = None,
-                     multipliers: Sequence[float] = DEFAULT_MULTIPLIERS):
+                     x: Optional[int] = None):
     """Supremum of plain means of |f| over doubling candidate balls containing
     the point.  Saturated balls are always doubling, so coverage is total."""
     f = np.asarray(f, dtype=float)
-    family = space.balls(multipliers)
-    flags = doubling_flags(space, profile, 6.0, multipliers)
+    family = space.balls()
+    flags = doubling_flags(space, profile, 6.0)
     absf = space.prefix_of(np.abs(f) * space.weights)
     counts = family.counts()
     means = absf[family.center, counts] / space.prefix_weight[family.center, counts]
-    out = _scatter_sup(space, np.where(flags, means, -math.inf), multipliers)
+    out = _scatter_sup(space, np.where(flags, means, -math.inf))
     if np.any(~np.isfinite(out)):
         raise NoDoublingBall("a point is covered by no doubling candidate ball")
     return out if x is None else float(out[x])
 
 
-def _sharp_exhaustive(space, lam, profile, f, tau, multipliers) -> np.ndarray:
+def _sharp_exhaustive(space, lam, profile, f, tau) -> np.ndarray:
     beta = profile.beta(tau)
     f = np.asarray(f, dtype=float)
-    family = space.balls(multipliers)
+    family = space.balls()
     balls = [Ball(int(c), float(r)) for c, r in zip(family.center, family.radius)]
     means = []
     masks = []
@@ -437,8 +431,8 @@ def _sharp_exhaustive(space, lam, profile, f, tau, multipliers) -> np.ndarray:
         val = float(np.sum(np.abs(f[mask] - m) * w)) / ball_measure(space, ball.scaled(6.0))
         osc[mask] = np.maximum(osc[mask], val)
     pair = np.zeros(space.n)
-    inner, outer = nested_pairs(space, multipliers)
-    coeffs = coefficient_tables(space, lam, 6.0, multipliers).pairs(inner, outer).tolist()
+    inner, outer = nested_pairs(space)
+    coeffs = coefficient_tables(space, lam, 6.0).pairs(inner, outer).tolist()
     for i, j, coeff in zip(inner, outer, coeffs):
         if not (dbl[i] and dbl[j]):
             continue
@@ -450,8 +444,7 @@ def _sharp_exhaustive(space, lam, profile, f, tau, multipliers) -> np.ndarray:
 def sharp_maximal(space: PointCloudSpace, lam: DominatingFunction,
                   profile: GeometryProfile, f: np.ndarray,
                   x: Optional[int] = None, *, pair_budget: int = 2000, seed: int = 0,
-                  exhaustive_limit: int = 20000,
-                  multipliers: Sequence[float] = DEFAULT_MULTIPLIERS):
+                  exhaustive_limit: int = 20000):
     """Oscillation maximal function combined with the coefficient-normalized
     mean-jump supremum over nested doubling ball pairs containing the point.
 
@@ -459,10 +452,10 @@ def sharp_maximal(space: PointCloudSpace, lam: DominatingFunction,
     pairs come from a fixed-seed budgeted sample (everything, when the family
     is small enough).
     """
-    family = space.balls(multipliers)
+    family = space.balls()
     f = np.asarray(f, dtype=float)
     if len(family) ** 2 <= exhaustive_limit:
-        out = _sharp_exhaustive(space, lam, profile, f, 6.0, multipliers)
+        out = _sharp_exhaustive(space, lam, profile, f, 6.0)
         return out if x is None else float(out[x])
 
     counts = family.counts()
@@ -470,8 +463,8 @@ def sharp_maximal(space: PointCloudSpace, lam: DominatingFunction,
     pf = space.prefix_of(f * space.weights)
     pw = space.prefix_weight
     means = pf[family.center, counts] / pw[family.center, counts]
-    flags = doubling_flags(space, profile, 6.0, multipliers)
-    tables = coefficient_tables(space, lam, 6.0, multipliers)
+    flags = doubling_flags(space, profile, 6.0)
+    tables = coefficient_tables(space, lam, 6.0)
     kf = tables.k_floor
 
     pair_vals = np.empty(len(family))
@@ -487,20 +480,12 @@ def sharp_maximal(space: PointCloudSpace, lam: DominatingFunction,
         allowed &= flags[s][None, :] & flags[s][:, None]
         v = np.where(allowed, v, -math.inf)
         pair_vals[s] = v.max(axis=1)
+    # a sampled pair reaches the members of its inner ball, as a concentric one
+    pairs = sampled_nested_pairs(space, pair_budget, seed, lam=lam, tau=6.0, doubling_profile=profile)
+    np.maximum.at(pair_vals, pairs.b1, np.abs(means[pairs.b1] - means[pairs.b2]) / pairs.coeff)
 
-    osc_part = _scatter_sup(space, osc_s / family.measures(6.0), multipliers)
-    pair_part = _scatter_sup(space, pair_vals, multipliers)
-    pair_part = np.maximum(pair_part, 0.0)
-
-    pairs = sampled_nested_pairs(space, pair_budget, seed, multipliers,
-                                 lam=lam, tau=6.0,
-                                 doubling_profile=profile, doubling_alpha=6.0)
-    if len(pairs):
-        ratio = np.abs(means[pairs.b1] - means[pairs.b2]) / pairs.coeff
-        for t in np.argsort(ratio):
-            b1 = pairs.b1[t]
-            members = space.order[family.center[b1]][: counts[b1]]
-            pair_part[members] = np.maximum(pair_part[members], ratio[t])
+    osc_part = _scatter_sup(space, osc_s / family.measures(6.0))
+    pair_part = np.maximum(_scatter_sup(space, pair_vals), 0.0)
     out = np.maximum(osc_part, pair_part)
     return out if x is None else float(out[x])
 
@@ -542,8 +527,7 @@ def check_sharp_maximal_estimate(space: PointCloudSpace, lam: DominatingFunction
                                  psi: RegularityFunctionPsi, b: np.ndarray, f: np.ndarray,
                                  params: Optional[OperatorParams] = None,
                                  *, norm_tau: float = 2.0, pair_budget: int = 2000,
-                                 seed: int = 0, b_norm: Optional[float] = None,
-                                 multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> CheckReport:
+                                 seed: int = 0, b_norm: Optional[float] = None) -> CheckReport:
     """Measure the pointwise ratio of the sharp maximal function of the
     commutator against the maximal-function bound; the max ratio is the
     empirical constant used in refinement-stability tests.
@@ -557,16 +541,14 @@ def check_sharp_maximal_estimate(space: PointCloudSpace, lam: DominatingFunction
     scale = float(np.max(np.abs(b))) if b.size else 0.0
     if b_norm is None:
         b_norm = campanato_norm(space, lam, b, psi, norm_tau, params.gamma,
-                                pair_budget=pair_budget, seed=seed,
-                                multipliers=multipliers).norm
+                                pair_budget=pair_budget, seed=seed).norm
     if b_norm <= 1e-13 * max(scale, 1.0):
         raise ZeroNormB("the commutator symbol has zero oscillation norm")
     mf = marcinkiewicz(space, kernel, f, None, params)
     g = marcinkiewicz_commutator(space, kernel, b, f, None, params)
-    lhs = sharp_maximal(space, lam, profile, g, pair_budget=pair_budget,
-                        seed=seed, multipliers=multipliers)
-    den = b_norm * (maximal_psi_p_tau(space, psi, f, params.p, 5.0, None, multipliers)
-                    + maximal_psi_p_tau(space, psi, mf, params.p, 6.0, None, multipliers))
+    lhs = sharp_maximal(space, lam, profile, g, pair_budget=pair_budget, seed=seed)
+    den = b_norm * (maximal_psi_p_tau(space, psi, f, params.p, 5.0, None)
+                    + maximal_psi_p_tau(space, psi, mf, params.p, 6.0, None))
     mask = den > 0
     skipped = int(np.sum(~mask))
     if not mask.any():
@@ -585,11 +567,10 @@ def check_sharp_maximal_estimate(space: PointCloudSpace, lam: DominatingFunction
 
 
 def maximal_embedding_constant(space: PointCloudSpace, psi: RegularityFunctionPsi,
-                               phi: GrowthFunctionPhi, p: float, q: float,
-                               multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> float:
+                               phi: GrowthFunctionPhi, p: float, q: float) -> float:
     """Largest value of psi(B) * phi(B)**(1/p - 1/q) over candidate balls."""
-    psit = space.fn_table(psi, multipliers)
-    phit = space.fn_table(phi, multipliers)
+    psit = space.fn_table(psi)
+    phit = space.fn_table(phi)
     return float(np.max(psit * phit ** (1.0 / p - 1.0 / q)))
 
 
@@ -597,8 +578,7 @@ def check_maximal_morrey_pointwise(space: PointCloudSpace, psi: RegularityFuncti
                                    phi: GrowthFunctionPhi, f: np.ndarray,
                                    params: Optional[OperatorParams] = None,
                                    *, c10: Optional[float] = None, c_impl: float = 1.0,
-                                   rel_slack: float = 1e-9,
-                                   multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> CheckReport:
+                                   rel_slack: float = 1e-9) -> CheckReport:
     """Check the pointwise maximal-function embedding for a function with
     Morrey norm at most 1 (normalized with the same enlargement).
 
@@ -611,12 +591,12 @@ def check_maximal_morrey_pointwise(space: PointCloudSpace, psi: RegularityFuncti
     f = np.asarray(f, dtype=float)
     p, q, tau = params.p, params.q, params.tau
     if c10 is None:
-        c10 = maximal_embedding_constant(space, psi, phi, p, q, multipliers)
-    norm = morrey_norm(space, f, p, phi, eta=tau, multipliers=multipliers)
+        c10 = maximal_embedding_constant(space, psi, phi, p, q)
+    norm = morrey_norm(space, f, p, phi, eta=tau)
     if norm > 1.0 + 1e-9:
         raise NotNormalized(f"Morrey norm is {norm!r}; rescale the input to at most 1")
-    lhs = maximal_psi_p_tau(space, psi, f, p, tau, None, multipliers)
-    base = maximal_p_tau(space, f, p, tau, None, multipliers)
+    lhs = maximal_psi_p_tau(space, psi, f, p, tau, None)
+    base = maximal_p_tau(space, f, p, tau, None)
     mask = base > 0
     bad_zero = bool(np.any(lhs[~mask] > 0))
     tol = 1e-12 if p == q else rel_slack

@@ -32,7 +32,6 @@ from .geometry import (
     scale_index_array,
 )
 from .mmspace import (
-    DEFAULT_MULTIPLIERS,
     DominatingFunction,
     PointCloudSpace,
     Radial,
@@ -150,8 +149,7 @@ def oscillation_sums(space: PointCloudSpace, g: np.ndarray, p: float = 1.0) -> n
 # ------------------------------------------------------------------------------
 def morrey_norm(space: PointCloudSpace, f: np.ndarray, p: float,
                 phi: GrowthFunctionPhi, eta: float,
-                *, with_witness: bool = False,
-                multipliers: Sequence[float] = DEFAULT_MULTIPLIERS):
+                *, with_witness: bool = False):
     """Supremum over candidate balls of the phi-and-enlargement normalized
     p-mean of |f|."""
     if p < 1:
@@ -159,10 +157,10 @@ def morrey_norm(space: PointCloudSpace, f: np.ndarray, p: float,
     if not eta > 1:
         raise InvalidExponent(f"eta must exceed 1, got {eta!r}")
     f = np.asarray(f, dtype=float)
-    family = space.balls(multipliers)
+    family = space.balls()
     power = space.prefix_of(np.abs(f) ** p * space.weights)
     mass = power[family.center, family.counts()]
-    vals = (mass / (space.fn_table(phi, multipliers) * family.measures(eta))) ** (1.0 / p)
+    vals = (mass / (space.fn_table(phi) * family.measures(eta))) ** (1.0 / p)
     best, witness = family.sup(vals)
     if with_witness:
         return best, witness
@@ -194,14 +192,14 @@ class CampanatoNormReport:
     pair_count: int = 0
 
 
-def _campanato_exhaustive(space, lam, f, psi, tau, gamma, multipliers) -> CampanatoNormReport:
+def _campanato_exhaustive(space, lam, f, psi, tau, gamma) -> CampanatoNormReport:
     """Primitive-based enumeration over every candidate ball and every nested
     candidate pair; used when the family is small enough."""
     f = np.asarray(f, dtype=float)
-    family = space.balls(multipliers)
+    family = space.balls()
     balls = [Ball(int(c), float(r)) for c, r in zip(family.center, family.radius)]
     means = [ball_mean(space, f, b) for b in balls]
-    psit = space.fn_table(psi, multipliers).tolist()
+    psit = space.fn_table(psi).tolist()
     osc = 0.0
     osc_w: dict = {}
     for b, m, psi_b in zip(balls, means, psit):
@@ -213,8 +211,8 @@ def _campanato_exhaustive(space, lam, f, psi, tau, gamma, multipliers) -> Campan
             osc_w = {"center": b.center, "radius": b.radius}
     reg = 0.0
     reg_w: dict = {}
-    inner, outer = nested_pairs(space, multipliers)
-    coeffs = coefficient_tables(space, lam, tau, multipliers).pairs(inner, outer).tolist()
+    inner, outer = nested_pairs(space)
+    coeffs = coefficient_tables(space, lam, tau).pairs(inner, outer).tolist()
     for i, j, coeff in zip(inner, outer, coeffs):
         b1, b2 = balls[i], balls[j]
         val = abs(means[i] - means[j]) / (psit[i] * coeff ** gamma)
@@ -229,8 +227,7 @@ def _campanato_exhaustive(space, lam, f, psi, tau, gamma, multipliers) -> Campan
 def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.ndarray,
                          psi: RegularityFunctionPsi, combos: Sequence[tuple],
                          *, pair_budget: int = 2000, seed: int = 0,
-                         exhaustive_limit: int = 20000,
-                         multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> list:
+                         exhaustive_limit: int = 20000) -> list:
     """Oscillation-regularity norms for several (tau, gamma) combinations,
     sharing the per-function oscillation and mean tables across combos."""
     for tau, gamma in combos:
@@ -238,20 +235,20 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
             raise InvalidExponent(f"tau must exceed 1, got {tau!r}")
         if not gamma >= 1:
             raise InvalidExponent(f"gamma must be at least 1, got {gamma!r}")
-    family = space.balls(multipliers)
+    family = space.balls()
     if len(family) ** 2 <= exhaustive_limit:
-        return [_campanato_exhaustive(space, lam, f, psi, tau, gamma, multipliers)
+        return [_campanato_exhaustive(space, lam, f, psi, tau, gamma)
                 for tau, gamma in combos]
 
     f = np.asarray(f, dtype=float)
-    psit = space.fn_table(psi, multipliers)
+    psit = space.fn_table(psi)
     counts = family.counts()
     osc_sums = oscillation_sums(space, f)[family.center, counts - 1]
     pf, pw = space.prefix_of(f * space.weights), space.prefix_weight
     means = pf[family.center, counts] / pw[family.center, counts]
     reports = []
     for tau, gamma in combos:
-        tables = coefficient_tables(space, lam, tau, multipliers)
+        tables = coefficient_tables(space, lam, tau)
         ladder = family.ladder(tau)
         osc, osc_w = family.sup(osc_sums / (psit * family.measures(tau)))
         # per ball, the best pair (B, tau**k B) up to one step past saturation
@@ -277,7 +274,7 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
             reg, reg_w = top, {"inner": family.ball(b),
                                "outer": {"center": int(family.center[b]), "radius": float(outer)}}
 
-        pairs = sampled_nested_pairs(space, pair_budget, seed, multipliers, lam=lam, tau=tau)
+        pairs = sampled_nested_pairs(space, pair_budget, seed, lam=lam, tau=tau)
         if len(pairs):
             b1, b2 = pairs.b1, pairs.b2
             vals = np.abs(means[b1] - means[b2]) / (psit[b1] * pairs.coeff ** gamma)
@@ -293,8 +290,7 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
 def campanato_norm(space: PointCloudSpace, lam: DominatingFunction, f: np.ndarray,
                    psi: RegularityFunctionPsi, tau: float = 2.0, gamma: float = 1.0,
                    *, pair_budget: int = 2000, seed: int = 0,
-                   exhaustive_limit: int = 20000,
-                   multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> CampanatoNormReport:
+                   exhaustive_limit: int = 20000) -> CampanatoNormReport:
     """Oscillation-regularity norm of f.
 
     When the squared candidate-ball count is at most ``exhaustive_limit`` the
@@ -303,23 +299,21 @@ def campanato_norm(space: PointCloudSpace, lam: DominatingFunction, f: np.ndarra
     """
     return campanato_norm_multi(space, lam, f, psi, [(tau, gamma)],
                                 pair_budget=pair_budget, seed=seed,
-                                exhaustive_limit=exhaustive_limit,
-                                multipliers=multipliers)[0]
+                                exhaustive_limit=exhaustive_limit)[0]
 
 
 def p_oscillation_norm(space: PointCloudSpace, f: np.ndarray,
                        psi: RegularityFunctionPsi, p: float, tau: float,
-                       *, with_witness: bool = False,
-                       multipliers: Sequence[float] = DEFAULT_MULTIPLIERS):
+                       *, with_witness: bool = False):
     """Supremum over candidate balls of the normalized p-th mean oscillation."""
     if not p > 1:
         raise InvalidExponent(f"p must exceed 1, got {p!r}")
     if not tau > 1:
         raise InvalidExponent(f"tau must exceed 1, got {tau!r}")
     f = np.asarray(f, dtype=float)
-    family = space.balls(multipliers)
+    family = space.balls()
     sums = oscillation_sums(space, f, p)[family.center, family.counts() - 1]
-    vals = (sums / family.measures(tau)) ** (1.0 / p) / space.fn_table(psi, multipliers)
+    vals = (sums / family.measures(tau)) ** (1.0 / p) / space.fn_table(psi)
     best, witness = family.sup(vals)
     if with_witness:
         return best, witness
@@ -339,20 +333,18 @@ _LIMIT_TABLE = {
 
 def validate_phi_gdec(space: PointCloudSpace, phi: GrowthFunctionPhi,
                       etas: Sequence[float] = (2.0,), pair_budget: int = 2000,
-                      seed: int = 0, max_concentric: int = 40,
-                      exhaustive_limit: int = 20000,
-                      multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> CheckReport:
+                      seed: int = 0, exhaustive_limit: int = 20000) -> CheckReport:
     """Check strict radius decrease on the grid, measure the nested-ball
     constants for each enlargement factor, and resolve the asymptotic limits
     symbolically for the shipped families (reported as unchecked otherwise).
 
     Pair enumeration is exhaustive when the squared family size is at most
-    ``exhaustive_limit``, otherwise strided concentric pairs plus a budgeted
-    non-concentric sample; ``details`` names the branch (``pairs``) and the
+    ``exhaustive_limit``, otherwise the concentric pairs among about 40
+    strided radii per center plus a budgeted non-concentric sample; ``details`` names the branch (``pairs``) and the
     number of pairs measured (``pair_count``).
     """
-    family = space.balls(multipliers)
-    phit = space.fn_table(phi, multipliers)
+    family = space.balls()
+    phit = space.fn_table(phi)
     rising = (phit[1:] >= phit[:-1]) & (family.center[1:] == family.center[:-1])
     decreasing = not rising.any()
     witness: dict = {}
@@ -363,17 +355,17 @@ def validate_phi_gdec(space: PointCloudSpace, phi: GrowthFunctionPhi,
     # nested pairs as flat family indices (inner, outer)
     exhaustive = len(family) ** 2 <= exhaustive_limit
     if exhaustive:
-        b1, b2 = nested_pairs(space, multipliers)
+        b1, b2 = nested_pairs(space)
     else:
         inner, outer = [], []
         for c in range(space.n):
             s = family.segment(c)
             m = s.stop - s.start
-            idx = s.start + np.arange(0, m, max(1, m // max_concentric))
+            idx = s.start + np.arange(0, m, max(1, m // 40))
             a, b = np.triu_indices(idx.size, 1)
             inner.append(idx[a])
             outer.append(idx[b])
-        sample = sampled_nested_pairs(space, pair_budget, seed, multipliers)
+        sample = sampled_nested_pairs(space, pair_budget, seed)
         b1 = np.concatenate(inner + [sample.b1])
         b2 = np.concatenate(outer + [sample.b2])
 
@@ -408,20 +400,19 @@ def validate_phi_gdec(space: PointCloudSpace, phi: GrowthFunctionPhi,
     )
 
 
-def validate_psi(space: PointCloudSpace, psi: RegularityFunctionPsi,
-                 multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> CheckReport:
+def validate_psi(space: PointCloudSpace, psi: RegularityFunctionPsi) -> CheckReport:
     """Measure the doubling and equal-radius comparability constant of psi
     over the candidate family; finite on finite spaces, so it always passes
     and the value feeds cross-refinement stability tests."""
-    family = space.balls(multipliers)
-    ratios = psi.table(family.center, 2.0 * family.radius) / space.fn_table(psi, multipliers)
+    family = space.balls()
+    ratios = psi.table(family.center, 2.0 * family.radius) / space.fn_table(psi)
     j = int(np.argmax(ratios))
     worst = 1.0
     witness: dict = {}
     if ratios[j] > worst:
         worst = float(ratios[j])
         witness = {"kind": "doubling", **family.ball(j)}
-    comparability, pair = comparability_ratio(space, psi, multipliers)
+    comparability, pair = comparability_ratio(space, psi)
     if comparability > worst:
         worst = comparability
         witness = {"kind": "comparability", **pair}
@@ -503,8 +494,7 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
                            k_values: Sequence[float] = (2.0, 6.0),
                            pair_budget: int = 2000, seed: int = 0,
                            tau: float = 2.0, gamma: float = 1.0,
-                           norm: Optional[float] = None,
-                           multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> CheckReport:
+                           norm: Optional[float] = None) -> CheckReport:
     """Record the normalized mean-jump suprema: single enlargements per k,
     iterated enlargements divided by the step count, and comparable-ball pairs
     whose larger radius equals the center distance.
@@ -516,8 +506,7 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
     scale = float(np.max(np.abs(f))) if f.size else 0.0
     if norm is None:
         norm = campanato_norm(space, lam, f, psi, tau, gamma,
-                              pair_budget=pair_budget, seed=seed,
-                              multipliers=multipliers).norm
+                              pair_budget=pair_budget, seed=seed).norm
     if norm <= 1e-13 * max(scale, 1.0):
         return CheckReport(
             check="mean_jump_bounds", passed=None, value=0.0,
@@ -525,10 +514,10 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
                      "iterated": 0.0, "comparable": 0.0, "norm": norm},
         )
     pf, pw = space.prefix_of(f * space.weights), space.prefix_weight
-    family = space.balls(multipliers)
+    family = space.balls()
     counts = family.counts()
     means = pf[family.center, counts] / pw[family.center, counts]
-    psit = space.fn_table(psi, multipliers)
+    psit = space.fn_table(psi)
     per_k = {}
     iterated = 0.0
     for k in k_values:
@@ -582,8 +571,7 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
 def equivalence_experiment(space: PointCloudSpace, lam: DominatingFunction,
                            psi: RegularityFunctionPsi, functions: Sequence[np.ndarray],
                            tau_pair: tuple = (2.0, 6.0), gamma_pair: tuple = (1.0, 2.0),
-                           pair_budget: int = 2000, seed: int = 0,
-                           multipliers: Sequence[float] = DEFAULT_MULTIPLIERS) -> CheckReport:
+                           pair_budget: int = 2000, seed: int = 0) -> CheckReport:
     """Compute the norm under the four (tau, gamma) combinations for a family
     of functions and record the min/max of every pairwise norm ratio.
 
@@ -599,8 +587,7 @@ def equivalence_experiment(space: PointCloudSpace, lam: DominatingFunction,
         f = np.asarray(f, dtype=float)
         scale = float(np.max(np.abs(f))) if f.size else 0.0
         norms = [r.norm for r in campanato_norm_multi(
-            space, lam, f, psi, combos, pair_budget=pair_budget, seed=seed,
-            multipliers=multipliers)]
+            space, lam, f, psi, combos, pair_budget=pair_budget, seed=seed)]
         if max(norms) <= 1e-13 * max(scale, 1.0):
             skipped += 1
             continue

@@ -7,14 +7,16 @@ grid and the flat family table.  Every supremum that reads the family is
 compared, bit for bit in value and witness, with a per-center reference loop
 kept here; the nested-pair enumerator is compared with a brute-force double
 loop over ball masks, the batched doubling greedy with the per-ball greedy it
-replaced, and the coefficient table with the scalar primitive on every nested
-pair.
+replaced, the one scatter of ``sharp_maximal`` with the per-pair member loop
+it replaced, and the coefficient table with the scalar primitive on every
+nested pair.  A guard test pins that the family is one per space, with no option.
 Spaces are small (n <= 10): points in 1 to 3 dimensions and integer-length
 graph metrics with many tied distances, with weight ratios up to 1e6; the
 doubling property also draws coincident lattice points.
 """
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -139,6 +141,30 @@ def test_scalar_call_table_and_broadcast_agree(data):
 # The family and the enumerator
 # ------------------------------------------------------------------------------
 @PROPERTY
+@given(small_spaces())
+def test_one_family_per_space_and_no_multiplier_option(space):
+    """The radius rule is an ``mmspace`` constant: no call takes a multiplier
+    set, each space builds its family once, and a center's candidate radii are
+    a read-only view of its segment."""
+    callables = [getattr(nl, name) for name in dir(nl) if callable(getattr(nl, name))]
+    callables += [nl.PointCloudSpace.balls, nl.PointCloudSpace.candidate_radii,
+                  nl.PointCloudSpace.radius_union, nl.PointCloudSpace.fn_table,
+                  geometry.coefficient_tables, geometry.nested_pairs, geometry.sampled_nested_pairs]
+    for fn in callables:
+        try:
+            params = inspect.signature(fn).parameters
+        except (TypeError, ValueError):
+            continue
+        assert "multipliers" not in params, fn
+    family = space.balls()
+    assert space.balls() is family
+    for c, s in _segments(space):
+        radii = space.candidate_radii(c)
+        assert np.array_equal(radii, family.radius[s])
+        assert not radii.flags.writeable
+
+
+@PROPERTY
 @given(small_spaces(), st.sampled_from([1.0, 2.0, 5.0, 6.0]))
 def test_family_matches_candidate_radii_and_counts(space, scale):
     family = space.balls()
@@ -256,12 +282,10 @@ def test_maximal_operators_equal_per_center_loops(data, tau):
     assert operators.maximal_embedding_constant(space, psi, phi, 2.0, 3.0) == want
 
 
-@PROPERTY
-@given(spaces_and_functions())
-def test_sharp_maximal_ladder_equals_per_center_loop(data):
-    space, f = data
-    lam = _lam(space)
-    profile = PROFILE
+def _sharp_maximal_reference(space, lam, profile, f, pairs):
+    """``sharp_maximal``'s ladder branch as per-center loops, with the sampled
+    ``pairs`` scattered one pair at a time onto the members of the inner
+    ball, in ascending order of their ratio."""
     osc = spaces.oscillation_sums(space, f)
     pf = space.prefix_of(f * space.weights)
     pw = space.prefix_weight
@@ -285,9 +309,37 @@ def test_sharp_maximal_ladder_equals_per_center_loop(data):
         ok = (radii[None, :] >= radii[:, None]) & flags(c, radii)[None, :] & flags(c, radii)[:, None]
         return np.where(ok, v, -math.inf).max(axis=1)
 
-    want = np.maximum(_scatter_reference(space, osc_vals),
-                      np.maximum(_scatter_reference(space, pair_vals), 0.0))
-    got = operators.sharp_maximal(space, lam, profile, f, exhaustive_limit=0, pair_budget=0)
+    pair_part = np.maximum(_scatter_reference(space, pair_vals), 0.0)
+    family = space.balls()
+    counts = family.counts()
+    means = pf[family.center, counts] / pw[family.center, counts]
+    ratio = np.abs(means[pairs.b1] - means[pairs.b2]) / pairs.coeff
+    for t in np.argsort(ratio):
+        b1 = pairs.b1[t]
+        members = space.order[family.center[b1]][: counts[b1]]
+        pair_part[members] = np.maximum(pair_part[members], ratio[t])
+    return np.maximum(_scatter_reference(space, osc_vals), pair_part)
+
+
+@PROPERTY
+@given(spaces_and_functions())
+def test_sharp_maximal_ladder_equals_per_center_loop(data):
+    space, f = data
+    lam = _lam(space)
+    no_pairs = geometry.sampled_nested_pairs(space, 0, 0, lam=lam, tau=6.0, doubling_profile=PROFILE)
+    want = _sharp_maximal_reference(space, lam, PROFILE, f, no_pairs)
+    got = operators.sharp_maximal(space, lam, PROFILE, f, exhaustive_limit=0, pair_budget=0)
+    assert np.array_equal(got, want)
+
+
+@PROPERTY
+@given(spaces_and_functions(), st.sampled_from([300, 2000]))
+def test_sharp_maximal_sampled_pairs_equal_per_pair_loop(data, budget):
+    space, f = data
+    lam = _lam(space)
+    pairs = geometry.sampled_nested_pairs(space, budget, 0, lam=lam, tau=6.0, doubling_profile=PROFILE)
+    want = _sharp_maximal_reference(space, lam, PROFILE, f, pairs)
+    got = operators.sharp_maximal(space, lam, PROFILE, f, exhaustive_limit=0, pair_budget=budget)
     assert np.array_equal(got, want)
 
 
@@ -566,14 +618,14 @@ def test_psi_and_phi_validators_equal_per_center_loops(space):
 # ------------------------------------------------------------------------------
 # Geometric doubling
 # ------------------------------------------------------------------------------
-def _per_ball_doubling(space, multipliers):
+def _per_ball_doubling(space):
     """The greedy ``estimate_geometric_doubling`` ran before it was batched:
     one farthest-point traversal per candidate ball, on a copy of the ball's
     distance submatrix, starting at the center, ties to the lowest index."""
     best = 1
     for c in range(space.n):
         row = space.dist[c]
-        for r in space.candidate_radii(c, multipliers):
+        for r in space.candidate_radii(c):
             members = np.nonzero(row <= r)[0]
             if members.size <= best:
                 continue
@@ -598,12 +650,11 @@ TIE_SENSITIVE = nl.build_space(distances=[[0, 3, 5, 1, 2], [3, 0, 2, 3, 2], [5, 
 
 
 @PROPERTY
-@given(st.one_of(small_spaces(), small_spaces(coincident=True)),
-       st.sampled_from([nl.mmspace.DEFAULT_MULTIPLIERS, (1.0,), (0.5, 1.0, 2.0)]))
-@example(TIE_SENSITIVE, nl.mmspace.DEFAULT_MULTIPLIERS)
-def test_doubling_count_equals_per_ball_greedy(space, multipliers):
-    count = nl.estimate_geometric_doubling(space, multipliers)
-    assert count == _per_ball_doubling(space, multipliers)
+@given(st.one_of(small_spaces(), small_spaces(coincident=True)))
+@example(TIE_SENSITIVE)
+def test_doubling_count_equals_per_ball_greedy(space):
+    count = nl.estimate_geometric_doubling(space)
+    assert count == _per_ball_doubling(space)
     if space.n <= 7:
         # a greedy cover is a cover, so it is no smaller than the least one
-        assert count >= _exhaustive_doubling_count(space, multipliers)
+        assert count >= _exhaustive_doubling_count(space)

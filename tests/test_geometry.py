@@ -189,6 +189,19 @@ def test_weak_doubling_index_two_point():
 # ------------------------------------------------------------------------------
 # coefficient inequality suite
 # ------------------------------------------------------------------------------
+@pytest.mark.parametrize("tau", [1.1, 1.5, 6.0 ** 0.25])
+@pytest.mark.parametrize("points", [[[0.0]], [[0.0], [1.0]]])
+def test_coefficient_inequalities_on_short_ladders(points, tau):
+    # the 6-fold enlargement of the bounded-enlargement pass has a scale index
+    # above 4, past the saturation depth of a one- or two-point space
+    space = nl.build_space(points=points, weights=[1.0] * len(points))
+    lam = nl.fit_power_lambda(space, 1.0)
+    report = nl.check_coefficient_inequalities(space, lam, (tau, 6.0), 100)
+    assert report.passed
+    bounded = report.details["bounded_enlargement_max"]
+    assert 1.0 <= bounded["2.0"] <= bounded["6.0"] < math.inf
+
+
 def test_coefficient_inequalities_exact_parts(grid16):
     space, lam = grid16
     report = nl.check_coefficient_inequalities(space, lam, (2.0, 6.0), 800, seed=1)

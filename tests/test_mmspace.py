@@ -86,10 +86,10 @@ def _min_cover_size(space, center, radius):
     raise AssertionError("unreachable: the member set covers itself")
 
 
-def _exhaustive_doubling_count(space, multipliers=nl.mmspace.DEFAULT_MULTIPLIERS):
+def _exhaustive_doubling_count(space):
     best = 1
     for c in range(space.n):
-        for r in space.candidate_radii(c, multipliers):
+        for r in space.candidate_radii(c):
             best = max(best, _min_cover_size(space, c, float(r)))
     return best
 
