@@ -8,7 +8,8 @@ Subcommands:
   experiment  run a configured experiment and emit JSON/CSV reports
 
 Exit codes: 0 all checks passed, 1 an exact check failed, 2 configuration
-error.  The NHS_LAB_SEED environment variable overrides configured seeds.
+error, 3 internal error (any other exception, reported as one line on
+stderr).  The NHS_LAB_SEED environment variable overrides configured seeds.
 """
 from __future__ import annotations
 
@@ -37,6 +38,8 @@ def load_space(path: str):
         raise SpecError("space file needs 'points' or 'distances'")
     meta = raw.get("metadata", {})
     kappa = meta.get("lambda", {}).get("kappa", "auto")
+    if kappa != "auto" and (isinstance(kappa, bool) or not isinstance(kappa, (int, float))):
+        raise SpecError(f"lambda kappa must be \"auto\" or a number, got {kappa!r}")
     lam = mmspace.fit_power_lambda(space, kappa)
     return space, lam
 
@@ -200,15 +203,15 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except SpecError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (SpecError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NhsLabError as exc:
         print(f"check error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,12 +7,15 @@ the two scales.  :class:`CoefficientTables` holds one flat row per candidate
 ball, the running sum along its ladder (``BallFamily.ladder``); the scalar
 :func:`discrete_coefficient` runs the same arithmetic on one ball, so the two
 agree bit for bit, and serves balls outside the family such as chain links.
+Nested-pair suprema read every pair when :func:`pairs_are_exhaustive`, else
+the ladder plus :func:`sampled_nested_pairs`, one sample per (space, budget,
+seed) shared by all of them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -198,6 +201,16 @@ def doubling_indices(space: PointCloudSpace, profile: GeometryProfile, alpha: fl
 # ------------------------------------------------------------------------------
 # Nested candidate-ball pairs
 # ------------------------------------------------------------------------------
+#: Nested-pair suprema enumerate every pair of a family of B balls when B**2
+#: is at most this, and otherwise read the ladder plus the sampled pairs.
+EXHAUSTIVE_PAIR_LIMIT = 20000
+
+
+def pairs_are_exhaustive(space: PointCloudSpace) -> bool:
+    """Whether nested-pair suprema on ``space`` enumerate every pair."""
+    return len(space.balls()) ** 2 <= EXHAUSTIVE_PAIR_LIMIT
+
+
 def nested_pairs(space: PointCloudSpace) -> tuple:
     """Every nested candidate-ball pair, as flat family indices ``(b1, b2)``.
 
@@ -214,64 +227,47 @@ def nested_pairs(space: PointCloudSpace) -> tuple:
 
 @dataclass(eq=False)
 class NestedPairSample:
-    """Accepted nested pairs (inner ball, outer ball) as flat indices into
-    the candidate family; ``coeff`` carries the discrete coefficient when a
-    dominating function was supplied at sampling time."""
+    """Accepted non-concentric nested pairs (inner ball, outer ball) as flat
+    indices into the candidate family."""
 
     b1: np.ndarray
     b2: np.ndarray
-    coeff: Optional[np.ndarray]
 
     def __len__(self) -> int:
         return int(self.b1.shape[0])
 
 
-def sampled_nested_pairs(space: PointCloudSpace, budget: int, seed: int,
-                         lam: Optional[DominatingFunction] = None,
-                         tau: Optional[float] = None,
-                         doubling_profile: Optional[GeometryProfile] = None) -> NestedPairSample:
+def sampled_nested_pairs(space: PointCloudSpace, budget: int, seed: int) -> NestedPairSample:
     """Draw up to ``budget`` non-concentric nested candidate-ball pairs with a
     fixed-seed generator, verifying member containment.
 
-    The sample is function-independent, so callers cache it per space and
-    reuse it across test functions.  When ``doubling_profile`` is given, both
-    balls must be (6, beta_6)-doubling, as the balls of the sharp maximal
-    function are.  With ``lam`` and ``tau`` the coefficients of the accepted
-    pairs are read from the coefficient table in one gather.
+    The sample is drawn once per (space, budget, seed) and shared by every
+    supremum; callers read coefficients from :meth:`CoefficientTables.pairs`,
+    and the sharp maximal function keeps the pairs of :func:`doubling_flags`
+    balls (each draw makes the same generator calls, accepted or not).
     """
-    key = ("nested_pairs", budget, seed, None if tau is None else float(tau),
-           None if doubling_profile is None else (doubling_profile.N0, doubling_profile.nu))
-    anchor = lam if lam is not None else space
-    cache = space._coeff_cache.setdefault(anchor, {})
-    if key in cache:
-        return cache[key]
+    key = (budget, seed)
+    if key in space._pair_samples:
+        return space._pair_samples[key]
     rng = np.random.default_rng(seed)
     family = space.balls()
     sizes = np.diff(family.offsets).tolist()
     counts = family.counts()
-    flags = None
-    if doubling_profile is not None:
-        flags = doubling_flags(space, doubling_profile, 6.0)
     pairs: list = []
-    n = space.n
-    if n > 1:
+    if space.n > 1:
         for _ in range(budget):
-            c1, c2 = (int(v) for v in rng.choice(n, size=2, replace=False))
+            c1, c2 = (int(v) for v in rng.choice(space.n, size=2, replace=False))
             b1 = int(family.offsets[c1] + rng.integers(sizes[c1]))
             b2 = int(family.offsets[c2] + rng.integers(sizes[c2]))
             if family.radius[b2] < family.radius[b1]:
                 c1, c2, b1, b2 = c2, c1, b2, b1
-            if flags is not None and not (flags[b1] and flags[b2]):
-                continue
             members1 = space.order[c1][:counts[b1]]
             if not np.all(space.dist[c2][members1] <= family.radius[b2]):
                 continue
             pairs.append((b1, b2))
     b1s, b2s = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-    coeff = None if lam is None or tau is None else \
-        coefficient_tables(space, lam, tau).pairs(b1s, b2s)
-    cache[key] = NestedPairSample(b1s, b2s, coeff)
-    return cache[key]
+    space._pair_samples[key] = NestedPairSample(b1s, b2s)
+    return space._pair_samples[key]
 
 
 # ------------------------------------------------------------------------------

@@ -232,6 +232,7 @@ class PointCloudSpace:
         self._fn_tables: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._lam_matrices: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._coeff_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+        self._pair_samples: dict = {}
 
     # -- sorted-distance machinery --------------------------------------------
     @property

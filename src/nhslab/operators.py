@@ -30,6 +30,7 @@ from .geometry import (
     doubling_flags,
     coefficient_tables,
     nested_pairs,
+    pairs_are_exhaustive,
     sampled_nested_pairs,
 )
 from .mmspace import (
@@ -292,9 +293,13 @@ def t_lambda(space: PointCloudSpace, lam: DominatingFunction, f: np.ndarray,
     return totals if x is None else float(totals[x])
 
 
-def _marcinkiewicz_at(space: PointCloudSpace, kernel: KernelSpec, f: np.ndarray,
-                      params: OperatorParams, x: int,
-                      b: Optional[np.ndarray] = None) -> float:
+def _marcinkiewicz(space: PointCloudSpace, kernel: KernelSpec, f, x: Optional[int],
+                   params: Optional[OperatorParams], b: Optional[np.ndarray] = None):
+    """The integral at ``x`` (every point if None), weighted by b(x) - b(y) if ``b`` is given."""
+    params = params or OperatorParams()
+    f = np.asarray(f, dtype=float)
+    if x is None:
+        return np.asarray([_marcinkiewicz(space, kernel, f, i, params, b) for i in range(space.n)])
     row = space.dist[x]
     sel = (row > 0) & (f != 0)
     if not sel.any():
@@ -324,11 +329,7 @@ def marcinkiewicz(space: PointCloudSpace, kernel: KernelSpec, f: np.ndarray,
     consecutive distinct distances from x to the support of f; atoms at equal
     distance merge into a single jump.
     """
-    params = params or OperatorParams()
-    f = np.asarray(f, dtype=float)
-    if x is not None:
-        return _marcinkiewicz_at(space, kernel, f, params, x)
-    return np.asarray([_marcinkiewicz_at(space, kernel, f, params, i) for i in range(space.n)])
+    return _marcinkiewicz(space, kernel, f, x, params)
 
 
 def marcinkiewicz_commutator(space: PointCloudSpace, kernel: KernelSpec,
@@ -336,12 +337,7 @@ def marcinkiewicz_commutator(space: PointCloudSpace, kernel: KernelSpec,
                              x: Optional[int] = None,
                              params: Optional[OperatorParams] = None):
     """Commutator variant: each summand is weighted by b(x) - b(y)."""
-    params = params or OperatorParams()
-    f = np.asarray(f, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if x is not None:
-        return _marcinkiewicz_at(space, kernel, f, params, x, b)
-    return np.asarray([_marcinkiewicz_at(space, kernel, f, params, i, b) for i in range(space.n)])
+    return _marcinkiewicz(space, kernel, f, x, params, np.asarray(b, dtype=float))
 
 
 # ------------------------------------------------------------------------------
@@ -443,18 +439,17 @@ def _sharp_exhaustive(space, lam, profile, f, tau) -> np.ndarray:
 
 def sharp_maximal(space: PointCloudSpace, lam: DominatingFunction,
                   profile: GeometryProfile, f: np.ndarray,
-                  x: Optional[int] = None, *, pair_budget: int = 2000, seed: int = 0,
-                  exhaustive_limit: int = 20000):
+                  x: Optional[int] = None, *, pair_budget: int = 2000, seed: int = 0):
     """Oscillation maximal function combined with the coefficient-normalized
     mean-jump supremum over nested doubling ball pairs containing the point.
 
     Concentric pairs are enumerated exhaustively; non-concentric containing
-    pairs come from a fixed-seed budgeted sample (everything, when the family
-    is small enough).
+    pairs are the doubling pairs of the space's shared fixed-seed sample
+    (everything, when :func:`~nhslab.geometry.pairs_are_exhaustive` holds).
     """
     family = space.balls()
     f = np.asarray(f, dtype=float)
-    if len(family) ** 2 <= exhaustive_limit:
+    if pairs_are_exhaustive(space):
         out = _sharp_exhaustive(space, lam, profile, f, 6.0)
         return out if x is None else float(out[x])
 
@@ -481,8 +476,10 @@ def sharp_maximal(space: PointCloudSpace, lam: DominatingFunction,
         v = np.where(allowed, v, -math.inf)
         pair_vals[s] = v.max(axis=1)
     # a sampled pair reaches the members of its inner ball, as a concentric one
-    pairs = sampled_nested_pairs(space, pair_budget, seed, lam=lam, tau=6.0, doubling_profile=profile)
-    np.maximum.at(pair_vals, pairs.b1, np.abs(means[pairs.b1] - means[pairs.b2]) / pairs.coeff)
+    pairs = sampled_nested_pairs(space, pair_budget, seed)
+    doubling = flags[pairs.b1] & flags[pairs.b2]
+    b1, b2 = pairs.b1[doubling], pairs.b2[doubling]
+    np.maximum.at(pair_vals, b1, np.abs(means[b1] - means[b2]) / tables.pairs(b1, b2))
 
     osc_part = _scatter_sup(space, osc_s / family.measures(6.0))
     pair_part = np.maximum(_scatter_sup(space, pair_vals), 0.0)

@@ -4,9 +4,11 @@ The Morrey norm is a supremum over candidate balls of normalized p-means;
 the Campanato norm combines a normalized mean-oscillation supremum with a
 regularity supremum over nested ball pairs, where mean jumps are divided by
 a power of the discrete nesting coefficient.  Ball-pair enumeration is
-exhaustive when the family is small, and otherwise uses the exhaustive
-concentric dyadic ladder plus a budgeted, fixed-seed sample of non-concentric
-containing pairs.
+exhaustive when :func:`~nhslab.geometry.pairs_are_exhaustive` holds, and
+otherwise uses the exhaustive concentric dyadic ladder plus the budgeted,
+fixed-seed sample of non-concentric containing pairs, drawn once per
+(space, budget, seed) by :func:`~nhslab.geometry.sampled_nested_pairs` and
+shared with ``validate_phi_gdec`` and the sharp maximal function.
 
 The normalizers psi and phi follow the radial-function protocol of
 :class:`~nhslab.mmspace.Radial`: each family is one broadcasting
@@ -28,6 +30,7 @@ from .geometry import (
     ball_members,
     coefficient_tables,
     nested_pairs,
+    pairs_are_exhaustive,
     sampled_nested_pairs,
     scale_index_array,
 )
@@ -226,8 +229,7 @@ def _campanato_exhaustive(space, lam, f, psi, tau, gamma) -> CampanatoNormReport
 
 def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.ndarray,
                          psi: RegularityFunctionPsi, combos: Sequence[tuple],
-                         *, pair_budget: int = 2000, seed: int = 0,
-                         exhaustive_limit: int = 20000) -> list:
+                         *, pair_budget: int = 2000, seed: int = 0) -> list:
     """Oscillation-regularity norms for several (tau, gamma) combinations,
     sharing the per-function oscillation and mean tables across combos."""
     for tau, gamma in combos:
@@ -236,7 +238,7 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
         if not gamma >= 1:
             raise InvalidExponent(f"gamma must be at least 1, got {gamma!r}")
     family = space.balls()
-    if len(family) ** 2 <= exhaustive_limit:
+    if pairs_are_exhaustive(space):
         return [_campanato_exhaustive(space, lam, f, psi, tau, gamma)
                 for tau, gamma in combos]
 
@@ -274,10 +276,10 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
             reg, reg_w = top, {"inner": family.ball(b),
                                "outer": {"center": int(family.center[b]), "radius": float(outer)}}
 
-        pairs = sampled_nested_pairs(space, pair_budget, seed, lam=lam, tau=tau)
+        pairs = sampled_nested_pairs(space, pair_budget, seed)
         if len(pairs):
             b1, b2 = pairs.b1, pairs.b2
-            vals = np.abs(means[b1] - means[b2]) / (psit[b1] * pairs.coeff ** gamma)
+            vals = np.abs(means[b1] - means[b2]) / (psit[b1] * tables.pairs(b1, b2) ** gamma)
             j = int(np.argmax(vals))
             if vals[j] > reg:
                 reg = float(vals[j])
@@ -289,17 +291,15 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
 
 def campanato_norm(space: PointCloudSpace, lam: DominatingFunction, f: np.ndarray,
                    psi: RegularityFunctionPsi, tau: float = 2.0, gamma: float = 1.0,
-                   *, pair_budget: int = 2000, seed: int = 0,
-                   exhaustive_limit: int = 20000) -> CampanatoNormReport:
+                   *, pair_budget: int = 2000, seed: int = 0) -> CampanatoNormReport:
     """Oscillation-regularity norm of f.
 
-    When the squared candidate-ball count is at most ``exhaustive_limit`` the
-    nested-pair supremum enumerates every pair; otherwise it combines the
-    exhaustive concentric ladder with ``pair_budget`` sampled containing pairs.
+    When :func:`~nhslab.geometry.pairs_are_exhaustive` holds the nested-pair
+    supremum enumerates every pair; otherwise it combines the exhaustive
+    concentric ladder with ``pair_budget`` sampled containing pairs.
     """
     return campanato_norm_multi(space, lam, f, psi, [(tau, gamma)],
-                                pair_budget=pair_budget, seed=seed,
-                                exhaustive_limit=exhaustive_limit)[0]
+                                pair_budget=pair_budget, seed=seed)[0]
 
 
 def p_oscillation_norm(space: PointCloudSpace, f: np.ndarray,
@@ -333,14 +333,15 @@ _LIMIT_TABLE = {
 
 def validate_phi_gdec(space: PointCloudSpace, phi: GrowthFunctionPhi,
                       etas: Sequence[float] = (2.0,), pair_budget: int = 2000,
-                      seed: int = 0, exhaustive_limit: int = 20000) -> CheckReport:
+                      seed: int = 0) -> CheckReport:
     """Check strict radius decrease on the grid, measure the nested-ball
     constants for each enlargement factor, and resolve the asymptotic limits
     symbolically for the shipped families (reported as unchecked otherwise).
 
-    Pair enumeration is exhaustive when the squared family size is at most
-    ``exhaustive_limit``, otherwise the concentric pairs among about 40
-    strided radii per center plus a budgeted non-concentric sample; ``details`` names the branch (``pairs``) and the
+    Pair enumeration is exhaustive when
+    :func:`~nhslab.geometry.pairs_are_exhaustive` holds, otherwise the
+    concentric pairs among about 40 strided radii per center plus the shared
+    non-concentric sample; ``details`` names the branch (``pairs``) and the
     number of pairs measured (``pair_count``).
     """
     family = space.balls()
@@ -353,7 +354,7 @@ def validate_phi_gdec(space: PointCloudSpace, phi: GrowthFunctionPhi,
         witness = {**family.ball(j), "next_radius": float(family.radius[j + 1])}
 
     # nested pairs as flat family indices (inner, outer)
-    exhaustive = len(family) ** 2 <= exhaustive_limit
+    exhaustive = pairs_are_exhaustive(space)
     if exhaustive:
         b1, b2 = nested_pairs(space)
     else:

@@ -8,16 +8,20 @@ compared, bit for bit in value and witness, with a per-center reference loop
 kept here; the nested-pair enumerator is compared with a brute-force double
 loop over ball masks, the batched doubling greedy with the per-ball greedy it
 replaced, the one scatter of ``sharp_maximal`` with the per-pair member loop
-it replaced, and the coefficient table with the scalar primitive on every
-nested pair.  A guard test pins that the family is one per space, with no option.
+it replaced, the shared nested-pair sample filtered by the doubling flags
+with the doubling draw loop it replaced, and the coefficient table with the
+scalar primitive on every nested pair.  Guard tests pin that the family and
+the pair sample are one per space, with no option.
 Spaces are small (n <= 10): points in 1 to 3 dimensions and integer-length
 graph metrics with many tied distances, with weight ratios up to 1e6; the
 doubling property also draws coincident lattice points.
 """
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -189,6 +193,61 @@ def test_nested_pairs_equal_brute_force_in_order(space):
     assert [(balls[i], balls[j]) for i, j in zip(b1, b2)] == want
 
 
+def _doubling_sample_reference(space, budget, seed, profile):
+    """The draw loop ``sampled_nested_pairs`` ran for the sharp maximal
+    function before the sample was shared: a drawn pair whose balls are not
+    both (6, beta_6)-doubling is dropped before its containment test."""
+    rng = np.random.default_rng(seed)
+    family = space.balls()
+    sizes = np.diff(family.offsets).tolist()
+    counts = family.counts()
+    flags = geometry.doubling_flags(space, profile, 6.0)
+    pairs = []
+    if space.n > 1:
+        for _ in range(budget):
+            c1, c2 = (int(v) for v in rng.choice(space.n, size=2, replace=False))
+            b1 = int(family.offsets[c1] + rng.integers(sizes[c1]))
+            b2 = int(family.offsets[c2] + rng.integers(sizes[c2]))
+            if family.radius[b2] < family.radius[b1]:
+                c1, c2, b1, b2 = c2, c1, b2, b1
+            if not (flags[b1] and flags[b2]):
+                continue
+            members1 = space.order[c1][:counts[b1]]
+            if not np.all(space.dist[c2][members1] <= family.radius[b2]):
+                continue
+            pairs.append((b1, b2))
+    return tuple(np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T)
+
+
+@PROPERTY
+@given(small_spaces(), st.sampled_from([PROFILE, nl.GeometryProfile(N0=1, nu=0.0)]),
+       st.sampled_from([0, 300, 2000]), st.integers(0, 2))
+def test_shared_sample_filtered_by_doubling_equals_doubling_draw_loop(space, profile, budget, seed):
+    """One sample per (space, budget, seed): filtered by the doubling flags,
+    it is the sample the doubling draw loop gave, pair for pair and in order."""
+    sample = geometry.sampled_nested_pairs(space, budget, seed)
+    assert geometry.sampled_nested_pairs(space, budget, seed) is sample
+    flags = geometry.doubling_flags(space, profile, 6.0)
+    doubling = flags[sample.b1] & flags[sample.b2]
+    inner, outer = _doubling_sample_reference(space, budget, seed, profile)
+    assert np.array_equal(sample.b1[doubling], inner)
+    assert np.array_equal(sample.b2[doubling], outer)
+
+
+def test_one_sample_signature_and_one_size_rule():
+    """The sample takes no function, carries no coefficient, and the branch
+    choice is the ``geometry`` constant, read at call time."""
+    assert list(inspect.signature(geometry.sampled_nested_pairs).parameters) == ["space", "budget", "seed"]
+    assert [f.name for f in dataclasses.fields(geometry.NestedPairSample)] == ["b1", "b2"]
+    for fn in (spaces.campanato_norm, spaces.campanato_norm_multi, spaces.validate_phi_gdec,
+               operators.sharp_maximal):
+        assert "exhaustive_limit" not in inspect.signature(fn).parameters, fn
+    space = nl.build_space(points=[[0.0], [1.0], [3.0]], weights=np.ones(3))
+    assert geometry.pairs_are_exhaustive(space)
+    with mock.patch.object(geometry, "EXHAUSTIVE_PAIR_LIMIT", len(space.balls()) ** 2 - 1):
+        assert not geometry.pairs_are_exhaustive(space)
+
+
 # ------------------------------------------------------------------------------
 # Per-center reference loops
 # ------------------------------------------------------------------------------
@@ -243,7 +302,8 @@ def test_morrey_and_oscillation_norms_equal_per_center_loops(data, p, tau):
     sums = spaces.oscillation_sums(space, f)
     want = _per_center_sup(space, lambda c, radii: (
         sums[c][space.counts(c, radii) - 1] / (psi.table(c, radii) * _mu(space, c, tau * radii))))
-    report = spaces.campanato_norm(space, _lam(space), f, psi, tau, exhaustive_limit=0, pair_budget=50)
+    with mock.patch.object(geometry, "EXHAUSTIVE_PAIR_LIMIT", 0):
+        report = spaces.campanato_norm(space, _lam(space), f, psi, tau, pair_budget=50)
     assert (report.oscillation_sup, report.oscillation_witness) == want
 
 
@@ -284,8 +344,8 @@ def test_maximal_operators_equal_per_center_loops(data, tau):
 
 def _sharp_maximal_reference(space, lam, profile, f, pairs):
     """``sharp_maximal``'s ladder branch as per-center loops, with the sampled
-    ``pairs`` scattered one pair at a time onto the members of the inner
-    ball, in ascending order of their ratio."""
+    ``pairs`` (inner and outer index arrays) scattered one pair at a time onto
+    the members of the inner ball, in ascending order of their ratio."""
     osc = spaces.oscillation_sums(space, f)
     pf = space.prefix_of(f * space.weights)
     pw = space.prefix_weight
@@ -313,9 +373,10 @@ def _sharp_maximal_reference(space, lam, profile, f, pairs):
     family = space.balls()
     counts = family.counts()
     means = pf[family.center, counts] / pw[family.center, counts]
-    ratio = np.abs(means[pairs.b1] - means[pairs.b2]) / pairs.coeff
+    inner, outer = pairs
+    ratio = np.abs(means[inner] - means[outer]) / tables.pairs(inner, outer)
     for t in np.argsort(ratio):
-        b1 = pairs.b1[t]
+        b1 = inner[t]
         members = space.order[family.center[b1]][: counts[b1]]
         pair_part[members] = np.maximum(pair_part[members], ratio[t])
     return np.maximum(_scatter_reference(space, osc_vals), pair_part)
@@ -326,9 +387,10 @@ def _sharp_maximal_reference(space, lam, profile, f, pairs):
 def test_sharp_maximal_ladder_equals_per_center_loop(data):
     space, f = data
     lam = _lam(space)
-    no_pairs = geometry.sampled_nested_pairs(space, 0, 0, lam=lam, tau=6.0, doubling_profile=PROFILE)
+    no_pairs = _doubling_sample_reference(space, 0, 0, PROFILE)
     want = _sharp_maximal_reference(space, lam, PROFILE, f, no_pairs)
-    got = operators.sharp_maximal(space, lam, PROFILE, f, exhaustive_limit=0, pair_budget=0)
+    with mock.patch.object(geometry, "EXHAUSTIVE_PAIR_LIMIT", 0):
+        got = operators.sharp_maximal(space, lam, PROFILE, f, pair_budget=0)
     assert np.array_equal(got, want)
 
 
@@ -337,9 +399,10 @@ def test_sharp_maximal_ladder_equals_per_center_loop(data):
 def test_sharp_maximal_sampled_pairs_equal_per_pair_loop(data, budget):
     space, f = data
     lam = _lam(space)
-    pairs = geometry.sampled_nested_pairs(space, budget, 0, lam=lam, tau=6.0, doubling_profile=PROFILE)
+    pairs = _doubling_sample_reference(space, budget, 0, PROFILE)
     want = _sharp_maximal_reference(space, lam, PROFILE, f, pairs)
-    got = operators.sharp_maximal(space, lam, PROFILE, f, exhaustive_limit=0, pair_budget=budget)
+    with mock.patch.object(geometry, "EXHAUSTIVE_PAIR_LIMIT", 0):
+        got = operators.sharp_maximal(space, lam, PROFILE, f, pair_budget=budget)
     assert np.array_equal(got, want)
 
 
@@ -364,8 +427,9 @@ def test_discrete_coefficient_equals_table(data, tau):
     for i, j in zip(*geometry.nested_pairs(space)):
         value = primitive(i, j)
         assert value.value == tables.concentric(i, value.N)
-    sample = geometry.sampled_nested_pairs(space, 60, 1, lam=lam, tau=tau)
-    assert np.array_equal(sample.coeff, [primitive(i, j).value for i, j in zip(sample.b1, sample.b2)])
+    sample = geometry.sampled_nested_pairs(space, 60, 1)
+    assert np.array_equal(tables.pairs(sample.b1, sample.b2),
+                          [primitive(i, j).value for i, j in zip(sample.b1, sample.b2)])
 
 
 def _campanato_ladder_reference(space, lam, f, psi, tau, gamma):
@@ -436,11 +500,13 @@ def test_campanato_and_mean_jump_ladders_equal_per_center_loops(data, tau, gamma
     # member counts along their ladders, so values tie and the witness order counts
     lam = nl.fit_power_lambda(space, kappa)
     psi = spaces.weight_psi(space)
-    report = spaces.campanato_norm(space, lam, f, psi, tau, gamma, exhaustive_limit=0, pair_budget=0)
+    with mock.patch.object(geometry, "EXHAUSTIVE_PAIR_LIMIT", 0):
+        report = spaces.campanato_norm(space, lam, f, psi, tau, gamma, pair_budget=0)
     assert (report.regularity_sup, report.regularity_witness) == \
         _campanato_ladder_reference(space, lam, f, psi, tau, gamma)
     g = np.round(f)
-    report = spaces.campanato_norm(space, lam, g, psi, tau, gamma, exhaustive_limit=0, pair_budget=0)
+    with mock.patch.object(geometry, "EXHAUSTIVE_PAIR_LIMIT", 0):
+        report = spaces.campanato_norm(space, lam, g, psi, tau, gamma, pair_budget=0)
     assert (report.regularity_sup, report.regularity_witness) == \
         _campanato_ladder_reference(space, lam, g, psi, tau, gamma)
 
@@ -611,7 +677,8 @@ def test_psi_and_phi_validators_equal_per_center_loops(space):
                                if b2.radius >= b1.radius and not np.any(masks[i] & ~masks[j])]).T
     p1, p2, mu1, mu2 = values[inner], values[outer], mu[inner], mu[outer]
     want = [float(np.min((p1 * mu1 ** 0.5) / (p2 * mu2 ** 0.5))), float(np.max((p1 * mu1) / (p2 * mu2)))]
-    report = nl.validate_phi_gdec(space, phi, etas=(2.0,), exhaustive_limit=10 ** 6)
+    with mock.patch.object(geometry, "EXHAUSTIVE_PAIR_LIMIT", 10 ** 6):
+        report = nl.validate_phi_gdec(space, phi, etas=(2.0,))
     assert report.details["eta_constants"]["2.0"] == want
 
 

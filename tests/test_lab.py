@@ -245,6 +245,26 @@ def test_cli_function_length_mismatch(tmp_path, capsys):
     assert cli.main(["norms", space_path, str(f_path)]) == 2
 
 
+@pytest.mark.parametrize("kappa", ["steep", True, None])
+def test_cli_malformed_kappa_is_a_config_error(tmp_path, capsys, kappa):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({
+        "points": [[0.0], [1.0]], "weights": [1.0, 1.0],
+        "metadata": {"lambda": {"kappa": kappa}}}))
+    assert cli.main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: lambda kappa")
+
+
+def test_cli_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
+    # exit code 1 stays reserved for failing checks
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_validate", broken)
+    assert cli.main(["validate", _write_two_point(tmp_path)]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
 def test_cli_norms_and_operators(tmp_path, capsys):
     space_path = _write_two_point(tmp_path)
     f_path = tmp_path / "f.json"

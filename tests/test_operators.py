@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import nhslab as nl
-from nhslab import lab, operators, spaces
+from nhslab import geometry, lab, operators, spaces
 from nhslab.errors import (
     InvalidParams,
     NonMonotoneTheta,
@@ -470,8 +471,8 @@ def test_sharp_fast_path_matches_exhaustive(small_space):
     rng = np.random.default_rng(20)
     f = rng.uniform(-1, 1, space.n)
     exh = nl.sharp_maximal(space, lam, profile, f)
-    fast = nl.sharp_maximal(space, lam, profile, f,
-                            exhaustive_limit=0, pair_budget=30000)
+    with mock.patch.object(geometry, "EXHAUSTIVE_PAIR_LIMIT", 0):
+        fast = nl.sharp_maximal(space, lam, profile, f, pair_budget=30000)
     assert np.allclose(fast, exh, rtol=1e-12)
 
 

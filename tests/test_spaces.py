@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import nhslab as nl
-from nhslab import lab, spaces
+from nhslab import geometry, lab, spaces
 from nhslab.errors import InvalidExponent, ZeroNorm
 from nhslab.geometry import Ball
 
@@ -145,8 +146,8 @@ def test_campanato_fast_path_matches_exhaustive(small_space, psi_const):
     rng = np.random.default_rng(9)
     f = rng.uniform(-1, 1, space.n)
     exh = nl.campanato_norm(space, lam, f, psi_const)
-    fast = nl.campanato_norm(space, lam, f, psi_const,
-                             exhaustive_limit=0, pair_budget=30000)
+    with mock.patch.object(geometry, "EXHAUSTIVE_PAIR_LIMIT", 0):
+        fast = nl.campanato_norm(space, lam, f, psi_const, pair_budget=30000)
     assert fast.norm == pytest.approx(exh.norm, rel=1e-12)
 
 
@@ -154,7 +155,7 @@ def test_campanato_reports_exhaustive_pairs(small_space, psi_const):
     space, lam = small_space
     f = np.random.default_rng(5).uniform(-1, 1, space.n)
     report = nl.campanato_norm(space, lam, f, psi_const)
-    assert len(space.balls()) ** 2 <= 20000
+    assert len(space.balls()) ** 2 <= geometry.EXHAUSTIVE_PAIR_LIMIT
     assert report.pairs == "exhaustive"
     assert report.pair_count == nl.geometry.nested_pairs(space)[0].size
 
@@ -162,12 +163,13 @@ def test_campanato_reports_exhaustive_pairs(small_space, psi_const):
 def test_campanato_reports_ladder_and_sampled_pairs(small_space, psi_const):
     space, lam = small_space
     f = np.random.default_rng(5).uniform(-1, 1, space.n)
-    report = nl.campanato_norm(space, lam, f, psi_const, 3.0, exhaustive_limit=0, pair_budget=40)
+    with mock.patch.object(geometry, "EXHAUSTIVE_PAIR_LIMIT", 0):
+        report = nl.campanato_norm(space, lam, f, psi_const, 3.0, pair_budget=40)
     assert report.pairs == "ladder_and_sampled"
     # each ball B is paired with 3**k B for k = 1 .. one past its saturation depth
     ladder = sum(nl.geometry.smallest_scale_index(3.0, float(r), max(space.diameter, float(radii[0]))) + 1
                  for radii in (space.candidate_radii(c) for c in range(space.n)) for r in radii)
-    sample = nl.geometry.sampled_nested_pairs(space, 40, 0, lam=lam, tau=3.0)
+    sample = nl.geometry.sampled_nested_pairs(space, 40, 0)
     assert 0 < len(sample) < 40
     assert report.pair_count == ladder + len(sample)
 
@@ -295,7 +297,7 @@ def test_phi_constants_match_exhaustive(small_space):
 
 def test_phi_gdec_reports_its_pair_branch():
     # ten scattered points give 18 candidate balls per center, 180 in all,
-    # so 180**2 exceeds the default limit of 20000 and pairs are sampled
+    # so 180**2 exceeds EXHAUSTIVE_PAIR_LIMIT (20000) and pairs are sampled
     space = nl.build_space(points=np.random.default_rng(1).uniform(0.0, 1.0, (10, 1)),
                            weights=np.ones(10))
     phi = spaces.power_phi(1.0)
@@ -303,7 +305,8 @@ def test_phi_gdec_reports_its_pair_branch():
     assert len(space.balls()) == 180
     assert sampled.details["pairs"] == "strided_and_sampled"
     assert sampled.details["pair_count"] > 0
-    full = nl.validate_phi_gdec(space, phi, exhaustive_limit=10 ** 6)
+    with mock.patch.object(geometry, "EXHAUSTIVE_PAIR_LIMIT", 10 ** 6):
+        full = nl.validate_phi_gdec(space, phi)
     assert full.details["pairs"] == "exhaustive"
     assert full.details["pair_count"] == nl.geometry.nested_pairs(space)[0].size
 
