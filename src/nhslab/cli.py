@@ -25,6 +25,14 @@ from .operators import OperatorParams
 from .report import CheckReport
 
 
+def _tau(text: str) -> float:
+    """A dilation step: a number above 1."""
+    value = float(text)
+    if not value > 1.0:
+        raise argparse.ArgumentTypeError(f"tau must exceed 1, got {value!r}")
+    return value
+
+
 def load_space(path: str):
     """Space JSON: {"points": [[...]...] | "distances": [[...]], "weights": [...],
     "metadata": {...}}; metadata may carry {"lambda": {"kappa": ...}}."""
@@ -164,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeff", help="coefficient inequality suite")
     p.add_argument("space")
-    p.add_argument("--tau", type=float, default=2.0)
+    p.add_argument("--tau", type=_tau, default=2.0)
     p.add_argument("--budget", type=int, default=2000)
     p.add_argument("--chains", type=int, default=25,
                    help="number of qualifying chains to generate")
@@ -177,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("space")
     p.add_argument("function")
     p.add_argument("--psi", default="constant")
-    p.add_argument("--tau", type=float, default=2.0)
+    p.add_argument("--tau", type=_tau, default=2.0)
     p.add_argument("--gamma", type=float, default=1.0)
     p.set_defaults(fn=_cmd_norms)
 

@@ -19,7 +19,8 @@ class MetricViolation(NhsLabError):
 
 
 class DegenerateRadii(NhsLabError):
-    """An automatic power fit needs at least two distinct candidate radii."""
+    """A power fit cannot be made on the candidate radii (too few distinct radii,
+    or powers of them outside the float range)."""
 
 
 class NotNested(NhsLabError):

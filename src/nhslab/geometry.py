@@ -139,7 +139,6 @@ class CoefficientTables:
         self.tau = float(tau)
         self.k_floor = ladder.k_floor
         self._family = family
-        self._pair_indices: dict = {}
         terms = space.prefix_weight[family.center[:, None], ladder.counts]
         terms /= lam.table(family.center[:, None], family.radius[:, None] * ladder.scales)
         self.cumulative = np.cumsum(terms, axis=1, out=terms)
@@ -156,16 +155,9 @@ class CoefficientTables:
 
     def pair_scale_indices(self, center: int) -> np.ndarray:
         """Matrix of scale indices for every concentric radius pair of a
-        center; function-independent, so cached for centers with at most
-        400,000 pairs."""
-        cached = self._pair_indices.get(center)
-        if cached is not None:
-            return cached
+        center, the reference for ``BallFamily.run_ends``."""
         radii = self._family.radius[self._family.segment(center)]
-        mat = scale_index_array(self.tau, radii[:, None], radii[None, :]).astype(np.int16)
-        if radii.size * radii.size <= 400_000:
-            self._pair_indices[center] = mat
-        return mat
+        return scale_index_array(self.tau, radii[:, None], radii[None, :])
 
 
 def coefficient_tables(space: PointCloudSpace, lam: DominatingFunction, tau: float) -> CoefficientTables:

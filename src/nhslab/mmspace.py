@@ -16,7 +16,8 @@ gather over this family followed by one argmax; exhaustive suprema over
 nested ball pairs enumerate ``geometry.nested_pairs``.  Per dilation step tau
 it caches one :class:`Ladder`, the member counts of every tau**k * B from one
 ``counts_of``, which the coefficient tables, the concentric Campanato and
-mean-jump ladders and the doubling indices read.
+mean-jump ladders and the doubling indices read, and the run ends
+(``run_ends``) that group each ball's concentric outer balls by scale index.
 
 Functions of a center and a radius (the dominating function here, the
 normalizers psi and phi in :mod:`nhslab.spaces`) share one protocol,
@@ -44,6 +45,7 @@ import numpy as np
 from .errors import (
     DegenerateRadii,
     DimensionMismatch,
+    InvalidParams,
     MetricViolation,
     NonPositiveWeight,
 )
@@ -63,6 +65,12 @@ RADIUS_MULTIPLIERS = (0.5, 1.0)
 
 #: Radius assigned to a center with no positive distances (singleton space).
 FALLBACK_RADIUS = 1.0
+
+#: ``build_space`` checks the triangle inequality on every triple of a space
+#: with at most this many points, and above it on ``TRIANGLE_SAMPLE_FACTOR *
+#: n**2`` random triples.
+TRIANGLE_EXHAUSTIVE_LIMIT = 2048
+TRIANGLE_SAMPLE_FACTOR = 10
 
 
 def _dedup_sorted(values: np.ndarray, rel: float = RADIUS_DEDUP_TOL) -> np.ndarray:
@@ -149,6 +157,7 @@ class BallFamily:
         self._prefix_weight = space.prefix_weight
         self._counts: dict = {}
         self._ladders: dict = {}
+        self._run_ends: dict = {}
 
     def __len__(self) -> int:
         return int(self.radius.size)
@@ -188,6 +197,8 @@ class BallFamily:
         of every 6-fold enlargement, the largest bounded enlargement that
         ``check_coefficient_inequalities`` records."""
         tau = float(tau)
+        if not tau > 1.0:
+            raise InvalidParams(f"tau must exceed 1, got {tau!r}")
         if tau not in self._ladders:
             top = smallest_scale_index(tau, float(self.radius.min()),
                                        max(float(self.radius.max()), self._diameter)) + 4
@@ -198,6 +209,27 @@ class BallFamily:
             counts.setflags(write=False)
             self._ladders[tau] = Ladder(k_floor, scales, counts)
         return self._ladders[tau]
+
+    def run_ends(self, tau: float) -> np.ndarray:
+        """``ends[b, N]`` is one past the last ball of b's segment with radius
+        at most the ladder's tau**N * radius[b] (cached), so the balls j >= b
+        of pair scale index N are ``ends[b, N - 1]:ends[b, N]`` (from b for
+        N = 0).  Columns stop at the largest concentric pair's index."""
+        tau = float(tau)
+        if tau not in self._run_ends:
+            ladder = self.ladder(tau)
+            reach = self.radius[:, None] * ladder.scales[ladder.k_floor:]
+            ends = np.empty(reach.shape, dtype=np.int32)
+            for c in range(self.n):
+                s = self.segment(c)
+                ends[s] = s.start + np.searchsorted(self.radius[s], reach[s], side="right")
+            np.maximum.accumulate(ends, axis=1, out=ends)
+            # columns past the last nonempty run hold no pair
+            grows = np.flatnonzero(np.any(ends[:, 1:] > ends[:, :-1], axis=0))
+            ends = ends[:, : grows[-1] + 2 if grows.size else 1]
+            ends.setflags(write=False)
+            self._run_ends[tau] = ends
+        return self._run_ends[tau]
 
     def sup(self, values: np.ndarray) -> tuple:
         """Largest of ``values`` (one per ball) floored at 0, with the first
@@ -323,17 +355,15 @@ def build_space(
     *,
     distances=None,
     rel_tol: float = 1e-12,
-    exhaustive_limit: int = 2048,
-    sample_factor: int = 10,
     seed: int = 0,
 ) -> PointCloudSpace:
     """Build and validate a finite metric measure space.
 
     Exactly one of ``points`` (coordinates; Euclidean metric) or ``distances``
     (a full square matrix) must be given.  The metric axioms are verified
-    exhaustively up to ``exhaustive_limit`` points and by sampling at least
-    ``sample_factor * n**2`` random triples above that.  The triangle check
-    allows a relative slack of ``rel_tol`` to absorb coordinate rounding.
+    exhaustively up to ``TRIANGLE_EXHAUSTIVE_LIMIT`` points and on
+    ``TRIANGLE_SAMPLE_FACTOR * n**2`` random triples above that.  The triangle
+    check allows a relative slack of ``rel_tol`` to absorb coordinate rounding.
     """
     if (points is None) == (distances is None):
         raise DimensionMismatch("provide exactly one of points= or distances=")
@@ -376,16 +406,15 @@ def build_space(
         dist = 0.5 * (dist + dist.T)
         np.fill_diagonal(dist, 0.0)
 
-    _check_triangle(dist, rel_tol, exhaustive_limit, sample_factor, seed)
+    _check_triangle(dist, rel_tol, seed)
     return PointCloudSpace(dist, w, coords)
 
 
-def _check_triangle(dist: np.ndarray, rel_tol: float, exhaustive_limit: int,
-                    sample_factor: int, seed: int) -> None:
+def _check_triangle(dist: np.ndarray, rel_tol: float, seed: int) -> None:
     n = dist.shape[0]
     if n <= 2:
         return
-    if n <= exhaustive_limit:
+    if n <= TRIANGLE_EXHAUSTIVE_LIMIT:
         slack = rel_tol * np.maximum(dist, 1.0)
         for k in range(n):
             bound = dist[:, k : k + 1] + dist[k : k + 1, :]
@@ -398,7 +427,7 @@ def _check_triangle(dist: np.ndarray, rel_tol: float, exhaustive_limit: int,
                 )
         return
     rng = np.random.default_rng(seed)
-    triples = rng.integers(0, n, size=(sample_factor * n * n, 3))
+    triples = rng.integers(0, n, size=(TRIANGLE_SAMPLE_FACTOR * n * n, 3))
     i, k, j = triples[:, 0], triples[:, 1], triples[:, 2]
     lhs = dist[i, j]
     rhs = dist[i, k] + dist[k, j]
@@ -521,7 +550,10 @@ def fit_power_lambda(space: PointCloudSpace, kappa="auto", *,
         kappa_val = float(kappa)
         if kappa_val < 0:
             raise DegenerateRadii(f"kappa must be nonnegative, got {kappa_val!r}")
-    c0 = float(np.max(mus / family.radius ** kappa_val))
+    with np.errstate(divide="ignore", over="ignore"):  # radius ** kappa may underflow to 0
+        c0 = float(np.max(mus / family.radius ** kappa_val))
+    if not math.isfinite(c0):
+        raise DegenerateRadii(f"radius ** kappa leaves the float range at kappa={kappa_val!r}")
     return DominatingFunction(
         lambda _c, r: c0 * r ** kappa_val,
         c_lambda=2.0 ** kappa_val,

@@ -295,30 +295,45 @@ def t_lambda(space: PointCloudSpace, lam: DominatingFunction, f: np.ndarray,
 
 def _marcinkiewicz(space: PointCloudSpace, kernel: KernelSpec, f, x: Optional[int],
                    params: Optional[OperatorParams], b: Optional[np.ndarray] = None):
-    """The integral at ``x`` (every point if None), weighted by b(x) - b(y) if ``b`` is given."""
+    """The integral at ``x`` (every point if None), weighted by b(x) - b(y) if ``b`` is given.
+
+    One pass over the rows of ``space.order``: the summands of every row
+    (positive distance, f(y) != 0) in distance order form one flat array, and
+    each row's run of equal distances is one jump.  The per-row reductions
+    add in the order of a per-point evaluation, so the values do not depend
+    on how many points are evaluated.
+    """
     params = params or OperatorParams()
     f = np.asarray(f, dtype=float)
-    if x is None:
-        return np.asarray([_marcinkiewicz(space, kernel, f, i, params, b) for i in range(space.n)])
-    row = space.dist[x]
-    sel = (row > 0) & (f != 0)
-    if not sel.any():
-        return 0.0
-    d = row[sel]
-    contrib = kernel.matrix[x, sel] * f[sel] * space.weights[sel] / d ** (1.0 - params.rho)
+    rows = np.arange(space.n) if x is None else np.asarray([x])
+    order = space.order[rows]
+    dist = space.sorted_dist[rows]
+    r, k = np.nonzero((dist > 0) & (f[order] != 0))
+    y, center, d = order[r, k], rows[r], dist[r, k]
+    contrib = kernel.matrix[center, y] * f[y] * space.weights[y] / d ** (1.0 - params.rho)
     if b is not None:
-        contrib = contrib * (b[x] - b[sel])
-    order = np.argsort(d, kind="stable")
-    d = d[order]
-    contrib = contrib[order]
-    uniq, start = np.unique(d, return_index=True)
-    sums = np.add.reduceat(contrib, start)
-    partial = np.cumsum(sums)
-    a_exp = (params.l + params.rho) * params.s
-    rpow = uniq ** (-a_exp)
-    upper = np.concatenate([rpow[1:], [0.0]])
-    pieces = np.abs(partial) ** params.s * (rpow - upper) / a_exp
-    return float(np.sum(pieces) ** (1.0 / params.s))
+        contrib = contrib * (b[center] - b[y])
+    out = np.zeros(rows.size)
+    if r.size:
+        new_row = np.r_[True, r[1:] != r[:-1]]
+        start = np.flatnonzero(new_row | np.r_[True, d[1:] != d[:-1]])  # one per jump
+        sums = np.add.reduceat(contrib, start)
+        # the running sums of each row, on a grid of (row, jump g within the row)
+        row_of, row_first = r[start], np.flatnonzero(new_row[start])
+        g = np.arange(start.size) - row_first[np.cumsum(new_row[start]) - 1]
+        grid = np.zeros((rows.size, int(g.max()) + 1))
+        grid[row_of, g] = sums
+        partial = np.cumsum(grid, axis=1)[row_of, g]
+        a_exp = (params.l + params.rho) * params.s
+        rpow = d[start] ** (-a_exp)
+        upper = np.r_[rpow[1:], 0.0]
+        upper[np.r_[row_first[1:], start.size] - 1] = 0.0  # a row's last jump runs to infinity
+        pieces = np.abs(partial) ** params.s * (rpow - upper) / a_exp
+        # reduceat adds onto a slice's first element, np.sum onto zero: lead with a zero
+        totals = np.add.reduceat(np.insert(pieces, row_first, 0.0), row_first + np.arange(row_first.size))
+        # scalar powers, as array powers may take a different (SIMD) route
+        out[row_of[row_first]] = [t ** (1.0 / params.s) for t in totals.tolist()]
+    return out if x is None else float(out[0])
 
 
 def marcinkiewicz(space: PointCloudSpace, kernel: KernelSpec, f: np.ndarray,
@@ -408,6 +423,31 @@ def doubling_maximal(space: PointCloudSpace, profile: GeometryProfile, f: np.nda
     return out if x is None else float(out[x])
 
 
+def _max_table(values: np.ndarray, depth: int) -> np.ndarray:
+    """Sparse table: row k < depth holds the largest of ``values`` over each
+    window ``i:i + 2**k``; a -inf pad ends every row."""
+    table = np.empty((depth, values.size + 1))
+    table[0, :-1] = values
+    table[0, -1] = -math.inf
+    for k in range(1, depth):
+        half = 1 << (k - 1)
+        table[k, -half:] = table[k - 1, -half:]
+        np.maximum(table[k - 1, :-half], table[k - 1, half:], out=table[k, :-half])
+    return table
+
+
+def _window_max(table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Largest value of each window ``lo:hi`` from two overlapping
+    power-of-two windows, -inf for an empty one."""
+    length = hi - lo
+    k = np.frexp(np.maximum(length, 1))[1] - 1
+    row = k * table.shape[1]
+    flat = table.reshape(-1)
+    out = np.maximum(flat[row + lo], flat[row + hi - (1 << k)])
+    out[length == 0] = -math.inf
+    return out
+
+
 def _sharp_exhaustive(space, lam, profile, f, tau) -> np.ndarray:
     beta = profile.beta(tau)
     f = np.asarray(f, dtype=float)
@@ -460,21 +500,22 @@ def sharp_maximal(space: PointCloudSpace, lam: DominatingFunction,
     means = pf[family.center, counts] / pw[family.center, counts]
     flags = doubling_flags(space, profile, 6.0)
     tables = coefficient_tables(space, lam, 6.0)
-    kf = tables.k_floor
 
-    pair_vals = np.empty(len(family))
-    for c in range(space.n):
-        s = family.segment(c)
-        radii = family.radius[s]
-        fm = means[s]
-        n_mat = tables.pair_scale_indices(c)
-        coeff = 1.0 + np.take_along_axis(tables.cumulative[s], (n_mat + kf).astype(np.int64), axis=1)
-        with np.errstate(invalid="ignore"):
-            v = np.abs(fm[:, None] - fm[None, :]) / coeff
-        allowed = radii[None, :] >= radii[:, None]
-        allowed &= flags[s][None, :] & flags[s][:, None]
-        v = np.where(allowed, v, -math.inf)
-        pair_vals[s] = v.max(axis=1)
+    # concentric pairs (b, j >= b): the outer balls of scale index N form the
+    # run lo:hi of b's segment, so the largest jump is at the run's extrema
+    ends = family.run_ends(6.0)
+    depth = int(np.frexp(int(np.diff(family.offsets).max()))[1])  # runs stay in a segment
+    top = _max_table(np.where(flags, means, -math.inf), depth)
+    bottom = _max_table(np.where(flags, -means, -math.inf), depth)
+    pair_vals = np.full(len(family), -math.inf)
+    lo = np.arange(len(family))
+    with np.errstate(invalid="ignore"):
+        for n_idx in range(ends.shape[1]):
+            hi = ends[:, n_idx]
+            jump = np.maximum(_window_max(top, lo, hi) - means, means + _window_max(bottom, lo, hi))
+            np.maximum(pair_vals, jump / tables.concentric(slice(None), n_idx), out=pair_vals)
+            lo = hi
+    pair_vals[~flags] = -math.inf
     # a sampled pair reaches the members of its inner ball, as a concentric one
     pairs = sampled_nested_pairs(space, pair_budget, seed)
     doubling = flags[pairs.b1] & flags[pairs.b2]

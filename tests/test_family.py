@@ -9,8 +9,10 @@ kept here; the nested-pair enumerator is compared with a brute-force double
 loop over ball masks, the batched doubling greedy with the per-ball greedy it
 replaced, the one scatter of ``sharp_maximal`` with the per-pair member loop
 it replaced, the shared nested-pair sample filtered by the doubling flags
-with the doubling draw loop it replaced, and the coefficient table with the
-scalar primitive on every nested pair.  Guard tests pin that the family and
+with the doubling draw loop it replaced, the coefficient table with the
+scalar primitive on every nested pair, the run ends of ``sharp_maximal``'s
+concentric pass with the scale-index matrix, and the one-pass Marcinkiewicz
+integral with its per-point loop.  Guard tests pin that the family and
 the pair sample are one per space, with no option.
 Spaces are small (n <= 10): points in 1 to 3 dimensions and integer-length
 graph metrics with many tied distances, with weight ratios up to 1e6; the
@@ -30,6 +32,7 @@ from hypothesis import strategies as st
 import nhslab as nl
 from nhslab import geometry, lab, operators, spaces
 from nhslab.geometry import Ball
+from nhslab.operators import OperatorParams
 from test_mmspace import _exhaustive_doubling_count
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -725,3 +728,96 @@ def test_doubling_count_equals_per_ball_greedy(space):
     if space.n <= 7:
         # a greedy cover is a cover, so it is no smaller than the least one
         assert count >= _exhaustive_doubling_count(space)
+
+
+# ------------------------------------------------------------------------------
+# Concentric runs per scale index
+# ------------------------------------------------------------------------------
+@PROPERTY
+@given(st.one_of(small_spaces(), small_spaces(coincident=True)),
+       st.sampled_from([1.5, 2.0, 3.0, 5.0, 6.0]))
+@example(TIE_SENSITIVE, 1.5)
+@example(TIE_SENSITIVE, 2.0)
+@example(TIE_SENSITIVE, 3.0)
+@example(TIE_SENSITIVE, 5.0)
+@example(TIE_SENSITIVE, 6.0)
+def test_run_ends_group_outer_balls_by_scale_index(space, tau):
+    family = space.balls()
+    ladder = family.ladder(tau)
+    ends = family.run_ends(tau)
+    assert ends.dtype == np.int32 and np.all(np.diff(ends, axis=1) >= 0)
+    tables = geometry.coefficient_tables(space, _lam(space), tau)
+    top = 0
+    for c, s in _segments(space):
+        n_mat = tables.pair_scale_indices(c)
+        top = max(top, int(n_mat.max()))
+        for b in range(s.start, s.stop):
+            for j in range(b, s.stop):
+                n_idx = n_mat[b - s.start, j - s.start]
+                start = b if n_idx == 0 else ends[b, n_idx - 1]
+                assert start <= j < ends[b, n_idx]
+    # no column past the largest scale index of a concentric pair
+    assert ends.shape[1] == top + 1
+    # the ladder's scales give the products scale_index_array tests, bit for bit
+    n = np.arange(-ladder.k_floor, ladder.scales.size - ladder.k_floor)
+    r = family.radius[:, None]
+    assert (ladder.scales[n + ladder.k_floor] * r).tobytes() == (tau ** n * r).tobytes()
+
+
+# ------------------------------------------------------------------------------
+# The Marcinkiewicz integral, one point at a time
+# ------------------------------------------------------------------------------
+def _marcinkiewicz_reference(space, kernel, f, x, params, b=None):
+    """The per-point evaluation ``operators._marcinkiewicz`` ran before its one
+    pass: every distinct distance of a summand from x is one jump."""
+    if x is None:
+        return np.asarray([_marcinkiewicz_reference(space, kernel, f, i, params, b)
+                           for i in range(space.n)])
+    row = space.dist[x]
+    sel = (row > 0) & (f != 0)
+    if not sel.any():
+        return 0.0
+    d = row[sel]
+    contrib = kernel.matrix[x, sel] * f[sel] * space.weights[sel] / d ** (1.0 - params.rho)
+    if b is not None:
+        contrib = contrib * (b[x] - b[sel])
+    order = np.argsort(d, kind="stable")
+    d = d[order]
+    contrib = contrib[order]
+    uniq, start = np.unique(d, return_index=True)
+    partial = np.cumsum(np.add.reduceat(contrib, start))
+    a_exp = (params.l + params.rho) * params.s
+    rpow = uniq ** (-a_exp)
+    upper = np.concatenate([rpow[1:], [0.0]])
+    pieces = np.abs(partial) ** params.s * (rpow - upper) / a_exp
+    return float(np.sum(pieces) ** (1.0 / params.s))
+
+
+@st.composite
+def sparse_values(draw, n):
+    """Values on n points, many of them zero or repeated."""
+    value = st.one_of(st.just(0.0), st.sampled_from([-1.0, 2.0]), st.floats(-1.0, 1.0))
+    return np.asarray(draw(st.lists(value, min_size=n, max_size=n)))
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from([(0.0, 1.0, 2.0), (0.5, 0.5, 1.0), (0.2, 1.0, 3.0),
+                                   (0.0, 0.7, 1.5)]))
+def test_marcinkiewicz_one_pass_equals_per_point_loop(data, lrs):
+    space = data.draw(st.one_of(small_spaces(), small_spaces(coincident=True)))
+    f = data.draw(sparse_values(space.n))
+    b = data.draw(sparse_values(space.n))
+    params = OperatorParams(l=lrs[0], rho=lrs[1], s=lrs[2])
+    lam = _lam(space)
+    kernel = operators.make_kernel(space, lam, l=params.l, family="perturbed",
+                                   seed=data.draw(st.integers(0, 3)), check_dini=False)
+    for weight in (None, b):
+        # NaN where d ** -(l + rho) s overflows on tiny distances, as in the loop
+        got = operators._marcinkiewicz(space, kernel, f, None, params, weight)
+        want = _marcinkiewicz_reference(space, kernel, f, None, params, weight)
+        assert np.array_equal(got, want, equal_nan=True)
+        single = [operators._marcinkiewicz(space, kernel, f, x, params, weight) for x in range(space.n)]
+        assert np.array_equal(single, got, equal_nan=True)
+    canonical = operators.make_kernel(space, lam, l=params.l, check_dini=False)
+    if np.all(np.isfinite(operators.marcinkiewicz(space, canonical, f, None, params))):
+        assert operators.check_pointwise_domination(space, lam, canonical, f, params).passed

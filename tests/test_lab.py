@@ -255,6 +255,20 @@ def test_cli_malformed_kappa_is_a_config_error(tmp_path, capsys, kappa):
     assert capsys.readouterr().err.startswith("config error: lambda kappa")
 
 
+@pytest.mark.parametrize("tau", ["1.0", "0.5", "-3", "nan"])
+def test_cli_tau_at_most_one_is_a_config_error(tmp_path, capsys, tau):
+    space_path = _write_two_point(tmp_path)
+    f_path = tmp_path / "f.json"
+    f_path.write_text(json.dumps({"values": [0.0, 1.0]}))
+    assert cli.main(["coeff", space_path, f"--tau={tau}"]) == 2
+    assert "tau must exceed 1" in capsys.readouterr().err
+    assert cli.main(["norms", space_path, str(f_path), f"--tau={tau}"]) == 2
+    assert "tau must exceed 1" in capsys.readouterr().err
+    assert cli.main(["coeff", space_path, "--tau=1.5", "--chains=2"]) == 0
+    assert cli.main(["norms", space_path, str(f_path), "--tau=1.5"]) == 0
+    capsys.readouterr()
+
+
 def test_cli_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
     # exit code 1 stays reserved for failing checks
     def broken(args):

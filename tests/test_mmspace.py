@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import warnings
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nhslab as nl
+from nhslab import mmspace
 from nhslab.errors import (
     DegenerateRadii,
     DimensionMismatch,
+    InvalidParams,
     MetricViolation,
     NonPositiveWeight,
 )
@@ -38,6 +42,19 @@ def test_triangle_violation_reports_triple():
     with pytest.raises(MetricViolation) as err:
         nl.build_space(distances=bad, weights=[1.0, 1.0, 1.0])
     assert "triangle" in str(err.value)
+
+
+def test_sampled_triangle_check_finds_a_planted_violation():
+    # d(0, 1) = 10 exceeds d(0, k) + d(k, 1) = 2 through each of the four other points
+    bad = np.ones((6, 6)) - np.eye(6)
+    bad[0, 1] = bad[1, 0] = 10.0
+    with mock.patch.object(mmspace, "TRIANGLE_EXHAUSTIVE_LIMIT", 5):
+        with pytest.raises(MetricViolation, match="sampled triple"):
+            nl.build_space(distances=bad, weights=np.ones(6))
+        # a metric passes the sampled branch
+        nl.build_space(distances=np.ones((6, 6)) - np.eye(6), weights=np.ones(6))
+    with pytest.raises(MetricViolation, match="fails on \\(0,"):
+        nl.build_space(distances=bad, weights=np.ones(6))
 
 
 def test_nonpositive_weight():
@@ -160,6 +177,26 @@ def test_fit_auto_degenerate_radii():
     space = nl.build_space(points=[[0.0]], weights=[1.0])
     with pytest.raises(DegenerateRadii):
         nl.fit_power_lambda(space)
+
+
+def test_fit_rejects_powers_that_underflow():
+    # radius ** 3 underflows to 0 at both radii (5e-151 and 1e-150)
+    space = nl.build_space(points=[[0.0], [1e-150]], weights=[1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateRadii, match="float range"):
+            nl.fit_power_lambda(space, 3.0)
+        lam = nl.fit_power_lambda(space, 0.5)
+    assert np.isfinite(lam(0, 1e-150))
+
+
+def test_ladder_rejects_tau_at_most_one(two_point):
+    space, _ = two_point
+    for tau in (1.0, 0.5, -2.0, float("nan")):
+        with pytest.raises(InvalidParams, match="tau must exceed 1"):
+            space.balls().ladder(tau)
+        with pytest.raises(InvalidParams, match="tau must exceed 1"):
+            space.balls().run_ends(tau)
 
 
 def test_fit_domination_slack():
