@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -46,8 +47,11 @@ def load_space(path: str):
         raise SpecError("space file needs 'points' or 'distances'")
     meta = raw.get("metadata", {})
     kappa = meta.get("lambda", {}).get("kappa", "auto")
-    if kappa != "auto" and (isinstance(kappa, bool) or not isinstance(kappa, (int, float))):
-        raise SpecError(f"lambda kappa must be \"auto\" or a number, got {kappa!r}")
+    if kappa != "auto":
+        if isinstance(kappa, bool) or not isinstance(kappa, (int, float)):
+            raise SpecError(f"lambda kappa must be \"auto\" or a number, got {kappa!r}")
+        if not 0 <= kappa < math.inf:
+            raise SpecError(f"lambda kappa must be finite and nonnegative, got {kappa!r}")
     lam = mmspace.fit_power_lambda(space, kappa)
     return space, lam
 

@@ -126,24 +126,57 @@ def ball_mean(space: PointCloudSpace, f: np.ndarray, ball: Ball) -> float:
     return float(np.sum(np.asarray(f)[mask] * w) / np.sum(w))
 
 
+_OSC_BLOCK = 64
+
+
 def oscillation_sums(space: PointCloudSpace, g: np.ndarray, p: float = 1.0) -> np.ndarray:
     """``out[c, q-1]`` is the weighted p-th oscillation sum of g around its
-    mean over the q points closest to c."""
+    mean over the q points closest to c.
+
+    For p = 2 and 4, one pass over the prefix position q, vectorised over the
+    centers, adds the q-th closest point to every center's weighted central
+    moments (West 1979; Pebay 2008): O(n^2) in all.  Any other p sums
+    ``|g_j - mean_q|**p * w_j`` over j <= q, in blocks of ``_OSC_BLOCK`` rows
+    per center that read only the columns their rows reach.
+    """
     n = space.n
     g = np.asarray(g, dtype=float)
-    out = np.empty((n, n))
-    tril = np.tril(np.ones((n, n)))
+    gs, ws = g[space.order], space.weights[space.order]
+    pw = space.prefix_weight
+    out = np.zeros((n, n))
+    if p in (2.0, 4.0):
+        # central moments do not see a shift; measuring g from each center's
+        # first value keeps the running mean as small as the spread of g
+        gs = gs - gs[:, :1]
+        mean = np.zeros(n)
+        m2, m3, m4 = np.zeros(n), np.zeros(n), np.zeros(n)
+        for q in range(1, n):
+            wa, w, big_w = pw[:, q], ws[:, q], pw[:, q + 1]
+            d = gs[:, q] - mean
+            dw = d * w / big_w
+            mean += dw
+            t = d * dw * wa
+            # M4 reads the old M2 and M3, and M3 the old M2
+            if p == 4.0:
+                m4 += (t * d * d * (wa * wa - wa * w + w * w) / (big_w * big_w)
+                       + 6.0 * dw * dw * m2 - 4.0 * dw * m3)
+                m3 += t * d * (wa - w) / big_w - 3.0 * dw * m2
+            m2 += t
+            out[:, q] = m4 if p == 4.0 else m2
+        return out
+
+    means = np.cumsum(gs * ws, axis=1) / pw[:, 1:]
+    tril = np.tril(np.ones((_OSC_BLOCK, _OSC_BLOCK)))
     for c in range(n):
-        order = space.order[c]
-        gs = g[order]
-        ws = space.weights[order]
-        pw = space.prefix_weight[c]
-        pg = np.concatenate([[0.0], np.cumsum(gs * ws)])
-        means = pg[1:] / pw[1:]
-        diff = np.abs(gs[None, :] - means[:, None])
-        if p != 1.0:
-            diff **= p
-        out[c] = (diff * ws[None, :] * tril).sum(axis=1)
+        for q0 in range(0, n, _OSC_BLOCK):
+            q1 = min(q0 + _OSC_BLOCK, n)
+            diff = np.abs(gs[c, None, :q1] - means[c, q0:q1, None])
+            if p != 1.0:
+                diff **= p
+            diff *= ws[c, :q1]
+            # row q keeps the columns j <= q; only the block's own columns need the mask
+            diff[:, q0:] *= tril[:q1 - q0, :q1 - q0]
+            out[c, q0:q1] = diff.sum(axis=1)
     return out
 
 
@@ -248,44 +281,52 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
     osc_sums = oscillation_sums(space, f)[family.center, counts - 1]
     pf, pw = space.prefix_of(f * space.weights), space.prefix_weight
     means = pf[family.center, counts] / pw[family.center, counts]
-    reports = []
-    for tau, gamma in combos:
+    pairs = sampled_nested_pairs(space, pair_budget, seed)
+    b1, b2 = pairs.b1, pairs.b2
+    pair_jumps, pair_psi = np.abs(means[b1] - means[b2]), psit[b1]
+    reports: list = [None] * len(combos)
+    # everything but the power gamma depends on tau alone, so it is paid once per tau
+    for tau in dict.fromkeys(t for t, _ in combos):
+        slots = [(i, gamma) for i, (t, gamma) in enumerate(combos) if t == tau]
         tables = coefficient_tables(space, lam, tau)
         ladder = family.ladder(tau)
         osc, osc_w = family.sup(osc_sums / (psit * family.measures(tau)))
         # per ball, the best pair (B, tau**k B) up to one step past saturation
         # (tau**sat B covers the space), and the first k attaining it
         sat = scale_index_array(tau, family.radius, space.diameter)
-        best, best_k = np.full(len(family), -np.inf), np.zeros(len(family), dtype=np.int64)
+        best = np.full((len(slots), len(family)), -np.inf)
+        best_k = np.zeros((len(slots), len(family)), dtype=np.int64)
         for k in range(1, int(sat.max()) + 2):
             q_out = ladder.counts[:, k + ladder.k_floor]
             m_out = pf[family.center, q_out] / pw[family.center, q_out]
+            jump = np.abs(means - m_out)
             coeff = 1.0 + tables.cumulative[:, k + tables.k_floor]
-            vals = np.abs(means - m_out) / (psit * coeff ** gamma)
-            better = (k <= sat + 1) & (vals > best)
-            best[better] = vals[better]
-            best_k[better] = k
-        reg, reg_w = 0.0, {}
-        top = float(best.max())
-        if top > reg:
-            # ties go to the first center, then the first k, then the first radius
-            tied = np.flatnonzero(best == top)
-            tied = tied[family.center[tied] == family.center[tied[0]]]
-            b = int(tied[np.argmin(best_k[tied])])
-            outer = ladder.scales[best_k[b] + ladder.k_floor] * family.radius[b]
-            reg, reg_w = top, {"inner": family.ball(b),
-                               "outer": {"center": int(family.center[b]), "radius": float(outer)}}
-
-        pairs = sampled_nested_pairs(space, pair_budget, seed)
-        if len(pairs):
-            b1, b2 = pairs.b1, pairs.b2
-            vals = np.abs(means[b1] - means[b2]) / (psit[b1] * tables.pairs(b1, b2) ** gamma)
-            j = int(np.argmax(vals))
-            if vals[j] > reg:
-                reg = float(vals[j])
-                reg_w = {"inner": family.ball(b1[j]), "outer": family.ball(b2[j])}
-        reports.append(CampanatoNormReport(osc, reg, max(osc, reg), tau, gamma, osc_w, reg_w,
-                                           "ladder_and_sampled", int(np.sum(sat + 1)) + len(pairs)))
+            live = k <= sat + 1
+            for s, (_, gamma) in enumerate(slots):
+                vals = jump / (psit * coeff ** gamma)
+                better = live & (vals > best[s])
+                best[s][better] = vals[better]
+                best_k[s][better] = k
+        pair_coeff = tables.pairs(b1, b2) if len(pairs) else None
+        for s, (i, gamma) in enumerate(slots):
+            reg, reg_w = 0.0, {}
+            top = float(best[s].max())
+            if top > reg:
+                # ties go to the first center, then the first k, then the first radius
+                tied = np.flatnonzero(best[s] == top)
+                tied = tied[family.center[tied] == family.center[tied[0]]]
+                b = int(tied[np.argmin(best_k[s][tied])])
+                outer = ladder.scales[best_k[s][b] + ladder.k_floor] * family.radius[b]
+                reg, reg_w = top, {"inner": family.ball(b),
+                                   "outer": {"center": int(family.center[b]), "radius": float(outer)}}
+            if len(pairs):
+                vals = pair_jumps / (pair_psi * pair_coeff ** gamma)
+                j = int(np.argmax(vals))
+                if vals[j] > reg:
+                    reg = float(vals[j])
+                    reg_w = {"inner": family.ball(b1[j]), "outer": family.ball(b2[j])}
+            reports[i] = CampanatoNormReport(osc, reg, max(osc, reg), tau, gamma, dict(osc_w), reg_w,
+                                             "ladder_and_sampled", int(np.sum(sat + 1)) + len(pairs))
     return reports
 
 

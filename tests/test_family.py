@@ -12,8 +12,9 @@ it replaced, the shared nested-pair sample filtered by the doubling flags
 with the doubling draw loop it replaced, the coefficient table with the
 scalar primitive on every nested pair, the run ends of ``sharp_maximal``'s
 concentric pass with the scale-index matrix, and the one-pass Marcinkiewicz
-integral with its per-point loop.  Guard tests pin that the family and
-the pair sample are one per space, with no option.
+integral with its per-point loop.  The oscillation sums are compared with
+exact rational sums and with the dense table they replaced.  Guard tests pin
+that the family and the pair sample are one per space, with no option.
 Spaces are small (n <= 10): points in 1 to 3 dimensions and integer-length
 graph metrics with many tied distances, with weight ratios up to 1e6; the
 doubling property also draws coincident lattice points.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -821,3 +823,77 @@ def test_marcinkiewicz_one_pass_equals_per_point_loop(data, lrs):
     canonical = operators.make_kernel(space, lam, l=params.l, check_dini=False)
     if np.all(np.isfinite(operators.marcinkiewicz(space, canonical, f, None, params))):
         assert operators.check_pointwise_domination(space, lam, canonical, f, params).passed
+
+
+# ------------------------------------------------------------------------------
+# Oscillation sums against the dense table and exact rational sums
+# ------------------------------------------------------------------------------
+def _oscillation_sums_dense(space, g, p=1.0):
+    """``oscillation_sums`` as the full (q, j) table of ``|g_j - mean_q|**p * w_j``
+    per center, masked to j <= q: O(n^3)."""
+    n = space.n
+    g = np.asarray(g, dtype=float)
+    out = np.empty((n, n))
+    tril = np.tril(np.ones((n, n)))
+    for c in range(n):
+        order = space.order[c]
+        gs = g[order]
+        ws = space.weights[order]
+        pw = space.prefix_weight[c]
+        pg = np.concatenate([[0.0], np.cumsum(gs * ws)])
+        means = pg[1:] / pw[1:]
+        diff = np.abs(gs[None, :] - means[:, None])
+        if p != 1.0:
+            diff **= p
+        out[c] = (diff * ws[None, :] * tril).sum(axis=1)
+    return out
+
+
+def _oscillation_sums_exact(space, g, p):
+    """``{(c, q - 1): (sum, slack)}`` for q >= 2: the sum in rational arithmetic
+    from the float inputs (for a non-integer p, each |g_j - mean_q| is rounded
+    once before the power), and for p = 1 the most it moves when the mean
+    moves by a float mean's rounding, (q + 2) ulp of max |g|: that sum's slope
+    in the mean is up to the ball's weight.  For p > 1 the slope is 0 at the
+    exact mean (p = 2) or carries |g_j - mean_q|**(p - 1), within the 1e-12."""
+    exact = {}
+    for c in range(space.n):
+        order = space.order[c].tolist()
+        gs = [Fraction(float(g[j])) for j in order]
+        ws = [Fraction(float(space.weights[j])) for j in order]
+        for q in range(2, space.n + 1):
+            mean = sum(x * w for x, w in zip(gs[:q], ws[:q])) / sum(ws[:q])
+            if p == int(p):
+                terms = (abs(x - mean) ** int(p) * w for x, w in zip(gs[:q], ws[:q]))
+            else:
+                terms = (Fraction(float(abs(x - mean)) ** p) * w for x, w in zip(gs[:q], ws[:q]))
+            slack = sum(ws[:q]) * (q + 2) * Fraction(2) ** -52 * max(map(abs, gs[:q])) if p == 1.0 else 0
+            exact[c, q - 1] = (sum(terms), slack)
+    return exact
+
+
+@st.composite
+def separated_values(draw, n):
+    """Distinct values on the grid k/16 in [-1, 1], plus a shift: every prefix
+    of two or more points has a spread that the float mean resolves.  (When
+    the spread is tiny against the mean, the direct sums for p other than 2
+    and 4 lose accuracy; see the README.)"""
+    ks = draw(st.lists(st.integers(-16, 16), min_size=n, max_size=n, unique=True))
+    return np.asarray(ks, dtype=float) / 16.0 + draw(st.sampled_from([0.0, 1.75]))
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from([1.0, 2.0, 3.5, 4.0]))
+def test_oscillation_sums_match_exact_and_dense_sums(data, p):
+    space = data.draw(st.one_of(small_spaces(), small_spaces(coincident=True),
+                                st.just(TIE_SENSITIVE)))
+    g = data.draw(separated_values(space.n))
+    got = spaces.oscillation_sums(space, g, p)
+    for (c, q), (want, slack) in _oscillation_sums_exact(space, g, p).items():
+        assert abs(Fraction(float(got[c, q])) - want) <= Fraction(1e-12) * want + slack, (c, q)
+    if p in (2.0, 4.0):
+        assert np.all(got[:, 0] == 0.0)
+        const = np.full(space.n, data.draw(st.floats(-1.0, 1.0)) + data.draw(st.sampled_from([0.0, 1.75])))
+        assert np.all(spaces.oscillation_sums(space, const, p) == 0.0)
+    else:
+        np.testing.assert_allclose(got, _oscillation_sums_dense(space, g, p), rtol=1e-13, atol=0.0)

@@ -255,6 +255,17 @@ def test_cli_malformed_kappa_is_a_config_error(tmp_path, capsys, kappa):
     assert capsys.readouterr().err.startswith("config error: lambda kappa")
 
 
+@pytest.mark.parametrize("kappa", [-1, math.nan, math.inf])
+def test_cli_negative_kappa_is_a_config_error(tmp_path, capsys, kappa):
+    # exit code 1 is kept for a failing check, not for a bad exponent in the file
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({
+        "points": [[0.0], [1.0]], "weights": [1.0, 1.0],
+        "metadata": {"lambda": {"kappa": kappa}}}))
+    assert cli.main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: lambda kappa")
+
+
 @pytest.mark.parametrize("tau", ["1.0", "0.5", "-3", "nan"])
 def test_cli_tau_at_most_one_is_a_config_error(tmp_path, capsys, tau):
     space_path = _write_two_point(tmp_path)

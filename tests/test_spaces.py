@@ -241,6 +241,20 @@ def test_p_oscillation_direct_vs_enumeration(small_space, psi_const):
     assert got == pytest.approx(best, rel=1e-12)
 
 
+def test_p_oscillation_fourth_power_affine_invariance(grid64, psi_const):
+    # the p = 4 sums carry the third central moment, which changes sign with
+    # the scale, so c < 0 catches an update that loses that sign (one taking
+    # an absolute value, say); a slipped coefficient keeps the sums
+    # homogeneous, and the exact-sum property in test_family catches it
+    # instead
+    space, _ = grid64
+    f = lab.generate_functions(space, "random_bounded", 1, 7)[0]
+    c, d = -2.5, 1.75
+    base = nl.p_oscillation_norm(space, f, psi_const, 4.0, 2.0)
+    aff = nl.p_oscillation_norm(space, c * f + d, psi_const, 4.0, 2.0)
+    assert abs(aff - abs(c) * base) <= 1e-12 * abs(c) * base
+
+
 def test_p_oscillation_zero_iff_constant(small_space, psi_const):
     space, _ = small_space
     f = np.zeros(space.n)
