@@ -34,6 +34,14 @@ def _tau(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """A number of items: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"count must be nonnegative, got {value!r}")
+    return value
+
+
 def load_space(path: str):
     """Space JSON: {"points": [[...]...] | "distances": [[...]], "weights": [...],
     "metadata": {...}}; metadata may carry {"lambda": {"kappa": ...}}."""
@@ -178,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("space")
     p.add_argument("--tau", type=_tau, default=2.0)
     p.add_argument("--budget", type=int, default=2000)
-    p.add_argument("--chains", type=int, default=25,
+    p.add_argument("--chains", type=_count, default=25,
                    help="number of qualifying chains to generate")
     p.add_argument("--chains-file", default=None,
                    help="JSON chain specifications instead of generated chains")

@@ -5,8 +5,10 @@ measure-to-dominating-function ratios along the dyadic enlargements of B up
 to the scale of S; it measures how far the measure is from doubling between
 the two scales.  :class:`CoefficientTables` holds one flat row per candidate
 ball, the running sum along its ladder (``BallFamily.ladder``); the scalar
-:func:`discrete_coefficient` runs the same arithmetic on one ball, so the two
-agree bit for bit, and serves balls outside the family such as chain links.
+:func:`concentric_coefficients` runs the same arithmetic on the concentric
+pairs of one center, so the two agree bit for bit, and serves balls outside
+the family such as chain links; :func:`discrete_coefficient` is its one-pair
+form.
 Nested-pair suprema read every pair when :func:`pairs_are_exhaustive`, else
 the ladder plus :func:`sampled_nested_pairs`, one sample per (space, budget,
 seed) shared by all of them.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,6 +76,46 @@ class CoefficientValue:
     terms: list
 
 
+class ConcentricCoefficients(NamedTuple):
+    """Coefficients of the concentric pairs B(c, r_in[i]) ⊆ B(c, r_out[i]).
+
+    ``values[i]`` has outer scale index ``N[i]``; row i of ``terms`` holds its
+    summands mu(tau**k B) / lam(tau**k B) for k = k_min .. N[i], then zeros.
+    """
+
+    values: np.ndarray
+    N: np.ndarray
+    k_min: int
+    terms: np.ndarray
+
+
+def concentric_coefficients(space: PointCloudSpace, lam: DominatingFunction, center: int,
+                            r_in: Sequence[float], r_out: Sequence[float],
+                            tau: float) -> ConcentricCoefficients:
+    """The one coefficient formula, over many concentric pairs of one center.
+
+    Each N is the scalar :func:`smallest_scale_index`; the ladder of every
+    inner radius is built once to the largest N, measured by one
+    ``searchsorted`` and one gather, and divided by one ``lam.table``; the
+    terms past a row's N are zeroed and the row-wise running sum is read at
+    column N - k_min, so each value is the sequential sum of its own terms.
+    """
+    if not tau > 1.0:
+        raise NotNested(f"tau must exceed 1, got {tau!r}")
+    r_in = np.asarray(r_in, dtype=float)
+    n_idx = np.asarray([smallest_scale_index(tau, a, b)
+                        for a, b in zip(r_in.tolist(), np.asarray(r_out, dtype=float).tolist())],
+                       dtype=np.int64)
+    k_min = -floor_log(tau)
+    ks = np.arange(k_min, int(n_idx.max(initial=0)) + 1)
+    radii = r_in[:, None] * tau ** ks
+    counts = np.searchsorted(space.sorted_dist[center], radii, side="right")
+    terms = space.prefix_weight[center][counts] / lam.table(center, radii)
+    terms[ks[None, :] > n_idx[:, None]] = 0.0
+    values = 1.0 + np.cumsum(terms, axis=1)[np.arange(n_idx.size), n_idx - k_min]
+    return ConcentricCoefficients(values, n_idx, k_min, terms)
+
+
 def discrete_coefficient(space: PointCloudSpace, lam: DominatingFunction,
                          inner: Ball, outer: Ball, tau: float) -> CoefficientValue:
     """Coefficient of the nested pair (inner, outer) at dilation step tau.
@@ -89,13 +131,9 @@ def discrete_coefficient(space: PointCloudSpace, lam: DominatingFunction,
     outer_mask = space.dist[outer.center] <= outer.radius
     if np.any(inner_mask & ~outer_mask):
         raise NotNested("inner ball members are not contained in the outer ball")
-    n_idx = smallest_scale_index(tau, inner.radius, outer.radius)
-    k_min = -floor_log(tau)
-    radii = inner.radius * tau ** np.arange(k_min, n_idx + 1)
-    counts = np.searchsorted(space.sorted_dist[inner.center], radii, side="right")
-    terms = space.prefix_weight[inner.center][counts] / lam.table(inner.center, radii)
-    return CoefficientValue(value=float(1.0 + np.cumsum(terms)[-1]), N=n_idx,
-                            k_min=k_min, terms=terms.tolist())
+    coeff = concentric_coefficients(space, lam, inner.center, [inner.radius], [outer.radius], tau)
+    return CoefficientValue(value=float(coeff.values[0]), N=int(coeff.N[0]),
+                            k_min=coeff.k_min, terms=coeff.terms[0].tolist())
 
 
 # ------------------------------------------------------------------------------
@@ -236,7 +274,9 @@ def sampled_nested_pairs(space: PointCloudSpace, budget: int, seed: int) -> Nest
     The sample is drawn once per (space, budget, seed) and shared by every
     supremum; callers read coefficients from :meth:`CoefficientTables.pairs`,
     and the sharp maximal function keeps the pairs of :func:`doubling_flags`
-    balls (each draw makes the same generator calls, accepted or not).
+    balls (each draw makes the same generator calls, accepted or not).  The
+    draw loop makes the generator calls alone; the radius order and the
+    containment test of every draw run afterwards in one vectorised pass.
     """
     key = (budget, seed)
     if key in space._pair_samples:
@@ -244,21 +284,26 @@ def sampled_nested_pairs(space: PointCloudSpace, budget: int, seed: int) -> Nest
     rng = np.random.default_rng(seed)
     family = space.balls()
     sizes = np.diff(family.offsets).tolist()
-    counts = family.counts()
-    pairs: list = []
+    draws = []
     if space.n > 1:
         for _ in range(budget):
-            c1, c2 = (int(v) for v in rng.choice(space.n, size=2, replace=False))
-            b1 = int(family.offsets[c1] + rng.integers(sizes[c1]))
-            b2 = int(family.offsets[c2] + rng.integers(sizes[c2]))
-            if family.radius[b2] < family.radius[b1]:
-                c1, c2, b1, b2 = c2, c1, b2, b1
-            members1 = space.order[c1][:counts[b1]]
-            if not np.all(space.dist[c2][members1] <= family.radius[b2]):
-                continue
-            pairs.append((b1, b2))
-    b1s, b2s = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-    space._pair_samples[key] = NestedPairSample(b1s, b2s)
+            c1, c2 = rng.choice(space.n, size=2, replace=False).tolist()
+            draws.append((c1, c2, rng.integers(sizes[c1]), rng.integers(sizes[c2])))
+    c1, c2, i1, i2 = np.asarray(draws, dtype=np.int64).reshape(-1, 4).T
+    b1, b2 = family.offsets[c1] + i1, family.offsets[c2] + i2
+    swap = family.radius[b2] < family.radius[b1]
+    c1, c2 = np.where(swap, c2, c1), np.where(swap, c1, c2)
+    b1, b2 = np.where(swap, b2, b1), np.where(swap, b1, b2)
+    # b1 is nested in b2 when the farthest of b1's members, seen from c2, is
+    # within b2's radius; the (rows, n) gather runs in chunks of at most 1 MB
+    counts = family.counts()[b1]
+    nested = np.empty(b1.shape, dtype=bool)
+    step = max(1, (1 << 20) // (8 * space.n))
+    for lo in range(0, b1.size, step):
+        s = slice(lo, lo + step)
+        farthest = np.maximum.accumulate(space.dist[c2[s, None], space.order[c1[s]]], axis=1)
+        nested[s] = farthest[np.arange(farthest.shape[0]), counts[s] - 1] <= family.radius[b2[s]]
+    space._pair_samples[key] = NestedPairSample(b1[nested], b2[nested])
     return space._pair_samples[key]
 
 
@@ -368,16 +413,16 @@ def check_coefficient_chain_bound(space: PointCloudSpace, lam: DominatingFunctio
         if len(exps) < 2:
             skipped += 1
             continue
-        balls = [Ball(int(center), tau ** e * float(base_radius)) for e in exps]
-        links = [
-            discrete_coefficient(space, lam, balls[i], balls[i + 1], tau).value
-            for i in range(len(balls) - 1)
-        ]
+        # Ball rejects a radius that is not positive
+        radii = [Ball(int(center), tau ** e * float(base_radius)).radius for e in exps]
+        # the links, then the end-to-end pair, in one kernel call
+        coeff = concentric_coefficients(space, lam, int(center), radii[:-1] + radii[:1],
+                                        radii[1:] + radii[-1:], tau).values.tolist()
+        links, total = coeff[:-1], coeff[-1]
         if not all(v > threshold for v in links):
             skipped += 1
             continue
         qualifying += 1
-        total = discrete_coefficient(space, lam, balls[0], balls[-1], tau).value
         if sum(links) < threshold * total:
             passing += 1
         elif not witness:

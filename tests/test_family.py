@@ -8,11 +8,13 @@ compared, bit for bit in value and witness, with a per-center reference loop
 kept here; the nested-pair enumerator is compared with a brute-force double
 loop over ball masks, the batched doubling greedy with the per-ball greedy it
 replaced, the one scatter of ``sharp_maximal`` with the per-pair member loop
-it replaced, the shared nested-pair sample filtered by the doubling flags
-with the doubling draw loop it replaced, the coefficient table with the
-scalar primitive on every nested pair, the run ends of ``sharp_maximal``'s
-concentric pass with the scale-index matrix, and the one-pass Marcinkiewicz
-integral with its per-point loop.  The oscillation sums are compared with
+it replaced, the shared nested-pair sample (plain and filtered by the doubling
+flags) with the draw loops it replaced, the coefficient table with the
+scalar primitive on every nested pair, the concentric coefficient kernel
+with the scalar formula it replaced, the chain search with its per-link
+loop, the run ends of ``sharp_maximal``'s concentric pass with the
+scale-index matrix, and the one-pass Marcinkiewicz integral with its
+per-point loop.  The oscillation sums are compared with
 exact rational sums and with the dense table they replaced.  Guard tests pin
 that the family and the pair sample are one per space, with no option.
 Spaces are small (n <= 10): points in 1 to 3 dimensions and integer-length
@@ -28,7 +30,8 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import nhslab as nl
@@ -198,15 +201,17 @@ def test_nested_pairs_equal_brute_force_in_order(space):
     assert [(balls[i], balls[j]) for i, j in zip(b1, b2)] == want
 
 
-def _doubling_sample_reference(space, budget, seed, profile):
-    """The draw loop ``sampled_nested_pairs`` ran for the sharp maximal
-    function before the sample was shared: a drawn pair whose balls are not
-    both (6, beta_6)-doubling is dropped before its containment test."""
+def _sampled_nested_pairs_reference(space, budget, seed, profile=None):
+    """The draw loop of ``sampled_nested_pairs`` before its vectorised pass:
+    swap, then one containment test per draw.  With a ``profile``, the loop
+    the sharp maximal function ran before the sample was shared: a drawn pair
+    whose balls are not both (6, beta_6)-doubling is dropped before its
+    containment test."""
     rng = np.random.default_rng(seed)
     family = space.balls()
     sizes = np.diff(family.offsets).tolist()
     counts = family.counts()
-    flags = geometry.doubling_flags(space, profile, 6.0)
+    flags = None if profile is None else geometry.doubling_flags(space, profile, 6.0)
     pairs = []
     if space.n > 1:
         for _ in range(budget):
@@ -215,13 +220,26 @@ def _doubling_sample_reference(space, budget, seed, profile):
             b2 = int(family.offsets[c2] + rng.integers(sizes[c2]))
             if family.radius[b2] < family.radius[b1]:
                 c1, c2, b1, b2 = c2, c1, b2, b1
-            if not (flags[b1] and flags[b2]):
+            if flags is not None and not (flags[b1] and flags[b2]):
                 continue
             members1 = space.order[c1][:counts[b1]]
             if not np.all(space.dist[c2][members1] <= family.radius[b2]):
                 continue
             pairs.append((b1, b2))
     return tuple(np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T)
+
+
+ONE_POINT = nl.build_space(points=[[0.0]], weights=[1.0])
+
+
+@PROPERTY
+@given(small_spaces(), st.sampled_from([0, 1, 2000]), st.integers(0, 2))
+@example(ONE_POINT, 2000, 0)
+def test_sampled_pairs_equal_draw_loop(space, budget, seed):
+    sample = geometry.sampled_nested_pairs(space, budget, seed)
+    inner, outer = _sampled_nested_pairs_reference(space, budget, seed)
+    assert sample.b1.dtype == sample.b2.dtype == np.int64
+    assert np.array_equal(sample.b1, inner) and np.array_equal(sample.b2, outer)
 
 
 @PROPERTY
@@ -234,7 +252,7 @@ def test_shared_sample_filtered_by_doubling_equals_doubling_draw_loop(space, pro
     assert geometry.sampled_nested_pairs(space, budget, seed) is sample
     flags = geometry.doubling_flags(space, profile, 6.0)
     doubling = flags[sample.b1] & flags[sample.b2]
-    inner, outer = _doubling_sample_reference(space, budget, seed, profile)
+    inner, outer = _sampled_nested_pairs_reference(space, budget, seed, profile)
     assert np.array_equal(sample.b1[doubling], inner)
     assert np.array_equal(sample.b2[doubling], outer)
 
@@ -392,7 +410,7 @@ def _sharp_maximal_reference(space, lam, profile, f, pairs):
 def test_sharp_maximal_ladder_equals_per_center_loop(data):
     space, f = data
     lam = _lam(space)
-    no_pairs = _doubling_sample_reference(space, 0, 0, PROFILE)
+    no_pairs = _sampled_nested_pairs_reference(space, 0, 0, PROFILE)
     want = _sharp_maximal_reference(space, lam, PROFILE, f, no_pairs)
     with mock.patch.object(geometry, "EXHAUSTIVE_PAIR_LIMIT", 0):
         got = operators.sharp_maximal(space, lam, PROFILE, f, pair_budget=0)
@@ -404,7 +422,7 @@ def test_sharp_maximal_ladder_equals_per_center_loop(data):
 def test_sharp_maximal_sampled_pairs_equal_per_pair_loop(data, budget):
     space, f = data
     lam = _lam(space)
-    pairs = _doubling_sample_reference(space, budget, 0, PROFILE)
+    pairs = _sampled_nested_pairs_reference(space, budget, 0, PROFILE)
     want = _sharp_maximal_reference(space, lam, PROFILE, f, pairs)
     with mock.patch.object(geometry, "EXHAUSTIVE_PAIR_LIMIT", 0):
         got = operators.sharp_maximal(space, lam, PROFILE, f, pair_budget=budget)
@@ -764,6 +782,128 @@ def test_run_ends_group_outer_balls_by_scale_index(space, tau):
     n = np.arange(-ladder.k_floor, ladder.scales.size - ladder.k_floor)
     r = family.radius[:, None]
     assert (ladder.scales[n + ladder.k_floor] * r).tobytes() == (tau ** n * r).tobytes()
+
+
+# ------------------------------------------------------------------------------
+# The concentric coefficient kernel and the chain search over it
+# ------------------------------------------------------------------------------
+def _discrete_coefficient_reference(space, lam, inner, outer, tau):
+    """The scalar formula before the kernel: one ladder, one ``searchsorted``
+    and one ``lam.table`` per pair; returns (value, N, terms)."""
+    n_idx = nl.mmspace.smallest_scale_index(tau, inner.radius, outer.radius)
+    k_min = -nl.mmspace.floor_log(tau)
+    radii = inner.radius * tau ** np.arange(k_min, n_idx + 1)
+    counts = np.searchsorted(space.sorted_dist[inner.center], radii, side="right")
+    terms = space.prefix_weight[inner.center][counts] / lam.table(inner.center, radii)
+    return float(1.0 + np.cumsum(terms)[-1]), n_idx, terms.tolist()
+
+
+CHAIN_TAUS = [1.1, 1.5, 2.0, 3.0, 6.0]
+
+
+@PROPERTY
+@given(st.one_of(small_spaces(), small_spaces(coincident=True)), st.sampled_from(CHAIN_TAUS),
+       st.sampled_from(["auto", 0.8, 2.0]), st.integers(0, 9))
+@example(TIE_SENSITIVE, 1.1, "auto", 0)
+@example(TIE_SENSITIVE, 1.5, 0.8, 1)
+@example(TIE_SENSITIVE, 2.0, "auto", 2)
+@example(TIE_SENSITIVE, 3.0, 2.0, 3)
+@example(TIE_SENSITIVE, 6.0, "auto", 4)
+def test_concentric_kernel_equals_scalar_coefficient(space, tau, kappa, center):
+    """One kernel call over every ordered candidate-radius pair of a center
+    and a block of chain links gives each pair's scalar value, N and terms."""
+    try:
+        lam = nl.fit_power_lambda(space, kappa)
+    except nl.errors.DegenerateRadii:
+        reject()
+    c = center % space.n
+    radii = space.candidate_radii(c).tolist()
+    pairs = [(a, b) for i, a in enumerate(radii) for b in radii[i:]]
+    pairs += [(tau ** lo * radii[0], tau ** hi * radii[0]) for lo in range(4) for hi in range(lo, 12)]
+    pairs += [(radii[-1], radii[0])]  # an outer radius below the inner one has N = 0
+    r_in, r_out = (list(r) for r in zip(*pairs))
+    kernel = geometry.concentric_coefficients(space, lam, c, r_in, r_out, tau)
+    for i, (a, b) in enumerate(pairs):
+        value, n_idx, terms = _discrete_coefficient_reference(space, lam, Ball(c, a), Ball(c, b), tau)
+        assert kernel.values[i] == value and kernel.N[i] == n_idx
+        assert kernel.terms[i].tolist() == terms + [0.0] * (kernel.terms.shape[1] - len(terms))
+        if b >= a:
+            got = nl.discrete_coefficient(space, lam, Ball(c, a), Ball(c, b), tau)
+            assert (got.value, got.N, got.terms) == (value, n_idx, terms)
+
+
+def _generate_chains_reference(space, lam, tau, count, seed, lengths=(3, 4), gaps=(3, 4, 5)):
+    """``lab.generate_chains`` before the kernel: one scalar coefficient per
+    link, spec by spec (and one chain for a count of 0 or less)."""
+    threshold = 3.0 + nl.mmspace.floor_log(tau)
+    rng = np.random.default_rng(seed)
+    chains = []
+    for c in rng.permutation(space.n):
+        radii = space.candidate_radii(int(c))
+        for base in radii[: max(1, radii.size // 4)]:
+            for length in lengths:
+                for gap in gaps:
+                    exponents = [i * gap for i in range(length)]
+                    balls = [Ball(int(c), tau ** e * float(base)) for e in exponents]
+                    links = [_discrete_coefficient_reference(space, lam, balls[i], balls[i + 1], tau)[0]
+                             for i in range(len(balls) - 1)]
+                    if all(v > threshold for v in links):
+                        chains.append((int(c), float(base), exponents))
+                        if len(chains) >= count:
+                            return chains
+    return chains
+
+
+def _chain_bound_reference(space, lam, tau, chains):
+    """(qualifying, passing, skipped) of the chain check, link by link."""
+    threshold = 3.0 + nl.mmspace.floor_log(tau)
+    qualifying = passing = skipped = 0
+    for center, base, exponents in chains:
+        radii = [tau ** e * base for e in sorted(exponents)]
+        links = [_discrete_coefficient_reference(space, lam, Ball(center, a), Ball(center, b), tau)[0]
+                 for a, b in zip(radii, radii[1:])]
+        if len(radii) < 2 or not all(v > threshold for v in links):
+            skipped += 1
+            continue
+        qualifying += 1
+        total = _discrete_coefficient_reference(space, lam, Ball(center, radii[0]),
+                                                Ball(center, radii[-1]), tau)[0]
+        passing += sum(links) < threshold * total
+    return qualifying, passing, skipped
+
+
+@pytest.mark.parametrize("generator, tau, count, seed", [
+    ({"kind": "grid", "d": 2, "n": 9}, 2.0, 50, 7),
+    ({"kind": "grid", "d": 1, "n": 64}, 2.0, 200, 11),
+    ({"kind": "grid", "d": 1, "n": 64}, 1.5, 200, 11),
+])
+def test_generate_chains_equals_per_link_loop(generator, tau, count, seed):
+    space = lab.generate_space(generator)
+    lam = nl.fit_power_lambda(space)
+    chains = lab.generate_chains(space, lam, tau, count, seed)
+    want = _generate_chains_reference(space, lam, tau, count, seed)
+    assert chains == want
+    assert 0 < chains.centers_searched <= space.n and chains.links_evaluated > 0
+    if generator["d"] == 2:
+        # no chain qualifies on the 9x9 grid, so every center is searched
+        assert want == [] and chains.centers_searched == space.n
+    # the check, with links and totals from the kernel, on these chains and
+    # on a mix with short and non-qualifying ones
+    center, base, _ = want[0] if want else (0, float(space.candidate_radii(0)[0]), None)
+    mixed = list(want[:5]) + [(center, base, [0]), (center, base, [0, 1]), (center, base, [6, 0, 3])]
+    for given_chains in (want, mixed):
+        rep = geometry.check_coefficient_chain_bound(space, lam, tau, given_chains)
+        d = rep.details
+        assert (d["qualifying"], d["passing"], d["skipped"]) == \
+            _chain_bound_reference(space, lam, tau, given_chains)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_generate_chains_of_no_count_is_empty(grid64, count):
+    space, lam = grid64
+    assert _generate_chains_reference(space, lam, 2.0, count, 0) != []  # the old bug
+    chains = lab.generate_chains(space, lam, 2.0, count, 0)
+    assert chains == [] and chains.centers_searched == 0
 
 
 # ------------------------------------------------------------------------------

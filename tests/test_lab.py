@@ -209,6 +209,22 @@ def test_run_is_deterministic():
     assert t1 == t2
 
 
+def test_chain_search_effort_in_witness_and_check_seconds_in_json_only():
+    cfg = {"generator": {"kind": "grid", "d": 2, "n": 9},
+           "checks": ["coefficient_chain_bound", "weak_doubling_index"], "seed": 7}
+    report = lab.run_experiments(lab.ExperimentConfig.from_dict(cfg))
+    witness = report.rows[0].witness
+    # no chain qualifies on the 9x9 grid, so the pass is vacuous and every
+    # center was searched
+    assert report.rows[0].value == 0.0 and witness["qualifying"] == 0
+    assert witness["centers_searched"] == 81 and witness["links_evaluated"] > 0
+    seconds = report.to_json()["check_seconds"]
+    assert list(seconds) == cfg["checks"] and all(v >= 0.0 for v in seconds.values())
+    again = lab.run_experiments(lab.ExperimentConfig.from_dict(cfg))
+    assert lab.emit_report(report, "csv") == lab.emit_report(again, "csv")
+    assert "check_seconds" not in lab.emit_report(report, "csv")
+
+
 # ------------------------------------------------------------------------------
 # command-line interface
 # ------------------------------------------------------------------------------
@@ -278,6 +294,16 @@ def test_cli_tau_at_most_one_is_a_config_error(tmp_path, capsys, tau):
     assert cli.main(["coeff", space_path, "--tau=1.5", "--chains=2"]) == 0
     assert cli.main(["norms", space_path, str(f_path), "--tau=1.5"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("chains", ["-1", "-3", "two"])
+def test_cli_negative_chain_count_is_a_config_error(tmp_path, capsys, chains):
+    space_path = _write_two_point(tmp_path)
+    assert cli.main(["coeff", space_path, f"--chains={chains}"]) == 2
+    assert "--chains" in capsys.readouterr().err
+    assert cli.main(["coeff", space_path, "--chains=0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [r["value"] for r in out if r["check"] == "coefficient_chain_bound"] == [0.0]
 
 
 def test_cli_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
