@@ -16,7 +16,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, asdict
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -111,12 +111,14 @@ def generator_name(spec: dict) -> str:
 # ------------------------------------------------------------------------------
 # Function generators (refinement-consistent random fields)
 # ------------------------------------------------------------------------------
-def _random_field(seed: int, index: int, n_modes: int = 8, decay: float = 1.5) -> Callable:
+def _random_field(seed: int, index: int) -> Callable:
+    """A random trigonometric polynomial along a random direction: 8 modes
+    with coefficients decaying as k**-1.5."""
     rng = np.random.default_rng([int(seed), int(index)])
     a0 = float(rng.normal())
-    ks = np.arange(1, n_modes + 1, dtype=float)
-    a = rng.normal(size=n_modes) / ks ** decay
-    b = rng.normal(size=n_modes) / ks ** decay
+    ks = np.arange(1, 9, dtype=float)
+    a = rng.normal(size=8) / ks ** 1.5
+    b = rng.normal(size=8) / ks ** 1.5
     direction = rng.normal(size=8)
 
     def evaluate(coords: np.ndarray) -> np.ndarray:
@@ -132,16 +134,15 @@ def _random_field(seed: int, index: int, n_modes: int = 8, decay: float = 1.5) -
 
 def generate_functions(space: PointCloudSpace, family, count: int, seed: int = 0,
                        *, lam: Optional[DominatingFunction] = None,
-                       psi: Optional[RegularityFunctionPsi] = None,
-                       tau: float = 2.0) -> list:
+                       psi: Optional[RegularityFunctionPsi] = None) -> list:
     """Generate ``count`` functions from a named family, deterministically in
     the seed.
 
     Families: ``random_bounded`` (random trigonometric fields),
     ``mean_zero_random`` (the same, projected to exact weighted mean zero),
-    ``psi_adapted`` (normalized to unit oscillation-regularity norm), and
-    ``indicator`` (ball indicators; the dict form fixes the ball, radii cycle
-    over a deterministic ladder for count > 1).
+    ``psi_adapted`` (normalized to unit oscillation-regularity norm at tau =
+    2), and ``indicator`` (ball indicators; the dict form fixes the ball,
+    radii cycle over a deterministic ladder for count > 1).
     """
     name = family["kind"] if isinstance(family, dict) else str(family)
     out = []
@@ -167,7 +168,7 @@ def generate_functions(space: PointCloudSpace, family, count: int, seed: int = 0
         elif name == "psi_adapted":
             if lam is None or psi is None:
                 raise SpecError("psi_adapted functions need lam= and psi=")
-            norm = spaces.campanato_norm(space, lam, f, psi, tau).norm
+            norm = spaces.campanato_norm(space, lam, f, psi).norm
             if norm <= 1e-13:
                 continue
             f = f / norm
@@ -220,23 +221,23 @@ class ChainList(list):
 
 
 def generate_chains(space: PointCloudSpace, lam: DominatingFunction, tau: float,
-                    count: int, seed: int = 0, lengths: Sequence[int] = (3, 4),
-                    gaps: Sequence[int] = (3, 4, 5)) -> ChainList:
+                    count: int, seed: int = 0) -> ChainList:
     """Produce concentric dyadic chains whose every link coefficient exceeds
     the chain threshold; iterates deterministically until ``count`` qualify.
 
     Centers come in a seeded random order.  Each base radius (the lowest
-    quarter of the center's candidate radii) and gap g give links from
-    tau**(i*g) to tau**((i+1)*g) times the base; one
+    quarter of the center's candidate radii) and gap g = 3, 4 or 5 give links
+    from tau**(i*g) to tau**((i+1)*g) times the base; one
     :func:`geometry.concentric_coefficients` call evaluates every link of a
-    center, then the (base, length, gap) chains are read in that order.
+    center, then the (base, length 3 or 4, gap) chains are read in that order.
     """
     chains = ChainList()
     if count <= 0:
         return chains
     threshold = 3.0 + geometry.floor_log(tau)
     rng = np.random.default_rng(seed)
-    depth = max(max(lengths, default=0) - 1, 0)
+    lengths, gaps = (3, 4), (3, 4, 5)
+    depth = max(lengths) - 1
     spans = [(i * gap, (i + 1) * gap) for gap in gaps for i in range(depth)]
     for c in rng.permutation(space.n).tolist():
         radii = space.candidate_radii(c)
@@ -250,7 +251,7 @@ def generate_chains(space: PointCloudSpace, lam: DominatingFunction, tau: float,
         for b, base in enumerate(bases):
             for length in lengths:
                 for g, gap in enumerate(gaps):
-                    if above[b, g, :max(length - 1, 0)].all():
+                    if above[b, g, :length - 1].all():
                         chains.append((c, base, [i * gap for i in range(length)]))
                         if len(chains) >= count:
                             return chains
@@ -794,30 +795,33 @@ def emit_report(report: ExperimentReport, fmt: str = "json",
 # ------------------------------------------------------------------------------
 # Cross-refinement experiments
 # ------------------------------------------------------------------------------
+#: The power-law exponent that the cross-refinement experiments pin at every
+#: refinement level (only the tight constant is refitted per space).
+PINNED_KAPPA = 0.8
+
+
 def jn_envelope_experiment(generator_small: dict, generator_large: dict,
-                           count: int = 20, seed: int = 7, tau: float = 2.0,
-                           ball_center=0.5, ball_radius: float = 0.25,
-                           n_t: int = 32, kappa: float = 0.8) -> dict:
+                           count: int = 20, seed: int = 7) -> dict:
     """Fit exponential envelope rates on the coarse space and measure how often
-    the envelope dominates the re-measured distribution on the fine space."""
+    the envelope dominates the re-measured distribution on the fine space, on
+    the ball B(middle of the cube, 0.25) enlarged by tau = 2."""
     results = {"functions": 0, "dominated": 0, "total": 0}
     spc_small = generate_space(generator_small)
     spc_large = generate_space(generator_large)
     for spc in (spc_small, spc_large):
         if spc.coords is None:
             raise SpecError("the envelope experiment needs coordinate-backed spaces")
-    lam_s = mmspace.fit_power_lambda(spc_small, kappa)
-    lam_l = mmspace.fit_power_lambda(spc_large, kappa)
-    psi_s = spaces.constant_psi()
-    psi_l = spaces.constant_psi()
-    fs_small = generate_functions(spc_small, "psi_adapted", count, seed, lam=lam_s, psi=psi_s)
-    fs_large = generate_functions(spc_large, "psi_adapted", count, seed, lam=lam_l, psi=psi_l)
-    c_small = _resolve_center(spc_small, ball_center)
-    c_large = _resolve_center(spc_large, ball_center)
+    lam_s = mmspace.fit_power_lambda(spc_small, PINNED_KAPPA)
+    lam_l = mmspace.fit_power_lambda(spc_large, PINNED_KAPPA)
+    psi = spaces.constant_psi()
+    fs_small = generate_functions(spc_small, "psi_adapted", count, seed, lam=lam_s, psi=psi)
+    fs_large = generate_functions(spc_large, "psi_adapted", count, seed, lam=lam_l, psi=psi)
+    ball_small = Ball(_resolve_center(spc_small, 0.5), 0.25)
+    ball_large = Ball(_resolve_center(spc_large, 0.5), 0.25)
     rates = []
     for f_s, f_l in zip(fs_small, fs_large):
-        rep_s = spaces.jn_distribution(spc_small, f_s, psi_s, Ball(c_small, ball_radius), tau, n_t=n_t)
-        rep_l = spaces.jn_distribution(spc_large, f_l, psi_l, Ball(c_large, ball_radius), tau, n_t=n_t)
+        rep_s = spaces.jn_distribution(spc_small, f_s, psi, ball_small, 2.0)
+        rep_l = spaces.jn_distribution(spc_large, f_l, psi, ball_large, 2.0)
         envelope = 2.0 * np.exp(-rep_s.rate * rep_l.t_values) * rep_l.mu_tau_ball
         results["dominated"] += int(np.sum(rep_l.distribution <= envelope * (1.0 + 1e-12)))
         results["total"] += int(rep_l.t_values.size)
@@ -829,19 +833,19 @@ def jn_envelope_experiment(generator_small: dict, generator_large: dict,
 
 
 def constant_battery(generator: dict, count: int = 100, seed: int = 7,
-                     params: Optional[OperatorParams] = None,
-                     budgets: Optional[dict] = None, kappa: float = 0.8) -> dict:
+                     kappa: float = PINNED_KAPPA) -> dict:
     """All refinement-stability constants for one generator, as a flat dict.
 
     The operator norm ratios come from :func:`operator_norm_ratios`, as in
     the experiment check; one further pass over the functions shares each
-    function's norms between the remaining constants.  The dominating-function exponent is pinned (only its tight constant is
+    function's norms between the remaining constants, under the default
+    ``OperatorParams``, 5000 coefficient triples and 2000 sampled pairs.  The
+    dominating-function exponent is pinned (only its tight constant is
     refitted per space) so that every refinement level runs the same
     power-law family; with a per-scale exponent fit the potential operator's
     constants inherit the drift of the exponent itself.
     """
-    params = params or OperatorParams()
-    budgets = budgets or {}
+    params = OperatorParams()
     space = generate_space(generator)
     lam = mmspace.fit_power_lambda(space, kappa)
     profile = mmspace.make_profile(space, lam)
@@ -849,13 +853,10 @@ def constant_battery(generator: dict, count: int = 100, seed: int = 7,
     phi = make_phi(None)
     psi_emb = spaces.phi_compatible_psi(phi, params.p, params.q)
     kernel = operators.make_kernel(space, lam, l=params.l)
-    pair_budget = int(budgets.get("pairs", 2000))
     p, q = params.p, params.q
-    combos = [(2.0, 1.0), (2.0, 2.0), (6.0, 1.0), (6.0, 2.0)]
 
     out: dict = {}
-    rep = geometry.check_coefficient_inequalities(space, lam, (2.0, 6.0),
-                                                  int(budgets.get("triples", 5000)), seed)
+    rep = geometry.check_coefficient_inequalities(space, lam, (2.0, 6.0), 5000, seed)
     out["coeff_difference"] = rep.details["difference_constant"]
     out["coeff_cross_ratio_max"] = rep.details["cross_step_ratio_max"]
     out["coeff_cross_ratio_min"] = rep.details["cross_step_ratio_min"]
@@ -865,8 +866,7 @@ def constant_battery(generator: dict, count: int = 100, seed: int = 7,
     fs = generate_functions(space, "random_bounded", count, seed)
     mz = generate_functions(space, "mean_zero_random", count, seed)
     b = generate_functions(space, "random_bounded", 1, seed + 104729)[0]
-    ratios = operator_norm_ratios(space, lam, profile, psi, phi, kernel, params, fs, mz, b,
-                                  seed=seed, pair_budget=pair_budget)
+    ratios = operator_norm_ratios(space, lam, profile, psi, phi, kernel, params, fs, mz, b, seed=seed)
     b_norm = ratios.pop("b_norm")
     c10 = operators.maximal_embedding_constant(space, psi_emb, phi, p, q)
 
@@ -879,23 +879,21 @@ def constant_battery(generator: dict, count: int = 100, seed: int = 7,
 
     for f in fs:
         n21, n22, n61, n62 = (r.norm for r in spaces.campanato_norm_multi(
-            space, lam, f, psi, combos, pair_budget=pair_budget, seed=seed))
+            space, lam, f, psi, spaces.NORM_COMBOS, seed=seed))
         if n21 > 1e-13:
             band_tau = [min(band_tau[0], n21 / n61), max(band_tau[1], n21 / n61)]
             band_gamma = [min(band_gamma[0], n21 / n22), max(band_gamma[1], n21 / n22)]
             for pp in p_osc:
                 ratio = spaces.p_oscillation_norm(space, f, psi, pp, 2.0) / n21
                 p_osc[pp] = [min(p_osc[pp][0], ratio), max(p_osc[pp][1], ratio)]
-            d = spaces.check_mean_jump_bounds(space, lam, f, psi, (2.0, 6.0),
-                                              pair_budget, seed, norm=n21).details
+            d = spaces.check_mean_jump_bounds(space, lam, f, psi, seed=seed, norm=n21).details
             jump["k2"] = max(jump["k2"], d["per_k"]["2.0"])
             jump["k6"] = max(jump["k6"], d["per_k"]["6.0"])
             jump["iterated"] = max(jump["iterated"], d["iterated"])
             jump["comparable"] = max(jump["comparable"], d["comparable"])
 
         rep = operators.check_sharp_maximal_estimate(
-            space, lam, profile, kernel, psi, b, f, params,
-            pair_budget=pair_budget, seed=seed, b_norm=b_norm)
+            space, lam, profile, kernel, psi, b, f, params, seed=seed, b_norm=b_norm)
         sharp_ratio = max(sharp_ratio, rep.value)
 
         mn_tau = spaces.morrey_norm(space, f, p, phi, eta=params.tau)
@@ -919,12 +917,10 @@ def constant_battery(generator: dict, count: int = 100, seed: int = 7,
 
 
 def stability_experiment(generator_small: dict, generator_large: dict,
-                         count: int = 100, seed: int = 7,
-                         params: Optional[OperatorParams] = None,
-                         budgets: Optional[dict] = None, kappa: float = 0.8) -> dict:
+                         count: int = 100, seed: int = 7) -> dict:
     """Constants at two refinement levels plus their max/min drift ratio."""
-    small = constant_battery(generator_small, count, seed, params, budgets, kappa)
-    large = constant_battery(generator_large, count, seed, params, budgets, kappa)
+    small = constant_battery(generator_small, count, seed)
+    large = constant_battery(generator_large, count, seed)
     out = {}
     for key in small:
         a, bval = small[key], large[key]

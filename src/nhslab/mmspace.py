@@ -51,9 +51,12 @@ from .errors import (
 )
 from .report import CheckReport
 
-#: Default relative slack for validator comparisons (suprema of ratios
-#: amplify rounding, so exact comparisons use this configurable cushion).
+#: Relative slack of the validators' comparisons (suprema of ratios amplify
+#: rounding, so exact comparisons allow this cushion).
 DEFAULT_REL_TOL = 1e-9
+
+#: Relative slack of ``build_space``'s metric checks, for coordinate rounding.
+METRIC_REL_TOL = 1e-12
 
 #: Relative tolerance used when deduplicating candidate radii.
 RADIUS_DEDUP_TOL = 1e-12
@@ -68,24 +71,24 @@ FALLBACK_RADIUS = 1.0
 
 #: ``build_space`` checks the triangle inequality on every triple of a space
 #: with at most this many points, and above it on ``TRIANGLE_SAMPLE_FACTOR *
-#: n**2`` random triples.
+#: n**2`` random triples (generator seed 0).
 TRIANGLE_EXHAUSTIVE_LIMIT = 2048
 TRIANGLE_SAMPLE_FACTOR = 10
 
 
-def _dedup_sorted(values: np.ndarray, rel: float = RADIUS_DEDUP_TOL) -> np.ndarray:
-    """Collapse near-equal entries of an ascending array."""
+def _dedup_sorted(values: np.ndarray) -> np.ndarray:
+    """Collapse entries of an ascending array within ``RADIUS_DEDUP_TOL``."""
     out = [float(values[0])]
     for v in values[1:]:
-        if v > out[-1] * (1.0 + rel):
+        if v > out[-1] * (1.0 + RADIUS_DEDUP_TOL):
             out.append(float(v))
     return np.asarray(out, dtype=float)
 
 
-def floor_log(tau: float, value: float = 2.0) -> int:
-    """floor(log_tau(value)) with a 1e-12 nudge so representable integer
-    logs (tau = 2 gives exactly 1) are not misclassified downward."""
-    return int(math.floor(math.log(value) / math.log(tau) + 1e-12))
+def floor_log(tau: float) -> int:
+    """floor(log_tau(2)) with a 1e-12 nudge so representable integer logs
+    (tau = 2 gives exactly 1) are not misclassified downward."""
+    return int(math.floor(math.log(2.0) / math.log(tau) + 1e-12))
 
 
 def smallest_scale_index(tau: float, r_inner: float, r_outer: float) -> int:
@@ -354,16 +357,14 @@ def build_space(
     weights=None,
     *,
     distances=None,
-    rel_tol: float = 1e-12,
-    seed: int = 0,
 ) -> PointCloudSpace:
     """Build and validate a finite metric measure space.
 
     Exactly one of ``points`` (coordinates; Euclidean metric) or ``distances``
     (a full square matrix) must be given.  The metric axioms are verified
     exhaustively up to ``TRIANGLE_EXHAUSTIVE_LIMIT`` points and on
-    ``TRIANGLE_SAMPLE_FACTOR * n**2`` random triples above that.  The triangle
-    check allows a relative slack of ``rel_tol`` to absorb coordinate rounding.
+    ``TRIANGLE_SAMPLE_FACTOR * n**2`` random triples above that, with a
+    relative slack of ``METRIC_REL_TOL`` for coordinate rounding.
     """
     if (points is None) == (distances is None):
         raise DimensionMismatch("provide exactly one of points= or distances=")
@@ -396,26 +397,27 @@ def build_space(
         if np.any(dist < 0):
             i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
             raise MetricViolation(f"negative distance d({i},{j}) = {dist[i, j]!r}")
-        if np.any(np.abs(np.diag(dist)) > rel_tol * max(scale, 1.0)):
+        slack = METRIC_REL_TOL * max(scale, 1.0)
+        if np.any(np.abs(np.diag(dist)) > slack):
             i = int(np.argmax(np.abs(np.diag(dist))))
             raise MetricViolation(f"nonzero diagonal entry d({i},{i}) = {dist[i, i]!r}")
         asym = np.abs(dist - dist.T)
-        if np.any(asym > rel_tol * max(scale, 1.0)):
+        if np.any(asym > slack):
             i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
             raise MetricViolation(f"asymmetry at ({i},{j}): {dist[i, j]!r} vs {dist[j, i]!r}")
         dist = 0.5 * (dist + dist.T)
         np.fill_diagonal(dist, 0.0)
 
-    _check_triangle(dist, rel_tol, seed)
+    _check_triangle(dist)
     return PointCloudSpace(dist, w, coords)
 
 
-def _check_triangle(dist: np.ndarray, rel_tol: float, seed: int) -> None:
+def _check_triangle(dist: np.ndarray) -> None:
     n = dist.shape[0]
     if n <= 2:
         return
     if n <= TRIANGLE_EXHAUSTIVE_LIMIT:
-        slack = rel_tol * np.maximum(dist, 1.0)
+        slack = METRIC_REL_TOL * np.maximum(dist, 1.0)
         for k in range(n):
             bound = dist[:, k : k + 1] + dist[k : k + 1, :]
             viol = dist - bound - slack
@@ -426,12 +428,12 @@ def _check_triangle(dist: np.ndarray, rel_tol: float, seed: int) -> None:
                     f"d({i},{j})={dist[i, j]!r} > d({i},{k})+d({k},{j})={bound[i, j]!r}"
                 )
         return
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     triples = rng.integers(0, n, size=(TRIANGLE_SAMPLE_FACTOR * n * n, 3))
     i, k, j = triples[:, 0], triples[:, 1], triples[:, 2]
     lhs = dist[i, j]
     rhs = dist[i, k] + dist[k, j]
-    viol = lhs - rhs - rel_tol * np.maximum(lhs, 1.0)
+    viol = lhs - rhs - METRIC_REL_TOL * np.maximum(lhs, 1.0)
     if np.any(viol > 0):
         t = int(np.argmax(viol))
         raise MetricViolation(
@@ -561,8 +563,7 @@ def fit_power_lambda(space: PointCloudSpace, kappa="auto", *,
     )
 
 
-def validate_upper_doubling(space: PointCloudSpace, lam: DominatingFunction,
-                            rel_tol: float = DEFAULT_REL_TOL) -> CheckReport:
+def validate_upper_doubling(space: PointCloudSpace, lam: DominatingFunction) -> CheckReport:
     """Check measure domination, the half-radius inequality and radius
     monotonicity on every candidate ball.
 
@@ -578,7 +579,8 @@ def validate_upper_doubling(space: PointCloudSpace, lam: DominatingFunction,
     mono = np.where(family.center[1:] == family.center[:-1], vals[:-1] / vals[1:], -math.inf)
     worst_dom = float(dom.max())
     worst_half = float(half.max())
-    bounds = (1.0 + rel_tol, lam.c_lambda * (1.0 + rel_tol), 1.0 + rel_tol)
+    slack = 1.0 + DEFAULT_REL_TOL
+    bounds = (slack, lam.c_lambda * slack, slack)
     failing = []
     for kind, (ratio, bound) in enumerate(zip((dom, half, mono), bounds)):
         if ratio.size and ratio.max() > bound:
@@ -638,8 +640,7 @@ def comparability_ratio(space: PointCloudSpace, obj) -> tuple:
     return worst, witness
 
 
-def validate_lambda_comparability(space: PointCloudSpace, lam: DominatingFunction,
-                                  rel_tol: float = DEFAULT_REL_TOL) -> CheckReport:
+def validate_lambda_comparability(space: PointCloudSpace, lam: DominatingFunction) -> CheckReport:
     """Check lam(x, r) <= c_lambda * lam(y, r) over ordered pairs with
     d(x, y) <= r, for every candidate radius r in the global grid."""
     worst, witness = comparability_ratio(space, lam)
@@ -647,7 +648,7 @@ def validate_lambda_comparability(space: PointCloudSpace, lam: DominatingFunctio
         witness["ratio"] = worst
     return CheckReport(
         check="lambda_comparability",
-        passed=worst <= lam.c_lambda * (1.0 + rel_tol),
+        passed=worst <= lam.c_lambda * (1.0 + DEFAULT_REL_TOL),
         value=worst,
         worst_witness=witness,
         details={"c_lambda": lam.c_lambda},
@@ -655,16 +656,14 @@ def validate_lambda_comparability(space: PointCloudSpace, lam: DominatingFunctio
 
 
 def validate_weak_reverse_doubling(lam: DominatingFunction, space: PointCloudSpace,
-                                   sigma: float, a_grid: Sequence[float],
-                                   tol: float = 1e-6,
-                                   max_terms: int = 10000) -> CheckReport:
+                                   sigma: float, a_grid: Sequence[float]) -> CheckReport:
     """Measure the dilation constants C_(a) = min lam(x, a*r)/lam(x, r) and
     check that the series of C_(a^j)**(-sigma) converges numerically.
 
     For each a the admissible radii satisfy r < 2*diam/a.  Measured constants
     are used for the dilations reachable on the grid; beyond that the series
     is continued with the geometric majorant C_(a)**j, and the truncation is
-    chosen so the remaining geometric tail is below ``tol``.
+    chosen so the remaining geometric tail is below 1e-6, within 10,000 terms.
     """
     if sigma <= 0:
         raise DegenerateRadii(f"sigma must be positive, got {sigma!r}")
@@ -700,9 +699,9 @@ def validate_weak_reverse_doubling(lam: DominatingFunction, space: PointCloudSpa
             all_converged = False
             continue
         ratio = c_a ** (-sigma)
-        # truncation with geometric tail ratio**(J+1)/(1-ratio) < tol
-        j_cut = int(math.ceil(math.log(tol * (1.0 - ratio) / ratio) / math.log(ratio)))
-        j_cut = max(1, min(j_cut, max_terms))
+        # truncation with geometric tail ratio**(J+1)/(1-ratio) < 1e-6
+        j_cut = int(math.ceil(math.log(1e-6 * (1.0 - ratio) / ratio) / math.log(ratio)))
+        j_cut = max(1, min(j_cut, 10000))
         partial = 0.0
         measured = 0
         for j in range(1, j_cut + 1):
@@ -749,8 +748,5 @@ class GeometryProfile:
         return alpha ** max(self.n0, self.nu) + 30.0 ** self.n0 + 30.0 ** self.nu
 
 
-def make_profile(space: PointCloudSpace, lam: DominatingFunction,
-                 N0: Optional[int] = None) -> GeometryProfile:
-    if N0 is None:
-        N0 = estimate_geometric_doubling(space)
-    return GeometryProfile(N0=N0, nu=lam.nu)
+def make_profile(space: PointCloudSpace, lam: DominatingFunction) -> GeometryProfile:
+    return GeometryProfile(N0=estimate_geometric_doubling(space), nu=lam.nu)

@@ -144,10 +144,10 @@ def oscillation_sums(space: PointCloudSpace, g: np.ndarray, p: float = 1.0) -> n
     gs, ws = g[space.order], space.weights[space.order]
     pw = space.prefix_weight
     out = np.zeros((n, n))
+    # the sums do not see a shift; measuring g from each center's first value
+    # keeps the running mean as small as the spread of g
+    gs = gs - gs[:, :1]
     if p in (2.0, 4.0):
-        # central moments do not see a shift; measuring g from each center's
-        # first value keeps the running mean as small as the spread of g
-        gs = gs - gs[:, :1]
         mean = np.zeros(n)
         m2, m3, m4 = np.zeros(n), np.zeros(n), np.zeros(n)
         for q in range(1, n):
@@ -486,10 +486,10 @@ class JNReport:
 
 
 def jn_distribution(space: PointCloudSpace, f: np.ndarray,
-                    psi: RegularityFunctionPsi, ball: Ball, tau: float,
-                    t_grid: Optional[Sequence[float]] = None, n_t: int = 32) -> JNReport:
-    """Measure mu({x in B : |f(x) - f_B| / psi(B) > t}) on a t-grid and fit an
-    exponential envelope rate by least squares on the support."""
+                    psi: RegularityFunctionPsi, ball: Ball, tau: float) -> JNReport:
+    """Measure mu({x in B : |f(x) - f_B| / psi(B) > t}) at 32 values of t from
+    0 to the largest deviation and fit an exponential envelope rate by least
+    squares on the support."""
     f = np.asarray(f, dtype=float)
     members = ball_members(space, ball)
     w = space.weights[members]
@@ -498,9 +498,7 @@ def jn_distribution(space: PointCloudSpace, f: np.ndarray,
     dev_max = float(devs.max())
     if dev_max <= 0.0:
         raise ZeroNorm("the function is constant on the ball; no distribution to fit")
-    if t_grid is None:
-        t_grid = np.linspace(0.0, dev_max, n_t)
-    ts = np.asarray(t_grid, dtype=float)
+    ts = np.linspace(0.0, dev_max, 32)
     order = np.argsort(devs, kind="stable")
     sorted_devs = devs[order]
     cum = np.concatenate([[0.0], np.cumsum(w[order])])
@@ -535,20 +533,19 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
                            f: np.ndarray, psi: RegularityFunctionPsi,
                            k_values: Sequence[float] = (2.0, 6.0),
                            pair_budget: int = 2000, seed: int = 0,
-                           tau: float = 2.0, gamma: float = 1.0,
                            norm: Optional[float] = None) -> CheckReport:
     """Record the normalized mean-jump suprema: single enlargements per k,
     iterated enlargements divided by the step count, and comparable-ball pairs
     whose larger radius equals the center distance.
 
     Constant functions yield the all-zero report rather than an error.  The
-    oscillation-regularity norm is computed unless the caller passes it in.
+    oscillation-regularity norm (tau = 2, gamma = 1) is computed unless the
+    caller passes it in.
     """
     f = np.asarray(f, dtype=float)
     scale = float(np.max(np.abs(f))) if f.size else 0.0
     if norm is None:
-        norm = campanato_norm(space, lam, f, psi, tau, gamma,
-                              pair_budget=pair_budget, seed=seed).norm
+        norm = campanato_norm(space, lam, f, psi, pair_budget=pair_budget, seed=seed).norm
     if norm <= 1e-13 * max(scale, 1.0):
         return CheckReport(
             check="mean_jump_bounds", passed=None, value=0.0,
@@ -610,18 +607,22 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
 # ------------------------------------------------------------------------------
 # Parameter-independence bands
 # ------------------------------------------------------------------------------
+#: The dilation steps and coefficient powers whose four combinations the
+#: parameter-independence bands compare, tau-major.
+TAU_PAIR = (2.0, 6.0)
+GAMMA_PAIR = (1.0, 2.0)
+NORM_COMBOS = tuple((t, g) for t in TAU_PAIR for g in GAMMA_PAIR)
+
+
 def equivalence_experiment(space: PointCloudSpace, lam: DominatingFunction,
                            psi: RegularityFunctionPsi, functions: Sequence[np.ndarray],
-                           tau_pair: tuple = (2.0, 6.0), gamma_pair: tuple = (1.0, 2.0),
                            pair_budget: int = 2000, seed: int = 0) -> CheckReport:
-    """Compute the norm under the four (tau, gamma) combinations for a family
-    of functions and record the min/max of every pairwise norm ratio.
+    """Compute the norm under the four ``NORM_COMBOS`` for a family of
+    functions and record the min/max of every pairwise norm ratio.
 
     Constant functions are excluded (both sides vanish).
     """
-    combos = [(tau_pair[0], gamma_pair[0]), (tau_pair[0], gamma_pair[1]),
-              (tau_pair[1], gamma_pair[0]), (tau_pair[1], gamma_pair[1])]
-    names = [f"tau{t:g}_gamma{g:g}" for t, g in combos]
+    names = [f"tau{t:g}_gamma{g:g}" for t, g in NORM_COMBOS]
     bands: dict = {}
     skipped = 0
     used = 0
@@ -629,13 +630,13 @@ def equivalence_experiment(space: PointCloudSpace, lam: DominatingFunction,
         f = np.asarray(f, dtype=float)
         scale = float(np.max(np.abs(f))) if f.size else 0.0
         norms = [r.norm for r in campanato_norm_multi(
-            space, lam, f, psi, combos, pair_budget=pair_budget, seed=seed)]
+            space, lam, f, psi, NORM_COMBOS, pair_budget=pair_budget, seed=seed)]
         if max(norms) <= 1e-13 * max(scale, 1.0):
             skipped += 1
             continue
         used += 1
-        for a in range(len(combos)):
-            for b in range(a + 1, len(combos)):
+        for a in range(len(names)):
+            for b in range(a + 1, len(names)):
                 key = f"{names[a]}_vs_{names[b]}"
                 ratio = norms[a] / norms[b]
                 lo, hi = bands.get(key, (math.inf, -math.inf))
@@ -646,5 +647,5 @@ def equivalence_experiment(space: PointCloudSpace, lam: DominatingFunction,
         value=None if not bands else max(v[1] for v in bands.values()),
         details={"bands": {k: list(v) for k, v in bands.items()},
                  "functions_used": used, "functions_skipped": skipped,
-                 "tau_pair": list(tau_pair), "gamma_pair": list(gamma_pair)},
+                 "tau_pair": list(TAU_PAIR), "gamma_pair": list(GAMMA_PAIR)},
     )

@@ -12,7 +12,7 @@ it replaced, the shared nested-pair sample (plain and filtered by the doubling
 flags) with the draw loops it replaced, the coefficient table with the
 scalar primitive on every nested pair, the concentric coefficient kernel
 with the scalar formula it replaced, the chain search with its per-link
-loop, the run ends of ``sharp_maximal``'s concentric pass with the
+loop, the coefficient inequalities with their per-triple loop, the run ends of ``sharp_maximal``'s concentric pass with the
 scale-index matrix, and the one-pass Marcinkiewicz integral with its
 per-point loop.  The oscillation sums are compared with
 exact rational sums and with the dense table they replaced.  Guard tests pin
@@ -907,6 +907,86 @@ def test_generate_chains_of_no_count_is_empty(grid64, count):
 
 
 # ------------------------------------------------------------------------------
+# The coefficient inequalities over sampled triples
+# ------------------------------------------------------------------------------
+def _coefficient_inequalities_reference(space, lam, tau_pair, sample_budget, seed):
+    """``geometry.check_coefficient_inequalities`` before the one-pass reductions:
+    one loop over the draws with running maxima and flags."""
+    tau1, tau2 = float(tau_pair[0]), float(tau_pair[1])
+    family = space.balls()
+    t1 = geometry.coefficient_tables(space, lam, tau1)
+    t2 = geometry.coefficient_tables(space, lam, tau2)
+    rng = np.random.default_rng(seed)
+    index = nl.mmspace.smallest_scale_index
+    monotone_ok, monotone_witness, ge_one_ok = True, {}, True
+    diff_ratio_max = shrink_ratio_max = 0.0
+    cross_max, cross_min = -math.inf, math.inf
+    bounded_max = {2.0: -math.inf, 6.0: -math.inf}
+    sizes = np.diff(family.offsets)
+    eligible = np.flatnonzero(sizes >= 3)
+    attempted = 0
+    if eligible.size:
+        for _ in range(sample_budget):
+            attempted += 1
+            c = int(rng.choice(eligible))
+            i, j, k = family.offsets[c] + np.sort(rng.choice(sizes[c], size=3, replace=False))
+            r_i, r_j, r_k = (float(family.radius[x]) for x in (i, j, k))
+            k_br = float(t1.concentric(i, index(tau1, r_i, r_j)))
+            k_bs = float(t1.concentric(i, index(tau1, r_i, r_k)))
+            k_rs = float(t1.concentric(j, index(tau1, r_j, r_k)))
+            if not (k_br >= 1.0 and k_bs >= 1.0 and k_rs >= 1.0):
+                ge_one_ok = False
+            if k_br > k_bs:
+                monotone_ok = False
+                monotone_witness = {"center": c, "r_b": r_i, "r_r": r_j, "r_s": r_k,
+                                    "inner": k_br, "outer": k_bs}
+            diff_ratio_max = max(diff_ratio_max, (k_bs - k_br) / k_rs)
+            shrink_ratio_max = max(shrink_ratio_max, k_rs / k_bs)
+            cross = k_bs / float(t2.concentric(i, index(tau2, r_i, r_k)))
+            cross_max = max(cross_max, cross)
+            cross_min = min(cross_min, cross)
+            for alpha in bounded_max:
+                if r_k / r_i <= alpha:
+                    bounded_max[alpha] = max(bounded_max[alpha], k_bs)
+    balls = np.arange(len(family))
+    for alpha in (2.0, 6.0):
+        n_idx = nl.mmspace.scale_index_array(tau1, family.radius, alpha * family.radius)
+        bounded_max[alpha] = max(bounded_max[alpha], float(t1.concentric(balls, n_idx).max()))
+    details = {
+        "sampled_triples": attempted,
+        "outer_monotone_exact": monotone_ok,
+        "at_least_one_exact": ge_one_ok,
+        "bounded_enlargement_max": {str(a): v for a, v in bounded_max.items()},
+        "difference_constant": diff_ratio_max,
+        "inner_shrink_constant": shrink_ratio_max,
+        "cross_step_ratio_max": cross_max if cross_max > -math.inf else None,
+        "cross_step_ratio_min": cross_min if cross_min < math.inf else None,
+        "tau_pair": [tau1, tau2],
+    }
+    return monotone_ok and ge_one_ok, diff_ratio_max, monotone_witness, details
+
+
+@PROPERTY
+@given(st.one_of(small_spaces(), small_spaces(coincident=True)),
+       st.sampled_from([1.5, 2.0, 3.0, 6.0]), st.sampled_from([0, 1, 2000]),
+       st.floats(0.0, 2.0), st.booleans())
+@example(TIE_SENSITIVE, 1.5, 2000, 1.0, False)
+@example(TIE_SENSITIVE, 2.0, 2000, 1.0, True)
+@example(TIE_SENSITIVE, 3.0, 1, 0.0, False)
+@example(TIE_SENSITIVE, 6.0, 0, 2.0, False)
+def test_coefficient_inequalities_equal_per_triple_loop(space, tau, budget, kappa, negate):
+    lam = nl.fit_power_lambda(space, kappa)
+    if negate:
+        # negative terms make the coefficient fall with the outer ball, so the
+        # exact checks fail and the witness is the last failing triple
+        fitted = lam
+        lam = nl.DominatingFunction(lambda c, r: -fitted.table(c, r), c_lambda=1.0)
+    rep = geometry.check_coefficient_inequalities(space, lam, (tau, 6.0), budget, 5)
+    want = _coefficient_inequalities_reference(space, lam, (tau, 6.0), budget, 5)
+    assert (rep.passed, rep.value, rep.worst_witness, rep.details) == want
+
+
+# ------------------------------------------------------------------------------
 # The Marcinkiewicz integral, one point at a time
 # ------------------------------------------------------------------------------
 def _marcinkiewicz_reference(space, kernel, f, x, params, b=None):
@@ -970,14 +1050,15 @@ def test_marcinkiewicz_one_pass_equals_per_point_loop(data, lrs):
 # ------------------------------------------------------------------------------
 def _oscillation_sums_dense(space, g, p=1.0):
     """``oscillation_sums`` as the full (q, j) table of ``|g_j - mean_q|**p * w_j``
-    per center, masked to j <= q: O(n^3)."""
+    per center, masked to j <= q: O(n^3).  As there, g is measured from its
+    value at the center's closest point."""
     n = space.n
     g = np.asarray(g, dtype=float)
     out = np.empty((n, n))
     tril = np.tril(np.ones((n, n)))
     for c in range(n):
         order = space.order[c]
-        gs = g[order]
+        gs = g[order] - g[order[0]]
         ws = space.weights[order]
         pw = space.prefix_weight[c]
         pg = np.concatenate([[0.0], np.cumsum(gs * ws)])
@@ -1013,12 +1094,14 @@ def _oscillation_sums_exact(space, g, p):
 
 
 @st.composite
-def separated_values(draw, n):
+def separated_values(draw, n, offset=False):
     """Distinct values on the grid k/16 in [-1, 1], plus a shift: every prefix
-    of two or more points has a spread that the float mean resolves.  (When
-    the spread is tiny against the mean, the direct sums for p other than 2
-    and 4 lose accuracy; see the README.)"""
+    of two or more points has a spread that the float mean resolves.  With
+    ``offset``, 100 plus those values times 1e-6: a spread far below an ulp of
+    the float mean of g itself."""
     ks = draw(st.lists(st.integers(-16, 16), min_size=n, max_size=n, unique=True))
+    if offset:
+        return 100.0 + np.asarray(ks, dtype=float) / 16.0 * 1e-6
     return np.asarray(ks, dtype=float) / 16.0 + draw(st.sampled_from([0.0, 1.75]))
 
 
@@ -1027,7 +1110,8 @@ def separated_values(draw, n):
 def test_oscillation_sums_match_exact_and_dense_sums(data, p):
     space = data.draw(st.one_of(small_spaces(), small_spaces(coincident=True),
                                 st.just(TIE_SENSITIVE)))
-    g = data.draw(separated_values(space.n))
+    offset = data.draw(st.booleans())
+    g = data.draw(separated_values(space.n, offset))
     got = spaces.oscillation_sums(space, g, p)
     for (c, q), (want, slack) in _oscillation_sums_exact(space, g, p).items():
         assert abs(Fraction(float(got[c, q])) - want) <= Fraction(1e-12) * want + slack, (c, q)

@@ -225,6 +225,17 @@ def test_chain_search_effort_in_witness_and_check_seconds_in_json_only():
     assert "check_seconds" not in lab.emit_report(report, "csv")
 
 
+@pytest.mark.parametrize("generator, qualifying", [
+    ({"kind": "grid", "d": 2, "n": 9}, 0),
+    ({"kind": "grid", "d": 1, "n": 64}, 50),
+])
+def test_chain_row_says_when_its_pass_is_vacuous(generator, qualifying):
+    cfg = {"generator": generator, "checks": ["coefficient_chain_bound"], "seed": 7}
+    row = lab.run_experiments(lab.ExperimentConfig.from_dict(cfg)).rows[0]
+    assert row.status == "pass" and row.witness["qualifying"] == qualifying
+    assert row.witness["vacuous"] is (qualifying == 0)
+
+
 # ------------------------------------------------------------------------------
 # command-line interface
 # ------------------------------------------------------------------------------
