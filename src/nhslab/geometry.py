@@ -11,7 +11,8 @@ the family such as chain links; :func:`discrete_coefficient` is its one-pair
 form.
 Nested-pair suprema read every pair when :func:`pairs_are_exhaustive`, else
 the ladder plus :func:`sampled_nested_pairs`, one sample per (space, budget,
-seed) shared by all of them.
+seed) shared by all of them; every sample is recomputed from the PCG64 raw
+stream by :func:`replay_draws`, with no scalar ``Generator`` loop.
 """
 from __future__ import annotations
 
@@ -267,6 +268,58 @@ class NestedPairSample:
         return int(self.b1.shape[0])
 
 
+def replay_draws(seed: int, budget: int, words: int, step) -> list:
+    """The values of ``budget`` steps of a scalar ``Generator`` draw loop,
+    recomputed from one raw PCG64 block of ``np.random.default_rng(seed)``.
+
+    ``step(draw)`` runs one step from every 32-bit word offset of the block
+    at once; ``draw(r)`` is ``Generator.integers(r)``, r <= 2**32: Lemire's
+    method, whose threshold ``(2**32 - r) % r`` equals ``2**32 % r``.  The
+    chain of steps from offset 0 is walked one list lookup per step.
+    ``words`` bounds the words of a step without rejections; a chain that
+    runs past the block enlarges it.
+    """
+    raw = np.random.default_rng(seed).bit_generator.random_raw(words * max(budget, 0) // 2 + 32)
+    block = raw.astype("<u8").view("<u4").astype(np.uint64)
+    pos = np.arange(block.size + 1 if budget > 0 else 0)
+
+    def draw(r):
+        nonlocal pos
+        r = np.broadcast_to(np.asarray(r, dtype=np.uint64), pos.shape)
+        m, pos, todo = np.zeros(pos.shape, dtype=np.uint64), pos.copy(), np.flatnonzero(r > 1)
+        while todo.size:
+            # a word read past the block ends the draw, with its offset past too
+            m[todo] = block[np.minimum(pos[todo], block.size - 1)] * r[todo]
+            pos[todo] += 1
+            todo = todo[(m[todo] % 2**32 < 2**32 % r[todo]) & (pos[todo] <= block.size)]
+        return (m >> 32).astype(np.int64)
+    values = step(draw)
+    # every offset past the block leads to block.size + 1, and that to itself
+    nxt, chain, at = np.minimum(pos, block.size + 1).tolist() + [block.size + 1], [], 0
+    for _ in range(budget):
+        chain.append(at)
+        at = nxt[at]
+    if at > block.size:
+        return replay_draws(seed, budget, 2 * words, step)
+    return [np.asarray(v)[np.asarray(chain, dtype=np.int64)] for v in values]
+
+
+def replay_choice(draw, m, k: int) -> np.ndarray:
+    """``Generator.choice(m, k, replace=False)`` for small k from a
+    :func:`replay_draws` ``draw``: Floyd's algorithm, a repeated pick
+    replaced by the top of its range, then a Fisher-Yates shuffle."""
+    picks = []
+    for j in range(k):
+        v = draw(m - k + j + 1)
+        picks.append(np.where(np.any([v == p for p in picks], axis=0), m - k + j, v))
+    picks = np.stack(picks, axis=-1)
+    rows = np.arange(picks.shape[0])
+    for i in range(k - 1, 0, -1):
+        j = draw(i + 1)
+        picks[rows, i], picks[rows, j] = picks[rows, j], picks[rows, i]
+    return picks
+
+
 def sampled_nested_pairs(space: PointCloudSpace, budget: int, seed: int) -> NestedPairSample:
     """Draw up to ``budget`` non-concentric nested candidate-ball pairs with a
     fixed-seed generator, verifying member containment.
@@ -274,22 +327,21 @@ def sampled_nested_pairs(space: PointCloudSpace, budget: int, seed: int) -> Nest
     The sample is drawn once per (space, budget, seed) and shared by every
     supremum; callers read coefficients from :meth:`CoefficientTables.pairs`,
     and the sharp maximal function keeps the pairs of :func:`doubling_flags`
-    balls (each draw makes the same generator calls, accepted or not).  The
-    draw loop makes the generator calls alone; the radius order and the
-    containment test of every draw run afterwards in one vectorised pass.
+    balls.  The draws are those of the scalar loop ``c1, c2 =
+    rng.choice(n, 2, replace=False)`` then ``rng.integers(size)`` for each
+    center, replayed by :func:`replay_draws`; the radius order and the
+    containment test of every draw run in one vectorised pass.
     """
     key = (budget, seed)
     if key in space._pair_samples:
         return space._pair_samples[key]
-    rng = np.random.default_rng(seed)
     family = space.balls()
-    sizes = np.diff(family.offsets).tolist()
-    draws = []
-    if space.n > 1:
-        for _ in range(budget):
-            c1, c2 = rng.choice(space.n, size=2, replace=False).tolist()
-            draws.append((c1, c2, rng.integers(sizes[c1]), rng.integers(sizes[c2])))
-    c1, c2, i1, i2 = np.asarray(draws, dtype=np.int64).reshape(-1, 4).T
+    sizes = np.diff(family.offsets)
+
+    def step(draw):
+        c1, c2 = replay_choice(draw, space.n, 2).T
+        return c1, c2, draw(sizes[c1]), draw(sizes[c2])
+    c1, c2, i1, i2 = replay_draws(seed, budget if space.n > 1 else 0, 5, step)
     b1, b2 = family.offsets[c1] + i1, family.offsets[c2] + i2
     swap = family.radius[b2] < family.radius[b1]
     c1, c2 = np.where(swap, c2, c1), np.where(swap, c1, c2)
@@ -327,20 +379,17 @@ def check_coefficient_inequalities(space: PointCloudSpace, lam: DominatingFuncti
     family = space.balls()
     t1 = coefficient_tables(space, lam, tau1)
     t2 = coefficient_tables(space, lam, tau2)
-    rng = np.random.default_rng(seed)
 
-    # the loop makes only the generator calls, whose order fixes the sample;
-    # every triple is then measured in one pass
+    # the draws of the loop c = rng.choice(eligible), then
+    # rng.choice(sizes[c], 3, replace=False); every triple is measured in one pass
     sizes = np.diff(family.offsets)
     eligible = np.flatnonzero(sizes >= 3)
-    centers, picks = [], []
-    if eligible.size:
-        for _ in range(sample_budget):
-            c = int(rng.choice(eligible))
-            centers.append(c)
-            picks.append(rng.choice(sizes[c], size=3, replace=False))
-    picks = np.sort(np.asarray(picks, dtype=np.int64).reshape(-1, 3), axis=1)
-    i, j, k = (family.offsets[np.asarray(centers, dtype=np.int64)][:, None] + picks).T
+
+    def step(draw):
+        c = eligible[draw(eligible.size)]
+        return c, replay_choice(draw, sizes[c], 3)
+    centers, picks = replay_draws(seed, sample_budget if eligible.size else 0, 6, step)
+    i, j, k = (family.offsets[centers][:, None] + np.sort(picks, axis=1)).T
     r_i, r_j, r_k = family.radius[i], family.radius[j], family.radius[k]
     k_br = t1.concentric(i, scale_index_array(tau1, r_i, r_j))
     k_bs = t1.concentric(i, scale_index_array(tau1, r_i, r_k))

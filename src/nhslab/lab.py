@@ -15,6 +15,7 @@ import json
 import math
 import os
 import time
+import traceback
 from dataclasses import dataclass, field, asdict
 from typing import Callable, Optional
 
@@ -351,8 +352,9 @@ class ExperimentReport:
     config: dict
     runtime_seconds: float
     version: str = ARTIFACT_VERSION
-    #: CPU seconds per check; JSON only, so the CSV stays bit-identical
+    #: per check, CPU seconds and the traceback if it raised: JSON only, the CSV stays bit-identical
     check_seconds: dict = field(default_factory=dict)
+    tracebacks: dict = field(default_factory=dict)
 
     @property
     def exit_code(self) -> int:
@@ -365,6 +367,7 @@ class ExperimentReport:
             "config": self.config,
             "rows": [asdict(r) for r in self.rows],
             "check_seconds": self.check_seconds,
+            "tracebacks": self.tracebacks,
         }
 
 
@@ -729,12 +732,15 @@ def run_experiments(config: ExperimentConfig) -> ExperimentReport:
                    gen_name=generator_name(config.generator), budgets=config.budgets)
     rows = []
     check_seconds: dict = {}
+    tracebacks: dict = {}
     for name in config.checks:
         cpu = time.process_time()
         try:
             rows.append(CHECKS[name](ctx))
         except Exception as exc:  # surfaced as a failed row, not a crash
-            rows.append(_row(ctx, name, None, "fail", witness={"error": repr(exc)}))
+            rows.append(_row(ctx, name, None, "fail",
+                             witness={"error": repr(exc), "type": type(exc).__name__}))
+            tracebacks[name] = traceback.format_exc()
         check_seconds[name] = check_seconds.get(name, 0.0) + time.process_time() - cpu
     elapsed = time.perf_counter() - start
     cfg_echo = {
@@ -747,7 +753,7 @@ def run_experiments(config: ExperimentConfig) -> ExperimentReport:
         "budgets": config.budgets,
     }
     return ExperimentReport(rows=rows, config=cfg_echo, runtime_seconds=elapsed,
-                            check_seconds=check_seconds)
+                            check_seconds=check_seconds, tracebacks=tracebacks)
 
 
 # ------------------------------------------------------------------------------

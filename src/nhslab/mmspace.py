@@ -125,11 +125,13 @@ def scale_index_array(tau: float, inner: np.ndarray, outer: np.ndarray) -> np.nd
 class Ladder(NamedTuple):
     """Member counts of tau**k * B for every ball B of a family: column
     ``k + k_floor`` of ``counts`` is at the scale ``scales[k + k_floor]``, the
-    power tau**k, for k = -k_floor .. K."""
+    power tau**k, for k = -k_floor .. K.  ``sat[b]`` is the saturation index,
+    the smallest k with tau**k * radius[b] at least the diameter."""
 
     k_floor: int
     scales: np.ndarray
     counts: np.ndarray
+    sat: np.ndarray
 
 
 class BallFamily:
@@ -210,7 +212,8 @@ class BallFamily:
             scales = tau ** np.arange(-k_floor, top + 1)
             counts = self.counts_of(self.radius[:, None] * scales)
             counts.setflags(write=False)
-            self._ladders[tau] = Ladder(k_floor, scales, counts)
+            self._ladders[tau] = Ladder(k_floor, scales, counts,
+                                        scale_index_array(tau, self.radius, self._diameter))
         return self._ladders[tau]
 
     def run_ends(self, tau: float) -> np.ndarray:

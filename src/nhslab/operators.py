@@ -31,6 +31,8 @@ from .geometry import (
     coefficient_tables,
     nested_pairs,
     pairs_are_exhaustive,
+    replay_choice,
+    replay_draws,
     sampled_nested_pairs,
 )
 from .mmspace import (
@@ -236,11 +238,8 @@ def validate_kernel(space: PointCloudSpace, lam: DominatingFunction, kernel: Ker
     if n * n <= 8000:
         xz_pairs = [(x, z) for x in range(n) for z in range(n) if x != z]
     else:
-        rng = np.random.default_rng(0)
-        xz_pairs = []
-        for _ in range(8000):
-            x, z = rng.choice(n, size=2, replace=False)
-            xz_pairs.append((int(x), int(z)))
+        # the draws of 8000 calls rng.choice(n, 2, replace=False)
+        xz_pairs = replay_draws(0, 8000, 3, lambda draw: (replay_choice(draw, n, 2),))[0].tolist()
     smooth_diff = 0.0
     smooth_sum = 0.0
     unbounded = False

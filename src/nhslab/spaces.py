@@ -8,7 +8,9 @@ exhaustive when :func:`~nhslab.geometry.pairs_are_exhaustive` holds, and
 otherwise uses the exhaustive concentric dyadic ladder plus the budgeted,
 fixed-seed sample of non-concentric containing pairs, drawn once per
 (space, budget, seed) by :func:`~nhslab.geometry.sampled_nested_pairs` and
-shared with ``validate_phi_gdec`` and the sharp maximal function.
+shared with ``validate_phi_gdec`` and the sharp maximal function; it and the
+mean-jump check's comparable pairs are replayed from the PCG64 raw stream by
+:func:`~nhslab.geometry.replay_draws`.
 
 The normalizers psi and phi follow the radial-function protocol of
 :class:`~nhslab.mmspace.Radial`: each family is one broadcasting
@@ -31,8 +33,9 @@ from .geometry import (
     coefficient_tables,
     nested_pairs,
     pairs_are_exhaustive,
+    replay_choice,
+    replay_draws,
     sampled_nested_pairs,
-    scale_index_array,
 )
 from .mmspace import (
     DominatingFunction,
@@ -293,7 +296,7 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
         osc, osc_w = family.sup(osc_sums / (psit * family.measures(tau)))
         # per ball, the best pair (B, tau**k B) up to one step past saturation
         # (tau**sat B covers the space), and the first k attaining it
-        sat = scale_index_array(tau, family.radius, space.diameter)
+        sat = ladder.sat
         best = np.full((len(slots), len(family)), -np.inf)
         best_k = np.zeros((len(slots), len(family)), dtype=np.int64)
         for k in range(1, int(sat.max()) + 2):
@@ -566,7 +569,7 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
         ladder = family.ladder(k)
         # past saturation the jump stays and jump / j falls, so each ball
         # stops one step after it
-        sat = scale_index_array(k, family.radius, space.diameter)
+        sat = ladder.sat
         for j in range(1, int(sat.max()) + 2):
             q_out = ladder.counts[:, j + ladder.k_floor]
             m_out = pf[family.center, q_out] / pw[family.center, q_out]
@@ -574,26 +577,26 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
             if j == 1:
                 per_k[str(k)] = max(0.0, float(jumps.max()))
             iterated = max(iterated, float(jumps.max()) / j)
-    comparable = 0.0
+    # the loop c1, c2 = rng.choice(n, 2, replace=False), then rng.integers(small)
+    # when c1 has small > 0 radii up to d(c1, c2); the first maximum is the witness
+    small = np.asarray([np.searchsorted(family.radius[family.segment(c)], space.dist[c], side="right")
+                        for c in range(space.n)])
+
+    def step(draw):
+        c1, c2 = replay_choice(draw, space.n, 2).T
+        return c1, c2, draw(np.maximum(small[c1, c2], 1))
+    c1, c2, i1 = replay_draws(seed, pair_budget if space.n > 1 else 0, 4, step)
+    drawn = small[c1, c2] > 0
+    c1, c2, b1 = c1[drawn], c2[drawn], family.offsets[c1[drawn]] + i1[drawn]
+    d = space.dist[c1, c2]
+    q2 = np.count_nonzero(space.dist[c2] <= d[:, None], axis=1)
+    vals = np.abs(means[b1] - pf[c2, q2] / pw[c2, q2]) / (psit[b1] * norm)
+    comparable = float(np.fmax.reduce(vals, initial=0.0))
     comp_witness: dict = {}
-    rng = np.random.default_rng(seed)
-    if space.n > 1:
-        for t in range(pair_budget):
-            c1, c2 = (int(v) for v in rng.choice(space.n, size=2, replace=False))
-            d = float(space.dist[c1, c2])
-            if d <= 0:
-                continue
-            small = int(np.count_nonzero(family.radius[family.segment(c1)] <= d))
-            if small == 0:
-                continue
-            b1 = int(family.offsets[c1] + rng.integers(small))
-            r1 = float(family.radius[b1])
-            q2 = int(np.searchsorted(space.sorted_dist[c2], d, side="right"))
-            val = abs(means[b1] - pf[c2][q2] / pw[c2][q2]) / (psit[b1] * norm)
-            if val > comparable:
-                comparable = val
-                comp_witness = {"b1": {"center": c1, "radius": r1},
-                                "b2": {"center": c2, "radius": d}}
+    if comparable > 0.0:
+        t = int(np.argmax(vals == comparable))
+        comp_witness = {"b1": {"center": int(c1[t]), "radius": float(family.radius[b1[t]])},
+                        "b2": {"center": int(c2[t]), "radius": float(d[t])}}
     return CheckReport(
         check="mean_jump_bounds",
         passed=None,

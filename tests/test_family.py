@@ -15,11 +15,17 @@ with the scalar formula it replaced, the chain search with its per-link
 loop, the coefficient inequalities with their per-triple loop, the run ends of ``sharp_maximal``'s concentric pass with the
 scale-index matrix, and the one-pass Marcinkiewicz integral with its
 per-point loop.  The oscillation sums are compared with
-exact rational sums and with the dense table they replaced.  Guard tests pin
-that the family and the pair sample are one per space, with no option.
-Spaces are small (n <= 10): points in 1 to 3 dimensions and integer-length
-graph metrics with many tied distances, with weight ratios up to 1e6; the
-doubling property also draws coincident lattice points.
+exact rational sums and with the dense table they replaced.  The draws that
+``geometry.replay_draws`` recomputes from the raw PCG64 stream are compared
+with the scalar ``Generator`` calls they replace: the bounded draw itself,
+the four draw schedules, and every report field of the pair sample, the
+mean-jump comparable pairs, the coefficient triples and ``validate_kernel``
+against their draw loops.  Guard tests pin that the family and the pair
+sample are one per space, with no option.  Spaces are small (n <= 10):
+points in 1 to 3 dimensions and integer-length graph metrics with many tied
+distances, with weight ratios up to 1e6; the doubling property also draws
+coincident lattice points, and the replay tests lattice spaces up to
+n = 600, whose centers may have one or exactly three candidate radii.
 """
 from __future__ import annotations
 
@@ -1121,3 +1127,185 @@ def test_oscillation_sums_match_exact_and_dense_sums(data, p):
         assert np.all(spaces.oscillation_sums(space, const, p) == 0.0)
     else:
         np.testing.assert_allclose(got, _oscillation_sums_dense(space, g, p), rtol=1e-13, atol=0.0)
+
+
+# ------------------------------------------------------------------------------
+# Draws replayed from one raw block
+# ------------------------------------------------------------------------------
+#: Bounds r of ``Generator.integers(r)``: the small ones of real spaces, and
+#: large ones at which a quarter to a half of the words are rejected.
+DRAW_BOUNDS = (1, 2, 3, 7, 2**31 + 1, 3 * 2**30, 2**32 - 5)
+
+SEEDS = st.integers(0, 2**63 - 1)
+BUDGETS = st.one_of(st.sampled_from([0, 1, 300]), st.integers(0, 300))
+
+
+@PROPERTY
+@given(st.sampled_from(DRAW_BOUNDS), SEEDS, BUDGETS)
+@example(2**31 + 1, 0, 300)
+def test_bounded_draw_equals_generator_integers(r, seed, budget):
+    rng = np.random.default_rng(seed)
+    want = [int(rng.integers(r)) for _ in range(budget)]
+    (got,) = geometry.replay_draws(seed, budget, 1, lambda draw: (draw(r),))
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
+@PROPERTY
+@given(st.integers(2, 600), st.integers(0, 2**32 - 1), BUDGETS, SEEDS)
+@example(2, 0, 300, 0)
+@example(3, 1, 300, 0)
+def test_replayed_schedules_equal_scalar_generator_calls(n, sizes_seed, budget, seed):
+    """The draw schedules of the four sampling loops, on per-center sizes with
+    one and exactly three candidate radii among others."""
+    sizes = np.random.default_rng(sizes_seed).choice([1, 2, 3, 3, 7, 600], size=n)
+    rng = np.random.default_rng(seed)
+    want = []
+    for _ in range(budget):
+        c1, c2 = (int(v) for v in rng.choice(n, size=2, replace=False))
+        want.append((c1, c2, int(rng.integers(sizes[c1])), int(rng.integers(sizes[c2]))))
+
+    def pairs(draw):
+        c1, c2 = geometry.replay_choice(draw, n, 2).T
+        return c1, c2, draw(sizes[c1]), draw(sizes[c2])
+
+    assert list(zip(*(v.tolist() for v in geometry.replay_draws(seed, budget, 5, pairs)))) == want
+
+    eligible = np.flatnonzero(sizes >= 3)
+    rng = np.random.default_rng(seed)
+    want = []
+    for _ in range(budget if eligible.size else 0):
+        c = int(rng.choice(eligible))
+        want.append((c, rng.choice(sizes[c], size=3, replace=False).tolist()))
+
+    def triples(draw):
+        c = eligible[draw(eligible.size)]
+        return c, geometry.replay_choice(draw, sizes[c], 3)
+
+    got = geometry.replay_draws(seed, budget if eligible.size else 0, 6, triples)
+    assert list(zip(got[0].tolist(), got[1].tolist())) == want
+
+
+def _lattice_space(n, dim, top, seed):
+    """n weighted points on the integer lattice {0..top}**dim, built without
+    ``build_space``'s cubic triangle check: ``top = 0`` makes every center a
+    single candidate radius, ``top = 2`` gives centers exactly three."""
+    rng = np.random.default_rng(seed)
+    points = rng.integers(0, top + 1, size=(n, dim)).astype(float)
+    dist = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+    return nl.PointCloudSpace(dist, np.exp(rng.uniform(-3.0, 0.0, size=n)))
+
+
+lattice_spaces = st.builds(_lattice_space, st.integers(2, 600), st.sampled_from([1, 2]),
+                           st.sampled_from([0, 1, 2, 3, 12]), st.integers(0, 2**32 - 1))
+
+
+def _comparable_pairs_reference(space, f, psi, pair_budget, seed, norm):
+    """The draw loop of the comparable pairs in ``check_mean_jump_bounds``
+    before the replay: one pair per draw, strict improvements."""
+    family = space.balls()
+    pf, pw = space.prefix_of(f * space.weights), space.prefix_weight
+    counts = family.counts()
+    means = pf[family.center, counts] / pw[family.center, counts]
+    psit = space.fn_table(psi)
+    comparable, witness = 0.0, {}
+    rng = np.random.default_rng(seed)
+    if space.n > 1:
+        for _ in range(pair_budget):
+            c1, c2 = (int(v) for v in rng.choice(space.n, size=2, replace=False))
+            d = float(space.dist[c1, c2])
+            if d <= 0:
+                continue
+            small = int(np.count_nonzero(family.radius[family.segment(c1)] <= d))
+            if small == 0:
+                continue
+            b1 = int(family.offsets[c1] + rng.integers(small))
+            q2 = int(np.searchsorted(space.sorted_dist[c2], d, side="right"))
+            val = abs(means[b1] - pf[c2][q2] / pw[c2][q2]) / (psit[b1] * norm)
+            if val > comparable:
+                comparable = val
+                witness = {"b1": {"center": c1, "radius": float(family.radius[b1])},
+                           "b2": {"center": c2, "radius": d}}
+    return comparable, witness
+
+
+@settings(max_examples=25, deadline=None)
+@given(lattice_spaces, BUDGETS, SEEDS)
+@example(_lattice_space(600, 1, 0, 0), 300, 0)
+@example(_lattice_space(40, 1, 2, 1), 300, 3)
+def test_replayed_samples_equal_draw_loops(space, budget, seed):
+    """Pairs, comparable pairs and triples of lattice spaces up to n = 600,
+    every report field equal to the scalar loops'."""
+    sample = geometry.sampled_nested_pairs(space, budget, seed)
+    inner, outer = _sampled_nested_pairs_reference(space, budget, seed)
+    assert np.array_equal(sample.b1, inner) and np.array_equal(sample.b2, outer)
+
+    lam = nl.fit_power_lambda(space, 1.0)
+    psi = spaces.weight_psi(space)
+    f = np.random.default_rng(seed).uniform(-1.0, 1.0, size=space.n)
+    rep = spaces.check_mean_jump_bounds(space, lam, f, psi, (2.0, 6.0), budget, seed, norm=0.5)
+    per_k, iterated = _mean_jump_reference(space, f, psi, (2.0, 6.0), 0.5)
+    comparable, witness = _comparable_pairs_reference(space, f, psi, budget, seed, 0.5)
+    assert rep.worst_witness == witness
+    assert rep.details == {"constant_function": False, "per_k": per_k, "iterated": iterated,
+                           "comparable": comparable, "norm": 0.5}
+    assert rep.value == max(max(per_k.values()), iterated, comparable)
+
+    rep = geometry.check_coefficient_inequalities(space, lam, (2.0, 6.0), budget, seed)
+    want = _coefficient_inequalities_reference(space, lam, (2.0, 6.0), budget, seed)
+    assert (rep.passed, rep.value, rep.worst_witness, rep.details) == want
+
+
+def _validate_kernel_reference(space, lam, kernel):
+    """``operators.validate_kernel`` before the replay: 8000 scalar
+    ``rng.choice`` calls when the space has more than 8000 ordered pairs."""
+    bound = operators.size_bound_matrix(space, lam, kernel.l)
+    positive = bound > 0
+    c_size = float(np.max(np.abs(kernel.matrix[positive]) / bound[positive])) if positive.any() else 0.0
+    lam_mat = space.pair_table(lam)
+    n = space.n
+    if n * n <= 8000:
+        xz_pairs = [(x, z) for x in range(n) for z in range(n) if x != z]
+    else:
+        rng = np.random.default_rng(0)
+        xz_pairs = []
+        for _ in range(8000):
+            x, z = rng.choice(n, size=2, replace=False)
+            xz_pairs.append((int(x), int(z)))
+    smooth_diff = smooth_sum = 0.0
+    unbounded = False
+    ys = np.arange(n)
+    for x, z in xz_pairs:
+        dxz = space.dist[x, z]
+        if dxz <= 0:
+            continue
+        dxy = space.dist[x]
+        mask = (ys != x) & (ys != z) & (dxy > 0) & (dxy >= dxz / 2.0)
+        if not mask.any():
+            continue
+        row_diff = np.abs(kernel.matrix[x, mask] - kernel.matrix[z, mask])
+        col_diff = np.abs(kernel.matrix[mask, x] - kernel.matrix[mask, z])
+        lhs_diff = np.maximum(row_diff - col_diff, 0.0)
+        lhs_sum = row_diff + col_diff
+        rhs = np.asarray(kernel.theta(dxz / dxy[mask]), dtype=float) \
+            * dxz ** (1.0 + kernel.l) / lam_mat[x, mask]
+        ok = rhs > 0
+        if np.any(~ok & (lhs_sum > 1e-300)):
+            unbounded = True
+        if ok.any():
+            smooth_diff = max(smooth_diff, float(np.max(lhs_diff[ok] / rhs[ok])))
+            smooth_sum = max(smooth_sum, float(np.max(lhs_sum[ok] / rhs[ok])))
+    return c_size, {"c_size": c_size,
+                    "smoothness_difference": math.inf if unbounded else smooth_diff,
+                    "smoothness_sum": math.inf if unbounded else smooth_sum,
+                    "dini_value": kernel.dini_value, "family": kernel.family}
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(85, 200), st.sampled_from([1, 2]), st.sampled_from([3, 12]),
+       st.integers(0, 2**32 - 1), st.sampled_from(["canonical", "perturbed"]))
+def test_validate_kernel_replay_equals_draw_loop(n, dim, top, seed, family):
+    space = _lattice_space(n, dim, top, seed)
+    lam = nl.fit_power_lambda(space, 1.0)
+    kernel = operators.make_kernel(space, lam, family=family, seed=seed)
+    rep = operators.validate_kernel(space, lam, kernel)
+    assert (rep.value, rep.details) == _validate_kernel_reference(space, lam, kernel)

@@ -225,6 +225,27 @@ def test_chain_search_effort_in_witness_and_check_seconds_in_json_only():
     assert "check_seconds" not in lab.emit_report(report, "csv")
 
 
+def test_a_check_that_raises_names_its_type_and_keeps_its_traceback_in_json():
+    def fails(ctx):
+        raise ZeroDivisionError("no mass")
+
+    cfg = {"generator": {"kind": "grid", "d": 1, "n": 8},
+           "checks": ["weak_doubling_index", "upper_doubling"], "seed": 7}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(lab.CHECKS, "weak_doubling_index", fails)
+        report = lab.run_experiments(lab.ExperimentConfig.from_dict(cfg))
+        again = lab.run_experiments(lab.ExperimentConfig.from_dict(cfg))
+    failed, passed = report.rows
+    assert failed.status == "fail" and report.exit_code == 1 and passed.status == "pass"
+    assert failed.witness == {"error": "ZeroDivisionError('no mass')", "type": "ZeroDivisionError"}
+    tracebacks = report.to_json()["tracebacks"]
+    assert list(tracebacks) == ["weak_doubling_index"]
+    assert tracebacks["weak_doubling_index"].startswith("Traceback")
+    assert 'raise ZeroDivisionError("no mass")' in tracebacks["weak_doubling_index"]
+    csv_text = lab.emit_report(report, "csv")
+    assert csv_text == lab.emit_report(again, "csv") and "Traceback" not in csv_text
+
+
 @pytest.mark.parametrize("generator, qualifying", [
     ({"kind": "grid", "d": 2, "n": 9}, 0),
     ({"kind": "grid", "d": 1, "n": 64}, 50),
