@@ -9,10 +9,13 @@ ball, the running sum along its ladder (``BallFamily.ladder``); the scalar
 pairs of one center, so the two agree bit for bit, and serves balls outside
 the family such as chain links; :func:`discrete_coefficient` is its one-pair
 form.
-Nested-pair suprema read every pair when :func:`pairs_are_exhaustive`, else
-the ladder plus :func:`sampled_nested_pairs`, one sample per (space, budget,
-seed) shared by all of them; every sample is recomputed from the PCG64 raw
-stream by :func:`replay_draws`, with no scalar ``Generator`` loop.
+Every nested-pair supremum has one tail; the family size chooses only its
+pair source.  When :func:`pairs_are_exhaustive` holds it reads every pair
+from :func:`nested_pairs`, else the ladder plus :func:`sampled_nested_pairs`,
+one sample per (space, budget, seed) shared by all of them; every sample is
+recomputed from the PCG64 raw stream by :func:`replay_draws`, with no scalar
+``Generator`` loop.  Scale indices come from the one array form,
+:func:`~nhslab.mmspace.scale_index_array`.
 """
 from __future__ import annotations
 
@@ -29,7 +32,6 @@ from .mmspace import (
     PointCloudSpace,
     floor_log,
     scale_index_array,
-    smallest_scale_index,
 )
 from .report import CheckReport
 
@@ -95,18 +97,17 @@ def concentric_coefficients(space: PointCloudSpace, lam: DominatingFunction, cen
                             tau: float) -> ConcentricCoefficients:
     """The one coefficient formula, over many concentric pairs of one center.
 
-    Each N is the scalar :func:`smallest_scale_index`; the ladder of every
-    inner radius is built once to the largest N, measured by one
-    ``searchsorted`` and one gather, and divided by one ``lam.table``; the
-    terms past a row's N are zeroed and the row-wise running sum is read at
-    column N - k_min, so each value is the sequential sum of its own terms.
+    The scale indices N come from one :func:`scale_index_array` call, as
+    the table's do; the ladder of every inner radius is built once to the
+    largest N, measured by one ``searchsorted`` and one gather, and divided by
+    one ``lam.table``; the terms past a row's N are zeroed and the row-wise
+    running sum is read at column N - k_min, so each value is the sequential
+    sum of its own terms.
     """
     if not tau > 1.0:
         raise NotNested(f"tau must exceed 1, got {tau!r}")
     r_in = np.asarray(r_in, dtype=float)
-    n_idx = np.asarray([smallest_scale_index(tau, a, b)
-                        for a, b in zip(r_in.tolist(), np.asarray(r_out, dtype=float).tolist())],
-                       dtype=np.int64)
+    n_idx = scale_index_array(tau, r_in, r_out)
     k_min = -floor_log(tau)
     ks = np.arange(k_min, int(n_idx.max(initial=0)) + 1)
     radii = r_in[:, None] * tau ** ks
@@ -150,7 +151,7 @@ def smallest_doubling_ball(space: PointCloudSpace, profile: GeometryProfile,
     if not alpha > 1.0:
         raise NotNested(f"alpha must exceed 1, got {alpha!r}")
     beta = profile.beta(alpha)
-    cap = smallest_scale_index(alpha, ball.radius, max(space.diameter, ball.radius)) + 2
+    cap = int(scale_index_array(alpha, ball.radius, max(space.diameter, ball.radius))) + 2
     for i in range(cap + 1):
         candidate = Ball(ball.center, alpha ** i * ball.radius)
         if ball_measure(space, candidate.scaled(alpha)) <= beta * ball_measure(space, candidate):

@@ -91,18 +91,6 @@ def floor_log(tau: float) -> int:
     return int(math.floor(math.log(2.0) / math.log(tau) + 1e-12))
 
 
-def smallest_scale_index(tau: float, r_inner: float, r_outer: float) -> int:
-    """Smallest integer N >= 0 with tau**N * r_inner >= r_outer."""
-    if r_outer <= r_inner:
-        return 0
-    n = max(0, int(math.ceil(math.log(r_outer / r_inner) / math.log(tau) - 1e-12)))
-    while tau ** n * r_inner < r_outer:
-        n += 1
-    while n > 0 and tau ** (n - 1) * r_inner >= r_outer:
-        n -= 1
-    return n
-
-
 def scale_index_array(tau: float, inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
     """Vectorized smallest N >= 0 with tau**N * inner >= outer.
 
@@ -205,8 +193,8 @@ class BallFamily:
         if not tau > 1.0:
             raise InvalidParams(f"tau must exceed 1, got {tau!r}")
         if tau not in self._ladders:
-            top = smallest_scale_index(tau, float(self.radius.min()),
-                                       max(float(self.radius.max()), self._diameter)) + 4
+            top = int(scale_index_array(tau, self.radius.min(),
+                                        max(float(self.radius.max()), self._diameter))) + 4
             top = max(top, int(scale_index_array(tau, self.radius, 6.0 * self.radius).max()))
             k_floor = floor_log(tau)
             scales = tau ** np.arange(-k_floor, top + 1)
@@ -531,18 +519,14 @@ class DominatingFunction(Radial):
         return math.log2(self.c_lambda)
 
 
-def fit_power_lambda(space: PointCloudSpace, kappa="auto", *,
-                     existing: Optional[DominatingFunction] = None) -> DominatingFunction:
+def fit_power_lambda(space: PointCloudSpace, kappa="auto") -> DominatingFunction:
     """Fit a center-independent power law C0 * r**kappa dominating all
     candidate ball measures, with equality at the tightest ball.
 
     With ``kappa="auto"`` the exponent is the least-squares slope of
     log-measure against log-radius over all candidate balls (clamped at 0 so
-    the result is nondecreasing).  A caller-supplied dominating function
-    passes through untouched.
+    the result is nondecreasing).
     """
-    if existing is not None:
-        return existing
     family = space.balls()
     mus = family.measures()
     if kappa == "auto":

@@ -6,7 +6,11 @@ between consecutive distances the inner sum is frozen and the remaining
 one-dimensional integral is an explicit power integral.  The maximal
 operators are suprema over candidate balls containing the evaluation point,
 computed by per-center prefix sums and a scatter of per-ball values onto
-members.
+members.  The sharp maximal function has one pass for every space size: its
+concentric pairs always come from the run ends of the family, and the size
+chooses only the per-ball numbers (prefix tables, or
+:func:`~nhslab.spaces.ball_sums` for small families) and the other pairs
+(the shared sample, or every nested pair).
 """
 from __future__ import annotations
 
@@ -25,8 +29,6 @@ from .errors import (
     ZeroNormB,
 )
 from .geometry import (
-    Ball,
-    ball_measure,
     doubling_flags,
     coefficient_tables,
     nested_pairs,
@@ -44,6 +46,7 @@ from .report import CheckReport
 from .spaces import (
     GrowthFunctionPhi,
     RegularityFunctionPsi,
+    ball_sums,
     campanato_norm,
     morrey_norm,
     oscillation_sums,
@@ -236,34 +239,38 @@ def validate_kernel(space: PointCloudSpace, lam: DominatingFunction, kernel: Ker
     lam_mat = space.pair_table(lam)
     n = space.n
     if n * n <= 8000:
-        xz_pairs = [(x, z) for x in range(n) for z in range(n) if x != z]
+        x, z = np.nonzero(~np.eye(n, dtype=bool))
     else:
         # the draws of 8000 calls rng.choice(n, 2, replace=False)
-        xz_pairs = replay_draws(0, 8000, 3, lambda draw: (replay_choice(draw, n, 2),))[0].tolist()
-    smooth_diff = 0.0
-    smooth_sum = 0.0
+        x, z = replay_draws(0, 8000, 3, lambda draw: (replay_choice(draw, n, 2),))[0].T
+    dxz = space.dist[x, z]
+    x, z, dxz = x[dxz > 0], z[dxz > 0], dxz[dxz > 0]
+    # one scalar power per pair, as array powers may take a different (SIMD) route
+    reach = np.asarray([d ** (1.0 + kernel.l) for d in dxz])
+    # per pair, the largest ratio of the difference and of the summed variant
+    pair_max = np.full((2, x.size), -math.inf)
     unbounded = False
     ys = np.arange(n)
-    for x, z in xz_pairs:
-        dxz = space.dist[x, z]
-        if dxz <= 0:
-            continue
-        dxy = space.dist[x]
-        mask = (ys != x) & (ys != z) & (dxy > 0) & (dxy >= dxz / 2.0)
-        if not mask.any():
-            continue
-        row_diff = np.abs(kernel.matrix[x, mask] - kernel.matrix[z, mask])
-        col_diff = np.abs(kernel.matrix[mask, x] - kernel.matrix[mask, z])
-        lhs_diff = np.maximum(row_diff - col_diff, 0.0)
+    # the (pairs, n) grids over y run in chunks of at most 1 MB
+    step = max(1, (1 << 20) // (8 * n))
+    for lo in range(0, x.size, step):
+        s = slice(lo, lo + step)
+        dxy = space.dist[x[s]]
+        r, y = np.nonzero((ys != x[s, None]) & (ys != z[s, None]) & (dxy > 0)
+                          & (dxy >= dxz[s, None] / 2.0))
+        xr, zr = x[s][r], z[s][r]
+        row_diff = np.abs(kernel.matrix[xr, y] - kernel.matrix[zr, y])
+        col_diff = np.abs(kernel.matrix[y, xr] - kernel.matrix[y, zr])
         lhs_sum = row_diff + col_diff
-        rhs = np.asarray(kernel.theta(dxz / dxy[mask]), dtype=float) \
-            * dxz ** (1.0 + kernel.l) / lam_mat[x, mask]
+        rhs = np.asarray(kernel.theta(dxz[s][r] / dxy[r, y]), dtype=float) * reach[s][r] / lam_mat[xr, y]
         ok = rhs > 0
-        if np.any(~ok & (lhs_sum > 1e-300)):
-            unbounded = True
-        if ok.any():
-            smooth_diff = max(smooth_diff, float(np.max(lhs_diff[ok] / rhs[ok])))
-            smooth_sum = max(smooth_sum, float(np.max(lhs_sum[ok] / rhs[ok])))
+        unbounded |= bool(np.any(~ok & (lhs_sum > 1e-300)))
+        for row, lhs in zip(pair_max, (np.maximum(row_diff - col_diff, 0.0), lhs_sum)):
+            grid = np.full(dxy.shape, -math.inf)
+            grid[r[ok], y[ok]] = lhs[ok] / rhs[ok]
+            row[s] = grid.max(axis=1)
+    # a pair with a NaN ratio drops out whole (fmax skips its NaN row maximum)
+    smooth_diff, smooth_sum = np.fmax.reduce(pair_max, axis=1, initial=0.0).tolist()
     return CheckReport(
         check="kernel_constants",
         passed=None,
@@ -447,35 +454,6 @@ def _window_max(table: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return out
 
 
-def _sharp_exhaustive(space, lam, profile, f, tau) -> np.ndarray:
-    beta = profile.beta(tau)
-    f = np.asarray(f, dtype=float)
-    family = space.balls()
-    balls = [Ball(int(c), float(r)) for c, r in zip(family.center, family.radius)]
-    means = []
-    masks = []
-    dbl = []
-    osc = np.zeros(space.n)
-    for ball in balls:
-        mask = space.dist[ball.center] <= ball.radius
-        masks.append(mask)
-        w = space.weights[mask]
-        m = float(np.sum(f[mask] * w) / np.sum(w))
-        means.append(m)
-        dbl.append(ball_measure(space, ball.scaled(tau)) <= beta * ball_measure(space, ball))
-        val = float(np.sum(np.abs(f[mask] - m) * w)) / ball_measure(space, ball.scaled(6.0))
-        osc[mask] = np.maximum(osc[mask], val)
-    pair = np.zeros(space.n)
-    inner, outer = nested_pairs(space)
-    coeffs = coefficient_tables(space, lam, 6.0).pairs(inner, outer).tolist()
-    for i, j, coeff in zip(inner, outer, coeffs):
-        if not (dbl[i] and dbl[j]):
-            continue
-        val = abs(means[i] - means[j]) / coeff
-        pair[masks[i]] = np.maximum(pair[masks[i]], val)
-    return np.maximum(osc, pair)
-
-
 def sharp_maximal(space: PointCloudSpace, lam: DominatingFunction,
                   profile: GeometryProfile, f: np.ndarray,
                   x: Optional[int] = None, *, pair_budget: int = 2000, seed: int = 0):
@@ -483,21 +461,25 @@ def sharp_maximal(space: PointCloudSpace, lam: DominatingFunction,
     mean-jump supremum over nested doubling ball pairs containing the point.
 
     Concentric pairs are enumerated exhaustively; non-concentric containing
-    pairs are the doubling pairs of the space's shared fixed-seed sample
-    (everything, when :func:`~nhslab.geometry.pairs_are_exhaustive` holds).
+    pairs are the doubling pairs of the space's shared fixed-seed sample.
+    When :func:`~nhslab.geometry.pairs_are_exhaustive` holds, every nested
+    pair is read instead, with the per-ball numbers of
+    :func:`~nhslab.spaces.ball_sums`.
     """
     family = space.balls()
     f = np.asarray(f, dtype=float)
     if pairs_are_exhaustive(space):
-        out = _sharp_exhaustive(space, lam, profile, f, 6.0)
-        return out if x is None else float(out[x])
-
-    counts = family.counts()
-    osc_s = oscillation_sums(space, f)[family.center, counts - 1]
-    pf = space.prefix_of(f * space.weights)
-    pw = space.prefix_weight
-    means = pf[family.center, counts] / pw[family.center, counts]
-    flags = doubling_flags(space, profile, 6.0)
+        means, osc_s, (mu, mu6) = ball_sums(space, f, (1.0, 6.0))
+        b1, b2 = nested_pairs(space)
+    else:
+        counts = family.counts()
+        osc_s = oscillation_sums(space, f)[family.center, counts - 1]
+        pf, pw = space.prefix_of(f * space.weights), space.prefix_weight
+        means = pf[family.center, counts] / pw[family.center, counts]
+        mu, mu6 = family.measures(), family.measures(6.0)
+        pairs = sampled_nested_pairs(space, pair_budget, seed)
+        b1, b2 = pairs.b1, pairs.b2
+    flags = mu6 <= profile.beta(6.0) * mu  # the doubling balls
     tables = coefficient_tables(space, lam, 6.0)
 
     # concentric pairs (b, j >= b): the outer balls of scale index N form the
@@ -515,13 +497,13 @@ def sharp_maximal(space: PointCloudSpace, lam: DominatingFunction,
             np.maximum(pair_vals, jump / tables.concentric(slice(None), n_idx), out=pair_vals)
             lo = hi
     pair_vals[~flags] = -math.inf
-    # a sampled pair reaches the members of its inner ball, as a concentric one
-    pairs = sampled_nested_pairs(space, pair_budget, seed)
-    doubling = flags[pairs.b1] & flags[pairs.b2]
-    b1, b2 = pairs.b1[doubling], pairs.b2[doubling]
+    # a pair of the other source (for a small family, every nested pair) reaches
+    # the members of its inner ball, as a concentric one
+    doubling = flags[b1] & flags[b2]
+    b1, b2 = b1[doubling], b2[doubling]
     np.maximum.at(pair_vals, b1, np.abs(means[b1] - means[b2]) / tables.pairs(b1, b2))
 
-    osc_part = _scatter_sup(space, osc_s / family.measures(6.0))
+    osc_part = _scatter_sup(space, osc_s / mu6)
     pair_part = np.maximum(_scatter_sup(space, pair_vals), 0.0)
     out = np.maximum(osc_part, pair_part)
     return out if x is None else float(out[x])

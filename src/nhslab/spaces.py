@@ -3,13 +3,18 @@
 The Morrey norm is a supremum over candidate balls of normalized p-means;
 the Campanato norm combines a normalized mean-oscillation supremum with a
 regularity supremum over nested ball pairs, where mean jumps are divided by
-a power of the discrete nesting coefficient.  Ball-pair enumeration is
-exhaustive when :func:`~nhslab.geometry.pairs_are_exhaustive` holds, and
-otherwise uses the exhaustive concentric dyadic ladder plus the budgeted,
-fixed-seed sample of non-concentric containing pairs, drawn once per
-(space, budget, seed) by :func:`~nhslab.geometry.sampled_nested_pairs` and
-shared with ``validate_phi_gdec`` and the sharp maximal function; it and the
-mean-jump check's comparable pairs are replayed from the PCG64 raw stream by
+a power of the discrete nesting coefficient.  Both suprema have one tail
+for every space size; the size chooses only two inputs.  When
+:func:`~nhslab.geometry.pairs_are_exhaustive` holds, the per-ball means,
+oscillation numerators and measures come from one brute-force pass in
+point-index order (:func:`ball_sums`) and the pairs are every nested pair,
+whose coefficients are raised to gamma with Python's pow.
+Otherwise they come from the prefix tables, and the pairs are the exhaustive
+concentric dyadic ladder plus the budgeted, fixed-seed sample of
+non-concentric containing pairs, drawn once per (space, budget, seed) by
+:func:`~nhslab.geometry.sampled_nested_pairs` and shared with
+``validate_phi_gdec`` and the sharp maximal function; it and the mean-jump
+check's comparable pairs are replayed from the PCG64 raw stream by
 :func:`~nhslab.geometry.replay_draws`.
 
 The normalizers psi and phi follow the radial-function protocol of
@@ -129,6 +134,31 @@ def ball_mean(space: PointCloudSpace, f: np.ndarray, ball: Ball) -> float:
     return float(np.sum(np.asarray(f)[mask] * w) / np.sum(w))
 
 
+def ball_sums(space: PointCloudSpace, f: np.ndarray, scales: Sequence[float]) -> tuple:
+    """Per candidate ball, summed over its members in point-index order as
+    :func:`ball_mean` and :func:`~nhslab.geometry.ball_measure` sum: the mean
+    of f, the p = 1 oscillation numerator and, row by row, the measures of
+    the ball enlarged by each of ``scales``.
+
+    The suprema of small families read these numbers, not the prefix tables
+    summed in distance order: the acceptance criterion "budgeted suprema
+    equal to exhaustive enumeration on small fixtures exactly" pins this
+    summation order.
+    """
+    family = space.balls()
+    means, nums = np.empty(len(family)), np.empty(len(family))
+    measures = np.empty((len(scales), len(family)))
+    for b, (c, r) in enumerate(zip(family.center.tolist(), family.radius.tolist())):
+        row = space.dist[c]
+        mask = row <= r
+        w = space.weights[mask]
+        means[b] = m = float(np.sum(f[mask] * w) / np.sum(w))
+        nums[b] = np.sum(np.abs(f[mask] - m) * w)
+        for i, scale in enumerate(scales):
+            measures[i, b] = np.sum(space.weights[row <= scale * r])
+    return means, nums, measures
+
+
 _OSC_BLOCK = 64
 
 
@@ -231,75 +261,54 @@ class CampanatoNormReport:
     pair_count: int = 0
 
 
-def _campanato_exhaustive(space, lam, f, psi, tau, gamma) -> CampanatoNormReport:
-    """Primitive-based enumeration over every candidate ball and every nested
-    candidate pair; used when the family is small enough."""
-    f = np.asarray(f, dtype=float)
-    family = space.balls()
-    balls = [Ball(int(c), float(r)) for c, r in zip(family.center, family.radius)]
-    means = [ball_mean(space, f, b) for b in balls]
-    psit = space.fn_table(psi).tolist()
-    osc = 0.0
-    osc_w: dict = {}
-    for b, m, psi_b in zip(balls, means, psit):
-        mask = space.dist[b.center] <= b.radius
-        num = float(np.sum(np.abs(f[mask] - m) * space.weights[mask]))
-        val = num / (psi_b * ball_measure(space, b.scaled(tau)))
-        if val > osc:
-            osc = val
-            osc_w = {"center": b.center, "radius": b.radius}
-    reg = 0.0
-    reg_w: dict = {}
-    inner, outer = nested_pairs(space)
-    coeffs = coefficient_tables(space, lam, tau).pairs(inner, outer).tolist()
-    for i, j, coeff in zip(inner, outer, coeffs):
-        b1, b2 = balls[i], balls[j]
-        val = abs(means[i] - means[j]) / (psit[i] * coeff ** gamma)
-        if val > reg:
-            reg = val
-            reg_w = {"inner": {"center": b1.center, "radius": b1.radius},
-                     "outer": {"center": b2.center, "radius": b2.radius}}
-    return CampanatoNormReport(osc, reg, max(osc, reg), tau, gamma, osc_w, reg_w,
-                               "exhaustive", len(coeffs))
-
-
 def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.ndarray,
                          psi: RegularityFunctionPsi, combos: Sequence[tuple],
                          *, pair_budget: int = 2000, seed: int = 0) -> list:
     """Oscillation-regularity norms for several (tau, gamma) combinations,
-    sharing the per-function oscillation and mean tables across combos."""
+    sharing the per-function oscillation and mean tables across combos.
+
+    Only two inputs depend on the family size.  A family for which
+    :func:`~nhslab.geometry.pairs_are_exhaustive` holds reads its per-ball
+    numbers from :func:`ball_sums` and every nested pair, raised with
+    Python's pow; a larger one reads the prefix tables, the concentric ladder
+    and the sampled pairs.
+    """
     for tau, gamma in combos:
         if not tau > 1:
             raise InvalidExponent(f"tau must exceed 1, got {tau!r}")
         if not gamma >= 1:
             raise InvalidExponent(f"gamma must be at least 1, got {gamma!r}")
-    family = space.balls()
-    if pairs_are_exhaustive(space):
-        return [_campanato_exhaustive(space, lam, f, psi, tau, gamma)
-                for tau, gamma in combos]
-
     f = np.asarray(f, dtype=float)
+    family = space.balls()
     psit = space.fn_table(psi)
-    counts = family.counts()
-    osc_sums = oscillation_sums(space, f)[family.center, counts - 1]
-    pf, pw = space.prefix_of(f * space.weights), space.prefix_weight
-    means = pf[family.center, counts] / pw[family.center, counts]
-    pairs = sampled_nested_pairs(space, pair_budget, seed)
-    b1, b2 = pairs.b1, pairs.b2
+    taus = list(dict.fromkeys(t for t, _ in combos))
+    exhaustive = pairs_are_exhaustive(space)
+    if exhaustive:
+        means, osc_sums, tau_measures = ball_sums(space, f, taus)
+        b1, b2 = nested_pairs(space)
+    else:
+        counts = family.counts()
+        osc_sums = oscillation_sums(space, f)[family.center, counts - 1]
+        pf, pw = space.prefix_of(f * space.weights), space.prefix_weight
+        means = pf[family.center, counts] / pw[family.center, counts]
+        tau_measures = [family.measures(tau) for tau in taus]
+        pairs = sampled_nested_pairs(space, pair_budget, seed)
+        b1, b2 = pairs.b1, pairs.b2
     pair_jumps, pair_psi = np.abs(means[b1] - means[b2]), psit[b1]
     reports: list = [None] * len(combos)
     # everything but the power gamma depends on tau alone, so it is paid once per tau
-    for tau in dict.fromkeys(t for t, _ in combos):
+    for tau, measures in zip(taus, tau_measures):
         slots = [(i, gamma) for i, (t, gamma) in enumerate(combos) if t == tau]
         tables = coefficient_tables(space, lam, tau)
         ladder = family.ladder(tau)
-        osc, osc_w = family.sup(osc_sums / (psit * family.measures(tau)))
+        osc, osc_w = family.sup(osc_sums / (psit * measures))
         # per ball, the best pair (B, tau**k B) up to one step past saturation
-        # (tau**sat B covers the space), and the first k attaining it
+        # (tau**sat B covers the space), and the first k attaining it; a small
+        # family reads every nested pair instead, so its best stays -inf
         sat = ladder.sat
         best = np.full((len(slots), len(family)), -np.inf)
         best_k = np.zeros((len(slots), len(family)), dtype=np.int64)
-        for k in range(1, int(sat.max()) + 2):
+        for k in range(1, 0 if exhaustive else int(sat.max()) + 2):
             q_out = ladder.counts[:, k + ladder.k_floor]
             m_out = pf[family.center, q_out] / pw[family.center, q_out]
             jump = np.abs(means - m_out)
@@ -310,7 +319,7 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
                 better = live & (vals > best[s])
                 best[s][better] = vals[better]
                 best_k[s][better] = k
-        pair_coeff = tables.pairs(b1, b2) if len(pairs) else None
+        pair_coeff = tables.pairs(b1, b2)
         for s, (i, gamma) in enumerate(slots):
             reg, reg_w = 0.0, {}
             top = float(best[s].max())
@@ -322,14 +331,20 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
                 outer = ladder.scales[best_k[s][b] + ladder.k_floor] * family.radius[b]
                 reg, reg_w = top, {"inner": family.ball(b),
                                    "outer": {"center": int(family.center[b]), "radius": float(outer)}}
-            if len(pairs):
-                vals = pair_jumps / (pair_psi * pair_coeff ** gamma)
+            if b1.size:
+                # Python's pow, as the exhaustive oracles and acceptance fixtures use;
+                # NumPy squares at gamma = 2, and the two can differ in the last bit
+                powers = (np.array([c ** gamma for c in pair_coeff.tolist()]) if exhaustive
+                          else pair_coeff ** gamma)
+                vals = pair_jumps / (pair_psi * powers)
                 j = int(np.argmax(vals))
                 if vals[j] > reg:
                     reg = float(vals[j])
                     reg_w = {"inner": family.ball(b1[j]), "outer": family.ball(b2[j])}
-            reports[i] = CampanatoNormReport(osc, reg, max(osc, reg), tau, gamma, dict(osc_w), reg_w,
-                                             "ladder_and_sampled", int(np.sum(sat + 1)) + len(pairs))
+            reports[i] = CampanatoNormReport(
+                osc, reg, max(osc, reg), tau, gamma, dict(osc_w), reg_w,
+                "exhaustive" if exhaustive else "ladder_and_sampled",
+                b1.size if exhaustive else int(np.sum(sat + 1)) + b1.size)
     return reports
 
 

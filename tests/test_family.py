@@ -13,8 +13,10 @@ flags) with the draw loops it replaced, the coefficient table with the
 scalar primitive on every nested pair, the concentric coefficient kernel
 with the scalar formula it replaced, the chain search with its per-link
 loop, the coefficient inequalities with their per-triple loop, the run ends of ``sharp_maximal``'s concentric pass with the
-scale-index matrix, and the one-pass Marcinkiewicz integral with its
-per-point loop.  The oscillation sums are compared with
+scale-index matrix, the one supremum tail of ``campanato_norm_multi`` and
+``sharp_maximal`` on small families with the per-ball and per-pair loops it
+replaced (kept here as oracles), and the one-pass Marcinkiewicz integral
+with its per-point loop.  The oscillation sums are compared with
 exact rational sums and with the dense table they replaced.  The draws that
 ``geometry.replay_draws`` recomputes from the raw PCG64 stream are compared
 with the scalar ``Generator`` calls they replace: the bounded draw itself,
@@ -42,8 +44,9 @@ from hypothesis import strategies as st
 
 import nhslab as nl
 from nhslab import geometry, lab, operators, spaces
-from nhslab.geometry import Ball
+from nhslab.geometry import Ball, ball_measure, coefficient_tables, nested_pairs
 from nhslab.operators import OperatorParams
+from nhslab.spaces import CampanatoNormReport, ball_mean
 from test_mmspace import _exhaustive_doubling_count
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -550,7 +553,7 @@ def _doubling_indices_reference(space, profile, alpha):
     family = space.balls()
     ladder = family.ladder(alpha)
     r0 = float(family.radius.min())
-    depth = geometry.smallest_scale_index(alpha, r0, max(space.diameter, r0)) + 4
+    depth = int(nl.mmspace.scale_index_array(alpha, r0, max(space.diameter, r0))) + 4
     idx = np.full(len(family), -1)
     mu = family.measures()
     for i in range(depth - 1):
@@ -791,12 +794,112 @@ def test_run_ends_group_outer_balls_by_scale_index(space, tau):
 
 
 # ------------------------------------------------------------------------------
+# One supremum tail against the exhaustive loops it replaced
+# ------------------------------------------------------------------------------
+def _campanato_exhaustive(space, lam, f, psi, tau, gamma) -> CampanatoNormReport:
+    """Primitive-based enumeration over every candidate ball and every nested
+    candidate pair; used when the family is small enough."""
+    f = np.asarray(f, dtype=float)
+    family = space.balls()
+    balls = [Ball(int(c), float(r)) for c, r in zip(family.center, family.radius)]
+    means = [ball_mean(space, f, b) for b in balls]
+    psit = space.fn_table(psi).tolist()
+    osc = 0.0
+    osc_w: dict = {}
+    for b, m, psi_b in zip(balls, means, psit):
+        mask = space.dist[b.center] <= b.radius
+        num = float(np.sum(np.abs(f[mask] - m) * space.weights[mask]))
+        val = num / (psi_b * ball_measure(space, b.scaled(tau)))
+        if val > osc:
+            osc = val
+            osc_w = {"center": b.center, "radius": b.radius}
+    reg = 0.0
+    reg_w: dict = {}
+    inner, outer = nested_pairs(space)
+    coeffs = coefficient_tables(space, lam, tau).pairs(inner, outer).tolist()
+    for i, j, coeff in zip(inner, outer, coeffs):
+        b1, b2 = balls[i], balls[j]
+        val = abs(means[i] - means[j]) / (psit[i] * coeff ** gamma)
+        if val > reg:
+            reg = val
+            reg_w = {"inner": {"center": b1.center, "radius": b1.radius},
+                     "outer": {"center": b2.center, "radius": b2.radius}}
+    return CampanatoNormReport(osc, reg, max(osc, reg), tau, gamma, osc_w, reg_w,
+                               "exhaustive", len(coeffs))
+
+
+def _sharp_exhaustive(space, lam, profile, f, tau) -> np.ndarray:
+    beta = profile.beta(tau)
+    f = np.asarray(f, dtype=float)
+    family = space.balls()
+    balls = [Ball(int(c), float(r)) for c, r in zip(family.center, family.radius)]
+    means = []
+    masks = []
+    dbl = []
+    osc = np.zeros(space.n)
+    for ball in balls:
+        mask = space.dist[ball.center] <= ball.radius
+        masks.append(mask)
+        w = space.weights[mask]
+        m = float(np.sum(f[mask] * w) / np.sum(w))
+        means.append(m)
+        dbl.append(ball_measure(space, ball.scaled(tau)) <= beta * ball_measure(space, ball))
+        val = float(np.sum(np.abs(f[mask] - m) * w)) / ball_measure(space, ball.scaled(6.0))
+        osc[mask] = np.maximum(osc[mask], val)
+    pair = np.zeros(space.n)
+    inner, outer = nested_pairs(space)
+    coeffs = coefficient_tables(space, lam, 6.0).pairs(inner, outer).tolist()
+    for i, j, coeff in zip(inner, outer, coeffs):
+        if not (dbl[i] and dbl[j]):
+            continue
+        val = abs(means[i] - means[j]) / coeff
+        pair[masks[i]] = np.maximum(pair[masks[i]], val)
+    return np.maximum(osc, pair)
+
+
+ORACLE_COMBOS = [(t, g) for t in (1.5, 2.0, 3.0, 6.0) for g in (1.0, 2.0)]
+
+# Two points whose largest tau = 1.5, gamma = 2 pair value differs in the last
+# bit when NumPy squares the coefficient instead of Python's pow raising it.
+POW_SENSITIVE = nl.build_space(points=[[0.8881652611147983, 0.34919114644099536],
+                                       [0.19647324275965472, 0.29279068437750133]],
+                               weights=[0.746091380120192, 1.475703872795111])
+
+
+@PROPERTY
+@given(st.one_of(small_spaces(), small_spaces(coincident=True)),
+       st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10), st.booleans(),
+       st.sampled_from(["auto", 1.0]))
+@example(TIE_SENSITIVE, [0.5, -1.0, 0.25, 1.0, 0.0] * 2, False, "auto")
+@example(TIE_SENSITIVE, [0.3, 0.3, -0.7, 0.9, -0.2] * 2, True, 1.0)
+@example(POW_SENSITIVE, [-0.3068060489526834, 0.626243225243879] + [0.0] * 8, False, "auto")
+def test_exhaustive_suprema_equal_pair_loops(space, values, weighted, kappa):
+    """Families small enough for every nested pair take the one supremum tail
+    with the per-ball numbers of ``ball_sums``: every report field and the
+    sharp array equal the loops over balls and pairs, all (tau, gamma) at once."""
+    if not geometry.pairs_are_exhaustive(space):
+        reject()
+    try:
+        lam = nl.fit_power_lambda(space, kappa)
+    except nl.errors.DegenerateRadii:
+        reject()
+    profile = nl.make_profile(space, lam)
+    psi = spaces.weight_psi(space) if weighted else spaces.constant_psi()
+    for f in (np.asarray(values[:space.n]), np.round(values[:space.n])):
+        reports = spaces.campanato_norm_multi(space, lam, f, psi, ORACLE_COMBOS)
+        assert reports == [_campanato_exhaustive(space, lam, f, psi, tau, gamma)
+                           for tau, gamma in ORACLE_COMBOS]
+        assert np.array_equal(operators.sharp_maximal(space, lam, profile, f),
+                              _sharp_exhaustive(space, lam, profile, f, 6.0))
+
+
+# ------------------------------------------------------------------------------
 # The concentric coefficient kernel and the chain search over it
 # ------------------------------------------------------------------------------
 def _discrete_coefficient_reference(space, lam, inner, outer, tau):
     """The scalar formula before the kernel: one ladder, one ``searchsorted``
     and one ``lam.table`` per pair; returns (value, N, terms)."""
-    n_idx = nl.mmspace.smallest_scale_index(tau, inner.radius, outer.radius)
+    n_idx = int(nl.mmspace.scale_index_array(tau, inner.radius, outer.radius))
     k_min = -nl.mmspace.floor_log(tau)
     radii = inner.radius * tau ** np.arange(k_min, n_idx + 1)
     counts = np.searchsorted(space.sorted_dist[inner.center], radii, side="right")
@@ -923,7 +1026,7 @@ def _coefficient_inequalities_reference(space, lam, tau_pair, sample_budget, see
     t1 = geometry.coefficient_tables(space, lam, tau1)
     t2 = geometry.coefficient_tables(space, lam, tau2)
     rng = np.random.default_rng(seed)
-    index = nl.mmspace.smallest_scale_index
+    index = nl.mmspace.scale_index_array
     monotone_ok, monotone_witness, ge_one_ok = True, {}, True
     diff_ratio_max = shrink_ratio_max = 0.0
     cross_max, cross_min = -math.inf, math.inf

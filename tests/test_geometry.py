@@ -14,7 +14,6 @@ from nhslab.geometry import (
     Ball,
     floor_log,
     scale_index_array,
-    smallest_scale_index,
 )
 
 
@@ -77,7 +76,20 @@ def test_floor_log_exact_power():
     (1.0, 0.5, 0),
 ])
 def test_smallest_scale_index(r_in, r_out, expected):
-    assert smallest_scale_index(2.0, r_in, r_out) == expected
+    assert scale_index_array(2.0, r_in, r_out) == expected
+
+
+def smallest_scale_index(tau: float, r_inner: float, r_outer: float) -> int:
+    """The scalar scale index with Python's pow, which ``scale_index_array``
+    replaced; at tau = 2 every power is exact, so the two agree."""
+    if r_outer <= r_inner:
+        return 0
+    n = max(0, int(math.ceil(math.log(r_outer / r_inner) / math.log(tau) - 1e-12)))
+    while tau ** n * r_inner < r_outer:
+        n += 1
+    while n > 0 and tau ** (n - 1) * r_inner >= r_outer:
+        n -= 1
+    return n
 
 
 def test_scale_index_array_matches_scalar():

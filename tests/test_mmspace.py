@@ -168,11 +168,6 @@ def test_fit_auto_two_point(two_point):
     assert lam.nu == pytest.approx(1.0, abs=1e-12)
 
 
-def test_fit_existing_bypass(two_point):
-    space, lam = two_point
-    assert nl.fit_power_lambda(space, existing=lam) is lam
-
-
 def test_fit_auto_degenerate_radii():
     space = nl.build_space(points=[[0.0]], weights=[1.0])
     with pytest.raises(DegenerateRadii):

@@ -167,7 +167,7 @@ def test_campanato_reports_ladder_and_sampled_pairs(small_space, psi_const):
         report = nl.campanato_norm(space, lam, f, psi_const, 3.0, pair_budget=40)
     assert report.pairs == "ladder_and_sampled"
     # each ball B is paired with 3**k B for k = 1 .. one past its saturation depth
-    ladder = sum(nl.geometry.smallest_scale_index(3.0, float(r), max(space.diameter, float(radii[0]))) + 1
+    ladder = sum(int(nl.mmspace.scale_index_array(3.0, r, max(space.diameter, radii[0]))) + 1
                  for radii in (space.candidate_radii(c) for c in range(space.n)) for r in radii)
     sample = nl.geometry.sampled_nested_pairs(space, 40, 0)
     assert 0 < len(sample) < 40
