@@ -10,6 +10,7 @@ random vectors.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -394,6 +395,13 @@ class _Context:
         return generate_functions(self.space, family, count, self.seed,
                                   lam=self.lam, psi=self.psi)
 
+    @functools.cached_property
+    def constants(self) -> dict:
+        """The pass of the norm-band and mean-jump rows, paid by the first to run."""
+        return spaces.function_constants(self.space, self.lam, self.psi,
+                                         self.functions(self.budget("functions", 5)),
+                                         self.budget("pairs", 500), self.seed)
+
 
 def _row(ctx: _Context, check: str, value, status: str, lower=None, upper=None, witness=None) -> Row:
     return Row(check=check, n=ctx.space.n, generator=ctx.gen_name,
@@ -542,8 +550,7 @@ def _check_jn_envelope(ctx: _Context) -> Row:
     rates = []
     for f in fs:
         rep = spaces.jn_distribution(ctx.space, f, ctx.psi, ball, 2.0)
-        envelope = 2.0 * np.exp(-rep.rate * rep.t_values) * rep.mu_tau_ball
-        dominated += int(np.sum(rep.distribution <= envelope * (1.0 + 1e-12)))
+        dominated += _envelope_hits(rep.rate, rep)
         total += rep.t_values.size
         rates.append(rep.rate)
     frac = dominated / max(total, 1)
@@ -552,44 +559,19 @@ def _check_jn_envelope(ctx: _Context) -> Row:
 
 
 def _check_mean_jumps(ctx: _Context) -> Row:
-    worst = 0.0
-    details = {}
-    for f in ctx.functions(ctx.budget("functions", 5)):
-        rep = spaces.check_mean_jump_bounds(ctx.space, ctx.lam, f, ctx.psi,
-                                            pair_budget=ctx.budget("pairs", 500),
-                                            seed=ctx.seed)
-        if rep.value > worst:
-            worst = rep.value
-            details = rep.details
-    return _row(ctx, "mean_jump_bounds", worst, "pass", witness=details)
+    rep = ctx.constants["mean_jump"]
+    return _row(ctx, "mean_jump_bounds", rep.value, "pass", witness=rep.details)
 
 
 def _check_equivalence(ctx: _Context) -> Row:
-    fs = ctx.functions(ctx.budget("functions", 5))
-    rep = spaces.equivalence_experiment(ctx.space, ctx.lam, ctx.psi, fs,
-                                        pair_budget=ctx.budget("pairs", 500), seed=ctx.seed)
-    bands = rep.details["bands"]
-    key = next(iter(bands)) if bands else None
-    lower, upper = bands.get(key, (None, None)) if key else (None, None)
+    rep = ctx.constants["equivalence"]
+    lower, upper = next(iter(rep.details["bands"].values()), (None, None))
     return _row(ctx, "equivalence_bands", rep.value, "pass",
                 lower=lower, upper=upper, witness=rep.details)
 
 
 def _check_p_oscillation_bands(ctx: _Context) -> Row:
-    fs = ctx.functions(ctx.budget("functions", 5))
-    norms = [spaces.campanato_norm(ctx.space, ctx.lam, f, ctx.psi,
-                                   pair_budget=ctx.budget("pairs", 500), seed=ctx.seed).norm
-             for f in fs]
-    bands = {}
-    for p in (2.0, 4.0):
-        lo, hi = math.inf, -math.inf
-        for f, norm in zip(fs, norms):
-            if norm <= 1e-13:
-                continue
-            posc = spaces.p_oscillation_norm(ctx.space, f, ctx.psi, p, 2.0)
-            ratio = posc / norm
-            lo, hi = min(lo, ratio), max(hi, ratio)
-        bands[f"p{p:g}"] = [lo, hi]
+    bands = ctx.constants["p_oscillation"]
     return _row(ctx, "p_oscillation_bands", bands["p2"][1], "pass",
                 lower=bands["p2"][0], upper=bands["p2"][1], witness=bands)
 
@@ -608,11 +590,13 @@ def _check_operator_norm_ratios(ctx: _Context) -> Row:
 def _check_sharp_estimate(ctx: _Context) -> Row:
     fs = ctx.functions(ctx.budget("sharp_functions", 3))
     b = ctx.functions(1)[0]
+    b_norm = spaces.campanato_norm(ctx.space, ctx.lam, b, ctx.psi, 2.0, ctx.params.gamma,
+                                   pair_budget=ctx.budget("pairs", 500), seed=ctx.seed).norm
     worst = 0.0
     for f in fs:
         rep = operators.check_sharp_maximal_estimate(
             ctx.space, ctx.lam, ctx.profile, ctx.kernel, ctx.psi, b, f, ctx.params,
-            pair_budget=ctx.budget("pairs", 500), seed=ctx.seed)
+            pair_budget=ctx.budget("pairs", 500), seed=ctx.seed, b_norm=b_norm)
         worst = max(worst, rep.value)
     return _row(ctx, "sharp_maximal_estimate", worst, "pass")
 
@@ -806,6 +790,12 @@ def emit_report(report: ExperimentReport, fmt: str = "json",
 PINNED_KAPPA = 0.8
 
 
+def _envelope_hits(rate: float, rep: spaces.JNReport) -> int:
+    """How many levels of ``rep`` lie under 2 * exp(-rate * t) * mu(tau B) * (1 + 1e-12)."""
+    envelope = 2.0 * np.exp(-rate * rep.t_values) * rep.mu_tau_ball
+    return int(np.sum(rep.distribution <= envelope * (1.0 + 1e-12)))
+
+
 def jn_envelope_experiment(generator_small: dict, generator_large: dict,
                            count: int = 20, seed: int = 7) -> dict:
     """Fit exponential envelope rates on the coarse space and measure how often
@@ -828,8 +818,7 @@ def jn_envelope_experiment(generator_small: dict, generator_large: dict,
     for f_s, f_l in zip(fs_small, fs_large):
         rep_s = spaces.jn_distribution(spc_small, f_s, psi, ball_small, 2.0)
         rep_l = spaces.jn_distribution(spc_large, f_l, psi, ball_large, 2.0)
-        envelope = 2.0 * np.exp(-rep_s.rate * rep_l.t_values) * rep_l.mu_tau_ball
-        results["dominated"] += int(np.sum(rep_l.distribution <= envelope * (1.0 + 1e-12)))
+        results["dominated"] += _envelope_hits(rep_s.rate, rep_l)
         results["total"] += int(rep_l.t_values.size)
         results["functions"] += 1
         rates.append(rep_s.rate)
@@ -842,9 +831,9 @@ def constant_battery(generator: dict, count: int = 100, seed: int = 7,
                      kappa: float = PINNED_KAPPA) -> dict:
     """All refinement-stability constants for one generator, as a flat dict.
 
-    The operator norm ratios come from :func:`operator_norm_ratios`, as in
-    the experiment check; one further pass over the functions shares each
-    function's norms between the remaining constants, under the default
+    :func:`operator_norm_ratios` and :func:`spaces.function_constants` give
+    the operator ratios, norm bands and mean jumps, as in the experiment rows;
+    one loop adds the sharp and embedding ratios.  All use the default
     ``OperatorParams``, 5000 coefficient triples and 2000 sampled pairs.  The
     dominating-function exponent is pinned (only its tight constant is
     refitted per space) so that every refinement level runs the same
@@ -876,28 +865,10 @@ def constant_battery(generator: dict, count: int = 100, seed: int = 7,
     b_norm = ratios.pop("b_norm")
     c10 = operators.maximal_embedding_constant(space, psi_emb, phi, p, q)
 
-    jump = {"k2": 0.0, "k6": 0.0, "iterated": 0.0, "comparable": 0.0}
-    band_tau = [math.inf, -math.inf]
-    band_gamma = [math.inf, -math.inf]
-    p_osc = {2.0: [math.inf, -math.inf], 4.0: [math.inf, -math.inf]}
+    constants = spaces.function_constants(space, lam, psi, fs, 2000, seed)
     sharp_ratio = 0.0
     emb = 0.0
-
     for f in fs:
-        n21, n22, n61, n62 = (r.norm for r in spaces.campanato_norm_multi(
-            space, lam, f, psi, spaces.NORM_COMBOS, seed=seed))
-        if n21 > 1e-13:
-            band_tau = [min(band_tau[0], n21 / n61), max(band_tau[1], n21 / n61)]
-            band_gamma = [min(band_gamma[0], n21 / n22), max(band_gamma[1], n21 / n22)]
-            for pp in p_osc:
-                ratio = spaces.p_oscillation_norm(space, f, psi, pp, 2.0) / n21
-                p_osc[pp] = [min(p_osc[pp][0], ratio), max(p_osc[pp][1], ratio)]
-            d = spaces.check_mean_jump_bounds(space, lam, f, psi, seed=seed, norm=n21).details
-            jump["k2"] = max(jump["k2"], d["per_k"]["2.0"])
-            jump["k6"] = max(jump["k6"], d["per_k"]["6.0"])
-            jump["iterated"] = max(jump["iterated"], d["iterated"])
-            jump["comparable"] = max(jump["comparable"], d["comparable"])
-
         rep = operators.check_sharp_maximal_estimate(
             space, lam, profile, kernel, psi, b, f, params, seed=seed, b_norm=b_norm)
         sharp_ratio = max(sharp_ratio, rep.value)
@@ -908,14 +879,12 @@ def constant_battery(generator: dict, count: int = 100, seed: int = 7,
                 space, psi_emb, phi, np.asarray(f) / mn_tau, params, c10=c10)
             emb = max(emb, rep.value)
 
-    out["mean_jump_k2"] = jump["k2"]
-    out["mean_jump_k6"] = jump["k6"]
-    out["mean_jump_iterated"] = jump["iterated"]
-    out["mean_jump_comparable"] = jump["comparable"]
-    out["norm_band_tau_min"], out["norm_band_tau_max"] = band_tau
-    out["norm_band_gamma_min"], out["norm_band_gamma_max"] = band_gamma
-    out["p_osc_band_p2_min"], out["p_osc_band_p2_max"] = p_osc[2.0]
-    out["p_osc_band_p4_min"], out["p_osc_band_p4_max"] = p_osc[4.0]
+    out.update({f"mean_jump_{key}": value for key, value in constants["mean_jump_max"].items()})
+    bands = constants["equivalence"].details["bands"]
+    for name, key in (("tau", "tau2_gamma1_vs_tau6_gamma1"), ("gamma", "tau2_gamma1_vs_tau2_gamma2")):
+        out[f"norm_band_{name}_min"], out[f"norm_band_{name}_max"] = bands.get(key, (math.inf, -math.inf))
+    for name, band in constants["p_oscillation"].items():
+        out[f"p_osc_band_{name}_min"], out[f"p_osc_band_{name}_max"] = band
     out["sharp_commutator_ratio"] = sharp_ratio
     out["maximal_embedding_ratio"] = emb
     out.update(ratios)

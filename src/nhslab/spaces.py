@@ -50,8 +50,6 @@ from .mmspace import (
 )
 from .report import CheckReport
 
-_TINY = 1e-300
-
 
 # ------------------------------------------------------------------------------
 # Radial function families
@@ -632,17 +630,27 @@ GAMMA_PAIR = (1.0, 2.0)
 NORM_COMBOS = tuple((t, g) for t in TAU_PAIR for g in GAMMA_PAIR)
 
 
-def equivalence_experiment(space: PointCloudSpace, lam: DominatingFunction,
-                           psi: RegularityFunctionPsi, functions: Sequence[np.ndarray],
-                           pair_budget: int = 2000, seed: int = 0) -> CheckReport:
-    """Compute the norm under the four ``NORM_COMBOS`` for a family of
-    functions and record the min/max of every pairwise norm ratio.
+def function_constants(space: PointCloudSpace, lam: DominatingFunction,
+                       psi: RegularityFunctionPsi, functions: Sequence[np.ndarray],
+                       pair_budget: int, seed: int) -> dict:
+    """One pass over a family of functions for the constants read against
+    their norms: per function one :func:`campanato_norm_multi` call under
+    ``NORM_COMBOS``, and the p = 2 and p = 4 oscillation norms and
+    :func:`check_mean_jump_bounds` over the tau = 2, gamma = 1 norm.  A
+    function whose four norms are all at most 1e-13 * max(max|f|, 1) is
+    constant and skipped.
 
-    Constant functions are excluded (both sides vanish).
+    Returns ``"equivalence"``, the ``equivalence_bands`` report of every
+    pairwise norm ratio's min/max; ``"mean_jump"``, the mean-jump report of
+    largest value (the first wins; a zero report when none is positive);
+    ``"p_oscillation"``, the ratio bands keyed ``"p2"`` and ``"p4"``; and
+    ``"mean_jump_max"``, the componentwise maxima of the mean-jump constants.
     """
     names = [f"tau{t:g}_gamma{g:g}" for t, g in NORM_COMBOS]
     bands: dict = {}
-    skipped = 0
+    p_osc = {"p2": [math.inf, -math.inf], "p4": [math.inf, -math.inf]}
+    jump = CheckReport(check="mean_jump_bounds", passed=None, value=0.0)
+    jump_max = {"k2": 0.0, "k6": 0.0, "iterated": 0.0, "comparable": 0.0}
     used = 0
     for f in functions:
         f = np.asarray(f, dtype=float)
@@ -650,7 +658,6 @@ def equivalence_experiment(space: PointCloudSpace, lam: DominatingFunction,
         norms = [r.norm for r in campanato_norm_multi(
             space, lam, f, psi, NORM_COMBOS, pair_budget=pair_budget, seed=seed)]
         if max(norms) <= 1e-13 * max(scale, 1.0):
-            skipped += 1
             continue
         used += 1
         for a in range(len(names)):
@@ -659,11 +666,34 @@ def equivalence_experiment(space: PointCloudSpace, lam: DominatingFunction,
                 ratio = norms[a] / norms[b]
                 lo, hi = bands.get(key, (math.inf, -math.inf))
                 bands[key] = (min(lo, ratio), max(hi, ratio))
-    return CheckReport(
+        n21 = norms[0]
+        for p, key in ((2.0, "p2"), (4.0, "p4")):
+            ratio = p_oscillation_norm(space, f, psi, p, 2.0) / n21
+            p_osc[key] = [min(p_osc[key][0], ratio), max(p_osc[key][1], ratio)]
+        rep = check_mean_jump_bounds(space, lam, f, psi, pair_budget=pair_budget,
+                                     seed=seed, norm=n21)
+        if rep.value > jump.value:
+            jump = rep
+        d = rep.details
+        for key, value in zip(jump_max, (d["per_k"]["2.0"], d["per_k"]["6.0"],
+                                         d["iterated"], d["comparable"])):
+            jump_max[key] = max(jump_max[key], value)
+    equivalence = CheckReport(
         check="equivalence_bands",
         passed=None,
         value=None if not bands else max(v[1] for v in bands.values()),
         details={"bands": {k: list(v) for k, v in bands.items()},
-                 "functions_used": used, "functions_skipped": skipped,
+                 "functions_used": used, "functions_skipped": len(functions) - used,
                  "tau_pair": list(TAU_PAIR), "gamma_pair": list(GAMMA_PAIR)},
     )
+    return {"equivalence": equivalence, "mean_jump": jump, "p_oscillation": p_osc,
+            "mean_jump_max": jump_max}
+
+
+def equivalence_experiment(space: PointCloudSpace, lam: DominatingFunction,
+                           psi: RegularityFunctionPsi, functions: Sequence[np.ndarray],
+                           pair_budget: int = 2000, seed: int = 0) -> CheckReport:
+    """The min/max of every pairwise ratio of the norms under the four
+    ``NORM_COMBOS`` over a family of functions, constant functions excluded:
+    the ``equivalence`` report of :func:`function_constants`."""
+    return function_constants(space, lam, psi, functions, pair_budget, seed)["equivalence"]
