@@ -24,6 +24,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+# NumPy loads numpy.random on first use; importing it here keeps that cost in
+# `import nhslab` rather than in the first draw of a run
+from numpy.random import default_rng
 
 from .errors import NotNested
 from .mmspace import (
@@ -271,7 +274,7 @@ class NestedPairSample:
 
 def replay_draws(seed: int, budget: int, words: int, step) -> list:
     """The values of ``budget`` steps of a scalar ``Generator`` draw loop,
-    recomputed from one raw PCG64 block of ``np.random.default_rng(seed)``.
+    recomputed from one raw PCG64 block of ``default_rng(seed)``.
 
     ``step(draw)`` runs one step from every 32-bit word offset of the block
     at once; ``draw(r)`` is ``Generator.integers(r)``, r <= 2**32: Lemire's
@@ -280,7 +283,7 @@ def replay_draws(seed: int, budget: int, words: int, step) -> list:
     ``words`` bounds the words of a step without rejections; a chain that
     runs past the block enlarges it.
     """
-    raw = np.random.default_rng(seed).bit_generator.random_raw(words * max(budget, 0) // 2 + 32)
+    raw = default_rng(seed).bit_generator.random_raw(words * max(budget, 0) // 2 + 32)
     block = raw.astype("<u8").view("<u4").astype(np.uint64)
     pos = np.arange(block.size + 1 if budget > 0 else 0)
 

@@ -77,12 +77,41 @@ TRIANGLE_SAMPLE_FACTOR = 10
 
 
 def _dedup_sorted(values: np.ndarray) -> np.ndarray:
-    """Collapse entries of an ascending array within ``RADIUS_DEDUP_TOL``."""
+    """Collapse entries of an ascending array within ``RADIUS_DEDUP_TOL``:
+    keep a value when it exceeds the last kept one by that relative step."""
     out = [float(values[0])]
     for v in values[1:]:
         if v > out[-1] * (1.0 + RADIUS_DEDUP_TOL):
             out.append(float(v))
     return np.asarray(out, dtype=float)
+
+
+def _dedup_rows(rows: np.ndarray) -> tuple:
+    """:func:`_dedup_sorted` of the positive entries of every ascending row
+    (``FALLBACK_RADIUS`` for a row without any), flattened: returns the kept
+    values and their row indices.
+
+    On the distinct positive values of a row, keeping v[i] when it exceeds
+    v[i-1] * (1 + ``RADIUS_DEDUP_TOL``) is the chained rule unless two values
+    in a row are dropped; only such rows (and empty ones) take the loop.
+    """
+    distinct = rows > 0.0
+    distinct[:, 1:] &= rows[:, 1:] != rows[:, :-1]
+    row, col = np.nonzero(distinct)
+    vals = rows[row, col]
+    keep = np.ones(vals.size, dtype=bool)
+    keep[1:] = (row[1:] != row[:-1]) | (vals[1:] > vals[:-1] * (1.0 + RADIUS_DEDUP_TOL))
+    redo = np.bincount(row, minlength=rows.shape[0]) == 0
+    redo[row[1:][~keep[1:] & ~keep[:-1]]] = True
+    if not redo.any():
+        return vals[keep], row[keep]
+    again = np.flatnonzero(redo)
+    fixed = [_dedup_sorted(v) if v.size else np.asarray([FALLBACK_RADIUS])
+             for v in (vals[row == i] for i in again)]
+    keep &= ~redo[row]
+    row = np.concatenate([row[keep], np.repeat(again, [f.size for f in fixed])])
+    order = np.argsort(row, kind="stable")
+    return np.concatenate([vals[keep], *fixed])[order], row[order]
 
 
 def floor_log(tau: float) -> int:
@@ -134,17 +163,12 @@ class BallFamily:
     """
 
     def __init__(self, space: "PointCloudSpace"):
-        radii = []
-        for row in space.dist:
-            base = np.unique(row[row > 0.0])
-            scaled = np.sort(np.concatenate([m * base for m in RADIUS_MULTIPLIERS]))
-            radii.append(_dedup_sorted(scaled) if base.size else np.asarray([FALLBACK_RADIUS]))
-        sizes = [r.size for r in radii]
-        self.n = space.n
-        self.offsets = np.concatenate([[0], np.cumsum(sizes)])
-        self.center = np.repeat(np.arange(space.n), sizes)
-        self.radius = np.concatenate(radii)
+        scaled = np.sort(np.concatenate([m * space.sorted_dist for m in RADIUS_MULTIPLIERS],
+                                        axis=1), axis=1)
+        self.radius, self.center = _dedup_rows(scaled)
         self.radius.setflags(write=False)
+        self.n = space.n
+        self.offsets = np.concatenate([[0], np.cumsum(np.bincount(self.center, minlength=space.n))])
         self._diameter = space.diameter
         self._sorted_dist = space.sorted_dist
         self._prefix_weight = space.prefix_weight
@@ -307,7 +331,7 @@ class PointCloudSpace:
     def radius_union(self) -> np.ndarray:
         """Sorted union of every center's candidate radii."""
         if self._radius_union is None:
-            self._radius_union = _dedup_sorted(np.sort(self.balls().radius))
+            self._radius_union = _dedup_rows(np.sort(self.balls().radius)[None, :])[0]
             self._radius_union.setflags(write=False)
         return self._radius_union
 
@@ -448,11 +472,23 @@ def estimate_geometric_doubling(space: PointCloudSpace) -> int:
     B(c, r_i) (-inf off the ball) and every step adds each row's farthest
     point.  Steps only lower a covered row, so the center's largest cover is
     the number of steps until no row has a member beyond its r_i/2.
+
+    Only rows that can raise the count run: balls of one center with equal
+    member counts have the same members and the same traversal, which a
+    larger r/2 only stops sooner, so each run of counts keeps its smallest
+    radius; and a ball of at most ``best`` members needs at most ``best``.
     """
     family = space.balls()
+    counts = family.counts()
     best = 1
     for c in range(space.n):
-        r = family.radius[family.segment(c)]
+        s = family.segment(c)
+        k = counts[s]
+        rises = np.ones(k.size, dtype=bool)
+        rises[1:] = k[1:] != k[:-1]
+        r = family.radius[s][rises & (k > best)]
+        if not r.size:
+            continue
         row = space.dist[c]
         mind = np.where(row <= r[:, None], row, -np.inf)
         half, rows = r / 2.0, np.arange(r.size)

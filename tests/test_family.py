@@ -185,6 +185,60 @@ def test_one_family_per_space_and_no_multiplier_option(space):
         assert not radii.flags.writeable
 
 
+def _chained_dedup(values):
+    out = [float(values[0])]
+    for v in values[1:]:
+        if v > out[-1] * (1.0 + nl.mmspace.RADIUS_DEDUP_TOL):
+            out.append(float(v))
+    return out
+
+
+def _candidate_radii_reference(space):
+    """Every center's radii as the family built them before the one-pass
+    build: unique distances, scaled, sorted, merged by the chained rule."""
+    radii = []
+    for row in space.dist:
+        base = np.unique(row[row > 0.0])
+        scaled = np.sort(np.concatenate([m * base for m in nl.mmspace.RADIUS_MULTIPLIERS]))
+        radii.append(_chained_dedup(scaled) if base.size else [nl.mmspace.FALLBACK_RADIUS])
+    return radii
+
+
+@st.composite
+def near_tie_spaces(draw):
+    """1-D points at a * (1 + m * 4e-13): distances tie exactly or within a
+    few ``RADIUS_DEDUP_TOL`` steps, so chains of near-ties occur."""
+    n = draw(st.integers(1, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), min_size=n, max_size=n))
+    return nl.build_space(points=[[a * (1.0 + m * 4e-13)] for a, m in pairs], weights=np.ones(n))
+
+
+# 0, 1, 1 + 6e-13, 1 + 1.2e-12: from the center 0 the chained rule keeps
+# 1 + 1.2e-12 (past 1 * (1 + 1e-12)) where the adjacent rule would drop it
+CHAINED_NEAR_TIES = nl.build_space(points=[[0.0], [1.0], [1.0 + 6e-13], [1.0 + 1.2e-12]],
+                                   weights=np.ones(4))
+
+
+@PROPERTY
+@given(st.one_of(near_tie_spaces(), small_spaces(), small_spaces(coincident=True)))
+@example(CHAINED_NEAR_TIES)
+def test_one_pass_radii_equal_per_center_loop(space):
+    want = _candidate_radii_reference(space)
+    family = space.balls()
+    assert family.radius.tolist() == [r for radii in want for r in radii]
+    assert family.offsets.tolist() == np.cumsum([0] + [len(r) for r in want]).tolist()
+    assert family.center.tolist() == [c for c, radii in enumerate(want) for _ in radii]
+    assert space.radius_union().tolist() == _chained_dedup(np.sort(family.radius))
+
+
+def test_chained_near_ties_keep_the_chained_rule():
+    rows = np.array([[0.0, 1.0, 1.0 + 6e-13, 1.0 + 1.2e-12, 2.0]])
+    values, row = nl.mmspace._dedup_rows(rows)
+    assert values.tolist() == [1.0, 1.0 + 1.2e-12, 2.0] == _chained_dedup(rows[0, 1:])
+    assert row.tolist() == [0, 0, 0]
+    assert CHAINED_NEAR_TIES.candidate_radii(0).tolist() == [0.5, 0.5 + 6e-13, 1.0, 1.0 + 1.2e-12]
+
+
 @PROPERTY
 @given(small_spaces(), st.sampled_from([1.0, 2.0, 5.0, 6.0]))
 def test_family_matches_candidate_radii_and_counts(space, scale):
@@ -746,6 +800,35 @@ def _per_ball_doubling(space):
 # Random draws rarely hit one: a few in a thousand small graph metrics.
 TIE_SENSITIVE = nl.build_space(distances=[[0, 3, 5, 1, 2], [3, 0, 2, 3, 2], [5, 2, 0, 5, 4],
                                           [1, 3, 5, 0, 1], [2, 2, 4, 1, 0]], weights=np.ones(5))
+
+
+def _batched_doubling(space):
+    """The batched greedy ``estimate_geometric_doubling`` ran before it
+    skipped rows: one farthest-point step per round over every candidate
+    radius of a center."""
+    family = space.balls()
+    best = 1
+    for c in range(space.n):
+        r = family.radius[family.segment(c)]
+        row = space.dist[c]
+        mind = np.where(row <= r[:, None], row, -np.inf)
+        half, rows = r / 2.0, np.arange(r.size)
+        count = 1
+        while True:
+            far = np.argmax(mind, axis=1)
+            if not np.any(mind[rows, far] > half):
+                break
+            count += 1
+            np.minimum(mind, space.dist[far], out=mind)
+        best = max(best, count)
+    return best
+
+
+@PROPERTY
+@given(st.one_of(small_spaces(), small_spaces(coincident=True)))
+@example(TIE_SENSITIVE)
+def test_doubling_count_skipping_rows_equals_batched_greedy(space):
+    assert nl.estimate_geometric_doubling(space) == _batched_doubling(space)
 
 
 @PROPERTY

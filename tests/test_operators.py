@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -78,6 +82,103 @@ def test_dini_zero():
 def test_dini_rejects_decreasing_modulus():
     with pytest.raises(NonMonotoneTheta):
         nl.dini_integral(lambda t: 1.0 / (1.0 + np.asarray(t)))
+
+
+def _quad_dini(theta):
+    """``dini_integral`` as it ran on ``scipy.integrate.quad``: the same
+    dyadic pieces, tolerances and geometric-majorant exit, 60 levels."""
+    def integrand(t):
+        return float(theta(t)) / t * math.log(1.0 / t)
+
+    total, pieces = 0.0, []
+    for j in range(60):
+        a, b = 2.0 ** (-(j + 1)), 2.0 ** (-j)
+        piece, _ = quad(integrand, a, b, epsabs=1e-8 / 2.0 ** (j + 2), epsrel=1e-10, limit=200)
+        pieces.append(piece)
+        total += piece
+        if j >= 2:
+            recent = pieces[-3:]
+            if max(recent) == 0.0:
+                return total
+            ratios = [recent[i + 1] / recent[i] for i in range(2) if recent[i] > 0]
+            if ratios and max(ratios) < 0.95 and recent[1] > 0:
+                r = max(ratios)
+                if pieces[-1] * r / (1.0 - r) < 1e-8:
+                    return total
+    return math.inf
+
+
+@pytest.mark.parametrize("theta", [
+    power_theta(1.0),
+    power_theta(2.0),
+    lambda t: np.minimum(t, 0.3),
+    # a jump inside the piece [1/4, 1/2]: the rule bisects towards it
+    lambda t: np.where(np.asarray(t) >= 0.3, 1.5, 1.0) * np.asarray(t),
+], ids=["t", "t^2", "min(t,0.3)", "step"])
+def test_dini_matches_quadpack_dyadic_sum(theta):
+    assert nl.dini_integral(theta) == pytest.approx(_quad_dini(theta), rel=0.0, abs=1e-10)
+
+
+def test_dini_default_modulus_is_quadpack_value():
+    # every piece of theta(t) = t passes on the whole interval, so each is
+    # the K21 sum in qk21's order: bit for bit the value quad gave
+    assert nl.dini_integral(power_theta(1.0)) == _quad_dini(power_theta(1.0))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_dini_bisection_stops_where_it_cannot_help():
+    # a NaN estimate is accepted (and the NaN piece declares divergence, as
+    # quad's NaN did); a 2**20-step staircase has more jumps than a piece's
+    # GK_MAX_INTERVALS subintervals resolve, and stops there as quad's limit
+    # does: the 21 pieces holding steps form at most about 3 * 200 intervals
+    # each (without the limit, 458,752 are open at once)
+    assert nl.dini_integral(lambda t: np.where(np.asarray(t) < 1e-3, np.nan, t)) == math.inf
+    stairs = lambda t: np.floor(np.asarray(t) * 2.0 ** 20) / 2.0 ** 20
+    with mock.patch.object(operators, "_gk21", wraps=operators._gk21) as rule:
+        value = nl.dini_integral(stairs)
+    formed = sum(call.args[1].size for call in rule.call_args_list)
+    assert formed <= operators.DINI_LEVELS + 21 * 3 * operators.GK_MAX_INTERVALS
+    assert value == pytest.approx(_quad_dini(stairs), rel=0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("a", [0.5, 0.25])
+def test_dini_slow_power_moduli_converge(a):
+    # the integral of t**(a-1) log(1/t) over (0, 1] is 1/a**2; the geometric
+    # majorant needs 66 levels at a = 0.5
+    assert nl.dini_integral(power_theta(a)) == pytest.approx(1.0 / a ** 2, rel=0.0, abs=1e-7)
+    space = lab.two_point_space()
+    kernel = nl.make_kernel(space, lab.two_point_lambda(), theta=power_theta(a))
+    assert kernel.dini_value == nl.dini_integral(power_theta(a))
+
+
+def test_gauss_kronrod_nodes_and_exactness():
+    x, w = np.polynomial.legendre.leggauss(10)
+    assert np.allclose(np.sort(x[x > 0]), np.sort(operators.GK21_NODES[1:10:2]), rtol=0, atol=1e-15)
+    assert np.allclose(np.sort(w[x > 0]), np.sort(operators.G10_WEIGHTS), rtol=0, atol=1e-15)
+    # K21 integrates polynomials of degree 31 exactly (an infinite tolerance
+    # accepts the rule on the whole interval)
+    lo, hi = np.array([0.0, -1.0, 2.0]), np.array([1.0, 0.5, 3.0])
+    exact = (hi ** 32 - lo ** 32) / 32.0
+    got = operators.gauss_kronrod(lambda t: t ** 31, lo, hi, np.full(3, math.inf), 0.0)
+    assert np.allclose(got, exact, rtol=1e-13, atol=0)
+    # G10 is exact only to degree 19, so a tight tolerance bisects, and the
+    # bisected value stays exact
+    got = operators.gauss_kronrod(lambda t: t ** 31, lo, hi, np.zeros(3), 1e-13)
+    assert np.allclose(got, exact, rtol=1e-13, atol=0)
+
+
+def test_import_loads_no_scipy():
+    """The Dini check integrates in NumPy, so the package imports no SciPy
+    module; it does load numpy.random, which every run draws from."""
+    env = dict(os.environ)
+    src = str(Path(nl.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nhslab; print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
+         "print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
 
 
 # ------------------------------------------------------------------------------
