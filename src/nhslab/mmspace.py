@@ -16,8 +16,11 @@ gather over this family followed by one argmax; exhaustive suprema over
 nested ball pairs enumerate ``geometry.nested_pairs``.  Per dilation step tau
 it caches one :class:`Ladder`, the member counts of every tau**k * B from one
 ``counts_of``, which the coefficient tables, the concentric Campanato and
-mean-jump ladders and the doubling indices read, and the run ends
-(``run_ends``) that group each ball's concentric outer balls by scale index.
+mean-jump ladders and the doubling indices read, the run ends
+(``run_ends``) that group each ball's concentric outer balls by scale index,
+and the sparse-table windows over those runs (``windows``).  ``flat`` turns a
+per-ball read ``table[center, q]`` of a center-by-prefix table into one 1-D
+``take``.
 
 Functions of a center and a radius (the dominating function here, the
 normalizers psi and phi in :mod:`nhslab.spaces`) share one protocol,
@@ -157,9 +160,10 @@ class BallFamily:
     Ball ``b`` is ``B(center[b], radius[b])``; the balls of center ``c`` are
     ``offsets[c]:offsets[c + 1]``, in ascending radius order.  Member counts
     at rescaled radii come from the one per-center ``searchsorted`` in
-    :meth:`counts_of`; :meth:`counts` caches them for the few scales that
-    several suprema share (the radius itself, the enlargements 2, 5, 6), and
-    :meth:`ladder` for every power of one dilation step tau.
+    :meth:`counts_of`; :meth:`counts` caches them, and :meth:`measures` the
+    measures, for the few scales that several suprema share (the radius
+    itself, the enlargements 2, 5, 6), and :meth:`ladder` for every power of
+    one dilation step tau.
     """
 
     def __init__(self, space: "PointCloudSpace"):
@@ -169,12 +173,16 @@ class BallFamily:
         self.radius.setflags(write=False)
         self.n = space.n
         self.offsets = np.concatenate([[0], np.cumsum(np.bincount(self.center, minlength=space.n))])
+        self.flat = self.center.astype(np.int64) * (space.n + 1)  # row starts in an n x (n + 1) table
+        self.flat.setflags(write=False)
         self._diameter = space.diameter
         self._sorted_dist = space.sorted_dist
         self._prefix_weight = space.prefix_weight
         self._counts: dict = {}
+        self._measures: dict = {}
         self._ladders: dict = {}
         self._run_ends: dict = {}
+        self._windows: dict = {}
 
     def __len__(self) -> int:
         return int(self.radius.size)
@@ -202,9 +210,18 @@ class BallFamily:
             cached.setflags(write=False)
         return cached
 
+    def at(self, table: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """``table[center[b], q[b]]`` for every ball b of an n x (n + 1) table
+        such as ``prefix_weight``, as one flat ``take``."""
+        return table.ravel().take(self.flat + q)
+
     def measures(self, scale: float = 1.0) -> np.ndarray:
-        """Measures of the balls enlarged by ``scale``."""
-        return self._prefix_weight[self.center, self.counts(scale)]
+        """Measures of the balls enlarged by ``scale`` (cached)."""
+        cached = self._measures.get(scale)
+        if cached is None:
+            cached = self._measures[scale] = self.at(self._prefix_weight, self.counts(scale))
+            cached.setflags(write=False)
+        return cached
 
     def ladder(self, tau: float) -> Ladder:
         """The ladder of every ball at dilation step tau (cached).  K is 4 past
@@ -248,6 +265,26 @@ class BallFamily:
             ends.setflags(write=False)
             self._run_ends[tau] = ends
         return self._run_ends[tau]
+
+    def windows(self, tau: float) -> tuple:
+        """``(depth, idx)`` for range maxima over the runs of :meth:`run_ends`
+        (cached).  In a sparse table of ``depth`` rows of ``len(self) + 1``
+        columns, the last a pad, ``idx[N, 0, b]`` and ``idx[N, 1, b]`` are the
+        flat indices of two power-of-two windows that cover run N of ball b;
+        an empty run points both at the pad.  Runs stay in their segment, so
+        ``depth`` is the bit length of the longest segment."""
+        tau = float(tau)
+        if tau not in self._windows:
+            hi = np.ascontiguousarray(self.run_ends(tau).T)
+            lo = np.vstack([np.arange(len(self), dtype=np.int32), hi[:-1]])
+            width = len(self) + 1
+            length = hi - lo
+            k = np.frexp(np.maximum(length, 1))[1] - 1
+            idx = np.stack([k * width + lo, k * width + hi - (1 << k)], axis=1)
+            idx = np.where((length > 0)[:, None], idx, np.int32(width - 1))
+            idx.setflags(write=False)
+            self._windows[tau] = int(np.frexp(int(np.diff(self.offsets).max()))[1]), idx
+        return self._windows[tau]
 
     def sup(self, values: np.ndarray) -> tuple:
         """Largest of ``values`` (one per ball) floored at 0, with the first
@@ -310,6 +347,12 @@ class PointCloudSpace:
         """Prefix sums of an arbitrary field in per-center distance order."""
         cum = np.cumsum(np.asarray(values, dtype=float)[self.order], axis=1)
         return np.hstack([np.zeros((self.n, 1)), cum])
+
+    def prefix_mean(self, values: np.ndarray) -> np.ndarray:
+        """``out[c, q]`` is the weighted mean of ``values`` over the q closest
+        points to c; column 0 holds the 0 / 0 that no ball reads."""
+        with np.errstate(invalid="ignore"):
+            return self.prefix_of(values * self.weights) / self.prefix_weight
 
     def counts(self, center: int, radii) -> np.ndarray:
         """Number of members of the closed balls B(center, r) for each r."""

@@ -287,8 +287,8 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
     else:
         counts = family.counts()
         osc_sums = oscillation_sums(space, f)[family.center, counts - 1]
-        pf, pw = space.prefix_of(f * space.weights), space.prefix_weight
-        means = pf[family.center, counts] / pw[family.center, counts]
+        mean_table = space.prefix_mean(f)
+        means = family.at(mean_table, counts)
         tau_measures = [family.measures(tau) for tau in taus]
         pairs = sampled_nested_pairs(space, pair_budget, seed)
         b1, b2 = pairs.b1, pairs.b2
@@ -307,9 +307,7 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
         best = np.full((len(slots), len(family)), -np.inf)
         best_k = np.zeros((len(slots), len(family)), dtype=np.int64)
         for k in range(1, 0 if exhaustive else int(sat.max()) + 2):
-            q_out = ladder.counts[:, k + ladder.k_floor]
-            m_out = pf[family.center, q_out] / pw[family.center, q_out]
-            jump = np.abs(means - m_out)
+            jump = np.abs(means - family.at(mean_table, ladder.counts[:, k + ladder.k_floor]))
             coeff = 1.0 + tables.cumulative[:, k + tables.k_floor]
             live = k <= sat + 1
             for s, (_, gamma) in enumerate(slots):
@@ -568,10 +566,9 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
             details={"constant_function": True, "per_k": {str(k): 0.0 for k in k_values},
                      "iterated": 0.0, "comparable": 0.0, "norm": norm},
         )
-    pf, pw = space.prefix_of(f * space.weights), space.prefix_weight
+    mean_table = space.prefix_mean(f)
     family = space.balls()
-    counts = family.counts()
-    means = pf[family.center, counts] / pw[family.center, counts]
+    means = family.at(mean_table, family.counts())
     psit = space.fn_table(psi)
     per_k = {}
     iterated = 0.0
@@ -584,8 +581,7 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
         # stops one step after it
         sat = ladder.sat
         for j in range(1, int(sat.max()) + 2):
-            q_out = ladder.counts[:, j + ladder.k_floor]
-            m_out = pf[family.center, q_out] / pw[family.center, q_out]
+            m_out = family.at(mean_table, ladder.counts[:, j + ladder.k_floor])
             jumps = (np.abs(m_out - means) / (psit * norm))[j <= sat + 1]
             if j == 1:
                 per_k[str(k)] = max(0.0, float(jumps.max()))
@@ -603,7 +599,7 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
     c1, c2, b1 = c1[drawn], c2[drawn], family.offsets[c1[drawn]] + i1[drawn]
     d = space.dist[c1, c2]
     q2 = np.count_nonzero(space.dist[c2] <= d[:, None], axis=1)
-    vals = np.abs(means[b1] - pf[c2, q2] / pw[c2, q2]) / (psit[b1] * norm)
+    vals = np.abs(means[b1] - mean_table[c2, q2]) / (psit[b1] * norm)
     comparable = float(np.fmax.reduce(vals, initial=0.0))
     comp_witness: dict = {}
     if comparable > 0.0:

@@ -27,7 +27,10 @@ sample are one per space, with no option.  Spaces are small (n <= 10):
 points in 1 to 3 dimensions and integer-length graph metrics with many tied
 distances, with weight ratios up to 1e6; the doubling property also draws
 coincident lattice points, and the replay tests lattice spaces up to
-n = 600, whose centers may have one or exactly three candidate radii.
+n = 600, whose centers may have one or exactly three candidate radii.  The
+ladders and the sharp maximal function are also compared on grid(d=1, n=64)
+and a 40-point graph metric, whose long segments need deep sparse-table
+windows.
 """
 from __future__ import annotations
 
@@ -251,6 +254,12 @@ def test_family_matches_candidate_radii_and_counts(space, scale):
         assert np.array_equal(family.counts(scale)[s], space.counts(c, scale * radii))
         assert np.array_equal(family.measures(scale)[s],
                               space.prefix_weight[c][space.counts(c, scale * radii)])
+    # the measures are cached per scale and read-only, as the counts are
+    mu = family.measures(scale)
+    assert np.array_equal(mu, space.prefix_weight[family.center, family.counts(scale)])
+    assert family.measures(scale) is mu
+    with pytest.raises(ValueError, match="read-only"):
+        mu[:1] = 0.0
 
 
 @PROPERTY
@@ -602,6 +611,42 @@ def test_campanato_and_mean_jump_ladders_equal_per_center_loops(data, tau, gamma
         _mean_jump_reference(space, f, psi, k_values, 0.5)
 
 
+def _medium_graph_space():
+    """A 40-point shortest-path metric: a random spanning tree plus 40 random
+    edges of lengths 1 to 4, with log-uniform weights."""
+    rng = np.random.default_rng(5)
+    n = 40
+    parents = [(int(rng.integers(i)), int(rng.integers(1, 5))) for i in range(1, n)]
+    extra = [tuple(int(v) for v in rng.integers(0, n, 2)) + (int(rng.integers(1, 5)),)
+             for _ in range(n)]
+    return nl.build_space(distances=_graph_metric(n, parents, extra),
+                          weights=np.exp(rng.uniform(math.log(1e-3), 0.0, n)))
+
+
+@pytest.mark.parametrize("make_space", [
+    lambda: lab.generate_space({"kind": "grid", "d": 1, "n": 64}), _medium_graph_space,
+], ids=["grid64", "graph40"])
+def test_ladders_and_sharp_maximal_equal_per_center_loops_on_medium_spaces(make_space):
+    # the property spaces have n <= 10, so their segments are short and the
+    # sparse-table windows of sharp_maximal stay at most 4 rows deep
+    space = make_space()
+    assert space.balls().windows(6.0)[0] > 4
+    lam, psi = _lam(space), spaces.weight_psi(space)
+    f = np.random.default_rng(space.n).uniform(-1.0, 1.0, space.n)
+    with mock.patch.object(geometry, "EXHAUSTIVE_PAIR_LIMIT", 0):
+        for tau, gamma in spaces.NORM_COMBOS:
+            report = spaces.campanato_norm(space, lam, f, psi, tau, gamma, pair_budget=0)
+            assert (report.regularity_sup, report.regularity_witness) == \
+                _campanato_ladder_reference(space, lam, f, psi, tau, gamma)
+        report = spaces.check_mean_jump_bounds(space, lam, f, psi, (2.0, 6.0), pair_budget=0, norm=0.5)
+        assert (report.details["per_k"], report.details["iterated"]) == \
+            _mean_jump_reference(space, f, psi, (2.0, 6.0), 0.5)
+        for budget in (0, 300):
+            pairs = _sampled_nested_pairs_reference(space, budget, 0, PROFILE)
+            got = operators.sharp_maximal(space, lam, PROFILE, f, pair_budget=budget)
+            assert np.array_equal(got, _sharp_maximal_reference(space, lam, PROFILE, f, pairs))
+
+
 def _doubling_indices_reference(space, profile, alpha):
     """The scale loop ``doubling_indices`` ran before it read the ladder."""
     family = space.balls()
@@ -870,6 +915,21 @@ def test_run_ends_group_outer_balls_by_scale_index(space, tau):
                 assert start <= j < ends[b, n_idx]
     # no column past the largest scale index of a concentric pair
     assert ends.shape[1] == top + 1
+    # two power-of-two windows of the sparse table cover each run exactly;
+    # an empty run points both at the pad column
+    depth, idx = family.windows(tau)
+    width = len(family) + 1
+    lo = np.vstack([np.arange(len(family)), ends.T[:-1]])
+    length = ends.T - lo
+    row, col = np.divmod(idx.astype(np.int64), width)
+    empty = np.broadcast_to((length == 0)[:, None], idx.shape)
+    assert np.all(idx[empty] == width - 1)
+    k = row[:, 0]
+    assert np.array_equal(k, row[:, 1]) and k.max(initial=0) < depth
+    full = length > 0
+    assert np.all((1 << k[full]) <= length[full]) and np.all(length[full] < (2 << k[full]))
+    assert np.array_equal(col[:, 0][full], lo[full])
+    assert np.array_equal(col[:, 1][full] + (1 << k[full]), ends.T[full])
     # the ladder's scales give the products scale_index_array tests, bit for bit
     n = np.arange(-ladder.k_floor, ladder.scales.size - ladder.k_floor)
     r = family.radius[:, None]

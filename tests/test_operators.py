@@ -151,6 +151,12 @@ def test_dini_slow_power_moduli_converge(a):
     assert kernel.dini_value == nl.dini_integral(power_theta(a))
 
 
+@pytest.mark.parametrize("a", [0.5, 0.75, 2.0, 3.0])
+def test_dini_power_moduli_within_stated_accuracy(a):
+    # t**a is smooth on every dyadic piece, where the 1e-8 claim holds
+    assert abs(nl.dini_integral(power_theta(a)) - 1.0 / a ** 2) <= 1e-8
+
+
 def test_gauss_kronrod_nodes_and_exactness():
     x, w = np.polynomial.legendre.leggauss(10)
     assert np.allclose(np.sort(x[x > 0]), np.sort(operators.GK21_NODES[1:10:2]), rtol=0, atol=1e-15)
