@@ -16,9 +16,9 @@ gather over this family followed by one argmax; exhaustive suprema over
 nested ball pairs enumerate ``geometry.nested_pairs``.  Per dilation step tau
 it caches one :class:`Ladder`, the member counts of every tau**k * B from one
 ``counts_of``, which the coefficient tables, the concentric Campanato and
-mean-jump ladders and the doubling indices read, the run ends
-(``run_ends``) that group each ball's concentric outer balls by scale index,
-and the sparse-table windows over those runs (``windows``).  ``flat`` turns a
+mean-jump ladders and the doubling indices read, and the sparse-table
+windows (``windows``) over the runs of ``run_ends``, which group each ball's
+concentric outer balls by scale index.  ``flat`` turns a
 per-ball read ``table[center, q]`` of a center-by-prefix table into one 1-D
 ``take``.
 
@@ -181,7 +181,6 @@ class BallFamily:
         self._counts: dict = {}
         self._measures: dict = {}
         self._ladders: dict = {}
-        self._run_ends: dict = {}
         self._windows: dict = {}
 
     def __len__(self) -> int:
@@ -247,24 +246,20 @@ class BallFamily:
 
     def run_ends(self, tau: float) -> np.ndarray:
         """``ends[b, N]`` is one past the last ball of b's segment with radius
-        at most the ladder's tau**N * radius[b] (cached), so the balls j >= b
-        of pair scale index N are ``ends[b, N - 1]:ends[b, N]`` (from b for
-        N = 0).  Columns stop at the largest concentric pair's index."""
-        tau = float(tau)
-        if tau not in self._run_ends:
-            ladder = self.ladder(tau)
-            reach = self.radius[:, None] * ladder.scales[ladder.k_floor:]
-            ends = np.empty(reach.shape, dtype=np.int32)
-            for c in range(self.n):
-                s = self.segment(c)
-                ends[s] = s.start + np.searchsorted(self.radius[s], reach[s], side="right")
-            np.maximum.accumulate(ends, axis=1, out=ends)
-            # columns past the last nonempty run hold no pair
-            grows = np.flatnonzero(np.any(ends[:, 1:] > ends[:, :-1], axis=0))
-            ends = ends[:, : grows[-1] + 2 if grows.size else 1]
-            ends.setflags(write=False)
-            self._run_ends[tau] = ends
-        return self._run_ends[tau]
+        at most the ladder's tau**N * radius[b], so the balls j >= b of pair
+        scale index N are ``ends[b, N - 1]:ends[b, N]`` (from b for N = 0).
+        Columns stop at the largest concentric pair's index.  Only
+        :meth:`windows` reads it, once per tau, so it is not cached."""
+        ladder = self.ladder(tau)
+        reach = self.radius[:, None] * ladder.scales[ladder.k_floor:]
+        ends = np.empty(reach.shape, dtype=np.int32)
+        for c in range(self.n):
+            s = self.segment(c)
+            ends[s] = s.start + np.searchsorted(self.radius[s], reach[s], side="right")
+        np.maximum.accumulate(ends, axis=1, out=ends)
+        # columns past the last nonempty run hold no pair
+        grows = np.flatnonzero(np.any(ends[:, 1:] > ends[:, :-1], axis=0))
+        return ends[:, : grows[-1] + 2 if grows.size else 1]
 
     def windows(self, tau: float) -> tuple:
         """``(depth, idx)`` for range maxima over the runs of :meth:`run_ends`
@@ -320,6 +315,10 @@ class PointCloudSpace:
         self._lam_matrices: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._coeff_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._pair_samples: dict = {}
+        # per-function caches of nhslab.spaces: the latest function's tables
+        # and the Campanato reports per (lam, psi)
+        self._fn_slot = None
+        self._reports: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
     # -- sorted-distance machinery --------------------------------------------
     @property

@@ -7,10 +7,11 @@ one-dimensional integral is an explicit power integral.  The maximal
 operators are suprema over candidate balls containing the evaluation point,
 computed by per-center prefix sums and a scatter of per-ball values onto
 members.  The sharp maximal function has one pass for every space size: its
-concentric pairs always come from the run ends of the family, and the size
-chooses only the per-ball numbers (prefix tables, or
-:func:`~nhslab.spaces.ball_sums` for small families) and the other pairs
-(the shared sample, or every nested pair).
+concentric pairs always come from the run ends of the family, and its
+per-ball numbers and other pairs come from
+:func:`~nhslab.spaces.function_tables`, where the family size chooses them.
+The commutator estimate reads the symbol's norm from
+:func:`~nhslab.spaces.campanato_norm`, which the space memoises.
 """
 from __future__ import annotations
 
@@ -30,11 +31,8 @@ from .errors import (
 from .geometry import (
     doubling_flags,
     coefficient_tables,
-    nested_pairs,
-    pairs_are_exhaustive,
     replay_choice,
     replay_draws,
-    sampled_nested_pairs,
 )
 from .mmspace import (
     DominatingFunction,
@@ -45,10 +43,9 @@ from .report import CheckReport
 from .spaces import (
     GrowthFunctionPhi,
     RegularityFunctionPsi,
-    ball_sums,
     campanato_norm,
+    function_tables,
     morrey_norm,
-    oscillation_sums,
 )
 
 
@@ -532,25 +529,16 @@ def sharp_maximal(space: PointCloudSpace, lam: DominatingFunction,
     """Oscillation maximal function combined with the coefficient-normalized
     mean-jump supremum over nested doubling ball pairs containing the point.
 
-    Concentric pairs are enumerated exhaustively; non-concentric containing
-    pairs are the doubling pairs of the space's shared fixed-seed sample.
-    When :func:`~nhslab.geometry.pairs_are_exhaustive` holds, every nested
-    pair is read instead, with the per-ball numbers of
-    :func:`~nhslab.spaces.ball_sums`.
+    Concentric pairs are enumerated exhaustively; the other pairs, and the
+    per-ball numbers, are those of :func:`~nhslab.spaces.function_tables`:
+    the doubling pairs of the space's shared fixed-seed sample, or every
+    nested pair of a small family.
     """
     family = space.balls()
-    f = np.asarray(f, dtype=float)
-    if pairs_are_exhaustive(space):
-        means, osc_s, (mu, mu6) = ball_sums(space, f, (1.0, 6.0))
-        b1, b2 = nested_pairs(space)
-    else:
-        counts = family.counts()
-        osc_s = oscillation_sums(space, f)[family.center, counts - 1]
-        means = family.at(space.prefix_mean(f), counts)
-        mu, mu6 = family.measures(), family.measures(6.0)
-        pairs = sampled_nested_pairs(space, pair_budget, seed)
-        b1, b2 = pairs.b1, pairs.b2
-    flags = mu6 <= profile.beta(6.0) * mu  # the doubling balls
+    fn = function_tables(space, f)
+    means, mu6 = fn.means, fn.measures(6.0)
+    b1, b2 = fn.pairs(pair_budget, seed)
+    flags = mu6 <= profile.beta(6.0) * fn.measures(1.0)  # the doubling balls
     tables = coefficient_tables(space, lam, 6.0)
 
     # concentric pairs (b, j >= b): the outer balls of scale index N form the
@@ -573,7 +561,7 @@ def sharp_maximal(space: PointCloudSpace, lam: DominatingFunction,
     b1, b2 = b1[doubling], b2[doubling]
     np.maximum.at(pair_vals, b1, np.abs(means[b1] - means[b2]) / tables.pairs(b1, b2))
 
-    osc_part = _scatter_sup(space, osc_s / mu6)
+    osc_part = _scatter_sup(space, fn.oscillation() / mu6)
     pair_part = np.maximum(_scatter_sup(space, pair_vals), 0.0)
     out = np.maximum(osc_part, pair_part)
     return out if x is None else float(out[x])
@@ -614,22 +602,20 @@ def check_sharp_maximal_estimate(space: PointCloudSpace, lam: DominatingFunction
                                  profile: GeometryProfile, kernel: KernelSpec,
                                  psi: RegularityFunctionPsi, b: np.ndarray, f: np.ndarray,
                                  params: Optional[OperatorParams] = None,
-                                 *, pair_budget: int = 2000,
-                                 seed: int = 0, b_norm: Optional[float] = None) -> CheckReport:
+                                 *, pair_budget: int = 2000, seed: int = 0) -> CheckReport:
     """Measure the pointwise ratio of the sharp maximal function of the
     commutator against the maximal-function bound; the max ratio is the
     empirical constant used in refinement-stability tests.
 
-    ``b_norm`` skips recomputing the symbol's oscillation norm (tau = 2) when
-    the caller evaluates many functions against one symbol.
+    The symbol's oscillation norm (tau = 2) is :func:`~nhslab.spaces.campanato_norm`,
+    which the space memoises, so many functions against one symbol pay it once.
     """
     params = params or OperatorParams()
     b = np.asarray(b, dtype=float)
     f = np.asarray(f, dtype=float)
     scale = float(np.max(np.abs(b))) if b.size else 0.0
-    if b_norm is None:
-        b_norm = campanato_norm(space, lam, b, psi, 2.0, params.gamma,
-                                pair_budget=pair_budget, seed=seed).norm
+    b_norm = campanato_norm(space, lam, b, psi, 2.0, params.gamma,
+                            pair_budget=pair_budget, seed=seed).norm
     if b_norm <= 1e-13 * max(scale, 1.0):
         raise ZeroNormB("the commutator symbol has zero oscillation norm")
     mf = marcinkiewicz(space, kernel, f, None, params)

@@ -4,18 +4,18 @@ The Morrey norm is a supremum over candidate balls of normalized p-means;
 the Campanato norm combines a normalized mean-oscillation supremum with a
 regularity supremum over nested ball pairs, where mean jumps are divided by
 a power of the discrete nesting coefficient.  Both suprema have one tail
-for every space size; the size chooses only two inputs.  When
-:func:`~nhslab.geometry.pairs_are_exhaustive` holds, the per-ball means,
-oscillation numerators and measures come from one brute-force pass in
-point-index order (:func:`ball_sums`) and the pairs are every nested pair,
-whose coefficients are raised to gamma with Python's pow.
-Otherwise they come from the prefix tables, and the pairs are the exhaustive
-concentric dyadic ladder plus the budgeted, fixed-seed sample of
-non-concentric containing pairs, drawn once per (space, budget, seed) by
-:func:`~nhslab.geometry.sampled_nested_pairs` and shared with
-``validate_phi_gdec`` and the sharp maximal function; it and the mean-jump
-check's comparable pairs are replayed from the PCG64 raw stream by
+for every space size; the size chooses only their inputs, in one place,
+:class:`FunctionTables`: sums in point-index order and every nested pair
+for small families, else the prefix tables, the concentric dyadic ladder
+and the budgeted, fixed-seed sample of non-concentric containing pairs,
+drawn once per (space, budget, seed) by
+:func:`~nhslab.geometry.sampled_nested_pairs`; it and the mean-jump check's
+comparable pairs are replayed from the PCG64 raw stream by
 :func:`~nhslab.geometry.replay_draws`.
+
+A space keeps the latest function's tables in one slot (:func:`function_tables`)
+and memoises each Campanato report, so a norm asked for again, such as a
+commutator symbol's, is not recomputed.
 
 The normalizers psi and phi follow the radial-function protocol of
 :class:`~nhslab.mmspace.Radial`: each family is one broadcasting
@@ -24,7 +24,10 @@ family at once.
 """
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -132,31 +135,6 @@ def ball_mean(space: PointCloudSpace, f: np.ndarray, ball: Ball) -> float:
     return float(np.sum(np.asarray(f)[mask] * w) / np.sum(w))
 
 
-def ball_sums(space: PointCloudSpace, f: np.ndarray, scales: Sequence[float]) -> tuple:
-    """Per candidate ball, summed over its members in point-index order as
-    :func:`ball_mean` and :func:`~nhslab.geometry.ball_measure` sum: the mean
-    of f, the p = 1 oscillation numerator and, row by row, the measures of
-    the ball enlarged by each of ``scales``.
-
-    The suprema of small families read these numbers, not the prefix tables
-    summed in distance order: the acceptance criterion "budgeted suprema
-    equal to exhaustive enumeration on small fixtures exactly" pins this
-    summation order.
-    """
-    family = space.balls()
-    means, nums = np.empty(len(family)), np.empty(len(family))
-    measures = np.empty((len(scales), len(family)))
-    for b, (c, r) in enumerate(zip(family.center.tolist(), family.radius.tolist())):
-        row = space.dist[c]
-        mask = row <= r
-        w = space.weights[mask]
-        means[b] = m = float(np.sum(f[mask] * w) / np.sum(w))
-        nums[b] = np.sum(np.abs(f[mask] - m) * w)
-        for i, scale in enumerate(scales):
-            measures[i, b] = np.sum(space.weights[row <= scale * r])
-    return means, nums, measures
-
-
 _OSC_BLOCK = 64
 
 
@@ -211,6 +189,89 @@ def oscillation_sums(space: PointCloudSpace, g: np.ndarray, p: float = 1.0) -> n
     return out
 
 
+class FunctionTables:
+    """The per-ball numbers of one function f on a space's candidate family,
+    each built on first read and read-only: the means, the prefix-mean table
+    the ladders read, the p-th oscillation numerators, and the measures and
+    nested pairs the suprema set against them.  Only here does the family
+    size choose a source: when :func:`~nhslab.geometry.pairs_are_exhaustive`
+    holds, the pairs are every nested pair and the means, p = 1 numerators
+    and measures are summed over each ball's members in point-index order, as
+    :func:`ball_mean` sums, which the acceptance criterion "budgeted suprema
+    equal to exhaustive enumeration on small fixtures exactly" pins; otherwise
+    the prefix tables and the shared sample serve.  The space is held through
+    a weak proxy, so its slot makes no reference cycle.
+    """
+
+    def __init__(self, space: PointCloudSpace, key: tuple):
+        # f is read back from the key's bytes: a read-only array of its own
+        self.key, self.exhaustive, self.f = key, key[0], np.frombuffer(key[1])
+        self._space, self._arrays = weakref.proxy(space), {}
+
+    def _cached(self, name, build) -> np.ndarray:
+        if name not in self._arrays:
+            self._arrays[name] = build()
+            self._arrays[name].setflags(write=False)
+        return self._arrays[name]
+
+    def _ball_sums(self) -> np.ndarray:
+        """Rows 0 and 1: each ball's mean and p = 1 numerator, in point-index order."""
+        def build():
+            family, space, f = self._space.balls(), self._space, self.f
+            out = np.empty((2, len(family)))
+            for b, (c, r) in enumerate(zip(family.center.tolist(), family.radius.tolist())):
+                mask = space.dist[c] <= r
+                w = space.weights[mask]
+                out[0, b] = m = float(np.sum(f[mask] * w) / np.sum(w))
+                out[1, b] = np.sum(np.abs(f[mask] - m) * w)
+            return out
+        return self._cached("sums", build)
+
+    @property
+    def mean_table(self) -> np.ndarray:
+        return self._cached("mean_table", lambda: self._space.prefix_mean(self.f))
+
+    @property
+    def means(self) -> np.ndarray:
+        if self.exhaustive:
+            return self._ball_sums()[0]
+        family = self._space.balls()
+        return self._cached("means", lambda: family.at(self.mean_table, family.counts()))
+
+    def oscillation(self, p: float = 1.0) -> np.ndarray:
+        """Per ball, the sum of |f - mean|**p * w over its members."""
+        if self.exhaustive and p == 1.0:
+            return self._ball_sums()[1]
+        family = self._space.balls()
+        return self._cached(("osc", p), lambda: oscillation_sums(self._space, self.f, p)[
+            family.center, family.counts() - 1])
+
+    def measures(self, scale: float) -> np.ndarray:
+        family, space = self._space.balls(), self._space
+        if not self.exhaustive:
+            return family.measures(scale)
+        return self._cached(("measures", scale), lambda: np.array([
+            np.sum(space.weights[space.dist[c] <= scale * r])
+            for c, r in zip(family.center.tolist(), family.radius.tolist())]))
+
+    def pairs(self, budget: int, seed: int) -> tuple:
+        """Flat family indices ``(b1, b2)`` of the nested pairs to measure."""
+        if self.exhaustive:
+            return nested_pairs(self._space)
+        sample = sampled_nested_pairs(self._space, budget, seed)
+        return sample.b1, sample.b2
+
+
+def function_tables(space: PointCloudSpace, f: np.ndarray) -> FunctionTables:
+    """The :class:`FunctionTables` of f in the space's one slot, which is
+    keyed on the size choice and f's float64 bytes (an f changed in place
+    reads fresh tables) and replaced whenever another function is read."""
+    key = (pairs_are_exhaustive(space), np.asarray(f, dtype=float).tobytes())
+    if space._fn_slot is None or space._fn_slot.key != key:
+        space._fn_slot = FunctionTables(space, key)
+    return space._fn_slot
+
+
 # ------------------------------------------------------------------------------
 # Morrey norm
 # ------------------------------------------------------------------------------
@@ -263,43 +324,31 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
                          psi: RegularityFunctionPsi, combos: Sequence[tuple],
                          *, pair_budget: int = 2000, seed: int = 0) -> list:
     """Oscillation-regularity norms for several (tau, gamma) combinations,
-    sharing the per-function oscillation and mean tables across combos.
+    sharing the per-function tables of :func:`function_tables` across combos.
 
-    Only two inputs depend on the family size.  A family for which
-    :func:`~nhslab.geometry.pairs_are_exhaustive` holds reads its per-ball
-    numbers from :func:`ball_sums` and every nested pair, raised with
-    Python's pow; a larger one reads the prefix tables, the concentric ladder
-    and the sampled pairs.
+    A family for which :func:`~nhslab.geometry.pairs_are_exhaustive` holds
+    reads every nested pair, raised with Python's pow; a larger one reads the
+    concentric ladder and the sampled pairs.  Each report is memoised for
+    :func:`campanato_norm`.
     """
     for tau, gamma in combos:
         if not tau > 1:
             raise InvalidExponent(f"tau must exceed 1, got {tau!r}")
         if not gamma >= 1:
             raise InvalidExponent(f"gamma must be at least 1, got {gamma!r}")
-    f = np.asarray(f, dtype=float)
     family = space.balls()
     psit = space.fn_table(psi)
-    taus = list(dict.fromkeys(t for t, _ in combos))
-    exhaustive = pairs_are_exhaustive(space)
-    if exhaustive:
-        means, osc_sums, tau_measures = ball_sums(space, f, taus)
-        b1, b2 = nested_pairs(space)
-    else:
-        counts = family.counts()
-        osc_sums = oscillation_sums(space, f)[family.center, counts - 1]
-        mean_table = space.prefix_mean(f)
-        means = family.at(mean_table, counts)
-        tau_measures = [family.measures(tau) for tau in taus]
-        pairs = sampled_nested_pairs(space, pair_budget, seed)
-        b1, b2 = pairs.b1, pairs.b2
+    tables = function_tables(space, f)
+    exhaustive, means = tables.exhaustive, tables.means
+    b1, b2 = tables.pairs(pair_budget, seed)
     pair_jumps, pair_psi = np.abs(means[b1] - means[b2]), psit[b1]
     reports: list = [None] * len(combos)
     # everything but the power gamma depends on tau alone, so it is paid once per tau
-    for tau, measures in zip(taus, tau_measures):
+    for tau in dict.fromkeys(t for t, _ in combos):
         slots = [(i, gamma) for i, (t, gamma) in enumerate(combos) if t == tau]
-        tables = coefficient_tables(space, lam, tau)
+        coeffs = coefficient_tables(space, lam, tau)
         ladder = family.ladder(tau)
-        osc, osc_w = family.sup(osc_sums / (psit * measures))
+        osc, osc_w = family.sup(tables.oscillation() / (psit * tables.measures(tau)))
         # per ball, the best pair (B, tau**k B) up to one step past saturation
         # (tau**sat B covers the space), and the first k attaining it; a small
         # family reads every nested pair instead, so its best stays -inf
@@ -307,15 +356,15 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
         best = np.full((len(slots), len(family)), -np.inf)
         best_k = np.zeros((len(slots), len(family)), dtype=np.int64)
         for k in range(1, 0 if exhaustive else int(sat.max()) + 2):
-            jump = np.abs(means - family.at(mean_table, ladder.counts[:, k + ladder.k_floor]))
-            coeff = 1.0 + tables.cumulative[:, k + tables.k_floor]
+            jump = np.abs(means - family.at(tables.mean_table, ladder.counts[:, k + ladder.k_floor]))
+            coeff = 1.0 + coeffs.cumulative[:, k + coeffs.k_floor]
             live = k <= sat + 1
             for s, (_, gamma) in enumerate(slots):
                 vals = jump / (psit * coeff ** gamma)
                 better = live & (vals > best[s])
                 best[s][better] = vals[better]
                 best_k[s][better] = k
-        pair_coeff = tables.pairs(b1, b2)
+        pair_coeff = coeffs.pairs(b1, b2)
         for s, (i, gamma) in enumerate(slots):
             reg, reg_w = 0.0, {}
             top = float(best[s].max())
@@ -341,20 +390,27 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
                 osc, reg, max(osc, reg), tau, gamma, dict(osc_w), reg_w,
                 "exhaustive" if exhaustive else "ladder_and_sampled",
                 b1.size if exhaustive else int(np.sum(sat + 1)) + b1.size)
+    memo = space._reports.setdefault(lam, weakref.WeakKeyDictionary()).setdefault(psi, {})
+    for (tau, gamma), report in zip(combos, reports):
+        memo[tables.key, tau, gamma, pair_budget, seed] = copy.deepcopy(report)
     return reports
 
 
 def campanato_norm(space: PointCloudSpace, lam: DominatingFunction, f: np.ndarray,
                    psi: RegularityFunctionPsi, tau: float = 2.0, gamma: float = 1.0,
                    *, pair_budget: int = 2000, seed: int = 0) -> CampanatoNormReport:
-    """Oscillation-regularity norm of f.
+    """Oscillation-regularity norm of f, memoised per space.
 
     When :func:`~nhslab.geometry.pairs_are_exhaustive` holds the nested-pair
     supremum enumerates every pair; otherwise it combines the exhaustive
     concentric ladder with ``pair_budget`` sampled containing pairs.
     """
-    return campanato_norm_multi(space, lam, f, psi, [(tau, gamma)],
-                                pair_budget=pair_budget, seed=seed)[0]
+    key = (function_tables(space, f).key, tau, gamma, pair_budget, seed)
+    hit = space._reports.get(lam, {}).get(psi, {}).get(key)
+    if hit is None:
+        return campanato_norm_multi(space, lam, f, psi, [(tau, gamma)],
+                                    pair_budget=pair_budget, seed=seed)[0]
+    return dataclasses.replace(copy.deepcopy(hit), tau=tau, gamma=gamma)
 
 
 def p_oscillation_norm(space: PointCloudSpace, f: np.ndarray,
@@ -365,9 +421,8 @@ def p_oscillation_norm(space: PointCloudSpace, f: np.ndarray,
         raise InvalidExponent(f"p must exceed 1, got {p!r}")
     if not tau > 1:
         raise InvalidExponent(f"tau must exceed 1, got {tau!r}")
-    f = np.asarray(f, dtype=float)
+    sums = function_tables(space, f).oscillation(p)
     family = space.balls()
-    sums = oscillation_sums(space, f, p)[family.center, family.counts() - 1]
     vals = (sums / family.measures(tau)) ** (1.0 / p) / space.fn_table(psi)
     best, witness = family.sup(vals)
     if with_witness:
@@ -553,8 +608,8 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
     whose larger radius equals the center distance.
 
     Constant functions yield the all-zero report rather than an error.  The
-    oscillation-regularity norm (tau = 2, gamma = 1) is computed unless the
-    caller passes it in.
+    oscillation-regularity norm (tau = 2, gamma = 1) is :func:`campanato_norm`
+    of f unless the caller passes it in.
     """
     f = np.asarray(f, dtype=float)
     scale = float(np.max(np.abs(f))) if f.size else 0.0
@@ -566,8 +621,9 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
             details={"constant_function": True, "per_k": {str(k): 0.0 for k in k_values},
                      "iterated": 0.0, "comparable": 0.0, "norm": norm},
         )
-    mean_table = space.prefix_mean(f)
+    mean_table = function_tables(space, f).mean_table
     family = space.balls()
+    # the prefix-table means at every family size, as the ladders read them
     means = family.at(mean_table, family.counts())
     psit = space.fn_table(psi)
     per_k = {}
@@ -666,8 +722,7 @@ def function_constants(space: PointCloudSpace, lam: DominatingFunction,
         for p, key in ((2.0, "p2"), (4.0, "p4")):
             ratio = p_oscillation_norm(space, f, psi, p, 2.0) / n21
             p_osc[key] = [min(p_osc[key][0], ratio), max(p_osc[key][1], ratio)]
-        rep = check_mean_jump_bounds(space, lam, f, psi, pair_budget=pair_budget,
-                                     seed=seed, norm=n21)
+        rep = check_mean_jump_bounds(space, lam, f, psi, pair_budget=pair_budget, seed=seed)
         if rep.value > jump.value:
             jump = rep
         d = rep.details

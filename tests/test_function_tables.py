@@ -1,0 +1,146 @@
+"""The per-space function slot and the Campanato report memo: a warm space
+answers as a cold one, and repeated per-function work is gone."""
+from __future__ import annotations
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+import nhslab as nl
+from nhslab import geometry, lab, mmspace, operators, spaces
+
+
+def _small_space():
+    """A 6-point cloud with uneven weights: B**2 <= EXHAUSTIVE_PAIR_LIMIT, so
+    its suprema read point-index sums and every nested pair."""
+    rng = np.random.default_rng(5)
+    return nl.build_space(points=rng.uniform(0.0, 1.0, (6, 1)), weights=rng.uniform(0.5, 2.0, 6))
+
+
+SPACES = {
+    "grid1d_64": lambda: lab.generate_space({"kind": "grid", "d": 1, "n": 64}),
+    "grid2d_9": lambda: lab.generate_space({"kind": "grid", "d": 2, "n": 9}),
+    "small": _small_space,
+}
+
+
+def _fresh(space):
+    """The same space with every cache cold."""
+    return mmspace.PointCloudSpace(space.dist, space.weights, space.coords)
+
+
+def _calls(lam, profile, kernel, psi, b):
+    """Every reader of the slot and the memo, as (name, call(space, f))."""
+    calls = [(f"campanato_{t:g}_{g:g}", lambda s, f, t=t, g=g: spaces.campanato_norm(
+        s, lam, f, psi, t, g, pair_budget=300, seed=7)) for t, g in spaces.NORM_COMBOS]
+    calls += [
+        ("sharp", lambda s, f: operators.sharp_maximal(s, lam, profile, f, pair_budget=300, seed=7)),
+        ("p_osc_2", lambda s, f: spaces.p_oscillation_norm(s, f, psi, 2.0, 2.0, with_witness=True)),
+        ("p_osc_4", lambda s, f: spaces.p_oscillation_norm(s, f, psi, 4.0, 2.0, with_witness=True)),
+        ("mean_jump", lambda s, f: spaces.check_mean_jump_bounds(s, lam, f, psi, pair_budget=300,
+                                                                seed=7)),
+        ("sharp_estimate", lambda s, f: operators.check_sharp_maximal_estimate(
+            s, lam, profile, kernel, psi, b, f, pair_budget=300, seed=7)),
+    ]
+    return calls
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return a == b
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_a_warm_space_answers_as_a_cold_one(name):
+    space = SPACES[name]()
+    lam = nl.fit_power_lambda(space, lab.PINNED_KAPPA)
+    profile = nl.make_profile(space, lam)
+    kernel = operators.make_kernel(space, lam)
+    psi = spaces.constant_psi()
+    rng = np.random.default_rng(11)
+    fs = [rng.uniform(-1.0, 1.0, space.n) for _ in range(3)]
+    calls = _calls(lam, profile, kernel, psi, fs[0])
+    assert geometry.pairs_are_exhaustive(space) == (name == "small")
+
+    # every call on every function, twice, in an order that switches functions often
+    steps = [(c, k) for c in range(len(calls)) for k in range(len(fs))] * 2
+    for i in rng.permutation(len(steps)):
+        c, k = steps[i]
+        label, call = calls[c]
+        assert _same(call(space, fs[k]), call(_fresh(space), fs[k])), (label, k)
+    # the multi call fills the memo that the single calls then read
+    multi = spaces.campanato_norm_multi(space, lam, fs[1], psi, spaces.NORM_COMBOS,
+                                        pair_budget=300, seed=7)
+    for (label, call), report in zip(calls, multi):
+        assert report == call(_fresh(space), fs[1]) == call(space, fs[1]), label
+
+    # an f changed in place reads fresh tables and a fresh report
+    f = fs[2].copy()
+    campanato, sharp = calls[0][1], calls[4][1]
+    before = campanato(space, f)
+    sharp(space, f)
+    f *= -2.0
+    assert campanato(space, f) == campanato(_fresh(space), f)
+    assert campanato(space, f).norm == 2.0 * before.norm
+    assert _same(sharp(space, f), sharp(_fresh(space), f))
+
+    # a caller's edits of a returned report's witnesses reach no later report
+    for report in multi + [before]:
+        report.oscillation_witness.clear()
+        for ball in report.regularity_witness.values():
+            ball["radius"] = -1.0
+    assert campanato(space, fs[1]) == campanato(_fresh(space), fs[1])
+    assert campanato(space, fs[2]) == campanato(_fresh(space), fs[2])
+
+    # the slot's arrays are read-only
+    tables = spaces.function_tables(space, fs[0])
+    for arr in (tables.f, tables.means, tables.mean_table, tables.oscillation(),
+                tables.oscillation(2.0), tables.measures(2.0), tables.measures(6.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0.0
+
+
+def test_campanato_then_sharp_runs_the_oscillation_sums_once(monkeypatch, grid64):
+    space, lam = grid64
+    space = _fresh(space)
+    assert not geometry.pairs_are_exhaustive(space)
+    profile = nl.make_profile(space, lam)
+    calls = []
+    sums = spaces.oscillation_sums
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:] + tuple(kwargs.values()))
+        return sums(*args, **kwargs)
+
+    monkeypatch.setattr(spaces, "oscillation_sums", counted)
+    f = np.sin(7.0 * np.arange(space.n))
+    spaces.campanato_norm(space, lam, f, spaces.constant_psi())
+    operators.sharp_maximal(space, lam, profile, f)
+    assert len(calls) == 1
+    # a second function replaces the slot
+    operators.sharp_maximal(space, lam, profile, f + 1e-3 * np.arange(space.n))
+    assert len(calls) == 2
+
+
+def test_a_dropped_normalizer_is_freed_without_a_collection(grid16):
+    space, lam = grid16
+    space = _fresh(space)
+    f = np.cos(3.0 * np.arange(space.n))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        psi = spaces.radius_power_psi(0.25)
+        spaces.campanato_norm(space, lam, f, psi)
+        spaces.p_oscillation_norm(space, f, psi, 2.0, 2.0)
+        spaces.check_mean_jump_bounds(space, lam, f, psi)
+        assert len(space._reports[lam][psi]) == 1
+        ref = weakref.ref(psi)
+        del psi
+        assert ref() is None
+        assert len(space._reports[lam]) == 0
+    finally:
+        if enabled:
+            gc.enable()
