@@ -182,6 +182,7 @@ class BallFamily:
         self._measures: dict = {}
         self._ladders: dict = {}
         self._windows: dict = {}
+        self._count_runs: Optional[tuple] = None
 
     def __len__(self) -> int:
         return int(self.radius.size)
@@ -208,6 +209,18 @@ class BallFamily:
             cached = self._counts[scale] = self.counts_of(scale * self.radius)
             cached.setflags(write=False)
         return cached
+
+    def count_runs(self) -> tuple:
+        """``(starts, slots)`` (cached, read-only): the first ball of each run
+        of equal (center, member count), contiguous as counts ascend within a
+        segment, and the run's flat slot ``center * n + count - 1``."""
+        if self._count_runs is None:
+            slots = self.center.astype(np.int64) * self.n + self.counts() - 1
+            starts = np.flatnonzero(np.r_[True, slots[1:] != slots[:-1]])
+            self._count_runs = starts, slots[starts]
+            for a in self._count_runs:
+                a.setflags(write=False)
+        return self._count_runs
 
     def at(self, table: np.ndarray, q: np.ndarray) -> np.ndarray:
         """``table[center[b], q[b]]`` for every ball b of an n x (n + 1) table
@@ -628,6 +641,15 @@ def fit_power_lambda(space: PointCloudSpace, kappa="auto") -> DominatingFunction
     )
 
 
+def _least_factor(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """The least C >= 0 with num <= C * den, elementwise: num / den, with 0
+    where both sides are 0 or both infinite (a lambda that underflows or
+    overflows on both sides satisfies the inequality for every C)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = num / den
+    return np.where((num == den) & ((num == 0.0) | np.isinf(num)), 0.0, ratio)
+
+
 def validate_upper_doubling(space: PointCloudSpace, lam: DominatingFunction) -> CheckReport:
     """Check measure domination, the half-radius inequality and radius
     monotonicity on every candidate ball.
@@ -639,9 +661,9 @@ def validate_upper_doubling(space: PointCloudSpace, lam: DominatingFunction) -> 
     family = space.balls()
     vals = space.fn_table(lam)
     mus = family.measures()
-    dom = mus / vals
-    half = vals / lam.table(family.center, family.radius / 2.0)
-    mono = np.where(family.center[1:] == family.center[:-1], vals[:-1] / vals[1:], -math.inf)
+    dom = _least_factor(mus, vals)
+    half = _least_factor(vals, lam.table(family.center, family.radius / 2.0))
+    mono = np.where(family.center[1:] == family.center[:-1], _least_factor(vals[:-1], vals[1:]), -math.inf)
     worst_dom = float(dom.max())
     worst_half = float(half.max())
     slack = 1.0 + DEFAULT_REL_TOL

@@ -450,11 +450,11 @@ def marcinkiewicz_commutator(space: PointCloudSpace, kernel: KernelSpec,
 def _scatter_sup(space: PointCloudSpace, values: np.ndarray) -> np.ndarray:
     """Pointwise supremum over candidate balls containing each point, given
     one value per ball of the family; -inf marks excluded balls."""
-    family = space.balls()
     n = space.n
+    starts, slots = space.balls().count_runs()
     # by_count[c, q - 1]: best value among the balls of c with q members
     by_count = np.full((n, n), -math.inf)
-    np.maximum.at(by_count, (family.center, family.counts() - 1), values)
+    np.put(by_count, slots, np.maximum.reduceat(values, starts))
     # a ball with q members covers the q points closest to its center
     by_rank = np.maximum.accumulate(by_count[:, ::-1], axis=1)[:, ::-1]
     by_point = np.empty((n, n))

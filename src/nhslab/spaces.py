@@ -29,7 +29,7 @@ import dataclasses
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -135,7 +135,8 @@ def ball_mean(space: PointCloudSpace, f: np.ndarray, ball: Ball) -> float:
     return float(np.sum(np.asarray(f)[mask] * w) / np.sum(w))
 
 
-_OSC_BLOCK = 64
+#: Centers and prefix rows per tile of the generic-p oscillation sums.
+_OSC_TILE = 16
 
 
 def oscillation_sums(space: PointCloudSpace, g: np.ndarray, p: float = 1.0) -> np.ndarray:
@@ -144,9 +145,11 @@ def oscillation_sums(space: PointCloudSpace, g: np.ndarray, p: float = 1.0) -> n
 
     For p = 2 and 4, one pass over the prefix position q, vectorised over the
     centers, adds the q-th closest point to every center's weighted central
-    moments (West 1979; Pebay 2008): O(n^2) in all.  Any other p sums
-    ``|g_j - mean_q|**p * w_j`` over j <= q, in blocks of ``_OSC_BLOCK`` rows
-    per center that read only the columns their rows reach.
+    moments (West 1979; Pebay 2008): O(n^2) in all.  Any other p walks tiles
+    of ``_OSC_TILE`` centers by ``_OSC_TILE`` prefix rows: a tile writes
+    ``|g_j - mean_q|**p`` for the columns j its rows reach into one buffer,
+    zeroes j > q in its diagonal block, and gets its rows' sums from one
+    stacked product with the weights.
     """
     n = space.n
     g = np.asarray(g, dtype=float)
@@ -175,17 +178,20 @@ def oscillation_sums(space: PointCloudSpace, g: np.ndarray, p: float = 1.0) -> n
         return out
 
     means = np.cumsum(gs * ws, axis=1) / pw[:, 1:]
-    tril = np.tril(np.ones((_OSC_BLOCK, _OSC_BLOCK)))
-    for c in range(n):
-        for q0 in range(0, n, _OSC_BLOCK):
-            q1 = min(q0 + _OSC_BLOCK, n)
-            diff = np.abs(gs[c, None, :q1] - means[c, q0:q1, None])
+    tril = np.tril(np.ones((_OSC_TILE, _OSC_TILE)))
+    buf = np.empty(_OSC_TILE * _OSC_TILE * n)
+    for c0 in range(0, n, _OSC_TILE):
+        c1 = min(c0 + _OSC_TILE, n)
+        for q0 in range(0, n, _OSC_TILE):
+            q1 = min(q0 + _OSC_TILE, n)
+            diff = buf[:(c1 - c0) * (q1 - q0) * q1].reshape(c1 - c0, q1 - q0, q1)
+            np.subtract(gs[c0:c1, None, :q1], means[c0:c1, q0:q1, None], out=diff)
+            np.abs(diff, out=diff)
             if p != 1.0:
                 diff **= p
-            diff *= ws[c, :q1]
-            # row q keeps the columns j <= q; only the block's own columns need the mask
-            diff[:, q0:] *= tril[:q1 - q0, :q1 - q0]
-            out[c, q0:q1] = diff.sum(axis=1)
+            # row q keeps the columns j <= q; only the tile's own columns need the mask
+            diff[:, :, q0:] *= tril[:q1 - q0, :q1 - q0]
+            out[c0:c1, q0:q1] = np.matmul(diff, ws[c0:c1, :q1, None])[..., 0]
     return out
 
 
@@ -682,27 +688,16 @@ GAMMA_PAIR = (1.0, 2.0)
 NORM_COMBOS = tuple((t, g) for t in TAU_PAIR for g in GAMMA_PAIR)
 
 
-def function_constants(space: PointCloudSpace, lam: DominatingFunction,
+def _equivalence_bands(space: PointCloudSpace, lam: DominatingFunction,
                        psi: RegularityFunctionPsi, functions: Sequence[np.ndarray],
-                       pair_budget: int, seed: int) -> dict:
-    """One pass over a family of functions for the constants read against
-    their norms: per function one :func:`campanato_norm_multi` call under
-    ``NORM_COMBOS``, and the p = 2 and p = 4 oscillation norms and
-    :func:`check_mean_jump_bounds` over the tau = 2, gamma = 1 norm.  A
+                       pair_budget: int, seed: int, each: Callable) -> CheckReport:
+    """The ``equivalence_bands`` report: the min/max of every pairwise ratio
+    of the :func:`campanato_norm_multi` norms under ``NORM_COMBOS``.  A
     function whose four norms are all at most 1e-13 * max(max|f|, 1) is
-    constant and skipped.
-
-    Returns ``"equivalence"``, the ``equivalence_bands`` report of every
-    pairwise norm ratio's min/max; ``"mean_jump"``, the mean-jump report of
-    largest value (the first wins; a zero report when none is positive);
-    ``"p_oscillation"``, the ratio bands keyed ``"p2"`` and ``"p4"``; and
-    ``"mean_jump_max"``, the componentwise maxima of the mean-jump constants.
-    """
+    constant and skipped; ``each(f, norms)`` runs for every other one, while
+    f's tables still hold the space's slot."""
     names = [f"tau{t:g}_gamma{g:g}" for t, g in NORM_COMBOS]
     bands: dict = {}
-    p_osc = {"p2": [math.inf, -math.inf], "p4": [math.inf, -math.inf]}
-    jump = CheckReport(check="mean_jump_bounds", passed=None, value=0.0)
-    jump_max = {"k2": 0.0, "k6": 0.0, "iterated": 0.0, "comparable": 0.0}
     used = 0
     for f in functions:
         f = np.asarray(f, dtype=float)
@@ -718,9 +713,40 @@ def function_constants(space: PointCloudSpace, lam: DominatingFunction,
                 ratio = norms[a] / norms[b]
                 lo, hi = bands.get(key, (math.inf, -math.inf))
                 bands[key] = (min(lo, ratio), max(hi, ratio))
-        n21 = norms[0]
+        each(f, norms)
+    return CheckReport(
+        check="equivalence_bands",
+        passed=None,
+        value=None if not bands else max(v[1] for v in bands.values()),
+        details={"bands": {k: list(v) for k, v in bands.items()},
+                 "functions_used": used, "functions_skipped": len(functions) - used,
+                 "tau_pair": list(TAU_PAIR), "gamma_pair": list(GAMMA_PAIR)},
+    )
+
+
+def function_constants(space: PointCloudSpace, lam: DominatingFunction,
+                       psi: RegularityFunctionPsi, functions: Sequence[np.ndarray],
+                       pair_budget: int, seed: int) -> dict:
+    """One pass over a family of functions for the constants read against
+    their norms: per function one :func:`campanato_norm_multi` call under
+    ``NORM_COMBOS``, and the p = 2 and p = 4 oscillation norms and
+    :func:`check_mean_jump_bounds` over the tau = 2, gamma = 1 norm, for
+    each function that :func:`equivalence_experiment` does not skip.
+
+    Returns ``"equivalence"``, the ``equivalence_bands`` report of every
+    pairwise norm ratio's min/max; ``"mean_jump"``, the mean-jump report of
+    largest value (the first wins; a zero report when none is positive);
+    ``"p_oscillation"``, the ratio bands keyed ``"p2"`` and ``"p4"``; and
+    ``"mean_jump_max"``, the componentwise maxima of the mean-jump constants.
+    """
+    p_osc = {"p2": [math.inf, -math.inf], "p4": [math.inf, -math.inf]}
+    jump = CheckReport(check="mean_jump_bounds", passed=None, value=0.0)
+    jump_max = {"k2": 0.0, "k6": 0.0, "iterated": 0.0, "comparable": 0.0}
+
+    def each(f, norms):
+        nonlocal jump
         for p, key in ((2.0, "p2"), (4.0, "p4")):
-            ratio = p_oscillation_norm(space, f, psi, p, 2.0) / n21
+            ratio = p_oscillation_norm(space, f, psi, p, 2.0) / norms[0]
             p_osc[key] = [min(p_osc[key][0], ratio), max(p_osc[key][1], ratio)]
         rep = check_mean_jump_bounds(space, lam, f, psi, pair_budget=pair_budget, seed=seed)
         if rep.value > jump.value:
@@ -729,14 +755,7 @@ def function_constants(space: PointCloudSpace, lam: DominatingFunction,
         for key, value in zip(jump_max, (d["per_k"]["2.0"], d["per_k"]["6.0"],
                                          d["iterated"], d["comparable"])):
             jump_max[key] = max(jump_max[key], value)
-    equivalence = CheckReport(
-        check="equivalence_bands",
-        passed=None,
-        value=None if not bands else max(v[1] for v in bands.values()),
-        details={"bands": {k: list(v) for k, v in bands.items()},
-                 "functions_used": used, "functions_skipped": len(functions) - used,
-                 "tau_pair": list(TAU_PAIR), "gamma_pair": list(GAMMA_PAIR)},
-    )
+    equivalence = _equivalence_bands(space, lam, psi, functions, pair_budget, seed, each)
     return {"equivalence": equivalence, "mean_jump": jump, "p_oscillation": p_osc,
             "mean_jump_max": jump_max}
 
@@ -747,4 +766,4 @@ def equivalence_experiment(space: PointCloudSpace, lam: DominatingFunction,
     """The min/max of every pairwise ratio of the norms under the four
     ``NORM_COMBOS`` over a family of functions, constant functions excluded:
     the ``equivalence`` report of :func:`function_constants`."""
-    return function_constants(space, lam, psi, functions, pair_budget, seed)["equivalence"]
+    return _equivalence_bands(space, lam, psi, functions, pair_budget, seed, lambda f, norms: None)

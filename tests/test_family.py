@@ -17,7 +17,9 @@ scale-index matrix, the one supremum tail of ``campanato_norm_multi`` and
 ``sharp_maximal`` on small families with the per-ball and per-pair loops it
 replaced (kept here as oracles), and the one-pass Marcinkiewicz integral
 with its per-point loop.  The oscillation sums are compared with
-exact rational sums and with the dense table they replaced.  The draws that
+exact rational sums and with the dense table they replaced, also on spaces
+that cross the edges of their tiles, and the scatter of the maximal
+operators with the ``np.maximum.at`` form it replaced.  The draws that
 ``geometry.replay_draws`` recomputes from the raw PCG64 stream are compared
 with the scalar ``Generator`` calls they replace: the bounded draw itself,
 the four draw schedules, and every report field of the pair sample, the
@@ -437,6 +439,30 @@ def test_maximal_operators_equal_per_center_loops(data, tau):
     assert operators.maximal_embedding_constant(space, psi, phi, 2.0, 3.0) == want
 
 
+def _scatter_sup_reference(space, values):
+    """``operators._scatter_sup`` with the ``np.maximum.at`` scatter it
+    replaced, verbatim."""
+    family = space.balls()
+    n = space.n
+    by_count = np.full((n, n), -math.inf)
+    np.maximum.at(by_count, (family.center, family.counts() - 1), values)
+    by_rank = np.maximum.accumulate(by_count[:, ::-1], axis=1)[:, ::-1]
+    by_point = np.empty((n, n))
+    np.put_along_axis(by_point, space.order, by_rank, axis=1)
+    return by_point.max(axis=0)
+
+
+@PROPERTY
+@given(st.data())
+def test_scatter_sup_equals_maximum_at(data):
+    space = data.draw(st.one_of(small_spaces(), small_spaces(coincident=True)))
+    size = len(space.balls())
+    value = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-math.inf, math.nan, 0.0, -0.0]))
+    values = np.asarray(data.draw(st.lists(value, min_size=size, max_size=size)), dtype=float)
+    got = operators._scatter_sup(space, values)
+    assert got.tobytes() == _scatter_sup_reference(space, values).tobytes()
+
+
 def _sharp_maximal_reference(space, lam, profile, f, pairs):
     """``sharp_maximal``'s ladder branch as per-center loops, with the sampled
     ``pairs`` (inner and outer index arrays) scattered one pair at a time onto
@@ -686,6 +712,19 @@ def test_doubling_indices_and_coefficient_bound_equal_per_center_loops(space, al
 # ------------------------------------------------------------------------------
 # Validators
 # ------------------------------------------------------------------------------
+def _least_factor_reference(num, den):
+    """The least C >= 0 with num <= C * den, one pair at a time."""
+    out = np.empty(num.size)
+    for i, (a, b) in enumerate(zip(num.tolist(), den.tolist())):
+        if a == b and (a == 0.0 or math.isinf(a)):
+            out[i] = 0.0
+        elif b == 0.0:
+            out[i] = math.inf
+        else:
+            out[i] = a / b
+    return out
+
+
 def _upper_doubling_reference(space, lam, rel_tol=nl.mmspace.DEFAULT_REL_TOL):
     """The per-center validator loop: a kind's witness is (re)written each
     time that kind's running worst strictly grows past its bound."""
@@ -695,8 +734,9 @@ def _upper_doubling_reference(space, lam, rel_tol=nl.mmspace.DEFAULT_REL_TOL):
         radii = space.candidate_radii(c)
         vals = lam.table(c, radii)
         mus = _mu(space, c, radii)
-        ratios = [mus / vals, vals / lam.table(c, radii / 2.0),
-                  vals[:-1] / vals[1:] if radii.size > 1 else np.zeros(0)]
+        ratios = [_least_factor_reference(mus, vals),
+                  _least_factor_reference(vals, lam.table(c, radii / 2.0)),
+                  _least_factor_reference(vals[:-1], vals[1:])]
         bounds = [1.0 + rel_tol, lam.c_lambda * (1.0 + rel_tol), 1.0 + rel_tol]
         for kind, (ratio, bound) in enumerate(zip(ratios, bounds)):
             if not ratio.size:
@@ -736,6 +776,21 @@ def test_upper_doubling_equals_per_center_loop(data):
         c, kind = max((c, kind) for kind, c in last.items())
         assert (witness["center"], witness["kind"]) == \
             (c, ("domination", "half_radius", "monotonicity")[kind])
+
+
+def test_upper_doubling_ratios_where_lambda_underflows():
+    # r ** 3 underflows to 0 on every ball of a space of diameter 3e-150:
+    # domination fails (mu > 0 = lambda), while lambda(r) <= C * lambda(r / 2)
+    # and monotonicity hold as 0 <= 0, whose least factor is 0, not 0 / 0
+    space = nl.build_space(points=[[0.0], [1e-150], [3e-150]], weights=[1.0, 2.0, 3.0])
+    lam = nl.DominatingFunction(lambda c, r: r ** 3, c_lambda=8.0)
+    assert not np.any(space.fn_table(lam))
+    report = nl.validate_upper_doubling(space, lam)
+    assert not report.passed and report.worst_witness["kind"] == "domination"
+    assert report.details["worst_domination_ratio"] == math.inf
+    assert report.details["worst_half_radius_ratio"] == 0.0
+    assert report.details["required_c_lambda"] == 1.0
+    assert _upper_doubling_reference(space, lam)[0] == [math.inf, 0.0, 0.0]
 
 
 @PROPERTY
@@ -1373,6 +1428,30 @@ def test_oscillation_sums_match_exact_and_dense_sums(data, p):
         assert np.all(spaces.oscillation_sums(space, const, p) == 0.0)
     else:
         np.testing.assert_allclose(got, _oscillation_sums_dense(space, g, p), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("make_space", [
+    lambda: lab.generate_space({"kind": "grid", "d": 1, "n": 64}), _medium_graph_space,
+    lambda: lab.generate_space({"kind": "grid", "d": 1, "n": 37}),
+], ids=["grid64", "graph40", "grid37"])
+@pytest.mark.parametrize("p", [1.0, 3.5])
+def test_oscillation_sums_cross_tile_edges(make_space, p):
+    # the property spaces have n <= 10, inside one tile; these cross the tile
+    # edges in centers and in prefix rows, and grid37 ends in partial tiles
+    space = make_space()
+    assert space.n > spaces._OSC_TILE
+    g = np.random.default_rng(space.n).uniform(-1.0, 1.0, space.n)
+    np.testing.assert_allclose(spaces.oscillation_sums(space, g, p), _oscillation_sums_dense(space, g, p),
+                               rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 3.5])
+def test_oscillation_sums_match_exact_sums_past_one_tile(p):
+    space = lab.generate_space({"kind": "grid", "d": 1, "n": 20})
+    g = np.random.default_rng(20).uniform(-1.0, 1.0, space.n)
+    got = spaces.oscillation_sums(space, g, p)
+    for (c, q), (want, slack) in _oscillation_sums_exact(space, g, p).items():
+        assert abs(Fraction(float(got[c, q])) - want) <= Fraction(1e-12) * want + slack, (c, q)
 
 
 # ------------------------------------------------------------------------------

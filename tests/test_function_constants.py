@@ -90,3 +90,26 @@ def test_the_shared_pass_runs_once_per_experiment(monkeypatch):
     for row in full.rows[:3]:
         alone = lab.run_experiments(lab.ExperimentConfig.from_dict({**cfg, "checks": [row.check]}))
         assert alone.rows == [row]
+
+
+def test_equivalence_experiment_reads_only_the_four_norms(monkeypatch):
+    space = lab.generate_space({"kind": "grid", "d": 1, "n": 64})
+    lam = mmspace.fit_power_lambda(space, lab.PINNED_KAPPA)
+    psi = spaces.constant_psi()
+    fs = lab.generate_functions(space, "random_bounded", 6, 7) + [np.full(space.n, 3.25)]
+    calls = []
+
+    def counting(name):
+        inner = getattr(spaces, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        return counted
+
+    for name in ("p_oscillation_norm", "check_mean_jump_bounds"):
+        monkeypatch.setattr(spaces, name, counting(name))
+    report = spaces.equivalence_experiment(space, lam, psi, fs, 2000, 7)
+    assert calls == []
+    assert report == spaces.function_constants(space, lam, psi, fs, 2000, 7)["equivalence"]
+    assert "p_oscillation_norm" in calls and "check_mean_jump_bounds" in calls
