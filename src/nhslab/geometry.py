@@ -34,6 +34,7 @@ from .mmspace import (
     GeometryProfile,
     PointCloudSpace,
     floor_log,
+    memo,
     scale_index_array,
 )
 from .report import CheckReport
@@ -172,8 +173,8 @@ class CoefficientTables:
     k = -k_floor .. j - k_floor for family ball B = b, along the family's
     ladder, so the coefficient of (B, tau**N B), and of any nested pair whose
     outer scale index is N, is ``1 + cumulative[b, N + k_floor]``.  The tables
-    are cached on the space under ``lam`` and hold neither, so no reference
-    cycle delays freeing a dropped space.
+    are cached in the space's store under ``lam`` and hold neither, so no
+    reference cycle delays freeing a dropped space.
     """
 
     def __init__(self, space: PointCloudSpace, lam: DominatingFunction, tau: float):
@@ -205,11 +206,8 @@ class CoefficientTables:
 
 def coefficient_tables(space: PointCloudSpace, lam: DominatingFunction, tau: float) -> CoefficientTables:
     """Cached access to :class:`CoefficientTables` for (space, lam, tau)."""
-    per_lam = space._coeff_cache.setdefault(lam, {})
     tau = float(tau)
-    if tau not in per_lam:
-        per_lam[tau] = CoefficientTables(space, lam, tau)
-    return per_lam[tau]
+    return memo(space.store(lam), ("coefficients", tau), lambda: CoefficientTables(space, lam, tau))
 
 
 # ------------------------------------------------------------------------------
@@ -336,31 +334,29 @@ def sampled_nested_pairs(space: PointCloudSpace, budget: int, seed: int) -> Nest
     center, replayed by :func:`replay_draws`; the radius order and the
     containment test of every draw run in one vectorised pass.
     """
-    key = (budget, seed)
-    if key in space._pair_samples:
-        return space._pair_samples[key]
-    family = space.balls()
-    sizes = np.diff(family.offsets)
+    def build():
+        family = space.balls()
+        sizes = np.diff(family.offsets)
 
-    def step(draw):
-        c1, c2 = replay_choice(draw, space.n, 2).T
-        return c1, c2, draw(sizes[c1]), draw(sizes[c2])
-    c1, c2, i1, i2 = replay_draws(seed, budget if space.n > 1 else 0, 5, step)
-    b1, b2 = family.offsets[c1] + i1, family.offsets[c2] + i2
-    swap = family.radius[b2] < family.radius[b1]
-    c1, c2 = np.where(swap, c2, c1), np.where(swap, c1, c2)
-    b1, b2 = np.where(swap, b2, b1), np.where(swap, b1, b2)
-    # b1 is nested in b2 when the farthest of b1's members, seen from c2, is
-    # within b2's radius; the (rows, n) gather runs in chunks of at most 1 MB
-    counts = family.counts()[b1]
-    nested = np.empty(b1.shape, dtype=bool)
-    step = max(1, (1 << 20) // (8 * space.n))
-    for lo in range(0, b1.size, step):
-        s = slice(lo, lo + step)
-        farthest = np.maximum.accumulate(space.dist[c2[s, None], space.order[c1[s]]], axis=1)
-        nested[s] = farthest[np.arange(farthest.shape[0]), counts[s] - 1] <= family.radius[b2[s]]
-    space._pair_samples[key] = NestedPairSample(b1[nested], b2[nested])
-    return space._pair_samples[key]
+        def step(draw):
+            c1, c2 = replay_choice(draw, space.n, 2).T
+            return c1, c2, draw(sizes[c1]), draw(sizes[c2])
+        c1, c2, i1, i2 = replay_draws(seed, budget if space.n > 1 else 0, 5, step)
+        b1, b2 = family.offsets[c1] + i1, family.offsets[c2] + i2
+        swap = family.radius[b2] < family.radius[b1]
+        c1, c2 = np.where(swap, c2, c1), np.where(swap, c1, c2)
+        b1, b2 = np.where(swap, b2, b1), np.where(swap, b1, b2)
+        # b1 is nested in b2 when the farthest of b1's members, seen from c2, is
+        # within b2's radius; the (rows, n) gather runs in chunks of at most 1 MB
+        counts = family.counts()[b1]
+        nested = np.empty(b1.shape, dtype=bool)
+        step = max(1, (1 << 20) // (8 * space.n))
+        for lo in range(0, b1.size, step):
+            s = slice(lo, lo + step)
+            farthest = np.maximum.accumulate(space.dist[c2[s, None], space.order[c1[s]]], axis=1)
+            nested[s] = farthest[np.arange(farthest.shape[0]), counts[s] - 1] <= family.radius[b2[s]]
+        return NestedPairSample(b1[nested], b2[nested])
+    return memo(space.store(), ("pairs", budget, seed), build)
 
 
 # ------------------------------------------------------------------------------

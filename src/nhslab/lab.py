@@ -353,9 +353,11 @@ class ExperimentReport:
     config: dict
     runtime_seconds: float
     version: str = ARTIFACT_VERSION
-    #: per check, CPU seconds and the traceback if it raised: JSON only, the CSV stays bit-identical
+    #: JSON only, the CSV stays bit-identical: per check, CPU seconds and the
+    #: traceback if it raised; per cache kind, the bytes held after the checks
     check_seconds: dict = field(default_factory=dict)
     tracebacks: dict = field(default_factory=dict)
+    cache_bytes: dict = field(default_factory=dict)
 
     @property
     def exit_code(self) -> int:
@@ -369,6 +371,7 @@ class ExperimentReport:
             "rows": [asdict(r) for r in self.rows],
             "check_seconds": self.check_seconds,
             "tracebacks": self.tracebacks,
+            "cache_bytes": self.cache_bytes,
         }
 
 
@@ -587,37 +590,38 @@ def _check_operator_norm_ratios(ctx: _Context) -> Row:
                 "pass", witness=ratios)
 
 
+def _sharp_ratio(space, lam, profile, kernel, psi, b, fs, params, pair_budget, seed) -> float:
+    """The largest sharp-maximal commutator ratio against the symbol b over fs, floored at 0."""
+    return max([0.0] + [operators.check_sharp_maximal_estimate(
+        space, lam, profile, kernel, psi, b, f, params, pair_budget=pair_budget, seed=seed).value
+        for f in fs])
+
+
+def _embedding_reports(space, phi, fs, params) -> tuple:
+    """``c10``, the largest ratio (or 0) and per f the maximal-Morrey estimate
+    under psi = phi**(1/q - 1/p) of f / ||f|| at eta = tau (None if <= 1e-13)."""
+    psi = spaces.phi_compatible_psi(phi, params.p, params.q)
+    c10 = operators.maximal_embedding_constant(space, psi, phi, params.p, params.q)
+    norms = [spaces.morrey_norm(space, f, params.p, phi, eta=params.tau) for f in fs]
+    reports = [operators.check_maximal_morrey_pointwise(space, psi, phi, np.asarray(f) / norm,
+                                                        params, c10=c10) if norm > 1e-13 else None
+               for f, norm in zip(fs, norms)]
+    return c10, max([0.0] + [r.value for r in reports if r is not None]), reports
+
+
 def _check_sharp_estimate(ctx: _Context) -> Row:
-    fs = ctx.functions(ctx.budget("sharp_functions", 3))
-    b = ctx.functions(1)[0]
-    worst = 0.0
-    for f in fs:
-        rep = operators.check_sharp_maximal_estimate(
-            ctx.space, ctx.lam, ctx.profile, ctx.kernel, ctx.psi, b, f, ctx.params,
-            pair_budget=ctx.budget("pairs", 500), seed=ctx.seed)
-        worst = max(worst, rep.value)
-    return _row(ctx, "sharp_maximal_estimate", worst, "pass")
+    return _row(ctx, "sharp_maximal_estimate", _sharp_ratio(
+        ctx.space, ctx.lam, ctx.profile, ctx.kernel, ctx.psi, ctx.functions(1)[0],
+        ctx.functions(ctx.budget("sharp_functions", 3)), ctx.params, ctx.budget("pairs", 500),
+        ctx.seed), "pass")
 
 
 def _check_maximal_embedding(ctx: _Context) -> Row:
-    params = ctx.params
-    psi_emb = spaces.phi_compatible_psi(ctx.phi, params.p, params.q)
     fs = ctx.functions(2 * ctx.budget("embedding_functions", 3))
-    half = len(fs) // 2
-    c10 = operators.maximal_embedding_constant(ctx.space, psi_emb, ctx.phi, params.p, params.q)
-    cal = 0.0
-    status = "pass"
+    c10, cal, reports = _embedding_reports(ctx.space, ctx.phi, fs, ctx.params)
     # the first half calibrates; only the second half is checked
-    for i, f in enumerate(fs):
-        norm = spaces.morrey_norm(ctx.space, f, params.p, ctx.phi, eta=params.tau)
-        if norm <= 1e-13:
-            continue
-        rep = operators.check_maximal_morrey_pointwise(
-            ctx.space, psi_emb, ctx.phi, np.asarray(f) / norm, params, c10=c10)
-        if i >= half and not rep.passed:
-            status = "fail"
-        cal = max(cal, rep.value)
-    return _row(ctx, "maximal_morrey_pointwise", cal, status, witness={"c10": c10})
+    failed = any(r is not None and not r.passed for r in reports[len(fs) // 2:])
+    return _row(ctx, "maximal_morrey_pointwise", cal, "fail" if failed else "pass", witness={"c10": c10})
 
 
 def operator_norm_ratios(space, lam, profile, psi, phi, kernel, params,
@@ -735,7 +739,8 @@ def run_experiments(config: ExperimentConfig) -> ExperimentReport:
         "budgets": config.budgets,
     }
     return ExperimentReport(rows=rows, config=cfg_echo, runtime_seconds=elapsed,
-                            check_seconds=check_seconds, tracebacks=tracebacks)
+                            check_seconds=check_seconds, tracebacks=tracebacks,
+                            cache_bytes=mmspace.cache_bytes(space))
 
 
 # ------------------------------------------------------------------------------
@@ -830,13 +835,13 @@ def constant_battery(generator: dict, count: int = 100, seed: int = 7,
     """All refinement-stability constants for one generator, as a flat dict.
 
     :func:`operator_norm_ratios` and :func:`spaces.function_constants` give
-    the operator ratios, norm bands and mean jumps, as in the experiment rows;
-    one loop adds the sharp and embedding ratios.  All use the default
-    ``OperatorParams``, 5000 coefficient triples and 2000 sampled pairs.  The
-    dominating-function exponent is pinned (only its tight constant is
-    refitted per space) so that every refinement level runs the same
-    power-law family; with a per-scale exponent fit the potential operator's
-    constants inherit the drift of the exponent itself.
+    the operator ratios, norm bands and mean jumps, and the sharp and
+    embedding ratios come from the function loops of those rows.  All use the
+    default ``OperatorParams``, 5000 coefficient triples and 2000 sampled
+    pairs.  The dominating-function exponent is pinned (only its tight
+    constant is refitted per space) so that every refinement level runs the
+    same power-law family; with a per-scale exponent fit the potential
+    operator's constants inherit the drift of the exponent itself.
     """
     params = OperatorParams()
     space = generate_space(generator)
@@ -844,9 +849,7 @@ def constant_battery(generator: dict, count: int = 100, seed: int = 7,
     profile = mmspace.make_profile(space, lam)
     psi = spaces.constant_psi()
     phi = make_phi(None)
-    psi_emb = spaces.phi_compatible_psi(phi, params.p, params.q)
     kernel = operators.make_kernel(space, lam, l=params.l)
-    p, q = params.p, params.q
 
     out: dict = {}
     rep = geometry.check_coefficient_inequalities(space, lam, (2.0, 6.0), 5000, seed)
@@ -861,30 +864,16 @@ def constant_battery(generator: dict, count: int = 100, seed: int = 7,
     b = generate_functions(space, "random_bounded", 1, seed + 104729)[0]
     ratios = operator_norm_ratios(space, lam, profile, psi, phi, kernel, params, fs, mz, b, seed=seed)
     del ratios["b_norm"]  # an input of the ratios, not a constant of the battery
-    c10 = operators.maximal_embedding_constant(space, psi_emb, phi, p, q)
 
     constants = spaces.function_constants(space, lam, psi, fs, 2000, seed)
-    sharp_ratio = 0.0
-    emb = 0.0
-    for f in fs:
-        rep = operators.check_sharp_maximal_estimate(space, lam, profile, kernel, psi, b, f,
-                                                     params, seed=seed)
-        sharp_ratio = max(sharp_ratio, rep.value)
-
-        mn_tau = spaces.morrey_norm(space, f, p, phi, eta=params.tau)
-        if mn_tau > 1e-13:
-            rep = operators.check_maximal_morrey_pointwise(
-                space, psi_emb, phi, np.asarray(f) / mn_tau, params, c10=c10)
-            emb = max(emb, rep.value)
-
     out.update({f"mean_jump_{key}": value for key, value in constants["mean_jump_max"].items()})
     bands = constants["equivalence"].details["bands"]
     for name, key in (("tau", "tau2_gamma1_vs_tau6_gamma1"), ("gamma", "tau2_gamma1_vs_tau2_gamma2")):
         out[f"norm_band_{name}_min"], out[f"norm_band_{name}_max"] = bands.get(key, (math.inf, -math.inf))
     for name, band in constants["p_oscillation"].items():
         out[f"p_osc_band_{name}_min"], out[f"p_osc_band_{name}_max"] = band
-    out["sharp_commutator_ratio"] = sharp_ratio
-    out["maximal_embedding_ratio"] = emb
+    out["sharp_commutator_ratio"] = _sharp_ratio(space, lam, profile, kernel, psi, b, fs, params, 2000, seed)
+    out["maximal_embedding_ratio"] = _embedding_reports(space, phi, fs, params)[1]
     out.update(ratios)
     return out
 

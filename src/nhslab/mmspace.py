@@ -14,13 +14,17 @@ ascending radii, and the members of a ball are the first ``counts()[b]``
 points of its center's distance order.  Every supremum over balls is a
 gather over this family followed by one argmax; exhaustive suprema over
 nested ball pairs enumerate ``geometry.nested_pairs``.  Per dilation step tau
-it caches one :class:`Ladder`, the member counts of every tau**k * B from one
-``counts_of``, which the coefficient tables, the concentric Campanato and
-mean-jump ladders and the doubling indices read, and the sparse-table
-windows (``windows``) over the runs of ``run_ends``, which group each ball's
-concentric outer balls by scale index.  ``flat`` turns a
-per-ball read ``table[center, q]`` of a center-by-prefix table into one 1-D
-``take``.
+the family caches one :class:`Ladder`, the member counts of every tau**k * B,
+and the sparse-table ``windows`` that group each ball's concentric outer
+balls by scale index.  ``flat`` turns a per-ball read ``table[center, q]`` of
+a center-by-prefix table into one 1-D ``take``.
+
+Every cache is a store entry read through :func:`memo`, which builds it on
+its first read and makes the arrays it holds read-only.
+``PointCloudSpace.store(*owners)`` is the space's store, or the one under the
+radial functions ``owners`` (lambda, psi, phi) held weakly, so a dropped
+normalizer frees its entries.  The family and a function's tables keep their
+own ``store``; :func:`cache_bytes` sums the array bytes of each kind.
 
 Functions of a center and a radius (the dominating function here, the
 normalizers psi and phi in :mod:`nhslab.spaces`) share one protocol,
@@ -77,6 +81,48 @@ FALLBACK_RADIUS = 1.0
 #: n**2`` random triples (generator seed 0).
 TRIANGLE_EXHAUSTIVE_LIMIT = 2048
 TRIANGLE_SAMPLE_FACTOR = 10
+
+
+def _arrays(value) -> list:
+    """The arrays a cached value holds: itself, a tuple's items or an object's public fields."""
+    parts = (value,) if isinstance(value, np.ndarray) else value if isinstance(value, tuple) \
+        else [v for k, v in getattr(value, "__dict__", {}).items() if not k.startswith("_")]
+    return [a for a in parts if isinstance(a, np.ndarray)]
+
+
+def memo(store: dict, key, build: Callable):
+    """``store[key]``, built by ``build()`` on its first read; the arrays it holds turn read-only."""
+    value = store.get(key)
+    if value is None:
+        value = store[key] = build()
+        for a in _arrays(value):
+            a.setflags(write=False)
+    return value
+
+
+class _Store(dict):
+    """A cache dict with child stores, ``owned``, keyed weakly on their owners."""
+    def __init__(self):
+        super().__init__()
+        self.owned = weakref.WeakKeyDictionary()
+
+
+def cache_bytes(space: "PointCloudSpace") -> dict:
+    """Bytes held per cache kind (an entry's key or its first item) in the space's
+    store, its owners' stores and, as ``kind.inner``, cached objects' stores:
+    each array's, or a view's base's (a broadcast table holds one scalar)."""
+    out: dict = {}
+
+    def walk(store: dict, prefix: str) -> None:
+        for key, value in store.items():
+            kind = prefix + (key if isinstance(key, str) else key[0])
+            out[kind] = out.get(kind, 0) + sum((a.base if isinstance(a.base, np.ndarray) else a).nbytes
+                                               for a in _arrays(value))
+            walk(value if isinstance(value, dict) else getattr(value, "store", {}), kind + ".")
+        for child in getattr(store, "owned", {}).values():
+            walk(child, prefix)
+    walk(space.store(), "")
+    return out
 
 
 def _dedup_sorted(values: np.ndarray) -> np.ndarray:
@@ -160,10 +206,9 @@ class BallFamily:
     Ball ``b`` is ``B(center[b], radius[b])``; the balls of center ``c`` are
     ``offsets[c]:offsets[c + 1]``, in ascending radius order.  Member counts
     at rescaled radii come from the one per-center ``searchsorted`` in
-    :meth:`counts_of`; :meth:`counts` caches them, and :meth:`measures` the
-    measures, for the few scales that several suprema share (the radius
-    itself, the enlargements 2, 5, 6), and :meth:`ladder` for every power of
-    one dilation step tau.
+    :meth:`counts_of`; ``store`` caches them and the measures for the few
+    scales that several suprema share (the radius itself, the enlargements 2,
+    5, 6), and the :meth:`ladder` of every power of one dilation step tau.
     """
 
     def __init__(self, space: "PointCloudSpace"):
@@ -178,11 +223,7 @@ class BallFamily:
         self._diameter = space.diameter
         self._sorted_dist = space.sorted_dist
         self._prefix_weight = space.prefix_weight
-        self._counts: dict = {}
-        self._measures: dict = {}
-        self._ladders: dict = {}
-        self._windows: dict = {}
-        self._count_runs: Optional[tuple] = None
+        self.store: dict = {}
 
     def __len__(self) -> int:
         return int(self.radius.size)
@@ -204,23 +245,17 @@ class BallFamily:
 
     def counts(self, scale: float = 1.0) -> np.ndarray:
         """Member counts of the balls enlarged by ``scale`` (cached)."""
-        cached = self._counts.get(scale)
-        if cached is None:
-            cached = self._counts[scale] = self.counts_of(scale * self.radius)
-            cached.setflags(write=False)
-        return cached
+        return memo(self.store, ("counts", scale), lambda: self.counts_of(scale * self.radius))
 
     def count_runs(self) -> tuple:
-        """``(starts, slots)`` (cached, read-only): the first ball of each run
-        of equal (center, member count), contiguous as counts ascend within a
-        segment, and the run's flat slot ``center * n + count - 1``."""
-        if self._count_runs is None:
+        """``(starts, slots)`` (cached): the first ball of each run of equal
+        (center, member count), contiguous as counts ascend within a segment,
+        and the run's flat slot ``center * n + count - 1``."""
+        def build():
             slots = self.center.astype(np.int64) * self.n + self.counts() - 1
             starts = np.flatnonzero(np.r_[True, slots[1:] != slots[:-1]])
-            self._count_runs = starts, slots[starts]
-            for a in self._count_runs:
-                a.setflags(write=False)
-        return self._count_runs
+            return starts, slots[starts]
+        return memo(self.store, "count_runs", build)
 
     def at(self, table: np.ndarray, q: np.ndarray) -> np.ndarray:
         """``table[center[b], q[b]]`` for every ball b of an n x (n + 1) table
@@ -229,11 +264,8 @@ class BallFamily:
 
     def measures(self, scale: float = 1.0) -> np.ndarray:
         """Measures of the balls enlarged by ``scale`` (cached)."""
-        cached = self._measures.get(scale)
-        if cached is None:
-            cached = self._measures[scale] = self.at(self._prefix_weight, self.counts(scale))
-            cached.setflags(write=False)
-        return cached
+        return memo(self.store, ("measures", scale),
+                    lambda: self.at(self._prefix_weight, self.counts(scale)))
 
     def ladder(self, tau: float) -> Ladder:
         """The ladder of every ball at dilation step tau (cached).  K is 4 past
@@ -245,17 +277,15 @@ class BallFamily:
         tau = float(tau)
         if not tau > 1.0:
             raise InvalidParams(f"tau must exceed 1, got {tau!r}")
-        if tau not in self._ladders:
+        def build():
             top = int(scale_index_array(tau, self.radius.min(),
                                         max(float(self.radius.max()), self._diameter))) + 4
             top = max(top, int(scale_index_array(tau, self.radius, 6.0 * self.radius).max()))
             k_floor = floor_log(tau)
             scales = tau ** np.arange(-k_floor, top + 1)
-            counts = self.counts_of(self.radius[:, None] * scales)
-            counts.setflags(write=False)
-            self._ladders[tau] = Ladder(k_floor, scales, counts,
-                                        scale_index_array(tau, self.radius, self._diameter))
-        return self._ladders[tau]
+            return Ladder(k_floor, scales, self.counts_of(self.radius[:, None] * scales),
+                          scale_index_array(tau, self.radius, self._diameter))
+        return memo(self.store, ("ladder", tau), build)
 
     def run_ends(self, tau: float) -> np.ndarray:
         """``ends[b, N]`` is one past the last ball of b's segment with radius
@@ -282,7 +312,7 @@ class BallFamily:
         an empty run points both at the pad.  Runs stay in their segment, so
         ``depth`` is the bit length of the longest segment."""
         tau = float(tau)
-        if tau not in self._windows:
+        def build():
             hi = np.ascontiguousarray(self.run_ends(tau).T)
             lo = np.vstack([np.arange(len(self), dtype=np.int32), hi[:-1]])
             width = len(self) + 1
@@ -290,9 +320,8 @@ class BallFamily:
             k = np.frexp(np.maximum(length, 1))[1] - 1
             idx = np.stack([k * width + lo, k * width + hi - (1 << k)], axis=1)
             idx = np.where((length > 0)[:, None], idx, np.int32(width - 1))
-            idx.setflags(write=False)
-            self._windows[tau] = int(np.frexp(int(np.diff(self.offsets).max()))[1]), idx
-        return self._windows[tau]
+            return int(np.frexp(int(np.diff(self.offsets).max()))[1]), idx
+        return memo(self.store, ("windows", tau), build)
 
     def sup(self, values: np.ndarray) -> tuple:
         """Largest of ``values`` (one per ball) floored at 0, with the first
@@ -306,8 +335,8 @@ class BallFamily:
 class PointCloudSpace:
     """Finite metric measure space on weighted atoms.
 
-    Instances are immutable after construction and safe to share across
-    workers; the lazily built lookup tables are pure caches.
+    Instances are immutable after construction; the lookup tables of
+    :meth:`store` are pure caches.
     """
 
     def __init__(self, dist: np.ndarray, weights: np.ndarray, coords: Optional[np.ndarray] = None):
@@ -319,41 +348,31 @@ class PointCloudSpace:
         self.total_measure = float(self.weights.sum())
         self.dist.setflags(write=False)
         self.weights.setflags(write=False)
-        self._order: Optional[np.ndarray] = None
-        self._sorted_dist: Optional[np.ndarray] = None
-        self._prefix_weight: Optional[np.ndarray] = None
-        self._family: Optional[BallFamily] = None
-        self._radius_union: Optional[np.ndarray] = None
-        self._fn_tables: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        self._lam_matrices: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        self._coeff_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        self._pair_samples: dict = {}
-        # per-function caches of nhslab.spaces: the latest function's tables
-        # and the Campanato reports per (lam, psi)
-        self._fn_slot = None
-        self._reports: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+        self._store = _Store()
+
+    def store(self, *owners) -> dict:
+        """The space's cache dict, or the one under ``owners`` (radial functions) held weakly."""
+        node = self._store
+        for owner in owners:
+            node = memo(node.owned, owner, _Store)
+        return node
 
     # -- sorted-distance machinery --------------------------------------------
     @property
     def order(self) -> np.ndarray:
         """Per-center point indices sorted by distance (stable ties)."""
-        if self._order is None:
-            self._order = np.argsort(self.dist, axis=1, kind="stable")
-        return self._order
+        return memo(self._store, "order", lambda: np.argsort(self.dist, axis=1, kind="stable"))
 
     @property
     def sorted_dist(self) -> np.ndarray:
-        if self._sorted_dist is None:
-            self._sorted_dist = np.take_along_axis(self.dist, self.order, axis=1)
-        return self._sorted_dist
+        return memo(self._store, "sorted_dist",
+                    lambda: np.take_along_axis(self.dist, self.order, axis=1))
 
     @property
     def prefix_weight(self) -> np.ndarray:
         """``prefix_weight[c, q]`` is the weight of the q closest points to c."""
-        if self._prefix_weight is None:
-            cum = np.cumsum(self.weights[self.order], axis=1)
-            self._prefix_weight = np.hstack([np.zeros((self.n, 1)), cum])
-        return self._prefix_weight
+        return memo(self._store, "prefix_weight", lambda: np.hstack(
+            [np.zeros((self.n, 1)), np.cumsum(self.weights[self.order], axis=1)]))
 
     def prefix_of(self, values: np.ndarray) -> np.ndarray:
         """Prefix sums of an arbitrary field in per-center distance order."""
@@ -379,36 +398,24 @@ class PointCloudSpace:
 
     def balls(self) -> BallFamily:
         """The flat candidate-ball family (cached)."""
-        if self._family is None:
-            self._family = BallFamily(self)
-        return self._family
+        return memo(self._store, "balls", lambda: BallFamily(self))
 
     def radius_union(self) -> np.ndarray:
         """Sorted union of every center's candidate radii."""
-        if self._radius_union is None:
-            self._radius_union = _dedup_rows(np.sort(self.balls().radius)[None, :])[0]
-            self._radius_union.setflags(write=False)
-        return self._radius_union
+        return _dedup_rows(np.sort(self.balls().radius)[None, :])[0]
 
     def fn_table(self, obj: "Radial") -> np.ndarray:
-        """``obj`` on every ball of the candidate family, cached by object
-        identity."""
-        table = self._fn_tables.get(obj)
-        if table is None:
-            family = self.balls()
-            table = self._fn_tables[obj] = obj.table(family.center, family.radius)
-        return table
+        """``obj`` on every ball of the candidate family (cached under ``obj``)."""
+        family = self.balls()
+        return memo(self.store(obj), "fn_table", lambda: obj.table(family.center, family.radius))
 
     def pair_table(self, lam: "DominatingFunction") -> np.ndarray:
         """Matrix of lam(x, d(x, y)); entries with d == 0 hold a placeholder 1."""
-        cached = self._lam_matrices.get(lam)
-        if cached is None:
+        def build():
             zero = self.dist <= 0.0
-            cached = np.where(zero, 1.0, lam.table(np.arange(self.n)[:, None],
-                                                   np.where(zero, 1.0, self.dist)))
-            cached.setflags(write=False)
-            self._lam_matrices[lam] = cached
-        return cached
+            return np.where(zero, 1.0, lam.table(np.arange(self.n)[:, None],
+                                                 np.where(zero, 1.0, self.dist)))
+        return memo(self.store(lam), "pair_table", build)
 
     def __repr__(self) -> str:
         return f"PointCloudSpace(n={self.n}, diameter={self.diameter:.6g}, measure={self.total_measure:.6g})"

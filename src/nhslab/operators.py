@@ -43,6 +43,7 @@ from .report import CheckReport
 from .spaces import (
     GrowthFunctionPhi,
     RegularityFunctionPsi,
+    ball_power_sums,
     campanato_norm,
     function_tables,
     morrey_norm,
@@ -463,21 +464,18 @@ def _scatter_sup(space: PointCloudSpace, values: np.ndarray) -> np.ndarray:
 
 
 def _power_means(space: PointCloudSpace, f: np.ndarray, p: float, tau: float) -> np.ndarray:
-    """Per ball: (sum of |f|**p w over B / mu(tau*B))**(1/p)."""
-    family = space.balls()
-    power = space.prefix_of(np.abs(f) ** p * space.weights)
-    return (power[family.center, family.counts()] / family.measures(tau)) ** (1.0 / p)
+    """Per ball: (sum of |f|**p w over B / mu(tau*B))**(1/p), for p > 1 and tau >= 5."""
+    if not p > 1:
+        raise InvalidParams(f"p must exceed 1, got {p!r}")
+    if not tau >= 5:
+        raise InvalidParams(f"tau must be at least 5, got {tau!r}")
+    return (ball_power_sums(space, f, p) / space.balls().measures(tau)) ** (1.0 / p)
 
 
 def maximal_p_tau(space: PointCloudSpace, f: np.ndarray, p: float, tau: float,
                   x: Optional[int] = None):
     """Supremum over candidate balls containing x of the (1/mu(tau*B)
     normalized) p-mean of |f| on B."""
-    if not p > 1:
-        raise InvalidParams(f"p must exceed 1, got {p!r}")
-    if not tau >= 5:
-        raise InvalidParams(f"tau must be at least 5, got {tau!r}")
-    f = np.asarray(f, dtype=float)
     out = _scatter_sup(space, _power_means(space, f, p, tau))
     return out if x is None else float(out[x])
 
@@ -486,13 +484,7 @@ def maximal_psi_p_tau(space: PointCloudSpace, psi: RegularityFunctionPsi,
                       f: np.ndarray, p: float, tau: float,
                       x: Optional[int] = None):
     """As maximal_p_tau with the factor psi(B) inside the supremum."""
-    if not p > 1:
-        raise InvalidParams(f"p must exceed 1, got {p!r}")
-    if not tau >= 5:
-        raise InvalidParams(f"tau must be at least 5, got {tau!r}")
-    f = np.asarray(f, dtype=float)
-    vals = space.fn_table(psi) * _power_means(space, f, p, tau)
-    out = _scatter_sup(space, vals)
+    out = _scatter_sup(space, _power_means(space, f, p, tau) * space.fn_table(psi))
     return out if x is None else float(out[x])
 
 

@@ -13,9 +13,9 @@ drawn once per (space, budget, seed) by
 comparable pairs are replayed from the PCG64 raw stream by
 :func:`~nhslab.geometry.replay_draws`.
 
-A space keeps the latest function's tables in one slot (:func:`function_tables`)
-and memoises each Campanato report, so a norm asked for again, such as a
-commutator symbol's, is not recomputed.
+The space's store keeps the latest function's tables in one slot
+(:func:`function_tables`) and each Campanato report under (lambda, psi), so
+a norm asked for again, such as a commutator symbol's, is not recomputed.
 
 The normalizers psi and phi follow the radial-function protocol of
 :class:`~nhslab.mmspace.Radial`: each family is one broadcasting
@@ -50,6 +50,7 @@ from .mmspace import (
     PointCloudSpace,
     Radial,
     comparability_ratio,
+    memo,
 )
 from .report import CheckReport
 
@@ -205,20 +206,15 @@ class FunctionTables:
     and measures are summed over each ball's members in point-index order, as
     :func:`ball_mean` sums, which the acceptance criterion "budgeted suprema
     equal to exhaustive enumeration on small fixtures exactly" pins; otherwise
-    the prefix tables and the shared sample serve.  The space is held through
-    a weak proxy, so its slot makes no reference cycle.
+    the prefix tables and the shared sample serve.  The tables live in
+    ``store`` and hold the space through a weak proxy, so the space's slot
+    makes no reference cycle.
     """
 
     def __init__(self, space: PointCloudSpace, key: tuple):
         # f is read back from the key's bytes: a read-only array of its own
-        self.key, self.exhaustive, self.f = key, key[0], np.frombuffer(key[1])
-        self._space, self._arrays = weakref.proxy(space), {}
-
-    def _cached(self, name, build) -> np.ndarray:
-        if name not in self._arrays:
-            self._arrays[name] = build()
-            self._arrays[name].setflags(write=False)
-        return self._arrays[name]
+        self.key, self.exhaustive, self.f = key, key[1], np.frombuffer(key[2])
+        self._space, self.store = weakref.proxy(space), {}
 
     def _ball_sums(self) -> np.ndarray:
         """Rows 0 and 1: each ball's mean and p = 1 numerator, in point-index order."""
@@ -231,32 +227,32 @@ class FunctionTables:
                 out[0, b] = m = float(np.sum(f[mask] * w) / np.sum(w))
                 out[1, b] = np.sum(np.abs(f[mask] - m) * w)
             return out
-        return self._cached("sums", build)
+        return memo(self.store, "sums", build)
 
     @property
     def mean_table(self) -> np.ndarray:
-        return self._cached("mean_table", lambda: self._space.prefix_mean(self.f))
+        return memo(self.store, "mean_table", lambda: self._space.prefix_mean(self.f))
 
     @property
     def means(self) -> np.ndarray:
         if self.exhaustive:
             return self._ball_sums()[0]
         family = self._space.balls()
-        return self._cached("means", lambda: family.at(self.mean_table, family.counts()))
+        return memo(self.store, "means", lambda: family.at(self.mean_table, family.counts()))
 
     def oscillation(self, p: float = 1.0) -> np.ndarray:
         """Per ball, the sum of |f - mean|**p * w over its members."""
         if self.exhaustive and p == 1.0:
             return self._ball_sums()[1]
         family = self._space.balls()
-        return self._cached(("osc", p), lambda: oscillation_sums(self._space, self.f, p)[
+        return memo(self.store, ("osc", p), lambda: oscillation_sums(self._space, self.f, p)[
             family.center, family.counts() - 1])
 
     def measures(self, scale: float) -> np.ndarray:
         family, space = self._space.balls(), self._space
         if not self.exhaustive:
             return family.measures(scale)
-        return self._cached(("measures", scale), lambda: np.array([
+        return memo(self.store, ("measures", scale), lambda: np.array([
             np.sum(space.weights[space.dist[c] <= scale * r])
             for c, r in zip(family.center.tolist(), family.radius.tolist())]))
 
@@ -269,18 +265,27 @@ class FunctionTables:
 
 
 def function_tables(space: PointCloudSpace, f: np.ndarray) -> FunctionTables:
-    """The :class:`FunctionTables` of f in the space's one slot, which is
+    """The :class:`FunctionTables` of f in the one slot of the space's store,
     keyed on the size choice and f's float64 bytes (an f changed in place
-    reads fresh tables) and replaced whenever another function is read."""
-    key = (pairs_are_exhaustive(space), np.asarray(f, dtype=float).tobytes())
-    if space._fn_slot is None or space._fn_slot.key != key:
-        space._fn_slot = FunctionTables(space, key)
-    return space._fn_slot
+    reads fresh tables) and emptied whenever another function is read."""
+    key = ("tables", pairs_are_exhaustive(space), np.asarray(f, dtype=float).tobytes())
+    slot = memo(space.store(), "function", dict)
+    if key not in slot:
+        slot.clear()
+    return memo(slot, key, lambda: FunctionTables(space, key))
 
 
 # ------------------------------------------------------------------------------
 # Morrey norm
 # ------------------------------------------------------------------------------
+def ball_power_sums(space: PointCloudSpace, f: np.ndarray, p: float) -> np.ndarray:
+    """Per ball of the candidate family, the sum of |f|**p * w over its
+    members: the prefix sums read at each ball's member count."""
+    family = space.balls()
+    power = np.abs(np.asarray(f, dtype=float)) ** p * space.weights
+    return family.at(space.prefix_of(power), family.counts())
+
+
 def morrey_norm(space: PointCloudSpace, f: np.ndarray, p: float,
                 phi: GrowthFunctionPhi, eta: float,
                 *, with_witness: bool = False):
@@ -290,15 +295,11 @@ def morrey_norm(space: PointCloudSpace, f: np.ndarray, p: float,
         raise InvalidExponent(f"p must be at least 1, got {p!r}")
     if not eta > 1:
         raise InvalidExponent(f"eta must exceed 1, got {eta!r}")
-    f = np.asarray(f, dtype=float)
     family = space.balls()
-    power = space.prefix_of(np.abs(f) ** p * space.weights)
-    mass = power[family.center, family.counts()]
+    mass = ball_power_sums(space, f, p)
     vals = (mass / (space.fn_table(phi) * family.measures(eta))) ** (1.0 / p)
     best, witness = family.sup(vals)
-    if with_witness:
-        return best, witness
-    return best
+    return (best, witness) if with_witness else best
 
 
 # ------------------------------------------------------------------------------
@@ -396,9 +397,8 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
                 osc, reg, max(osc, reg), tau, gamma, dict(osc_w), reg_w,
                 "exhaustive" if exhaustive else "ladder_and_sampled",
                 b1.size if exhaustive else int(np.sum(sat + 1)) + b1.size)
-    memo = space._reports.setdefault(lam, weakref.WeakKeyDictionary()).setdefault(psi, {})
-    for (tau, gamma), report in zip(combos, reports):
-        memo[tables.key, tau, gamma, pair_budget, seed] = copy.deepcopy(report)
+    space.store(lam, psi).update({("campanato", tables.key, t, g, pair_budget, seed): copy.deepcopy(r)
+                                  for (t, g), r in zip(combos, reports)})
     return reports
 
 
@@ -411,12 +411,10 @@ def campanato_norm(space: PointCloudSpace, lam: DominatingFunction, f: np.ndarra
     supremum enumerates every pair; otherwise it combines the exhaustive
     concentric ladder with ``pair_budget`` sampled containing pairs.
     """
-    key = (function_tables(space, f).key, tau, gamma, pair_budget, seed)
-    hit = space._reports.get(lam, {}).get(psi, {}).get(key)
-    if hit is None:
-        return campanato_norm_multi(space, lam, f, psi, [(tau, gamma)],
-                                    pair_budget=pair_budget, seed=seed)[0]
-    return dataclasses.replace(copy.deepcopy(hit), tau=tau, gamma=gamma)
+    key = ("campanato", function_tables(space, f).key, tau, gamma, pair_budget, seed)
+    report = memo(space.store(lam, psi), key, lambda: campanato_norm_multi(
+        space, lam, f, psi, [(tau, gamma)], pair_budget=pair_budget, seed=seed)[0])
+    return dataclasses.replace(copy.deepcopy(report), tau=tau, gamma=gamma)
 
 
 def p_oscillation_norm(space: PointCloudSpace, f: np.ndarray,
@@ -431,9 +429,7 @@ def p_oscillation_norm(space: PointCloudSpace, f: np.ndarray,
     family = space.balls()
     vals = (sums / family.measures(tau)) ** (1.0 / p) / space.fn_table(psi)
     best, witness = family.sup(vals)
-    if with_witness:
-        return best, witness
-    return best
+    return (best, witness) if with_witness else best
 
 
 # ------------------------------------------------------------------------------

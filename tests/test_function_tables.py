@@ -136,11 +136,11 @@ def test_a_dropped_normalizer_is_freed_without_a_collection(grid16):
         spaces.campanato_norm(space, lam, f, psi)
         spaces.p_oscillation_norm(space, f, psi, 2.0, 2.0)
         spaces.check_mean_jump_bounds(space, lam, f, psi)
-        assert len(space._reports[lam][psi]) == 1
+        assert len(space.store(lam, psi)) == 1
         ref = weakref.ref(psi)
         del psi
         assert ref() is None
-        assert len(space._reports[lam]) == 0
+        assert len(space.store(lam).owned) == 0
     finally:
         if enabled:
             gc.enable()
