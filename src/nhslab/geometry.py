@@ -9,11 +9,10 @@ ball, the running sum along its ladder (``BallFamily.ladder``); the scalar
 pairs of one center, so the two agree bit for bit, and serves balls outside
 the family such as chain links; :func:`discrete_coefficient` is its one-pair
 form.
-Every nested-pair supremum has one tail; the family size chooses only its
-pair source.  When :func:`pairs_are_exhaustive` holds it reads every pair
-from :func:`nested_pairs`, else the ladder plus :func:`sampled_nested_pairs`,
-one sample per (space, budget, seed) shared by all of them; every sample is
-recomputed from the PCG64 raw stream by :func:`replay_draws`, with no scalar
+Every nested-pair supremum reads its pairs from :func:`pair_source`: every
+pair of :func:`nested_pairs` when :func:`pairs_are_exhaustive` holds, else
+:func:`sampled_nested_pairs`, one sample per (space, budget, seed), which
+:func:`replay_draws` recomputes from the PCG64 raw stream with no scalar
 ``Generator`` loop.  Scale indices come from the one array form,
 :func:`~nhslab.mmspace.scale_index_array`.
 """
@@ -357,6 +356,15 @@ def sampled_nested_pairs(space: PointCloudSpace, budget: int, seed: int) -> Nest
             nested[s] = farthest[np.arange(farthest.shape[0]), counts[s] - 1] <= family.radius[b2[s]]
         return NestedPairSample(b1[nested], b2[nested])
     return memo(space.store(), ("pairs", budget, seed), build)
+
+
+def pair_source(space: PointCloudSpace, budget: int, seed: int) -> tuple:
+    """The one pair source of the nested-pair suprema, as flat family indices ``(b1, b2)``:
+    :func:`nested_pairs` when :func:`pairs_are_exhaustive` holds, else the shared sample."""
+    if pairs_are_exhaustive(space):
+        return nested_pairs(space)
+    sample = sampled_nested_pairs(space, budget, seed)
+    return sample.b1, sample.b2
 
 
 # ------------------------------------------------------------------------------

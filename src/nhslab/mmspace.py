@@ -12,8 +12,8 @@ The family is built once per space as a flat :class:`BallFamily`: ball ``b``
 is ``B(center[b], radius[b])``, the balls of one center are contiguous with
 ascending radii, and the members of a ball are the first ``counts()[b]``
 points of its center's distance order.  Every supremum over balls is a
-gather over this family followed by one argmax; exhaustive suprema over
-nested ball pairs enumerate ``geometry.nested_pairs``.  Per dilation step tau
+gather over this family followed by one argmax; suprema over nested ball
+pairs read theirs from ``geometry.pair_source``.  Per dilation step tau
 the family caches one :class:`Ladder`, the member counts of every tau**k * B,
 and the sparse-table ``windows`` that group each ball's concentric outer
 balls by scale index.  ``flat`` turns a per-ball read ``table[center, q]`` of
@@ -322,6 +322,14 @@ class BallFamily:
             idx = np.where((length > 0)[:, None], idx, np.int32(width - 1))
             return int(np.frexp(int(np.diff(self.offsets).max()))[1]), idx
         return memo(self.store, ("windows", tau), build)
+
+    def later_max(self, values: np.ndarray) -> np.ndarray:
+        """Per ball, the largest of ``values`` over the later balls of its segment, or -inf."""
+        out = np.full(values.shape, -math.inf)
+        for c in range(self.n):
+            s = self.segment(c)
+            out[s][:-1] = np.maximum.accumulate(values[s][:0:-1])[::-1]
+        return out
 
     def sup(self, values: np.ndarray) -> tuple:
         """Largest of ``values`` (one per ball) floored at 0, with the first

@@ -7,9 +7,9 @@ one-dimensional integral is an explicit power integral.  The maximal
 operators are suprema over candidate balls containing the evaluation point,
 computed by per-center prefix sums and a scatter of per-ball values onto
 members.  The sharp maximal function has one pass for every space size: its
-concentric pairs always come from the run ends of the family, and its
-per-ball numbers and other pairs come from
-:func:`~nhslab.spaces.function_tables`, where the family size chooses them.
+concentric pairs always come from the run ends of the family, its other
+pairs from :func:`~nhslab.geometry.pair_source` and its per-ball numbers
+from :func:`~nhslab.spaces.function_tables`, where the family size chooses.
 The commutator estimate reads the symbol's norm from
 :func:`~nhslab.spaces.campanato_norm`, which the space memoises.
 """
@@ -31,6 +31,7 @@ from .errors import (
 from .geometry import (
     doubling_flags,
     coefficient_tables,
+    pair_source,
     replay_choice,
     replay_draws,
 )
@@ -521,15 +522,15 @@ def sharp_maximal(space: PointCloudSpace, lam: DominatingFunction,
     """Oscillation maximal function combined with the coefficient-normalized
     mean-jump supremum over nested doubling ball pairs containing the point.
 
-    Concentric pairs are enumerated exhaustively; the other pairs, and the
-    per-ball numbers, are those of :func:`~nhslab.spaces.function_tables`:
-    the doubling pairs of the space's shared fixed-seed sample, or every
-    nested pair of a small family.
+    Concentric pairs are enumerated exhaustively; the other pairs are the
+    doubling ones of :func:`~nhslab.geometry.pair_source` (the space's shared
+    fixed-seed sample, or every nested pair of a small family), and the
+    per-ball numbers are those of :func:`~nhslab.spaces.function_tables`.
     """
     family = space.balls()
     fn = function_tables(space, f)
     means, mu6 = fn.means, fn.measures(6.0)
-    b1, b2 = fn.pairs(pair_budget, seed)
+    b1, b2 = pair_source(space, pair_budget, seed)
     flags = mu6 <= profile.beta(6.0) * fn.measures(1.0)  # the doubling balls
     tables = coefficient_tables(space, lam, 6.0)
 

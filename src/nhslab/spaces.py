@@ -4,14 +4,14 @@ The Morrey norm is a supremum over candidate balls of normalized p-means;
 the Campanato norm combines a normalized mean-oscillation supremum with a
 regularity supremum over nested ball pairs, where mean jumps are divided by
 a power of the discrete nesting coefficient.  Both suprema have one tail
-for every space size; the size chooses only their inputs, in one place,
-:class:`FunctionTables`: sums in point-index order and every nested pair
-for small families, else the prefix tables, the concentric dyadic ladder
-and the budgeted, fixed-seed sample of non-concentric containing pairs,
-drawn once per (space, budget, seed) by
-:func:`~nhslab.geometry.sampled_nested_pairs`; it and the mean-jump check's
-comparable pairs are replayed from the PCG64 raw stream by
-:func:`~nhslab.geometry.replay_draws`.
+for every space size; the size chooses only their inputs: the per-ball
+numbers of :class:`FunctionTables` (sums in point-index order for small
+families, else the prefix tables and the concentric dyadic ladder) and the
+pairs of :func:`~nhslab.geometry.pair_source` (every nested pair, else the
+budgeted, fixed-seed sample of non-concentric containing pairs).  The
+sample and the mean-jump check's comparable pairs are replayed from the
+PCG64 raw stream by :func:`~nhslab.geometry.replay_draws`.  The nested-ball
+constants of phi measure every concentric pair exactly, then the pair source.
 
 The space's store keeps the latest function's tables in one slot
 (:func:`function_tables`) and each Campanato report under (lambda, psi), so
@@ -39,11 +39,10 @@ from .geometry import (
     ball_measure,
     ball_members,
     coefficient_tables,
-    nested_pairs,
+    pair_source,
     pairs_are_exhaustive,
     replay_choice,
     replay_draws,
-    sampled_nested_pairs,
 )
 from .mmspace import (
     DominatingFunction,
@@ -199,14 +198,13 @@ def oscillation_sums(space: PointCloudSpace, g: np.ndarray, p: float = 1.0) -> n
 class FunctionTables:
     """The per-ball numbers of one function f on a space's candidate family,
     each built on first read and read-only: the means, the prefix-mean table
-    the ladders read, the p-th oscillation numerators, and the measures and
-    nested pairs the suprema set against them.  Only here does the family
-    size choose a source: when :func:`~nhslab.geometry.pairs_are_exhaustive`
-    holds, the pairs are every nested pair and the means, p = 1 numerators
-    and measures are summed over each ball's members in point-index order, as
-    :func:`ball_mean` sums, which the acceptance criterion "budgeted suprema
-    equal to exhaustive enumeration on small fixtures exactly" pins; otherwise
-    the prefix tables and the shared sample serve.  The tables live in
+    the ladders read, the p-th oscillation numerators, and the measures the
+    suprema set against them.  Only here does the family size choose their
+    source: when :func:`~nhslab.geometry.pairs_are_exhaustive` holds, the
+    means, p = 1 numerators and measures are summed over each ball's members
+    in point-index order, as :func:`ball_mean` sums, which the acceptance
+    criterion "budgeted suprema equal to exhaustive enumeration on small
+    fixtures exactly" pins; otherwise the prefix tables serve.  The tables live in
     ``store`` and hold the space through a weak proxy, so the space's slot
     makes no reference cycle.
     """
@@ -255,13 +253,6 @@ class FunctionTables:
         return memo(self.store, ("measures", scale), lambda: np.array([
             np.sum(space.weights[space.dist[c] <= scale * r])
             for c, r in zip(family.center.tolist(), family.radius.tolist())]))
-
-    def pairs(self, budget: int, seed: int) -> tuple:
-        """Flat family indices ``(b1, b2)`` of the nested pairs to measure."""
-        if self.exhaustive:
-            return nested_pairs(self._space)
-        sample = sampled_nested_pairs(self._space, budget, seed)
-        return sample.b1, sample.b2
 
 
 def function_tables(space: PointCloudSpace, f: np.ndarray) -> FunctionTables:
@@ -327,6 +318,15 @@ class CampanatoNormReport:
     pair_count: int = 0
 
 
+def _ladder_jumps(family, mean_table: np.ndarray, means: np.ndarray, tau: float):
+    """``(k, |means - mean of tau**k B|, live)`` for k = 1 .. one past the deepest
+    saturation; ``live`` marks the balls with k at most one past their own."""
+    ladder = family.ladder(tau)
+    for k in range(1, int(ladder.sat.max()) + 2):
+        jump = np.abs(means - family.at(mean_table, ladder.counts[:, k + ladder.k_floor]))
+        yield k, jump, k <= ladder.sat + 1
+
+
 def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.ndarray,
                          psi: RegularityFunctionPsi, combos: Sequence[tuple],
                          *, pair_budget: int = 2000, seed: int = 0) -> list:
@@ -347,7 +347,7 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
     psit = space.fn_table(psi)
     tables = function_tables(space, f)
     exhaustive, means = tables.exhaustive, tables.means
-    b1, b2 = tables.pairs(pair_budget, seed)
+    b1, b2 = pair_source(space, pair_budget, seed)
     pair_jumps, pair_psi = np.abs(means[b1] - means[b2]), psit[b1]
     reports: list = [None] * len(combos)
     # everything but the power gamma depends on tau alone, so it is paid once per tau
@@ -359,13 +359,10 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
         # per ball, the best pair (B, tau**k B) up to one step past saturation
         # (tau**sat B covers the space), and the first k attaining it; a small
         # family reads every nested pair instead, so its best stays -inf
-        sat = ladder.sat
         best = np.full((len(slots), len(family)), -np.inf)
         best_k = np.zeros((len(slots), len(family)), dtype=np.int64)
-        for k in range(1, 0 if exhaustive else int(sat.max()) + 2):
-            jump = np.abs(means - family.at(tables.mean_table, ladder.counts[:, k + ladder.k_floor]))
+        for k, jump, live in () if exhaustive else _ladder_jumps(family, tables.mean_table, means, tau):
             coeff = 1.0 + coeffs.cumulative[:, k + coeffs.k_floor]
-            live = k <= sat + 1
             for s, (_, gamma) in enumerate(slots):
                 vals = jump / (psit * coeff ** gamma)
                 better = live & (vals > best[s])
@@ -396,7 +393,7 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
             reports[i] = CampanatoNormReport(
                 osc, reg, max(osc, reg), tau, gamma, dict(osc_w), reg_w,
                 "exhaustive" if exhaustive else "ladder_and_sampled",
-                b1.size if exhaustive else int(np.sum(sat + 1)) + b1.size)
+                b1.size if exhaustive else int(np.sum(ladder.sat + 1)) + b1.size)
     space.store(lam, psi).update({("campanato", tables.key, t, g, pair_budget, seed): copy.deepcopy(r)
                                   for (t, g), r in zip(combos, reports)})
     return reports
@@ -450,47 +447,35 @@ def validate_phi_gdec(space: PointCloudSpace, phi: GrowthFunctionPhi,
     constants for each enlargement factor, and resolve the asymptotic limits
     symbolically for the shipped families (reported as unchecked otherwise).
 
-    Pair enumeration is exhaustive when
-    :func:`~nhslab.geometry.pairs_are_exhaustive` holds, otherwise the
-    concentric pairs among about 40 strided radii per center plus the shared
-    non-concentric sample; ``details`` names the branch (``pairs``) and the
-    number of pairs measured (``pair_count``).
+    With a = phi * mu(eta B)**delta and c = phi * mu(eta B), every concentric
+    pair (b, j > b) gives min(a / later_max(a)) and max(c / -later_max(-c)),
+    exactly (a / max_j a_j == min_j (a / a_j) for positive operands); then the
+    :func:`~nhslab.geometry.pair_source` pairs.  ``details`` names the pairs
+    (``pairs``: ``"exhaustive"`` or ``"concentric_and_sampled"``) and counts them.
     """
     family = space.balls()
     phit = space.fn_table(phi)
-    rising = (phit[1:] >= phit[:-1]) & (family.center[1:] == family.center[:-1])
+    inner = family.center[:-1] == family.center[1:]  # the balls with a larger concentric one
+    rising = (phit[1:] >= phit[:-1]) & inner
     decreasing = not rising.any()
     witness: dict = {}
     if not decreasing:
         j = int(np.argmax(rising))
         witness = {**family.ball(j), "next_radius": float(family.radius[j + 1])}
 
-    # nested pairs as flat family indices (inner, outer)
+    # the pairs of a small family are every nested pair, the concentric ones included
     exhaustive = pairs_are_exhaustive(space)
-    if exhaustive:
-        b1, b2 = nested_pairs(space)
-    else:
-        inner, outer = [], []
-        for c in range(space.n):
-            s = family.segment(c)
-            m = s.stop - s.start
-            idx = s.start + np.arange(0, m, max(1, m // 40))
-            a, b = np.triu_indices(idx.size, 1)
-            inner.append(idx[a])
-            outer.append(idx[b])
-        sample = sampled_nested_pairs(space, pair_budget, seed)
-        b1 = np.concatenate(inner + [sample.b1])
-        b2 = np.concatenate(outer + [sample.b2])
-
+    b1, b2 = pair_source(space, pair_budget, seed)
+    sizes = np.diff(family.offsets)
+    pair_count = b1.size + (0 if exhaustive else int(np.sum(sizes * (sizes - 1) // 2)))
     eta_constants = {}
-    if b1.size:
-        p1, p2 = phit[b1], phit[b2]
+    if pair_count:
         for eta in etas:
             mu = family.measures(eta)
-            mu1, mu2 = mu[b1], mu[b2]
-            lower = float(np.min((p1 * mu1 ** phi.delta) / (p2 * mu2 ** phi.delta)))
-            upper = float(np.max((p1 * mu1) / (p2 * mu2)))
-            eta_constants[float(eta)] = (lower, upper)
+            a, c = phit * mu ** phi.delta, phit * mu
+            lower = np.min(np.r_[(a / family.later_max(a))[:-1][inner], a[b1] / a[b2]])
+            upper = np.max(np.r_[(c / -family.later_max(-c))[:-1][inner], c[b1] / c[b2]])
+            eta_constants[float(eta)] = (float(lower), float(upper))
 
     limits = _LIMIT_TABLE.get(phi.family)
     limits_known = limits is not None
@@ -507,8 +492,8 @@ def validate_phi_gdec(space: PointCloudSpace, phi: GrowthFunctionPhi,
                        else {"zero_radius": limits[0], "infinite_radius": limits[1]}),
             "eta_constants": {str(k): list(v) for k, v in eta_constants.items()},
             "family": phi.family,
-            "pairs": "exhaustive" if exhaustive else "strided_and_sampled",
-            "pair_count": int(b1.size),
+            "pairs": "exhaustive" if exhaustive else "concentric_and_sampled",
+            "pair_count": int(pair_count),
         },
     )
 
@@ -634,13 +619,10 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
         if k == 1.0:
             per_k[str(k)] = 0.0
             continue
-        ladder = family.ladder(k)
         # past saturation the jump stays and jump / j falls, so each ball
         # stops one step after it
-        sat = ladder.sat
-        for j in range(1, int(sat.max()) + 2):
-            m_out = family.at(mean_table, ladder.counts[:, j + ladder.k_floor])
-            jumps = (np.abs(m_out - means) / (psit * norm))[j <= sat + 1]
+        for j, jump, live in _ladder_jumps(family, mean_table, means, k):
+            jumps = (jump / (psit * norm))[live]
             if j == 1:
                 per_k[str(k)] = max(0.0, float(jumps.max()))
             iterated = max(iterated, float(jumps.max()) / j)

@@ -8,6 +8,11 @@ block instead (``geometry.replay_draws``), so such a call in ``geometry``,
 syntactic: it matches the method names of ``numpy.random.Generator`` on any
 receiver but the ``np`` and ``numpy`` modules themselves, whose ``np.power``
 and the like are ufuncs.
+
+The sampled suprema are pinned too: every function of ``src/nhslab`` that
+calls ``replay_draws``, ``sampled_nested_pairs`` or ``pair_source`` is
+listed in ``SAMPLED_SUPREMA``, so a new sampled supremum fails here until it
+is listed, and retiring one shrinks the list.
 """
 from __future__ import annotations
 
@@ -20,6 +25,13 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("geometry.py", "spaces.py", "operators.py", "mmspace.py")
 GENERATOR_METHODS = {name for name in dir(np.random.Generator)
                      if not name.startswith("_") and callable(getattr(np.random.Generator, name))}
+#: The callers of each sample source, by top-level function or method name.
+SAMPLED_SUPREMA = {
+    "replay_draws": {"sampled_nested_pairs", "check_coefficient_inequalities",
+                     "check_mean_jump_bounds", "validate_kernel"},
+    "sampled_nested_pairs": {"pair_source"},
+    "pair_source": {"campanato_norm_multi", "sharp_maximal", "validate_phi_gdec"},
+}
 
 
 def _loop_parts(node):
@@ -68,3 +80,28 @@ def test_the_scan_sees_draw_loops():
         "    pass\n"
     )
     assert draws_in_loops(source) == [(3, "choice"), (4, "integers"), (7, "integers")]
+
+
+def callers(source: str, names) -> dict:
+    """Per name, the top-level functions and methods whose bodies call it,
+    nested functions included; a function's call of itself is not counted."""
+    found: dict = {name: set() for name in names}
+    tree = ast.parse(source)
+    defs = [n for node in tree.body
+            for n in ([node] if not isinstance(node, ast.ClassDef) else node.body)
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for fn in defs:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if callee in found and callee != fn.name:
+                    found[callee].add(fn.name)
+    return found
+
+
+def test_the_sampled_suprema_are_pinned():
+    found: dict = {name: set() for name in SAMPLED_SUPREMA}
+    for path in sorted((ROOT / "src" / "nhslab").glob("*.py")):
+        for name, fns in callers(path.read_text(encoding="utf-8"), SAMPLED_SUPREMA).items():
+            found[name] |= fns
+    assert found == SAMPLED_SUPREMA

@@ -250,12 +250,16 @@ def test_family_matches_candidate_radii_and_counts(space, scale):
     family = space.balls()
     assert np.array_equal(family.radius,
                           np.concatenate([space.candidate_radii(c) for c in range(space.n)]))
+    later = family.later_max(family.measures(scale))
     for c, s in _segments(space):
         assert np.all(family.center[s] == c)
         radii = space.candidate_radii(c)
         assert np.array_equal(family.counts(scale)[s], space.counts(c, scale * radii))
         assert np.array_equal(family.measures(scale)[s],
                               space.prefix_weight[c][space.counts(c, scale * radii)])
+        # later_max: per ball, the largest measure over the later balls of its segment
+        mu = family.measures(scale)[s].tolist()
+        assert later[s].tolist() == [max(mu[i + 1:], default=-math.inf) for i in range(len(mu))]
     # the measures are cached per scale and read-only, as the counts are
     mu = family.measures(scale)
     assert np.array_equal(mu, space.prefix_weight[family.center, family.counts(scale)])
@@ -343,6 +347,19 @@ def test_one_sample_signature_and_one_size_rule():
     assert geometry.pairs_are_exhaustive(space)
     with mock.patch.object(geometry, "EXHAUSTIVE_PAIR_LIMIT", len(space.balls()) ** 2 - 1):
         assert not geometry.pairs_are_exhaustive(space)
+
+
+def test_pair_source_is_every_nested_pair_up_to_the_limit_and_the_sample_above():
+    # ten scattered points give 180 candidate balls, so the sample is drawn by default
+    space = nl.build_space(points=np.random.default_rng(1).uniform(0.0, 1.0, (10, 1)),
+                           weights=np.ones(10))
+    size = len(space.balls()) ** 2
+    sample = geometry.sampled_nested_pairs(space, 2000, 0)
+    assert 0 < len(sample) < nested_pairs(space)[0].size
+    for limit, want in ((size, nested_pairs(space)), (size - 1, (sample.b1, sample.b2))):
+        with mock.patch.object(geometry, "EXHAUSTIVE_PAIR_LIMIT", limit):
+            got = geometry.pair_source(space, 2000, 0)
+        assert len(got) == 2 and all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 # ------------------------------------------------------------------------------

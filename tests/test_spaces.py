@@ -317,12 +317,39 @@ def test_phi_gdec_reports_its_pair_branch():
     phi = spaces.power_phi(1.0)
     sampled = nl.validate_phi_gdec(space, phi)
     assert len(space.balls()) == 180
-    assert sampled.details["pairs"] == "strided_and_sampled"
+    assert sampled.details["pairs"] == "concentric_and_sampled"
     assert sampled.details["pair_count"] > 0
     with mock.patch.object(geometry, "EXHAUSTIVE_PAIR_LIMIT", 10 ** 6):
         full = nl.validate_phi_gdec(space, phi)
     assert full.details["pairs"] == "exhaustive"
     assert full.details["pair_count"] == nl.geometry.nested_pairs(space)[0].size
+
+
+@pytest.mark.parametrize("generator", [{"kind": "grid", "d": 2, "n": 16},
+                                       {"kind": "grid", "d": 1, "n": 256}])
+def test_phi_constants_equal_every_concentric_pair_plus_the_pair_source(generator):
+    # strided radii per center missed the lower constant of the 16x16 grid
+    space = lab.generate_space(generator)
+    phi = lab.make_phi(None)
+    report = nl.validate_phi_gdec(space, phi, etas=(2.0, 5.0), pair_budget=500, seed=7)
+    family, phit = space.balls(), space.fn_table(phi)
+    b1, b2 = geometry.pair_source(space, 500, 7)
+    assert report.details["pairs"] == "concentric_and_sampled"
+    for eta in (2.0, 5.0):
+        mu = family.measures(eta)
+
+        def bounds(i, j):
+            lower = (phit[i] * mu[i] ** phi.delta) / (phit[j] * mu[j] ** phi.delta)
+            upper = (phit[i] * mu[i]) / (phit[j] * mu[j])
+            return [np.min(lower, initial=math.inf), np.max(upper, initial=-math.inf)]
+        want, count = bounds(b1, b2), b1.size
+        for c in range(space.n):
+            s = family.segment(c)
+            i, j = np.triu_indices(s.stop - s.start, 1)
+            lower, upper = bounds(s.start + i, s.start + j)
+            want, count = [min(want[0], lower), max(want[1], upper)], count + i.size
+        assert report.details["eta_constants"][str(eta)] == want
+        assert report.details["pair_count"] == count
 
 
 def test_psi_constant_unit(small_space, psi_const):
