@@ -247,16 +247,6 @@ class BallFamily:
         """Member counts of the balls enlarged by ``scale`` (cached)."""
         return memo(self.store, ("counts", scale), lambda: self.counts_of(scale * self.radius))
 
-    def count_runs(self) -> tuple:
-        """``(starts, slots)`` (cached): the first ball of each run of equal
-        (center, member count), contiguous as counts ascend within a segment,
-        and the run's flat slot ``center * n + count - 1``."""
-        def build():
-            slots = self.center.astype(np.int64) * self.n + self.counts() - 1
-            starts = np.flatnonzero(np.r_[True, slots[1:] != slots[:-1]])
-            return starts, slots[starts]
-        return memo(self.store, "count_runs", build)
-
     def at(self, table: np.ndarray, q: np.ndarray) -> np.ndarray:
         """``table[center[b], q[b]]`` for every ball b of an n x (n + 1) table
         such as ``prefix_weight``, as one flat ``take``."""

@@ -453,12 +453,15 @@ def _scatter_sup(space: PointCloudSpace, values: np.ndarray) -> np.ndarray:
     """Pointwise supremum over candidate balls containing each point, given
     one value per ball of the family; -inf marks excluded balls."""
     n = space.n
-    starts, slots = space.balls().count_runs()
-    # by_count[c, q - 1]: best value among the balls of c with q members
-    by_count = np.full((n, n), -math.inf)
-    np.put(by_count, slots, np.maximum.reduceat(values, starts))
+    family = space.balls()
+    # by_count[c, q - 1]: best value among the balls of c with q members, in
+    # the n x (n + 1) layout of family.at; the running maximum skips the
+    # last column, which stays unwritten
+    by_count = np.full((n, n + 1), -math.inf)
+    with np.errstate(invalid="ignore"):  # a NaN value propagates silently
+        np.maximum.at(by_count.ravel(), family.flat + family.counts() - 1, values)
     # a ball with q members covers the q points closest to its center
-    by_rank = np.maximum.accumulate(by_count[:, ::-1], axis=1)[:, ::-1]
+    by_rank = np.maximum.accumulate(by_count[:, -2::-1], axis=1)[:, ::-1]
     by_point = np.empty((n, n))
     np.put_along_axis(by_point, space.order, by_rank, axis=1)
     return by_point.max(axis=0)
@@ -554,9 +557,7 @@ def sharp_maximal(space: PointCloudSpace, lam: DominatingFunction,
     b1, b2 = b1[doubling], b2[doubling]
     np.maximum.at(pair_vals, b1, np.abs(means[b1] - means[b2]) / tables.pairs(b1, b2))
 
-    osc_part = _scatter_sup(space, fn.oscillation() / mu6)
-    pair_part = np.maximum(_scatter_sup(space, pair_vals), 0.0)
-    out = np.maximum(osc_part, pair_part)
+    out = np.maximum(_scatter_sup(space, np.maximum(fn.oscillation() / mu6, pair_vals)), 0.0)
     return out if x is None else float(out[x])
 
 

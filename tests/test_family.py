@@ -129,7 +129,10 @@ def radial_functions(draw, space):
     """Every shipped factory, each with drawn parameters."""
     expo = draw(st.floats(-2.0, 3.0))
     decay = draw(st.floats(0.1, 3.0))
-    lam = nl.fit_power_lambda(space, draw(st.floats(0.0, 3.0)))
+    try:
+        lam = nl.fit_power_lambda(space, draw(st.floats(0.0, 3.0)))
+    except nl.errors.DegenerateRadii:
+        reject()
     phi = draw(st.sampled_from([spaces.power_phi(decay), spaces.shifted_power_phi(decay),
                                 spaces.constant_phi()]))
     return draw(st.sampled_from([
@@ -457,8 +460,8 @@ def test_maximal_operators_equal_per_center_loops(data, tau):
 
 
 def _scatter_sup_reference(space, values):
-    """``operators._scatter_sup`` with the ``np.maximum.at`` scatter it
-    replaced, verbatim."""
+    """``operators._scatter_sup`` with its ``np.maximum.at`` scatter into an
+    n x n table indexed by (center, member count - 1)."""
     family = space.balls()
     n = space.n
     by_count = np.full((n, n), -math.inf)
@@ -467,6 +470,20 @@ def _scatter_sup_reference(space, values):
     by_point = np.empty((n, n))
     np.put_along_axis(by_point, space.order, by_rank, axis=1)
     return by_point.max(axis=0)
+
+
+def _scatter_sup_brute_force(space, values):
+    """For each point x, the largest ``values[b]`` over the balls b with
+    dist(center[b], x) <= radius[b], found by membership.  The balls are
+    visited by center, then from the most members down, then by index;
+    np.maximum keeps the later of two equal values, so a tie of 0.0 and -0.0
+    resolves as in the scatter, and a NaN propagates."""
+    family = space.balls()
+    covers = space.dist[family.center] <= family.radius[:, None]
+    out = np.full(space.n, -math.inf)
+    for b in np.lexsort((np.arange(len(family)), -covers.sum(axis=1), family.center)):
+        out[covers[b]] = np.maximum(out[covers[b]], values[b])
+    return out
 
 
 @PROPERTY
@@ -478,6 +495,22 @@ def test_scatter_sup_equals_maximum_at(data):
     values = np.asarray(data.draw(st.lists(value, min_size=size, max_size=size)), dtype=float)
     got = operators._scatter_sup(space, values)
     assert got.tobytes() == _scatter_sup_reference(space, values).tobytes()
+    assert got.tobytes() == _scatter_sup_brute_force(space, values).tobytes()
+
+
+def test_scatter_sup_follows_membership_where_radii_merge():
+    """For points [0, 1, 1 + 1e-13] the radii 1 and 1 + 1e-13 of center 0
+    merge, so no ball of center 0 covers point 2."""
+    space = nl.build_space(points=[[0.0], [1.0], [1.0 + 1e-13]], weights=[1.0, 2.0, 3.0])
+    family = space.balls()
+    assert family.counts()[family.segment(0)].tolist() == [1, 2]
+    rng = np.random.default_rng(7)
+    specials = np.array([-math.inf, math.nan, 0.0, -0.0])
+    for _ in range(200):
+        values = np.where(rng.random(len(family)) < 0.3,
+                          rng.choice(specials, len(family)), rng.uniform(-1.0, 1.0, len(family)))
+        got = operators._scatter_sup(space, values)
+        assert got.tobytes() == _scatter_sup_brute_force(space, values).tobytes()
 
 
 def _sharp_maximal_reference(space, lam, profile, f, pairs):
@@ -636,7 +669,10 @@ def test_campanato_and_mean_jump_ladders_equal_per_center_loops(data, tau, gamma
     space, f = data
     # a constant lambda (kappa = 0) gives equal coefficients to balls with equal
     # member counts along their ladders, so values tie and the witness order counts
-    lam = nl.fit_power_lambda(space, kappa)
+    try:
+        lam = nl.fit_power_lambda(space, kappa)
+    except nl.errors.DegenerateRadii:
+        reject()
     psi = spaces.weight_psi(space)
     with mock.patch.object(geometry, "EXHAUSTIVE_PAIR_LIMIT", 0):
         report = spaces.campanato_norm(space, lam, f, psi, tau, gamma, pair_budget=0)

@@ -107,7 +107,7 @@ def test_every_cached_table_is_read_only(cold64):
         "cumulative": geometry.coefficient_tables(space, lam, 2.0).cumulative,
         "scales": ladder.scales, "ladder_counts": ladder.counts, "sat": ladder.sat,
         "counts": family.counts(2.0), "measures": family.measures(2.0),
-        "windows": family.windows(6.0)[1], "runs": family.count_runs()[1],
+        "windows": family.windows(6.0)[1],
         "b1": sample.b1, "b2": sample.b2, "means": tables.means,
         "radius": family.radius, "offsets": family.offsets,
     }
