@@ -83,34 +83,34 @@ class CoefficientValue:
 
 
 class ConcentricCoefficients(NamedTuple):
-    """Coefficients of the concentric pairs B(c, r_in[i]) ⊆ B(c, r_out[i]).
+    """Coefficients of the concentric pairs B = B(c, r_in[i]) ⊆ B(c, tau**N[i] r_in[i]).
 
-    ``values[i]`` has outer scale index ``N[i]``; row i of ``terms`` holds its
-    summands mu(tau**k B) / lam(tau**k B) for k = k_min .. N[i], then zeros.
+    Row i of ``terms`` holds the summands of ``values[i]``,
+    mu(tau**k B) / lam(tau**k B) for k = k_min .. N[i], then zeros.
     """
 
     values: np.ndarray
-    N: np.ndarray
     k_min: int
     terms: np.ndarray
 
 
 def concentric_coefficients(space: PointCloudSpace, lam: DominatingFunction, center: int,
-                            r_in: Sequence[float], r_out: Sequence[float],
+                            r_in: Sequence[float], n_idx: Sequence[int],
                             tau: float) -> ConcentricCoefficients:
     """The one coefficient formula, over many concentric pairs of one center.
 
-    The scale indices N come from one :func:`scale_index_array` call, as
-    the table's do; the ladder of every inner radius is built once to the
-    largest N, measured by one ``searchsorted`` and one gather, and divided by
-    one ``lam.table``; the terms past a row's N are zeroed and the row-wise
-    running sum is read at column N - k_min, so each value is the sequential
-    sum of its own terms.
+    Each pair is an inner radius and the outer scale index N: a pair of
+    candidate balls takes N from :func:`scale_index_array`, as the table's
+    do, and a chain link its exponent gap.  The ladder of every inner radius
+    is built once to the largest N, measured by one ``searchsorted`` and one
+    gather, and divided by one ``lam.table``; the terms past a row's N are
+    zeroed and the row-wise running sum is read at column N - k_min, so each
+    value is the sequential sum of its own terms.
     """
     if not tau > 1.0:
         raise NotNested(f"tau must exceed 1, got {tau!r}")
     r_in = np.asarray(r_in, dtype=float)
-    n_idx = scale_index_array(tau, r_in, r_out)
+    n_idx = np.asarray(n_idx, dtype=np.int64)
     k_min = -floor_log(tau)
     ks = np.arange(k_min, int(n_idx.max(initial=0)) + 1)
     radii = r_in[:, None] * tau ** ks
@@ -118,7 +118,7 @@ def concentric_coefficients(space: PointCloudSpace, lam: DominatingFunction, cen
     terms = space.prefix_weight[center][counts] / lam.table(center, radii)
     terms[ks[None, :] > n_idx[:, None]] = 0.0
     values = 1.0 + np.cumsum(terms, axis=1)[np.arange(n_idx.size), n_idx - k_min]
-    return ConcentricCoefficients(values, n_idx, k_min, terms)
+    return ConcentricCoefficients(values, k_min, terms)
 
 
 def discrete_coefficient(space: PointCloudSpace, lam: DominatingFunction,
@@ -136,8 +136,9 @@ def discrete_coefficient(space: PointCloudSpace, lam: DominatingFunction,
     outer_mask = space.dist[outer.center] <= outer.radius
     if np.any(inner_mask & ~outer_mask):
         raise NotNested("inner ball members are not contained in the outer ball")
-    coeff = concentric_coefficients(space, lam, inner.center, [inner.radius], [outer.radius], tau)
-    return CoefficientValue(value=float(coeff.values[0]), N=int(coeff.N[0]),
+    n_idx = int(scale_index_array(tau, inner.radius, outer.radius))
+    coeff = concentric_coefficients(space, lam, inner.center, [inner.radius], [n_idx], tau)
+    return CoefficientValue(value=float(coeff.values[0]), N=n_idx,
                             k_min=coeff.k_min, terms=coeff.terms[0].tolist())
 
 
@@ -471,9 +472,11 @@ def check_coefficient_chain_bound(space: PointCloudSpace, lam: DominatingFunctio
             continue
         # Ball rejects a radius that is not positive
         radii = [Ball(int(center), tau ** e * float(base_radius)).radius for e in exps]
-        # the links, then the end-to-end pair, in one kernel call
+        # the links, then the end-to-end pair, in one kernel call; each
+        # outer scale index is the exponent gap, not a ratio of rounded radii
+        gaps = np.diff(exps).tolist() + [exps[-1] - exps[0]]
         coeff = concentric_coefficients(space, lam, int(center), radii[:-1] + radii[:1],
-                                        radii[1:] + radii[-1:], tau).values.tolist()
+                                        gaps, tau).values.tolist()
         links, total = coeff[:-1], coeff[-1]
         if not all(v > threshold for v in links):
             skipped += 1

@@ -229,9 +229,10 @@ def generate_chains(space: PointCloudSpace, lam: DominatingFunction, tau: float,
 
     Centers come in a seeded random order.  Each base radius (the lowest
     quarter of the center's candidate radii) and gap g = 3, 4 or 5 give links
-    from tau**(i*g) to tau**((i+1)*g) times the base; one
-    :func:`geometry.concentric_coefficients` call evaluates every link of a
-    center, then the (base, length 3 or 4, gap) chains are read in that order.
+    from tau**(i*g) to tau**((i+1)*g) times the base, of outer scale index g;
+    one :func:`geometry.concentric_coefficients` call evaluates every link of
+    a center, then the (base, length 3 or 4, gap) chains are read in that
+    order.
     """
     chains = ChainList()
     if count <= 0:
@@ -245,8 +246,8 @@ def generate_chains(space: PointCloudSpace, lam: DominatingFunction, tau: float,
         radii = space.candidate_radii(c)
         bases = radii[: max(1, radii.size // 4)].tolist()
         r_in = [tau ** lo * base for base in bases for lo, _ in spans]
-        r_out = [tau ** hi * base for base in bases for _, hi in spans]
-        coeff = geometry.concentric_coefficients(space, lam, c, r_in, r_out, tau)
+        coeff = geometry.concentric_coefficients(space, lam, c, r_in,
+                                                 [hi - lo for _ in bases for lo, hi in spans], tau)
         above = (coeff.values > threshold).reshape(len(bases), len(gaps), depth)
         chains.centers_searched += 1
         chains.links_evaluated += len(r_in)
@@ -328,8 +329,12 @@ class ExperimentConfig:
             output_path=raw.get("output_path"),
             max_n=int(raw.get("max_n", DEFAULT_MAX_N)),
         )
-        n = int(cfg.generator.get("n", 1)) ** int(cfg.generator.get("d", 1)) \
-            if cfg.generator.get("kind") == "grid" else 2
+        spec, n = cfg.generator, 2
+        if spec.get("kind") == "grid":
+            n = int(spec.get("n", 64)) ** int(spec.get("d", 1))
+        elif spec.get("kind") == "atoms":  # its points, or the rows of its distances
+            rows = spec.get("points", spec.get("distances"))
+            n = len(rows) if hasattr(rows, "__len__") else 0
         if n > cfg.max_n:
             raise SpecError(f"generator produces {n} points, above the cap {cfg.max_n}")
         return cfg

@@ -28,13 +28,7 @@ from .errors import (
     NotNormalized,
     ZeroNormB,
 )
-from .geometry import (
-    doubling_flags,
-    coefficient_tables,
-    pair_source,
-    replay_choice,
-    replay_draws,
-)
+from .geometry import doubling_flags, coefficient_tables, pair_source
 from .mmspace import (
     DominatingFunction,
     GeometryProfile,
@@ -303,59 +297,51 @@ def make_kernel(space: PointCloudSpace, lam: DominatingFunction, *,
         matrix = bound * (1.0 + eps * h)
     else:
         raise InvalidParams(f"unknown kernel family {family!r}")
-    positive = bound > 0
-    c_size = float(np.max(np.abs(matrix[positive]) / bound[positive])) if positive.any() else 0.0
-    return KernelSpec(l=l, theta=theta, matrix=matrix, c_size=c_size,
+    return KernelSpec(l=l, theta=theta, matrix=matrix, c_size=_size_constant(matrix, bound),
                       dini_value=dini, family=family)
 
 
+def _size_constant(matrix: np.ndarray, bound: np.ndarray) -> float:
+    """The largest |K| / bound over the pairs where the bound is positive, 0 if none."""
+    positive = bound > 0
+    return float(np.max(np.abs(matrix[positive]) / bound[positive])) if positive.any() else 0.0
+
+
 def validate_kernel(space: PointCloudSpace, lam: DominatingFunction, kernel: KernelSpec) -> CheckReport:
-    """Measure the size constant exactly over all ordered pairs and the
-    smoothness constants over admissible triples (x, y, z): every pair (x, z)
-    when there are at most 8000, else 8000 drawn ones (generator seed 0).
+    """Measure the size constant over all ordered pairs and the smoothness
+    constants over all admissible triples (x, y, z), in one pass per point x
+    over its (z, y) grid.
 
     The smoothness display subtracts two kernel differences, so the left side
     can be negative; it is clamped at zero and the constant for the summed
     variant is reported alongside, neither asserted.
     """
-    bound = size_bound_matrix(space, lam, kernel.l)
-    positive = bound > 0
-    c_size = float(np.max(np.abs(kernel.matrix[positive]) / bound[positive])) if positive.any() else 0.0
+    c_size = _size_constant(kernel.matrix, size_bound_matrix(space, lam, kernel.l))
+    K, n = kernel.matrix, space.n
     lam_mat = space.pair_table(lam)
-    n = space.n
-    if n * n <= 8000:
-        x, z = np.nonzero(~np.eye(n, dtype=bool))
-    else:
-        # the draws of 8000 calls rng.choice(n, 2, replace=False)
-        x, z = replay_draws(0, 8000, 3, lambda draw: (replay_choice(draw, n, 2),))[0].T
-    dxz = space.dist[x, z]
-    x, z, dxz = x[dxz > 0], z[dxz > 0], dxz[dxz > 0]
-    # one scalar power per pair, as array powers may take a different (SIMD) route
-    reach = np.asarray([d ** (1.0 + kernel.l) for d in dxz])
-    # per pair, the largest ratio of the difference and of the summed variant
-    pair_max = np.full((2, x.size), -math.inf)
+    # per pair (x, z), the largest ratio over y of the difference and of the summed variant
+    pair_max = np.empty((2, n, n))
     unbounded = False
-    ys = np.arange(n)
-    # the (pairs, n) grids over y run in chunks of at most 1 MB
-    step = max(1, (1 << 20) // (8 * n))
-    for lo in range(0, x.size, step):
-        s = slice(lo, lo + step)
-        dxy = space.dist[x[s]]
-        r, y = np.nonzero((ys != x[s, None]) & (ys != z[s, None]) & (dxy > 0)
-                          & (dxy >= dxz[s, None] / 2.0))
-        xr, zr = x[s][r], z[s][r]
-        row_diff = np.abs(kernel.matrix[xr, y] - kernel.matrix[zr, y])
-        col_diff = np.abs(kernel.matrix[y, xr] - kernel.matrix[y, zr])
-        lhs_sum = row_diff + col_diff
-        rhs = np.asarray(kernel.theta(dxz[s][r] / dxy[r, y]), dtype=float) * reach[s][r] / lam_mat[xr, y]
+    for x, d in enumerate(space.dist):
+        # admissible (z, y): both distances > 0 (so z, y != x), y != z, d(x, y) >= d(x, z) / 2
+        adm = (d[:, None] > 0) & (d > 0) & (d >= d[:, None] / 2.0)
+        np.fill_diagonal(adm, False)
+        z, y = np.nonzero(adm)
+        # one scalar power per z, as array powers may take a different (SIMD) route
+        reach = np.asarray([v ** (1.0 + kernel.l) for v in d])
+        rhs = np.zeros((n, n))
+        rhs[adm] = np.asarray(kernel.theta(d[z] / d[y]), dtype=float) * reach[z] / lam_mat[x, y]
         ok = rhs > 0
-        unbounded |= bool(np.any(~ok & (lhs_sum > 1e-300)))
-        for row, lhs in zip(pair_max, (np.maximum(row_diff - col_diff, 0.0), lhs_sum)):
-            grid = np.full(dxy.shape, -math.inf)
-            grid[r[ok], y[ok]] = lhs[ok] / rhs[ok]
-            row[s] = grid.max(axis=1)
+        row_diff = np.abs(K[x] - K)
+        col_diff = np.abs(K[:, x] - K.T)
+        lhs_sum = row_diff + col_diff
+        unbounded |= bool(np.any(adm & ~ok & (lhs_sum > 1e-300)))
+        ratio = np.full((2, n, n), -math.inf)
+        for out, lhs in zip(ratio, (np.maximum(row_diff - col_diff, 0.0), lhs_sum)):
+            np.divide(lhs, rhs, out=out, where=ok)
+        pair_max[:, x] = ratio.max(axis=2)
     # a pair with a NaN ratio drops out whole (fmax skips its NaN row maximum)
-    smooth_diff, smooth_sum = np.fmax.reduce(pair_max, axis=1, initial=0.0).tolist()
+    smooth_diff, smooth_sum = np.fmax.reduce(pair_max.reshape(2, -1), axis=1, initial=0.0).tolist()
     return CheckReport(
         check="kernel_constants",
         passed=None,

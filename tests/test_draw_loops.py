@@ -28,7 +28,7 @@ GENERATOR_METHODS = {name for name in dir(np.random.Generator)
 #: The callers of each sample source, by top-level function or method name.
 SAMPLED_SUPREMA = {
     "replay_draws": {"sampled_nested_pairs", "check_coefficient_inequalities",
-                     "check_mean_jump_bounds", "validate_kernel"},
+                     "check_mean_jump_bounds"},
     "sampled_nested_pairs": {"pair_source"},
     "pair_source": {"campanato_norm_multi", "sharp_maximal", "validate_phi_gdec"},
 }

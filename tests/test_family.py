@@ -22,9 +22,10 @@ that cross the edges of their tiles, and the scatter of the maximal
 operators with the ``np.maximum.at`` form it replaced.  The draws that
 ``geometry.replay_draws`` recomputes from the raw PCG64 stream are compared
 with the scalar ``Generator`` calls they replace: the bounded draw itself,
-the four draw schedules, and every report field of the pair sample, the
-mean-jump comparable pairs, the coefficient triples and ``validate_kernel``
-against their draw loops.  Guard tests pin that the family and the pair
+the three draw schedules, and every report field of the pair sample, the
+mean-jump comparable pairs and the coefficient triples against their draw
+loops.  ``validate_kernel`` is compared with its all-pairs loop, and with
+the 8000 pairs it once drew.  Guard tests pin that the family and the pair
 sample are one per space, with no option.  Spaces are small (n <= 10):
 points in 1 to 3 dimensions and integer-length graph metrics with many tied
 distances, with weight ratios up to 1e6; the doubling property also draws
@@ -1147,15 +1148,15 @@ def test_exhaustive_suprema_equal_pair_loops(space, values, weighted, kappa):
 # ------------------------------------------------------------------------------
 # The concentric coefficient kernel and the chain search over it
 # ------------------------------------------------------------------------------
-def _discrete_coefficient_reference(space, lam, inner, outer, tau):
-    """The scalar formula before the kernel: one ladder, one ``searchsorted``
-    and one ``lam.table`` per pair; returns (value, N, terms)."""
-    n_idx = int(nl.mmspace.scale_index_array(tau, inner.radius, outer.radius))
+def _coefficient_reference(space, lam, center, r_in, n_idx, tau):
+    """The scalar formula before the kernel: one ladder from ``r_in`` to the
+    outer scale index ``n_idx``, one ``searchsorted`` and one ``lam.table``
+    per pair; returns (value, terms)."""
     k_min = -nl.mmspace.floor_log(tau)
-    radii = inner.radius * tau ** np.arange(k_min, n_idx + 1)
-    counts = np.searchsorted(space.sorted_dist[inner.center], radii, side="right")
-    terms = space.prefix_weight[inner.center][counts] / lam.table(inner.center, radii)
-    return float(1.0 + np.cumsum(terms)[-1]), n_idx, terms.tolist()
+    radii = r_in * tau ** np.arange(k_min, n_idx + 1)
+    counts = np.searchsorted(space.sorted_dist[center], radii, side="right")
+    terms = space.prefix_weight[center][counts] / lam.table(center, radii)
+    return float(1.0 + np.cumsum(terms)[-1]), terms.tolist()
 
 
 CHAIN_TAUS = [1.1, 1.5, 2.0, 3.0, 6.0]
@@ -1171,25 +1172,27 @@ CHAIN_TAUS = [1.1, 1.5, 2.0, 3.0, 6.0]
 @example(TIE_SENSITIVE, 6.0, "auto", 4)
 def test_concentric_kernel_equals_scalar_coefficient(space, tau, kappa, center):
     """One kernel call over every ordered candidate-radius pair of a center
-    and a block of chain links gives each pair's scalar value, N and terms."""
+    and a block of chain links gives each pair's scalar value and terms; a
+    ball pair's N is its scale index, a link's its exponent gap."""
     try:
         lam = nl.fit_power_lambda(space, kappa)
     except nl.errors.DegenerateRadii:
         reject()
     c = center % space.n
     radii = space.candidate_radii(c).tolist()
-    pairs = [(a, b) for i, a in enumerate(radii) for b in radii[i:]]
-    pairs += [(tau ** lo * radii[0], tau ** hi * radii[0]) for lo in range(4) for hi in range(lo, 12)]
-    pairs += [(radii[-1], radii[0])]  # an outer radius below the inner one has N = 0
-    r_in, r_out = (list(r) for r in zip(*pairs))
-    kernel = geometry.concentric_coefficients(space, lam, c, r_in, r_out, tau)
-    for i, (a, b) in enumerate(pairs):
-        value, n_idx, terms = _discrete_coefficient_reference(space, lam, Ball(c, a), Ball(c, b), tau)
-        assert kernel.values[i] == value and kernel.N[i] == n_idx
+    balls = [(a, b) for i, a in enumerate(radii) for b in radii[i:]]
+    balls += [(radii[-1], radii[0])]  # an outer radius below the inner one has N = 0
+    pairs = [(a, int(nl.mmspace.scale_index_array(tau, a, b))) for a, b in balls]
+    pairs += [(tau ** lo * radii[0], hi - lo) for lo in range(4) for hi in range(lo, 12)]
+    r_in, n_idx = (list(r) for r in zip(*pairs))
+    kernel = geometry.concentric_coefficients(space, lam, c, r_in, n_idx, tau)
+    for i, (a, n) in enumerate(pairs):
+        value, terms = _coefficient_reference(space, lam, c, a, n, tau)
+        assert kernel.values[i] == value
         assert kernel.terms[i].tolist() == terms + [0.0] * (kernel.terms.shape[1] - len(terms))
-        if b >= a:
-            got = nl.discrete_coefficient(space, lam, Ball(c, a), Ball(c, b), tau)
-            assert (got.value, got.N, got.terms) == (value, n_idx, terms)
+        if i < len(balls) and balls[i][1] >= a:
+            got = nl.discrete_coefficient(space, lam, Ball(c, a), Ball(c, balls[i][1]), tau)
+            assert (got.value, got.N, got.terms) == (value, n, terms)
 
 
 def _generate_chains_reference(space, lam, tau, count, seed, lengths=(3, 4), gaps=(3, 4, 5)):
@@ -1204,9 +1207,8 @@ def _generate_chains_reference(space, lam, tau, count, seed, lengths=(3, 4), gap
             for length in lengths:
                 for gap in gaps:
                     exponents = [i * gap for i in range(length)]
-                    balls = [Ball(int(c), tau ** e * float(base)) for e in exponents]
-                    links = [_discrete_coefficient_reference(space, lam, balls[i], balls[i + 1], tau)[0]
-                             for i in range(len(balls) - 1)]
+                    links = [_coefficient_reference(space, lam, int(c), tau ** e * float(base), gap, tau)[0]
+                             for e in exponents[:-1]]
                     if all(v > threshold for v in links):
                         chains.append((int(c), float(base), exponents))
                         if len(chains) >= count:
@@ -1219,15 +1221,15 @@ def _chain_bound_reference(space, lam, tau, chains):
     threshold = 3.0 + nl.mmspace.floor_log(tau)
     qualifying = passing = skipped = 0
     for center, base, exponents in chains:
-        radii = [tau ** e * base for e in sorted(exponents)]
-        links = [_discrete_coefficient_reference(space, lam, Ball(center, a), Ball(center, b), tau)[0]
-                 for a, b in zip(radii, radii[1:])]
-        if len(radii) < 2 or not all(v > threshold for v in links):
+        exps = sorted(exponents)
+        links = [_coefficient_reference(space, lam, center, tau ** a * base, b - a, tau)[0]
+                 for a, b in zip(exps, exps[1:])]
+        if len(exps) < 2 or not all(v > threshold for v in links):
             skipped += 1
             continue
         qualifying += 1
-        total = _discrete_coefficient_reference(space, lam, Ball(center, radii[0]),
-                                                Ball(center, radii[-1]), tau)[0]
+        total = _coefficient_reference(space, lam, center, tau ** exps[0] * base,
+                                       exps[-1] - exps[0], tau)[0]
         passing += sum(links) < threshold * total
     return qualifying, passing, skipped
 
@@ -1236,6 +1238,7 @@ def _chain_bound_reference(space, lam, tau, chains):
     ({"kind": "grid", "d": 2, "n": 9}, 2.0, 50, 7),
     ({"kind": "grid", "d": 1, "n": 64}, 2.0, 200, 11),
     ({"kind": "grid", "d": 1, "n": 64}, 1.5, 200, 11),
+    ({"kind": "grid", "d": 1, "n": 64}, 3.0, 200, 11),
 ])
 def test_generate_chains_equals_per_link_loop(generator, tau, count, seed):
     space = lab.generate_space(generator)
@@ -1264,6 +1267,37 @@ def test_generate_chains_of_no_count_is_empty(grid64, count):
     assert _generate_chains_reference(space, lam, 2.0, count, 0) != []  # the old bug
     chains = lab.generate_chains(space, lam, 2.0, count, 0)
     assert chains == [] and chains.centers_searched == 0
+
+
+def test_chain_links_take_their_exponent_gap_as_n(grid64, monkeypatch):
+    """At tau = 3 the radii tau**hi * b and tau**(hi - lo) * (tau**lo * b)
+    round apart on some links, and a scale index of the rounded radii counts
+    one term too many there; the chain check's link and end-to-end values are
+    the ladder sums to N = the exponent gap."""
+    space, lam = grid64
+    tau = 3.0
+    chains = [(c, base, [i * gap for i in range(4)]) for c in range(0, space.n, 4)
+              for base in space.candidate_radii(c)[: space.candidate_radii(c).size // 4].tolist()
+              for gap in (3, 4, 5)]
+    calls = []
+    kernel = geometry.concentric_coefficients
+
+    def recorded(*args):
+        out = kernel(*args)
+        calls.append(out.values.tolist())
+        return out
+
+    monkeypatch.setattr(geometry, "concentric_coefficients", recorded)
+    geometry.check_coefficient_chain_bound(space, lam, tau, chains)
+    assert len(calls) == len(chains)
+    apart = 0
+    for (c, base, exps), values in zip(chains, calls):
+        spans = list(zip(exps, exps[1:])) + [(exps[0], exps[-1])]
+        assert values == [_coefficient_reference(space, lam, c, tau ** lo * base, hi - lo, tau)[0]
+                          for lo, hi in spans]
+        apart += sum(int(nl.mmspace.scale_index_array(tau, tau ** lo * base, tau ** hi * base)) != hi - lo
+                     for lo, hi in spans)
+    assert apart > 0  # the links where the radius form would count N = gap + 1
 
 
 # ------------------------------------------------------------------------------
@@ -1536,7 +1570,7 @@ def test_bounded_draw_equals_generator_integers(r, seed, budget):
 @example(2, 0, 300, 0)
 @example(3, 1, 300, 0)
 def test_replayed_schedules_equal_scalar_generator_calls(n, sizes_seed, budget, seed):
-    """The draw schedules of the four sampling loops, on per-center sizes with
+    """The draw schedules of the three sampling loops, on per-center sizes with
     one and exactly three candidate radii among others."""
     sizes = np.random.default_rng(sizes_seed).choice([1, 2, 3, 3, 7, 600], size=n)
     rng = np.random.default_rng(seed)
@@ -1636,22 +1670,22 @@ def test_replayed_samples_equal_draw_loops(space, budget, seed):
     assert (rep.passed, rep.value, rep.worst_witness, rep.details) == want
 
 
-def _validate_kernel_reference(space, lam, kernel):
-    """``operators.validate_kernel`` before the replay: 8000 scalar
-    ``rng.choice`` calls when the space has more than 8000 ordered pairs."""
+def _kernel_draws(n):
+    """The pairs (x, z) that ``operators.validate_kernel`` sampled when the
+    space had more than 8000 ordered pairs: 8000 scalar ``rng.choice`` calls
+    of generator seed 0."""
+    rng = np.random.default_rng(0)
+    return [tuple(int(v) for v in rng.choice(n, size=2, replace=False)) for _ in range(8000)]
+
+
+def _validate_kernel_reference(space, lam, kernel, xz_pairs):
+    """``operators.validate_kernel`` as a loop over the pairs (x, z): every
+    ordered pair gives the exact constants, ``_kernel_draws`` the old sample."""
     bound = operators.size_bound_matrix(space, lam, kernel.l)
     positive = bound > 0
     c_size = float(np.max(np.abs(kernel.matrix[positive]) / bound[positive])) if positive.any() else 0.0
     lam_mat = space.pair_table(lam)
     n = space.n
-    if n * n <= 8000:
-        xz_pairs = [(x, z) for x in range(n) for z in range(n) if x != z]
-    else:
-        rng = np.random.default_rng(0)
-        xz_pairs = []
-        for _ in range(8000):
-            x, z = rng.choice(n, size=2, replace=False)
-            xz_pairs.append((int(x), int(z)))
     smooth_diff = smooth_sum = 0.0
     unbounded = False
     ys = np.arange(n)
@@ -1681,12 +1715,21 @@ def _validate_kernel_reference(space, lam, kernel):
                     "dini_value": kernel.dini_value, "family": kernel.family}
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=6, deadline=None)
 @given(st.integers(85, 200), st.sampled_from([1, 2]), st.sampled_from([3, 12]),
        st.integers(0, 2**32 - 1), st.sampled_from(["canonical", "perturbed"]))
-def test_validate_kernel_replay_equals_draw_loop(n, dim, top, seed, family):
+@example(89, 1, 12, 5, "perturbed")  # n * n = 7921: the old cap of 8000 took every pair
+@example(90, 2, 12, 6, "perturbed")  # n * n = 8100: above the cap, 8000 pairs were drawn
+def test_validate_kernel_equals_all_pairs_loop(n, dim, top, seed, family):
+    """The one pass gives the all-pairs loop's report, whose smoothness
+    constants are at least those of the 8000 pairs once sampled."""
     space = _lattice_space(n, dim, top, seed)
     lam = nl.fit_power_lambda(space, 1.0)
     kernel = operators.make_kernel(space, lam, family=family, seed=seed)
     rep = operators.validate_kernel(space, lam, kernel)
-    assert (rep.value, rep.details) == _validate_kernel_reference(space, lam, kernel)
+    every = [(x, z) for x in range(n) for z in range(n) if x != z]
+    assert (rep.value, rep.details) == _validate_kernel_reference(space, lam, kernel, every)
+    if n * n > 8000:
+        _, sampled = _validate_kernel_reference(space, lam, kernel, _kernel_draws(n))
+        for key in ("smoothness_difference", "smoothness_sum"):
+            assert rep.details[key] >= sampled[key]

@@ -129,6 +129,24 @@ def test_oversized_generator_rejected():
                                         "checks": []})
 
 
+@pytest.mark.parametrize("key", ["points", "distances"])
+def test_atoms_generator_is_capped_by_its_points(key):
+    # the cap counts an atoms spec's points (or distance rows), not 2
+    def config(n):
+        return {"generator": {"kind": "atoms", key: [[0.0]] * n, "weights": [1.0] * n},
+                "checks": []}
+
+    with pytest.raises(SpecError):
+        lab.ExperimentConfig.from_dict(config(513))
+    assert lab.ExperimentConfig.from_dict(config(512)).max_n == 512
+
+
+def test_grid_generator_is_capped_at_its_default_size():
+    # generate_space builds 64 points per axis when "n" is absent: 4096 here
+    with pytest.raises(SpecError):
+        lab.ExperimentConfig.from_dict({"generator": {"kind": "grid", "d": 2}, "checks": []})
+
+
 def test_identity_checks_pass_on_small_grid():
     cfg = lab.ExperimentConfig.from_dict({
         "generator": {"kind": "grid", "d": 1, "n": 8},
