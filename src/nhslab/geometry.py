@@ -3,8 +3,8 @@
 The coefficient of a nested ball pair (B, S) is 1 plus the sum of
 measure-to-dominating-function ratios along the dyadic enlargements of B up
 to the scale of S; it measures how far the measure is from doubling between
-the two scales.  :class:`CoefficientTables` holds one flat row per candidate
-ball, the running sum along its ladder (``BallFamily.ladder``); the scalar
+the two scales.  :class:`CoefficientTables` holds every candidate ball's
+running sum along its levels of ``BallFamily.ladder``; the scalar
 :func:`concentric_coefficients` runs the same arithmetic on the concentric
 pairs of one center, so the two agree bit for bit, and serves balls outside
 the family such as chain links; :func:`discrete_coefficient` is its one-pair
@@ -169,28 +169,35 @@ def smallest_doubling_ball(space: PointCloudSpace, profile: GeometryProfile,
 class CoefficientTables:
     """Cumulative coefficient sums of every candidate ball.
 
-    ``cumulative[b, j]`` is the sum of mu(tau**k B) / lam(tau**k B) over
-    k = -k_floor .. j - k_floor for family ball B = b, along the family's
-    ladder, so the coefficient of (B, tau**N B), and of any nested pair whose
-    outer scale index is N, is ``1 + cumulative[b, N + k_floor]``.  The tables
-    are cached in the space's store under ``lam`` and hold neither, so no
-    reference cycle delays freeing a dropped space.
+    ``cumulative`` is a level table of the family's ladder: at level j, ball B
+    has the sum of mu(tau**k B) / lam(tau**k B) over k = -k_floor .. j - k_floor,
+    so the coefficient of (B, tau**N B), and of any nested pair of outer scale
+    index N, is 1 plus its entry at level N + k_floor.  Cached in the space's
+    store under ``lam``, the tables hold neither, so no cycle delays freeing a space.
     """
 
     def __init__(self, space: PointCloudSpace, lam: DominatingFunction, tau: float):
         family = space.balls()
         ladder = family.ladder(tau)
-        self.tau = float(tau)
-        self.k_floor = ladder.k_floor
-        self._family = family
-        terms = space.prefix_weight[family.center[:, None], ladder.counts]
-        terms /= lam.table(family.center[:, None], family.radius[:, None] * ladder.scales)
-        self.cumulative = np.cumsum(terms, axis=1, out=terms)
+        self.tau, self.k_floor, self._family, self._ladder = float(tau), ladder.k_floor, family, ladder
+        center, radius, flat = (a[ladder.order] for a in (family.center, family.radius, family.flat))
+        self.cumulative = np.empty(ladder.counts.size)
+        for j, scale in enumerate(ladder.scales):
+            q = ladder.level(ladder.counts, j)
+            terms = space.prefix_weight.ravel().take(flat[:q.size] + q)
+            terms /= lam.table(center[:q.size], radius[:q.size] * scale)
+            if j:
+                terms += ladder.level(self.cumulative, j - 1)[:q.size]
+            ladder.level(self.cumulative, j)[:] = terms
+
+    def level(self, n_index: int) -> np.ndarray:
+        """Coefficients of the pairs (B, tau**n_index B) over their ladder level, in its order."""
+        return 1.0 + self._ladder.level(self.cumulative, n_index + self.k_floor)
 
     def concentric(self, ball, n_index) -> np.ndarray:
         """Coefficients of the family balls ``ball`` at outer scale index
-        ``n_index``, vectorized over both."""
-        return 1.0 + self.cumulative[ball, np.asarray(n_index) + self.k_floor]
+        ``n_index``, vectorized over both; IndexError past a ball's levels."""
+        return 1.0 + self.cumulative[self._ladder.index(ball, np.asarray(n_index) + self.k_floor)]
 
     def pairs(self, b1, b2) -> np.ndarray:
         """Coefficients of the nested family pairs ``(b1, b2)``."""
@@ -199,7 +206,7 @@ class CoefficientTables:
 
     def pair_scale_indices(self, center: int) -> np.ndarray:
         """Matrix of scale indices for every concentric radius pair of a
-        center, the reference for ``BallFamily.run_ends``."""
+        center, the reference for the runs of ``BallFamily.windows``."""
         radii = self._family.radius[self._family.segment(center)]
         return scale_index_array(self.tau, radii[:, None], radii[None, :])
 
@@ -224,11 +231,15 @@ def doubling_indices(space: PointCloudSpace, profile: GeometryProfile, alpha: fl
     """Over the candidate family: smallest i with alpha**i * B doubling."""
     family = space.balls()
     ladder = family.ladder(alpha)
-    # column i compares alpha**(i+1) * B with alpha**i * B, from i = 0
-    mu = space.prefix_weight[family.center[:, None], ladder.counts[:, ladder.k_floor:]]
-    doubling = mu[:, 1:] <= profile.beta(alpha) * mu[:, :-1]
-    assert bool(np.all(doubling.any(axis=1))), "saturated balls are always doubling"
-    return np.argmax(doubling, axis=1)
+    flat, beta, idx, mu = family.flat[ladder.order], profile.beta(alpha), np.full(len(family), -1), None
+    # step i compares alpha**i * B with alpha**(i - 1) * B over the balls of level i + k_floor
+    for i, j in enumerate(range(ladder.k_floor, ladder.scales.size)):
+        q = ladder.level(ladder.counts, j)
+        mu, prev = space.prefix_weight.ravel().take(flat[:q.size] + q), mu
+        if prev is not None:
+            idx[:q.size][(idx[:q.size] < 0) & (mu <= beta * prev[:q.size])] = i - 1
+    assert bool(np.all(idx >= 0)), "saturated balls are always doubling"
+    return idx[ladder.rank]
 
 
 # ------------------------------------------------------------------------------

@@ -307,8 +307,8 @@ class ExperimentConfig:
     def from_dict(raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise SpecError("experiment config must be a JSON object")
-        if "generator" not in raw:
-            raise SpecError("experiment config needs a 'generator'")
+        if not isinstance(raw.get("generator"), dict):
+            raise SpecError(f"experiment config needs a 'generator' object, got {raw.get('generator')!r}")
         checks = raw.get("checks", sorted(CHECKS))
         unknown = [c for c in checks if c not in CHECKS]
         if unknown:

@@ -43,6 +43,7 @@ return their findings without touching their inputs.
 from __future__ import annotations
 
 import math
+import sys
 import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -107,18 +108,26 @@ class _Store(dict):
         self.owned = weakref.WeakKeyDictionary()
 
 
+def _object_bytes(value) -> int:
+    """``sys.getsizeof`` of a value, its fields and its dict, list or tuple items, recursively."""
+    parts = [vars(value)] if hasattr(value, "__dict__") else [*value.keys(), *value.values()] \
+        if isinstance(value, dict) else value if isinstance(value, (list, tuple)) else ()
+    return sys.getsizeof(value) + sum(map(_object_bytes, parts))
+
+
 def cache_bytes(space: "PointCloudSpace") -> dict:
-    """Bytes held per cache kind (an entry's key or its first item) in the space's
-    store, its owners' stores and, as ``kind.inner``, cached objects' stores:
-    each array's, or a view's base's (a broadcast table holds one scalar)."""
+    """Bytes held per cache kind (an entry's key or its first item) in the space's store, its
+    owners' stores and, as ``kind.inner``, cached objects' stores: each array's, or a view's base's
+    (a broadcast table holds one scalar), or for an entry with neither its objects' ``sys.getsizeof``."""
     out: dict = {}
 
     def walk(store: dict, prefix: str) -> None:
         for key, value in store.items():
             kind = prefix + (key if isinstance(key, str) else key[0])
-            out[kind] = out.get(kind, 0) + sum((a.base if isinstance(a.base, np.ndarray) else a).nbytes
-                                               for a in _arrays(value))
-            walk(value if isinstance(value, dict) else getattr(value, "store", {}), kind + ".")
+            sub = value if isinstance(value, dict) else getattr(value, "store", None)
+            sizes = [(a.base if isinstance(a.base, np.ndarray) else a).nbytes for a in _arrays(value)]
+            out[kind] = out.get(kind, 0) + (sum(sizes) if sizes or sub is not None else _object_bytes(value))
+            walk(sub or {}, kind + ".")
         for child in getattr(store, "owned", {}).values():
             walk(child, prefix)
     walk(space.store(), "")
@@ -189,15 +198,29 @@ def scale_index_array(tau: float, inner: np.ndarray, outer: np.ndarray) -> np.nd
 
 
 class Ladder(NamedTuple):
-    """Member counts of tau**k * B for every ball B of a family: column
-    ``k + k_floor`` of ``counts`` is at the scale ``scales[k + k_floor]``, the
-    power tau**k, for k = -k_floor .. K.  ``sat[b]`` is the saturation index,
-    the smallest k with tau**k * radius[b] at least the diameter."""
+    """Member counts of tau**k * B for every ball B of a family: level j is at
+    ``scales[j]`` = tau**k, k = j - k_floor, up to K_b = max(sat[b] + 1, the scale
+    index of 6 * B); tau**sat[b] * radius[b] first reaches the diameter.  With
+    the balls by K_b descending in ``order`` (``rank`` its inverse), a level table
+    such as ``counts`` holds level j's prefix of ``order`` at ``offsets[j]:offsets[j + 1]``."""
 
     k_floor: int
     scales: np.ndarray
+    order: np.ndarray
+    rank: np.ndarray
+    offsets: np.ndarray
     counts: np.ndarray
     sat: np.ndarray
+
+    def level(self, table: np.ndarray, j: int) -> np.ndarray:
+        """Level j of a level table, in ``order``."""
+        return table[self.offsets[j]:self.offsets[j + 1]]
+
+    def index(self, ball, j) -> np.ndarray:
+        """Positions of (ball, level j) in a level table; IndexError past K_b."""
+        if np.any(self.rank[ball] >= np.diff(self.offsets)[j]):
+            raise IndexError("ladder level past a ball's last")
+        return self.offsets[j] + self.rank[ball]
 
 
 class BallFamily:
@@ -218,6 +241,7 @@ class BallFamily:
         self.radius.setflags(write=False)
         self.n = space.n
         self.offsets = np.concatenate([[0], np.cumsum(np.bincount(self.center, minlength=space.n))])
+        self._segments = [slice(a, b) for a, b in zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())]
         self.flat = self.center.astype(np.int64) * (space.n + 1)  # row starts in an n x (n + 1) table
         self.flat.setflags(write=False)
         self._diameter = space.diameter
@@ -229,18 +253,18 @@ class BallFamily:
         return int(self.radius.size)
 
     def segment(self, center: int) -> slice:
-        return slice(int(self.offsets[center]), int(self.offsets[center + 1]))
+        return self._segments[center]
 
     def ball(self, b: int) -> dict:
         """Ball ``b`` as a ``{"center", "radius"}`` witness."""
         return {"center": int(self.center[b]), "radius": float(self.radius[b])}
 
-    def counts_of(self, radii: np.ndarray) -> np.ndarray:
-        """Member counts of the closed balls B(center[b], radii[b, ...])."""
+    def counts_of(self, radii: np.ndarray, in_segment: bool = False) -> np.ndarray:
+        """Member counts of the closed balls B(center[b], radii[b, ...]), or with
+        ``in_segment`` the number of radii of b's segment at most radii[b, ...]."""
         out = np.empty(radii.shape, dtype=np.int32)
-        for c in range(self.n):
-            s = self.segment(c)
-            out[s] = np.searchsorted(self._sorted_dist[c], radii[s], side="right")
+        for s, row in zip(self._segments, self._sorted_dist):
+            out[s] = (self.radius[s] if in_segment else row).searchsorted(radii[s], side="right")
         return out
 
     def counts(self, scale: float = 1.0) -> np.ndarray:
@@ -258,59 +282,45 @@ class BallFamily:
                     lambda: self.at(self._prefix_weight, self.counts(scale)))
 
     def ladder(self, tau: float) -> Ladder:
-        """The ladder of every ball at dilation step tau (cached).  K is 4 past
-        the scale index from the smallest radius to the larger of the largest
-        radius and the diameter, so the ladder holds every saturation depth
-        and the outer scale of every nested pair, and at least the scale index
-        of every 6-fold enlargement, the largest bounded enlargement that
-        ``check_coefficient_inequalities`` records."""
+        """The :class:`Ladder` at dilation step tau (cached).  Its levels hold every
+        scale read: the Campanato and mean-jump ladders stop at sat[b] + 1; pair,
+        triple, run and doubling indices are at most sat[b], as outer radii are
+        at most the diameter; ``check_coefficient_inequalities`` reads 6 * B."""
         tau = float(tau)
         if not tau > 1.0:
             raise InvalidParams(f"tau must exceed 1, got {tau!r}")
         def build():
-            top = int(scale_index_array(tau, self.radius.min(),
-                                        max(float(self.radius.max()), self._diameter))) + 4
-            top = max(top, int(scale_index_array(tau, self.radius, 6.0 * self.radius).max()))
             k_floor = floor_log(tau)
-            scales = tau ** np.arange(-k_floor, top + 1)
-            return Ladder(k_floor, scales, self.counts_of(self.radius[:, None] * scales),
-                          scale_index_array(tau, self.radius, self._diameter))
+            sat = scale_index_array(tau, self.radius, self._diameter).astype(np.int32)
+            last = np.maximum(sat + 1, scale_index_array(tau, self.radius, 6.0 * self.radius)) + k_floor
+            order = np.argsort(-last, kind="stable").astype(np.int32)
+            offsets = np.concatenate([[0], np.cumsum(np.cumsum(np.bincount(last)[::-1])[::-1])])
+            scales = tau ** np.arange(-k_floor, int(last.max()) - k_floor + 1)
+            counts = np.empty(offsets[-1], dtype=np.int32)
+            for j, (scale, size) in enumerate(zip(scales, np.diff(offsets))):
+                counts[offsets[j]:offsets[j] + size] = self.counts_of(self.radius * scale)[order[:size]]
+            return Ladder(k_floor, scales, order, np.argsort(order).astype(np.int32), offsets, counts, sat)
         return memo(self.store, ("ladder", tau), build)
 
-    def run_ends(self, tau: float) -> np.ndarray:
-        """``ends[b, N]`` is one past the last ball of b's segment with radius
-        at most the ladder's tau**N * radius[b], so the balls j >= b of pair
-        scale index N are ``ends[b, N - 1]:ends[b, N]`` (from b for N = 0).
-        Columns stop at the largest concentric pair's index.  Only
-        :meth:`windows` reads it, once per tau, so it is not cached."""
-        ladder = self.ladder(tau)
-        reach = self.radius[:, None] * ladder.scales[ladder.k_floor:]
-        ends = np.empty(reach.shape, dtype=np.int32)
-        for c in range(self.n):
-            s = self.segment(c)
-            ends[s] = s.start + np.searchsorted(self.radius[s], reach[s], side="right")
-        np.maximum.accumulate(ends, axis=1, out=ends)
-        # columns past the last nonempty run hold no pair
-        grows = np.flatnonzero(np.any(ends[:, 1:] > ends[:, :-1], axis=0))
-        return ends[:, : grows[-1] + 2 if grows.size else 1]
-
     def windows(self, tau: float) -> tuple:
-        """``(depth, idx)`` for range maxima over the runs of :meth:`run_ends`
-        (cached).  In a sparse table of ``depth`` rows of ``len(self) + 1``
-        columns, the last a pad, ``idx[N, 0, b]`` and ``idx[N, 1, b]`` are the
-        flat indices of two power-of-two windows that cover run N of ball b;
-        an empty run points both at the pad.  Runs stay in their segment, so
-        ``depth`` is the bit length of the longest segment."""
+        """``(depth, offsets, idx)`` for range maxima over concentric runs (cached):
+        run N of ball b is the balls j >= b of its segment of pair scale index N, empty
+        past sat[b].  Columns ``offsets[N]:offsets[N + 1]`` of ``idx`` follow ladder level
+        N + k_floor in its order: flat indices of two power-of-two windows covering the run
+        in a sparse table of ``depth`` rows with a last, pad column, both the pad if empty."""
         tau = float(tau)
         def build():
-            hi = np.ascontiguousarray(self.run_ends(tau).T)
-            lo = np.vstack([np.arange(len(self), dtype=np.int32), hi[:-1]])
-            width = len(self) + 1
-            length = hi - lo
-            k = np.frexp(np.maximum(length, 1))[1] - 1
-            idx = np.stack([k * width + lo, k * width + hi - (1 << k)], axis=1)
-            idx = np.where((length > 0)[:, None], idx, np.int32(width - 1))
-            return int(np.frexp(int(np.diff(self.offsets).max()))[1]), idx
+            ladder, parts = self.ladder(tau), []
+            start, hi = self.offsets[self.center].astype(np.int32), np.arange(len(self), dtype=np.int32)
+            top = scale_index_array(tau, self.radius, self.radius[self.offsets[1:] - 1][self.center]).max()
+            w, levels = len(self) + 1, range(ladder.k_floor, ladder.k_floor + int(top) + 1)
+            for scale, size in zip(ladder.scales[levels], np.diff(ladder.offsets)[levels]):
+                lo, hi = hi, start + self.counts_of(self.radius * scale, in_segment=True)
+                lo_b, hi_b = lo[ladder.order[:size]], hi[ladder.order[:size]]
+                k = np.frexp(np.maximum(hi_b - lo_b, 1))[1] - 1
+                parts.append(np.where(hi_b > lo_b, np.stack([k * w + lo_b, k * w + hi_b - (1 << k)]), w - 1))
+            offsets = np.concatenate([[0], np.cumsum([p.shape[1] for p in parts])])
+            return int(np.diff(self.offsets).max()).bit_length(), offsets, np.hstack(parts)
         return memo(self.store, ("windows", tau), build)
 
     def later_max(self, values: np.ndarray) -> np.ndarray:

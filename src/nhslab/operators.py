@@ -526,16 +526,20 @@ def sharp_maximal(space: PointCloudSpace, lam: DominatingFunction,
     # concentric pairs (b, j >= b): the outer balls of scale index N form the
     # run lo:hi of b's segment, so the largest jump is at the run's extrema;
     # one sparse table is alive at a time, of the means and then of their
-    # negatives, since max(a, b) / c == max(a / c, b / c) for a coefficient c > 0
-    depth, windows = family.windows(6.0)
+    # negatives, since max(a, b) / c == max(a / c, b / c) for a coefficient c > 0;
+    # scale index N reads the balls of its ladder level, a prefix of the ladder's order
+    ladder, (depth, offsets, windows) = family.ladder(6.0), family.windows(6.0)
     pair_vals = np.full(len(family), -math.inf)
     with np.errstate(invalid="ignore"):
         for signed in (means, -means):
             table = _max_table(np.where(flags, signed, -math.inf), depth).ravel()
-            for n_idx, (i0, i1) in enumerate(windows):
-                jump = np.maximum(table.take(i0), table.take(i1)) - signed
-                np.maximum(pair_vals, jump / tables.concentric(slice(None), n_idx), out=pair_vals)
+            signed = signed[ladder.order]
+            for n_idx in range(offsets.size - 1):
+                i0, i1 = windows[:, offsets[n_idx]:offsets[n_idx + 1]]
+                jump = np.maximum(table.take(i0), table.take(i1)) - signed[:i0.size]
+                np.maximum(pair_vals[:i0.size], jump / tables.level(n_idx), out=pair_vals[:i0.size])
             del table
+    pair_vals = pair_vals[ladder.rank]
     pair_vals[~flags] = -math.inf
     # a pair of the other source (for a small family, every nested pair) reaches
     # the members of its inner ball, as a concentric one

@@ -318,13 +318,16 @@ class CampanatoNormReport:
     pair_count: int = 0
 
 
-def _ladder_jumps(family, mean_table: np.ndarray, means: np.ndarray, tau: float):
-    """``(k, |means - mean of tau**k B|, live)`` for k = 1 .. one past the deepest
-    saturation; ``live`` marks the balls with k at most one past their own."""
+def _ladder_jumps(family, mean_table: np.ndarray, means: np.ndarray, psit: np.ndarray, tau: float):
+    """``(k, |means - mean of tau**k B|, psi, live)`` for k = 1 .. one past the
+    deepest saturation, over the balls B of ladder level k in the ladder's
+    ``order``; ``live`` marks those with k at most one past their own."""
     ladder = family.ladder(tau)
+    flat, means, psit, sat = (a[ladder.order] for a in (family.flat, means, psit, ladder.sat))
     for k in range(1, int(ladder.sat.max()) + 2):
-        jump = np.abs(means - family.at(mean_table, ladder.counts[:, k + ladder.k_floor]))
-        yield k, jump, k <= ladder.sat + 1
+        q = ladder.level(ladder.counts, k + ladder.k_floor)
+        w = q.size
+        yield k, np.abs(means[:w] - mean_table.ravel().take(flat[:w] + q)), psit[:w], k <= sat[:w] + 1
 
 
 def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.ndarray,
@@ -361,13 +364,15 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
         # family reads every nested pair instead, so its best stays -inf
         best = np.full((len(slots), len(family)), -np.inf)
         best_k = np.zeros((len(slots), len(family)), dtype=np.int64)
-        for k, jump, live in () if exhaustive else _ladder_jumps(family, tables.mean_table, means, tau):
-            coeff = 1.0 + coeffs.cumulative[:, k + coeffs.k_floor]
+        for k, jump, psi_k, live in () if exhaustive else _ladder_jumps(
+                family, tables.mean_table, means, psit, tau):
+            coeff = coeffs.level(k)
             for s, (_, gamma) in enumerate(slots):
-                vals = jump / (psit * coeff ** gamma)
-                better = live & (vals > best[s])
-                best[s][better] = vals[better]
-                best_k[s][better] = k
+                vals = jump / (psi_k * coeff ** gamma)
+                better = live & (vals > best[s, :jump.size])
+                best[s, :jump.size][better] = vals[better]
+                best_k[s, :jump.size][better] = k
+        best, best_k = best[:, ladder.rank], best_k[:, ladder.rank]
         pair_coeff = coeffs.pairs(b1, b2)
         for s, (i, gamma) in enumerate(slots):
             reg, reg_w = 0.0, {}
@@ -621,8 +626,8 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
             continue
         # past saturation the jump stays and jump / j falls, so each ball
         # stops one step after it
-        for j, jump, live in _ladder_jumps(family, mean_table, means, k):
-            jumps = (jump / (psit * norm))[live]
+        for j, jump, psi_j, live in _ladder_jumps(family, mean_table, means, psit, k):
+            jumps = (jump / (psi_j * norm))[live]
             if j == 1:
                 per_k[str(k)] = max(0.0, float(jumps.max()))
             iterated = max(iterated, float(jumps.max()) / j)

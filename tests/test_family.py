@@ -12,8 +12,10 @@ it replaced, the shared nested-pair sample (plain and filtered by the doubling
 flags) with the draw loops it replaced, the coefficient table with the
 scalar primitive on every nested pair, the concentric coefficient kernel
 with the scalar formula it replaced, the chain search with its per-link
-loop, the coefficient inequalities with their per-triple loop, the run ends of ``sharp_maximal``'s concentric pass with the
-scale-index matrix, the one supremum tail of ``campanato_norm_multi`` and
+loop, the coefficient inequalities with their per-triple loop, the per-ball
+ladder levels and coefficient sums with the dense tables they replaced (and
+every reader within each ball's levels), the run ends of ``sharp_maximal``'s
+concentric pass with the scale-index matrix, the one supremum tail of ``campanato_norm_multi`` and
 ``sharp_maximal`` on small families with the per-ball and per-pair loops it
 replaced (kept here as oracles), and the one-pass Marcinkiewicz integral
 with its per-point loop.  The oscillation sums are compared with
@@ -535,8 +537,8 @@ def _sharp_maximal_reference(space, lam, profile, f, pairs):
         radii = space.candidate_radii(c)
         qs = space.counts(c, radii)
         fm = pf[c][qs] / pw[c][qs]
-        n_mat = tables.pair_scale_indices(c).astype(np.int64) + tables.k_floor
-        coeff = 1.0 + np.take_along_axis(tables.cumulative[space.balls().segment(c)], n_mat, axis=1)
+        s = space.balls().segment(c)
+        coeff = tables.concentric(np.arange(s.start, s.stop)[:, None], tables.pair_scale_indices(c))
         v = np.abs(fm[:, None] - fm[None, :]) / coeff
         ok = (radii[None, :] >= radii[:, None]) & flags(c, radii)[None, :] & flags(c, radii)[:, None]
         return np.where(ok, v, -math.inf).max(axis=1)
@@ -604,12 +606,37 @@ def test_discrete_coefficient_equals_table(data, tau):
                           [primitive(i, j).value for i, j in zip(sample.b1, sample.b2)])
 
 
+def _dense_ladder(space, tau):
+    """The ladder as it was stored before each ball kept only its own levels:
+    ``(k_floor, scales, counts)`` with the member counts of every ball at every
+    scale tau**k, k = -k_floor .. 4 past the scale index from the smallest
+    radius to the larger of the largest radius and the diameter, and at least
+    the scale index of every 6-fold enlargement."""
+    family = space.balls()
+    top = int(geometry.scale_index_array(tau, family.radius.min(),
+                                         max(float(family.radius.max()), space.diameter))) + 4
+    top = max(top, int(geometry.scale_index_array(tau, family.radius, 6.0 * family.radius).max()))
+    k_floor = nl.mmspace.floor_log(tau)
+    scales = tau ** np.arange(-k_floor, top + 1)
+    return k_floor, scales, family.counts_of(family.radius[:, None] * scales)
+
+
+def _dense_cumulative(space, lam, tau):
+    """The B x K coefficient table it replaced: the row-wise running sum of
+    mu(tau**k B) / lam(tau**k B) along :func:`_dense_ladder`."""
+    family = space.balls()
+    _, scales, counts = _dense_ladder(space, tau)
+    terms = space.prefix_weight[family.center[:, None], counts]
+    terms /= lam.table(family.center[:, None], family.radius[:, None] * scales)
+    return np.cumsum(terms, axis=1, out=terms)
+
+
 def _campanato_ladder_reference(space, lam, f, psi, tau, gamma):
     """The per-center concentric ladder ``campanato_norm_multi`` ran before
     it was flat: strict improvements in (center, k, radius) order."""
     family = space.balls()
-    tables = geometry.coefficient_tables(space, lam, tau)
-    ladder = family.ladder(tau)
+    cumulative = _dense_cumulative(space, lam, tau)
+    k_floor, scales, _ = _dense_ladder(space, tau)
     pf, pw = space.prefix_of(f * space.weights), space.prefix_weight
     reg, witness = 0.0, {}
     for c, s in _segments(space):
@@ -618,9 +645,9 @@ def _campanato_ladder_reference(space, lam, f, psi, tau, gamma):
         means = pf[c][qs] / pw[c][qs]
         sat = geometry.scale_index_array(tau, radii, max(space.diameter, float(radii[0])))
         for k in range(1, int(sat.max()) + 2):
-            outer_r = ladder.scales[k + ladder.k_floor] * radii
+            outer_r = scales[k + k_floor] * radii
             q_out = space.counts(c, outer_r)
-            coeff = tables.concentric(np.arange(s.start, s.stop), k)
+            coeff = 1.0 + cumulative[s, k + k_floor]
             vals = np.abs(means - pf[c][q_out] / pw[c][q_out]) / (psi.table(c, radii) * coeff ** gamma)
             vals[k > sat + 1] = -np.inf
             j = int(np.argmax(vals))
@@ -730,13 +757,13 @@ def test_ladders_and_sharp_maximal_equal_per_center_loops_on_medium_spaces(make_
 def _doubling_indices_reference(space, profile, alpha):
     """The scale loop ``doubling_indices`` ran before it read the ladder."""
     family = space.balls()
-    ladder = family.ladder(alpha)
+    k_floor, scales, _ = _dense_ladder(space, alpha)
     r0 = float(family.radius.min())
     depth = int(nl.mmspace.scale_index_array(alpha, r0, max(space.diameter, r0))) + 4
     idx = np.full(len(family), -1)
     mu = family.measures()
     for i in range(depth - 1):
-        scale = ladder.scales[i + 1 + ladder.k_floor]
+        scale = scales[i + 1 + k_floor]
         mu_next = space.prefix_weight[family.center, family.counts_of(family.radius * scale)]
         idx[(idx < 0) & (mu_next <= profile.beta(alpha) * mu)] = i
         mu = mu_next
@@ -999,6 +1026,24 @@ def test_doubling_count_equals_per_ball_greedy(space):
 # ------------------------------------------------------------------------------
 # Concentric runs per scale index
 # ------------------------------------------------------------------------------
+def _run_ends_reference(space, tau):
+    """``ends[b, N]``, one past the last ball of b's segment with radius at
+    most tau**N * radius[b], so the balls j >= b of pair scale index N are
+    ``ends[b, N - 1]:ends[b, N]`` (from b for N = 0): the dense table the
+    windows of ``sharp_maximal`` were built from before they kept only the
+    non-empty runs.  Columns stop at the largest concentric pair's index."""
+    family = space.balls()
+    k_floor, scales, _ = _dense_ladder(space, tau)
+    reach = family.radius[:, None] * scales[k_floor:]
+    ends = np.empty(reach.shape, dtype=np.int32)
+    for c in range(space.n):
+        s = family.segment(c)
+        ends[s] = s.start + np.searchsorted(family.radius[s], reach[s], side="right")
+    np.maximum.accumulate(ends, axis=1, out=ends)
+    grows = np.flatnonzero(np.any(ends[:, 1:] > ends[:, :-1], axis=0))
+    return ends[:, : grows[-1] + 2 if grows.size else 1]
+
+
 @PROPERTY
 @given(st.one_of(small_spaces(), small_spaces(coincident=True)),
        st.sampled_from([1.5, 2.0, 3.0, 5.0, 6.0]))
@@ -1010,8 +1055,8 @@ def test_doubling_count_equals_per_ball_greedy(space):
 def test_run_ends_group_outer_balls_by_scale_index(space, tau):
     family = space.balls()
     ladder = family.ladder(tau)
-    ends = family.run_ends(tau)
-    assert ends.dtype == np.int32 and np.all(np.diff(ends, axis=1) >= 0)
+    ends = _run_ends_reference(space, tau)
+    assert np.all(np.diff(ends, axis=1) >= 0)
     tables = geometry.coefficient_tables(space, _lam(space), tau)
     top = 0
     for c, s in _segments(space):
@@ -1024,25 +1069,89 @@ def test_run_ends_group_outer_balls_by_scale_index(space, tau):
                 assert start <= j < ends[b, n_idx]
     # no column past the largest scale index of a concentric pair
     assert ends.shape[1] == top + 1
-    # two power-of-two windows of the sparse table cover each run exactly;
-    # an empty run points both at the pad column
-    depth, idx = family.windows(tau)
+    # level N of the windows follows the balls of ladder level N + k_floor, which
+    # hold every non-empty run N; two power-of-two windows of the sparse table
+    # cover each run exactly, and an empty run points both at the pad column
+    depth, offsets, idx = family.windows(tau)
+    assert idx.dtype == np.int32 and offsets.size - 1 == ends.shape[1]
     width = len(family) + 1
-    lo = np.vstack([np.arange(len(family)), ends.T[:-1]])
-    length = ends.T - lo
-    row, col = np.divmod(idx.astype(np.int64), width)
-    empty = np.broadcast_to((length == 0)[:, None], idx.shape)
-    assert np.all(idx[empty] == width - 1)
-    k = row[:, 0]
-    assert np.array_equal(k, row[:, 1]) and k.max(initial=0) < depth
-    full = length > 0
-    assert np.all((1 << k[full]) <= length[full]) and np.all(length[full] < (2 << k[full]))
-    assert np.array_equal(col[:, 0][full], lo[full])
-    assert np.array_equal(col[:, 1][full] + (1 << k[full]), ends.T[full])
+    lo = np.hstack([np.arange(len(family))[:, None], ends[:, :-1]])
+    for n_idx in range(offsets.size - 1):
+        b = ladder.order[:np.diff(ladder.offsets)[n_idx + ladder.k_floor]]
+        assert offsets[n_idx + 1] - offsets[n_idx] == b.size
+        assert set(np.flatnonzero(ends[:, n_idx] > lo[:, n_idx])) <= set(b)
+        (k, k1), (c0, c1) = np.divmod(idx[:, offsets[n_idx]:offsets[n_idx + 1]].astype(np.int64), width)
+        length = ends[b, n_idx] - lo[b, n_idx]
+        full = length > 0
+        assert np.all(full | ((k == 0) & (k1 == 0) & (c0 == width - 1) & (c1 == width - 1)))
+        assert np.array_equal(k[full], k1[full]) and k.max(initial=0) < depth
+        assert np.all((1 << k[full]) <= length[full]) and np.all(length[full] < (2 << k[full]))
+        assert np.array_equal(c0[full], lo[b, n_idx][full])
+        assert np.array_equal(c1[full] + (1 << k[full]), ends[b, n_idx][full])
     # the ladder's scales give the products scale_index_array tests, bit for bit
     n = np.arange(-ladder.k_floor, ladder.scales.size - ladder.k_floor)
     r = family.radius[:, None]
     assert (ladder.scales[n + ladder.k_floor] * r).tobytes() == (tau ** n * r).tobytes()
+
+
+LEVEL_TAUS = [1.1, 2.0, 3.0, 6.0]
+
+
+@PROPERTY
+@given(st.one_of(small_spaces(), small_spaces(coincident=True)), st.sampled_from(LEVEL_TAUS))
+@example(ONE_POINT, 1.1)
+@example(ONE_POINT, 6.0)
+@example(TIE_SENSITIVE, 1.1)
+@example(TIE_SENSITIVE, 2.0)
+@example(TIE_SENSITIVE, 3.0)
+@example(TIE_SENSITIVE, 6.0)
+def test_ladder_levels_equal_the_dense_oracle_and_every_reader_stays_inside(space, tau):
+    """Ball b keeps the levels up to K_b = max(sat[b] + 1, the 6-fold scale
+    index): every stored count and coefficient sum has the bytes of the dense
+    tables, a read past K_b raises, and every reader runs within the levels."""
+    family, lam = space.balls(), _lam(space)
+    ladder, tables = family.ladder(tau), coefficient_tables(space, lam, tau)
+    k_floor, scales, counts = _dense_ladder(space, tau)
+    cumulative = _dense_cumulative(space, lam, tau)
+    sat = geometry.scale_index_array(tau, family.radius, space.diameter)
+    last = np.maximum(sat + 1, geometry.scale_index_array(tau, family.radius, 6.0 * family.radius))
+    assert ladder.k_floor == k_floor and np.array_equal(ladder.sat, sat)
+    assert ladder.scales.tobytes() == scales[:int(last.max()) + k_floor + 1].tobytes()
+    assert np.array_equal(ladder.order, np.argsort(-last, kind="stable"))
+    assert np.array_equal(ladder.rank[ladder.order], np.arange(len(family)))
+    for j in range(ladder.scales.size):
+        balls = ladder.order[:np.diff(ladder.offsets)[j]]
+        assert np.array_equal(np.sort(balls), np.flatnonzero(last + k_floor >= j))
+        assert ladder.level(ladder.counts, j).tobytes() == counts[balls, j].tobytes()
+        assert ladder.level(tables.cumulative, j).tobytes() == cumulative[balls, j].tobytes()
+        assert tables.level(j - k_floor).tobytes() == (1.0 + cumulative[balls, j]).tobytes()
+    for b in range(len(family)):
+        n_idx = np.arange(last[b] + 1)
+        assert tables.concentric(b, n_idx).tobytes() == (1.0 + cumulative[b, n_idx + k_floor]).tobytes()
+        with pytest.raises(IndexError):
+            tables.concentric(b, last[b] + 1)
+        with pytest.raises(IndexError):
+            tables.concentric([0, b], [0, last[b] + 1])
+
+    # every reader, against its dense-table reference
+    b1, b2 = nested_pairs(space)
+    assert tables.pairs(b1, b2).tobytes() == (1.0 + cumulative[
+        b1, geometry.scale_index_array(tau, family.radius[b1], family.radius[b2]) + k_floor]).tobytes()
+    assert np.array_equal(geometry.doubling_indices(space, PROFILE, tau),
+                          _doubling_indices_reference(space, PROFILE, tau))
+    nl.check_doubling_coefficient_bound(space, lam, PROFILE, tau)
+    report = geometry.check_coefficient_inequalities(space, lam, (tau, 6.0), 200, 0)
+    assert report.details == _coefficient_inequalities_reference(space, lam, (tau, 6.0), 200, 0)[3]
+    f, psi = np.cos(np.arange(space.n)), spaces.weight_psi(space)
+    with mock.patch.object(geometry, "EXHAUSTIVE_PAIR_LIMIT", 0):
+        report = spaces.campanato_norm(space, lam, f, psi, tau, 2.0, pair_budget=0)
+        assert (report.regularity_sup, report.regularity_witness) == \
+            _campanato_ladder_reference(space, lam, f, psi, tau, 2.0)
+        report = spaces.check_mean_jump_bounds(space, lam, f, psi, (tau, 6.0), pair_budget=0, norm=0.5)
+        assert (report.details["per_k"], report.details["iterated"]) == \
+            _mean_jump_reference(space, f, psi, (tau, 6.0), 0.5)
+        got = operators.sharp_maximal(space, lam, PROFILE, f, pair_budget=0)
+    assert np.array_equal(got, _sharp_maximal_reference(space, lam, PROFILE, f, (b1[:0], b2[:0])))
 
 
 # ------------------------------------------------------------------------------

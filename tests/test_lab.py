@@ -395,6 +395,14 @@ def test_cli_experiment_and_exit_codes(tmp_path, capsys):
     assert cli.main(["experiment", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("generator", ["grid", ["grid"], 64, None])
+def test_cli_experiment_generator_not_an_object_is_a_config_error(tmp_path, capsys, generator):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"generator": generator}))
+    assert cli.main(["experiment", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: experiment config needs a 'generator' object")
+
+
 def test_two_dimensional_grid_experiment_runs():
     cfg = lab.ExperimentConfig.from_dict({
         "generator": {"kind": "grid", "d": 2, "n": 4},

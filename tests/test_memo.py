@@ -106,8 +106,9 @@ def test_every_cached_table_is_read_only(cold64):
         "pair_table": space.pair_table(lam),
         "cumulative": geometry.coefficient_tables(space, lam, 2.0).cumulative,
         "scales": ladder.scales, "ladder_counts": ladder.counts, "sat": ladder.sat,
+        "ladder_order": ladder.order, "ladder_rank": ladder.rank, "ladder_offsets": ladder.offsets,
         "counts": family.counts(2.0), "measures": family.measures(2.0),
-        "windows": family.windows(6.0)[1],
+        "window_offsets": family.windows(6.0)[1], "windows": family.windows(6.0)[2],
         "b1": sample.b1, "b2": sample.b2, "means": tables.means,
         "radius": family.radius, "offsets": family.offsets,
     }
@@ -122,6 +123,7 @@ def test_cache_bytes_walks_every_store_and_frees_a_dropped_owner(cold64):
     space, lam = cold64
     family = space.balls()
     family.ladder(2.0)
+    family.windows(6.0)
     geometry.coefficient_tables(space, lam, 2.0)
     enabled = gc.isenabled()
     gc.disable()
@@ -130,10 +132,16 @@ def test_cache_bytes_walks_every_store_and_frees_a_dropped_owner(cold64):
         spaces.campanato_norm(space, lam, np.cos(np.arange(space.n)), psi)
         sizes = mmspace.cache_bytes(space)
         assert sizes["fn_table"] == family.radius.nbytes
-        assert sizes["balls.ladder"] == sum(a.nbytes for a in family.ladder(2.0)[1:])
+        # the level tables, with the ladder's order, rank, offsets and saturation indices
+        assert sizes["balls.ladder"] == sum(a.nbytes for t in (2.0, 6.0) for a in family.ladder(t)[1:])
+        assert sizes["balls.windows"] == sum(a.nbytes for a in family.windows(6.0)[1:])
         assert sizes["coefficients"] == geometry.coefficient_tables(space, lam, 2.0).cumulative.nbytes
-        assert sizes["order"] == space.order.nbytes and sizes["campanato"] == 0
+        assert sizes["order"] == space.order.nbytes
         assert sizes["function.tables.means"] == family.radius.nbytes
+        # a report holds no arrays: its objects' sys.getsizeof, one more per entry
+        one = sizes["campanato"]
+        spaces.campanato_norm(space, lam, np.sin(np.arange(space.n)), psi)
+        assert 0 < one < mmspace.cache_bytes(space)["campanato"] < 3 * one
         del psi
         after = mmspace.cache_bytes(space)
         assert "fn_table" not in after and "campanato" not in after

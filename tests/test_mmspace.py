@@ -191,7 +191,7 @@ def test_ladder_rejects_tau_at_most_one(two_point):
         with pytest.raises(InvalidParams, match="tau must exceed 1"):
             space.balls().ladder(tau)
         with pytest.raises(InvalidParams, match="tau must exceed 1"):
-            space.balls().run_ends(tau)
+            space.balls().windows(tau)
 
 
 def test_fit_domination_slack():
