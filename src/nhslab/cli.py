@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeff", help="coefficient inequality suite")
     p.add_argument("space")
     p.add_argument("--tau", type=_tau, default=2.0)
-    p.add_argument("--budget", type=int, default=2000)
+    p.add_argument("--budget", type=_count, default=2000)
     p.add_argument("--chains", type=_count, default=25,
                    help="number of qualifying chains to generate")
     p.add_argument("--chains-file", default=None,

@@ -35,6 +35,11 @@ DEFAULT_MAX_N = 512
 
 SEED_ENV_VAR = "NHS_LAB_SEED"
 
+#: The sample sizes an experiment config's ``budgets`` may set, and their defaults.
+BUDGETS = {"pairs": 500, "triples": 2000, "functions": 5, "chains": 50,
+           "domination_functions": 10, "jn_functions": 5, "sharp_functions": 3,
+           "embedding_functions": 3}
+
 
 # ------------------------------------------------------------------------------
 # Canonical fixtures and space generators
@@ -318,6 +323,10 @@ class ExperimentConfig:
             params = OperatorParams(**params_raw)
         except TypeError as exc:
             raise SpecError(f"bad operator params: {exc}") from exc
+        budgets = raw.get("budgets", {})
+        if not isinstance(budgets, dict) or any(
+                k not in BUDGETS or type(v) is not int or v < 0 for k, v in budgets.items()):
+            raise SpecError(f"budgets must map names in {sorted(BUDGETS)} to integers >= 0, got {budgets!r}")
         cfg = ExperimentConfig(
             generator=raw["generator"],
             checks=list(checks),
@@ -325,7 +334,7 @@ class ExperimentConfig:
             params=params,
             psi=raw.get("psi"),
             phi=raw.get("phi"),
-            budgets=dict(raw.get("budgets", {})),
+            budgets=dict(budgets),
             output_path=raw.get("output_path"),
             max_n=int(raw.get("max_n", DEFAULT_MAX_N)),
         )
@@ -396,8 +405,8 @@ class _Context:
     gen_name: str
     budgets: dict
 
-    def budget(self, key: str, default: int) -> int:
-        return int(self.budgets.get(key, default))
+    def budget(self, key: str) -> int:
+        return int(self.budgets.get(key, BUDGETS[key]))
 
     def functions(self, count: int, family: str = "random_bounded"):
         return generate_functions(self.space, family, count, self.seed,
@@ -407,8 +416,8 @@ class _Context:
     def constants(self) -> dict:
         """The pass of the norm-band and mean-jump rows, paid by the first to run."""
         return spaces.function_constants(self.space, self.lam, self.psi,
-                                         self.functions(self.budget("functions", 5)),
-                                         self.budget("pairs", 500), self.seed)
+                                         self.functions(self.budget("functions")),
+                                         self.budget("pairs"), self.seed)
 
 
 def _row(ctx: _Context, check: str, value, status: str, lower=None, upper=None, witness=None) -> Row:
@@ -447,7 +456,7 @@ def _check_geometric_doubling(ctx: _Context) -> Row:
 
 def _check_coefficient_inequalities(ctx: _Context) -> Row:
     rep = geometry.check_coefficient_inequalities(
-        ctx.space, ctx.lam, (2.0, 6.0), ctx.budget("triples", 2000), ctx.seed)
+        ctx.space, ctx.lam, (2.0, 6.0), ctx.budget("triples"), ctx.seed)
     d = rep.details
     return _row(ctx, "coefficient_inequalities", rep.value, _status(rep),
                 lower=d["cross_step_ratio_min"], upper=d["cross_step_ratio_max"],
@@ -455,7 +464,7 @@ def _check_coefficient_inequalities(ctx: _Context) -> Row:
 
 
 def _check_chain_bound(ctx: _Context) -> Row:
-    chains = generate_chains(ctx.space, ctx.lam, 2.0, ctx.budget("chains", 50), ctx.seed)
+    chains = generate_chains(ctx.space, ctx.lam, 2.0, ctx.budget("chains"), ctx.seed)
     rep = geometry.check_coefficient_chain_bound(ctx.space, ctx.lam, 2.0, chains)
     return _row(ctx, "coefficient_chain_bound", rep.value, _status(rep),
                 witness={**rep.details, "centers_searched": chains.centers_searched,
@@ -479,7 +488,7 @@ def _check_psi(ctx: _Context) -> Row:
 
 def _check_phi(ctx: _Context) -> Row:
     rep = spaces.validate_phi_gdec(ctx.space, ctx.phi, etas=(2.0, ctx.params.eta),
-                                   pair_budget=ctx.budget("pairs", 500), seed=ctx.seed)
+                                   pair_budget=ctx.budget("pairs"), seed=ctx.seed)
     return _row(ctx, "phi_decrease", rep.value, _status(rep), witness=rep.details)
 
 
@@ -539,7 +548,7 @@ def _check_hand_fixtures(ctx: _Context) -> Row:
 def _check_pointwise_domination(ctx: _Context) -> Row:
     worst = -math.inf
     status = "pass"
-    for f in ctx.functions(ctx.budget("domination_functions", 10)):
+    for f in ctx.functions(ctx.budget("domination_functions")):
         rep = operators.check_pointwise_domination(ctx.space, ctx.lam, ctx.kernel, f, ctx.params)
         worst = max(worst, rep.value)
         if not rep.passed:
@@ -548,7 +557,7 @@ def _check_pointwise_domination(ctx: _Context) -> Row:
 
 
 def _check_jn_envelope(ctx: _Context) -> Row:
-    count = ctx.budget("jn_functions", 5)
+    count = ctx.budget("jn_functions")
     fs = generate_functions(ctx.space, "psi_adapted", count, ctx.seed,
                             lam=ctx.lam, psi=ctx.psi)
     center = _resolve_center(ctx.space, 0.5) if ctx.space.coords is not None else 0
@@ -585,12 +594,12 @@ def _check_p_oscillation_bands(ctx: _Context) -> Row:
 
 
 def _check_operator_norm_ratios(ctx: _Context) -> Row:
-    fs = ctx.functions(ctx.budget("functions", 5))
-    mz = ctx.functions(ctx.budget("functions", 5), "mean_zero_random")
+    fs = ctx.functions(ctx.budget("functions"))
+    mz = ctx.functions(ctx.budget("functions"), "mean_zero_random")
     b = ctx.functions(1)[0]
     ratios = operator_norm_ratios(ctx.space, ctx.lam, ctx.profile, ctx.psi, ctx.phi,
                                   ctx.kernel, ctx.params, fs, mz, b,
-                                  seed=ctx.seed, pair_budget=ctx.budget("pairs", 500))
+                                  seed=ctx.seed, pair_budget=ctx.budget("pairs"))
     return _row(ctx, "operator_norm_ratios", ratios["marcinkiewicz_morrey_ratio"],
                 "pass", witness=ratios)
 
@@ -617,12 +626,12 @@ def _embedding_reports(space, phi, fs, params) -> tuple:
 def _check_sharp_estimate(ctx: _Context) -> Row:
     return _row(ctx, "sharp_maximal_estimate", _sharp_ratio(
         ctx.space, ctx.lam, ctx.profile, ctx.kernel, ctx.psi, ctx.functions(1)[0],
-        ctx.functions(ctx.budget("sharp_functions", 3)), ctx.params, ctx.budget("pairs", 500),
+        ctx.functions(ctx.budget("sharp_functions")), ctx.params, ctx.budget("pairs"),
         ctx.seed), "pass")
 
 
 def _check_maximal_embedding(ctx: _Context) -> Row:
-    fs = ctx.functions(2 * ctx.budget("embedding_functions", 3))
+    fs = ctx.functions(2 * ctx.budget("embedding_functions"))
     c10, cal, reports = _embedding_reports(ctx.space, ctx.phi, fs, ctx.params)
     # the first half calibrates; only the second half is checked
     failed = any(r is not None and not r.passed for r in reports[len(fs) // 2:])

@@ -5,8 +5,8 @@ and positive weights.  Everything downstream (coefficients, norms, operators)
 enumerates *candidate balls*: for each center, the closed balls whose radii
 are the distances of that center and their halves (``RADIUS_MULTIPLIERS``).
 On an atomic space ball membership only changes at those distances, so the
-family is finite and canonical (up to the merging of radii within a relative
-1e-12).
+family is finite and canonical, up to one merge: a radius is kept when it
+exceeds the last kept radius of its center by the factor 1 + ``RADIUS_DEDUP_TOL``.
 
 The family is built once per space as a flat :class:`BallFamily`: ball ``b``
 is ``B(center[b], radius[b])``, the balls of one center are contiguous with
@@ -134,42 +134,31 @@ def cache_bytes(space: "PointCloudSpace") -> dict:
     return out
 
 
-def _dedup_sorted(values: np.ndarray) -> np.ndarray:
-    """Collapse entries of an ascending array within ``RADIUS_DEDUP_TOL``:
-    keep a value when it exceeds the last kept one by that relative step."""
-    out = [float(values[0])]
-    for v in values[1:]:
-        if v > out[-1] * (1.0 + RADIUS_DEDUP_TOL):
-            out.append(float(v))
-    return np.asarray(out, dtype=float)
-
-
 def _dedup_rows(rows: np.ndarray) -> tuple:
-    """:func:`_dedup_sorted` of the positive entries of every ascending row
-    (``FALLBACK_RADIUS`` for a row without any), flattened: returns the kept
-    values and their row indices.
+    """The candidate radii of every ascending row, flattened: returns the kept
+    values and their row indices.  A positive value is kept when it exceeds the
+    last kept value of its row by the factor 1 + ``RADIUS_DEDUP_TOL``; a row
+    without positive entries yields ``FALLBACK_RADIUS``.
 
-    On the distinct positive values of a row, keeping v[i] when it exceeds
-    v[i-1] * (1 + ``RADIUS_DEDUP_TOL``) is the chained rule unless two values
-    in a row are dropped; only such rows (and empty ones) take the loop.
+    A value past its predecessor's step is kept whatever came before, so only
+    runs of near-ties stay open; each round decides the first open value of
+    every run against its row's last kept value.
     """
     distinct = rows > 0.0
     distinct[:, 1:] &= rows[:, 1:] != rows[:, :-1]
+    distinct[:, 0] |= ~distinct.any(axis=1)
     row, col = np.nonzero(distinct)
     vals = rows[row, col]
+    vals[vals <= 0.0] = FALLBACK_RADIUS
     keep = np.ones(vals.size, dtype=bool)
     keep[1:] = (row[1:] != row[:-1]) | (vals[1:] > vals[:-1] * (1.0 + RADIUS_DEDUP_TOL))
-    redo = np.bincount(row, minlength=rows.shape[0]) == 0
-    redo[row[1:][~keep[1:] & ~keep[:-1]]] = True
-    if not redo.any():
-        return vals[keep], row[keep]
-    again = np.flatnonzero(redo)
-    fixed = [_dedup_sorted(v) if v.size else np.asarray([FALLBACK_RADIUS])
-             for v in (vals[row == i] for i in again)]
-    keep &= ~redo[row]
-    row = np.concatenate([row[keep], np.repeat(again, [f.size for f in fixed])])
-    order = np.argsort(row, kind="stable")
-    return np.concatenate([vals[keep], *fixed])[order], row[order]
+    open_ = ~keep
+    while open_.any():
+        head = np.flatnonzero(open_ & ~np.roll(open_, 1))
+        last = np.maximum.accumulate(np.where(keep, np.arange(vals.size), 0))
+        keep[head] = vals[head] > vals[last[head - 1]] * (1.0 + RADIUS_DEDUP_TOL)
+        open_[head] = False
+    return vals[keep], row[keep]
 
 
 def floor_log(tau: float) -> int:

@@ -248,6 +248,22 @@ def test_chained_near_ties_keep_the_chained_rule():
     assert values.tolist() == [1.0, 1.0 + 1.2e-12, 2.0] == _chained_dedup(rows[0, 1:])
     assert row.tolist() == [0, 0, 0]
     assert CHAINED_NEAR_TIES.candidate_radii(0).tolist() == [0.5, 0.5 + 6e-13, 1.0, 1.0 + 1.2e-12]
+    # a run of five open near-ties takes five rounds; rows without a positive
+    # entry yield FALLBACK_RADIUS between rows with runs
+    run = [1.0 + k * 6e-13 for k in range(6)]
+    rows = np.array([[0.0] * 7, [0.0, *run], [0.0] * 7, [0.5, 0.5, *run[:4], 3.0], [0.0] * 7])
+    values, row = nl.mmspace._dedup_rows(rows)
+    want = [_chained_dedup(np.unique(r[r > 0.0])) if np.any(r > 0.0) else [nl.mmspace.FALLBACK_RADIUS]
+            for r in rows]
+    assert values.tolist() == [v for w in want for v in w]
+    assert row.tolist() == [i for i, w in enumerate(want) for _ in w]
+    assert want[1] == [1.0, 1.0 + 1.2e-12, 1.0 + 2.4e-12]
+    # grid(d=1, n=256), the battery's input: most centers hold runs of near-ties
+    space = lab.generate_space({"kind": "grid", "d": 1, "n": 256})
+    want = _candidate_radii_reference(space)
+    family = space.balls()
+    assert family.radius.tolist() == [r for radii in want for r in radii]
+    assert family.offsets.tolist() == np.cumsum([0] + [len(r) for r in want]).tolist()
 
 
 @PROPERTY

@@ -356,6 +356,13 @@ def test_cli_negative_chain_count_is_a_config_error(tmp_path, capsys, chains):
     assert [r["value"] for r in out if r["check"] == "coefficient_chain_bound"] == [0.0]
 
 
+@pytest.mark.parametrize("budget", ["-1", "two"])
+def test_cli_negative_coeff_budget_is_a_config_error(tmp_path, capsys, budget):
+    space_path = _write_two_point(tmp_path)
+    assert cli.main(["coeff", space_path, f"--budget={budget}", "--chains=0"]) == 2
+    assert "--budget" in capsys.readouterr().err
+
+
 def test_cli_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
     # exit code 1 stays reserved for failing checks
     def broken(args):
@@ -401,6 +408,20 @@ def test_cli_experiment_generator_not_an_object_is_a_config_error(tmp_path, caps
     cfg_path.write_text(json.dumps({"generator": generator}))
     assert cli.main(["experiment", str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith("config error: experiment config needs a 'generator' object")
+
+
+@pytest.mark.parametrize("budgets", [{"pairs": "abc"}, {"triples": -3}, {"pairs": True},
+                                     {"chains": 2.0}, {"pair": 10}, [["pairs", 10]], "pairs"])
+def test_cli_experiment_malformed_budgets_are_a_config_error(tmp_path, capsys, budgets):
+    cfg = {"generator": {"kind": "grid", "d": 1, "n": 8}, "checks": ["phi_decrease"], "budgets": budgets}
+    with pytest.raises(nl.SpecError, match="budgets"):
+        lab.ExperimentConfig.from_dict(cfg)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["experiment", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: budgets")
+    zeros = dict.fromkeys(lab.BUDGETS, 0)
+    assert lab.ExperimentConfig.from_dict({**cfg, "budgets": zeros}).budgets == zeros
 
 
 def test_two_dimensional_grid_experiment_runs():
