@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -47,21 +46,13 @@ def load_space(path: str):
     "metadata": {...}}; metadata may carry {"lambda": {"kappa": ...}}."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    if "points" in raw:
-        space = mmspace.build_space(points=raw["points"], weights=raw["weights"])
-    elif "distances" in raw:
-        space = mmspace.build_space(distances=raw["distances"], weights=raw["weights"])
-    else:
-        raise SpecError("space file needs 'points' or 'distances'")
-    meta = raw.get("metadata", {})
-    kappa = meta.get("lambda", {}).get("kappa", "auto")
+    if not isinstance(raw, dict):
+        raise SpecError("space file must be a JSON object")
+    space = lab.generate_space({**raw, "kind": "atoms"})
+    kappa = raw.get("metadata", {}).get("lambda", {}).get("kappa", "auto")
     if kappa != "auto":
-        if isinstance(kappa, bool) or not isinstance(kappa, (int, float)):
-            raise SpecError(f"lambda kappa must be \"auto\" or a number, got {kappa!r}")
-        if not 0 <= kappa < math.inf:
-            raise SpecError(f"lambda kappa must be finite and nonnegative, got {kappa!r}")
-    lam = mmspace.fit_power_lambda(space, kappa)
-    return space, lam
+        kappa = lab._number(kappa, "lambda kappa", 0)
+    return space, mmspace.fit_power_lambda(space, kappa)
 
 
 def load_function(path: str, space=None) -> np.ndarray:

@@ -9,6 +9,7 @@ random vectors.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -65,6 +66,23 @@ def _grid_points(d: int, n: int) -> np.ndarray:
     return pts
 
 
+def _number(value, name: str, low: float = -math.inf, integer: bool = False):
+    """``value`` if it is a finite number of at least ``low``, and an integer
+    when ``integer`` is set (otherwise it is returned as a float); anything
+    else, bools included, raises :class:`SpecError`."""
+    if (isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+            and low <= value < math.inf):
+        return value if integer else float(value)
+    bound = "" if low == -math.inf else f" >= {low:g}"
+    raise SpecError(f"{name} must be {'an integer' if integer else 'a finite number'}{bound}, got {value!r}")
+
+
+def _grid_size(spec: dict) -> tuple:
+    """A grid generator's dimension ``d`` and points per axis ``n`` (1 and 64 when absent)."""
+    return (_number(spec.get("d", 1), "grid d", 1, integer=True),
+            _number(spec.get("n", 64), "grid n", 1, integer=True))
+
+
 def generate_space(spec: dict) -> PointCloudSpace:
     """Build a space from a generator description.
 
@@ -85,21 +103,17 @@ def generate_space(spec: dict) -> PointCloudSpace:
         raise SpecError("atoms generator needs 'points' or 'distances'")
     if kind != "grid":
         raise SpecError(f"unknown generator kind {kind!r}")
-    d = int(spec.get("d", 1))
-    n = int(spec.get("n", 64))
-    if d < 1 or n < 1:
-        raise SpecError(f"grid dimensions must be positive, got d={d}, n={n}")
+    d, n = _grid_size(spec)
     pts = _grid_points(d, n)
     total = pts.shape[0]
     wspec = spec.get("weights", "lebesgue")
     if wspec == "lebesgue":
         weights = np.full(total, float(n) ** (-d))
     elif isinstance(wspec, dict) and "power" in wspec:
-        a = float(wspec["power"])
-        raw = (np.linalg.norm(pts, axis=1) + 1.0 / n) ** a
+        raw = (np.linalg.norm(pts, axis=1) + 1.0 / n) ** _number(wspec["power"], "grid weights power")
         weights = raw / raw.sum()
     elif isinstance(wspec, dict) and "random" in wspec:
-        rng = np.random.default_rng(int(wspec["random"]))
+        rng = np.random.default_rng(_number(wspec["random"], "grid weights random", 0, integer=True))
         weights = np.exp(rng.uniform(math.log(1e-3), 0.0, size=total))
     else:
         raise SpecError(f"unknown weight spec {wspec!r}")
@@ -237,7 +251,7 @@ def generate_chains(space: PointCloudSpace, lam: DominatingFunction, tau: float,
     from tau**(i*g) to tau**((i+1)*g) times the base, of outer scale index g;
     one :func:`geometry.concentric_coefficients` call evaluates every link of
     a center, then the (base, length 3 or 4, gap) chains are read in that
-    order.
+    order from one boolean array.
     """
     chains = ChainList()
     if count <= 0:
@@ -256,13 +270,12 @@ def generate_chains(space: PointCloudSpace, lam: DominatingFunction, tau: float,
         above = (coeff.values > threshold).reshape(len(bases), len(gaps), depth)
         chains.centers_searched += 1
         chains.links_evaluated += len(r_in)
-        for b, base in enumerate(bases):
-            for length in lengths:
-                for g, gap in enumerate(gaps):
-                    if above[b, g, :length - 1].all():
-                        chains.append((c, base, [i * gap for i in range(length)]))
-                        if len(chains) >= count:
-                            return chains
+        # qualifies[b, k, g]: the first lengths[k] - 1 links of (base b, gap g) all qualify
+        qualifies = np.logical_and.accumulate(above, axis=2)[:, :, [length - 2 for length in lengths]]
+        for b, k, g in np.argwhere(qualifies.transpose(0, 2, 1)).tolist():
+            chains.append((c, bases[b], [i * gaps[g] for i in range(lengths[k])]))
+            if len(chains) >= count:
+                return chains
     return chains
 
 
@@ -275,20 +288,20 @@ def make_psi(config: Optional[dict], lam: DominatingFunction) -> RegularityFunct
     if fam == "constant":
         return spaces.constant_psi()
     if fam == "lambda_power":
-        return spaces.lambda_power_psi(lam, float(config.get("alpha", 0.5)))
+        return spaces.lambda_power_psi(lam, _number(config.get("alpha", 0.5), "psi alpha"))
     if fam == "radius_power":
-        return spaces.radius_power_psi(float(config.get("exponent", 0.25)))
+        return spaces.radius_power_psi(_number(config.get("exponent", 0.25), "psi exponent"))
     raise SpecError(f"unknown psi family {fam!r}")
 
 
 def make_phi(config: Optional[dict]) -> GrowthFunctionPhi:
     config = config or {"family": "power", "a": 1.0, "delta": 0.5}
     fam = config.get("family", "power")
-    delta = float(config.get("delta", 0.5))
+    delta = _number(config.get("delta", 0.5), "phi delta")
     if fam == "power":
-        return spaces.power_phi(float(config.get("a", 1.0)), delta)
+        return spaces.power_phi(_number(config.get("a", 1.0), "phi a"), delta)
     if fam == "shifted_power":
-        return spaces.shifted_power_phi(float(config.get("a", 1.0)), delta)
+        return spaces.shifted_power_phi(_number(config.get("a", 1.0), "phi a"), delta)
     if fam == "constant":
         return spaces.constant_phi(delta)
     raise SpecError(f"unknown phi family {fam!r}")
@@ -330,17 +343,18 @@ class ExperimentConfig:
         cfg = ExperimentConfig(
             generator=raw["generator"],
             checks=list(checks),
-            seed=int(raw.get("seed", 7)),
+            seed=_number(raw.get("seed", 7), "seed", 0, integer=True),
             params=params,
             psi=raw.get("psi"),
             phi=raw.get("phi"),
             budgets=dict(budgets),
             output_path=raw.get("output_path"),
-            max_n=int(raw.get("max_n", DEFAULT_MAX_N)),
+            max_n=_number(raw.get("max_n", DEFAULT_MAX_N), "max_n", 1, integer=True),
         )
         spec, n = cfg.generator, 2
         if spec.get("kind") == "grid":
-            n = int(spec.get("n", 64)) ** int(spec.get("d", 1))
+            d, n = _grid_size(spec)
+            n = n ** d
         elif spec.get("kind") == "atoms":  # its points, or the rows of its distances
             rows = spec.get("points", spec.get("distances"))
             n = len(rows) if hasattr(rows, "__len__") else 0
@@ -394,16 +408,35 @@ class ExperimentReport:
 # ------------------------------------------------------------------------------
 @dataclass
 class _Context:
+    """What the experiment rows, :func:`constant_battery` and
+    :func:`jn_envelope_experiment` read of one generated space; the profile,
+    the kernel and the shared constants pass are built on first read."""
+
     space: PointCloudSpace
     lam: DominatingFunction
-    profile: GeometryProfile
     psi: RegularityFunctionPsi
     phi: GrowthFunctionPhi
-    kernel: KernelSpec
     params: OperatorParams
     seed: int
     gen_name: str
     budgets: dict
+
+    @classmethod
+    def build(cls, generator: dict, params: OperatorParams, seed: int, budgets: dict,
+              psi: Optional[dict] = None, phi: Optional[dict] = None, kappa="auto") -> "_Context":
+        """Generate the space, fit lambda with exponent ``kappa``, and make psi and phi from their configs."""
+        space = generate_space(generator)
+        lam = mmspace.fit_power_lambda(space, kappa)
+        return cls(space, lam, make_psi(psi, lam), make_phi(phi), params, seed,
+                   generator_name(generator), budgets)
+
+    @functools.cached_property
+    def profile(self) -> GeometryProfile:
+        return mmspace.make_profile(self.space, self.lam)
+
+    @functools.cached_property
+    def kernel(self) -> KernelSpec:
+        return operators.make_kernel(self.space, self.lam, l=self.params.l)
 
     def budget(self, key: str) -> int:
         return int(self.budgets.get(key, BUDGETS[key]))
@@ -556,23 +589,29 @@ def _check_pointwise_domination(ctx: _Context) -> Row:
     return _row(ctx, "pointwise_domination", worst, status)
 
 
+def _jn_envelope(fit: _Context, test: _Context, count: int, radius: float) -> dict:
+    """Exponential envelope rates fitted on ``fit`` against the distributions
+    re-measured on ``test``, for ``count`` psi-adapted functions on B(middle
+    of the cube, radius) enlarged by tau = 2: how many levels lie under
+    2 * exp(-rate * t) * mu(tau B) * (1 + 1e-12), of how many."""
+    def distributions(ctx):
+        ball = Ball(_resolve_center(ctx.space, 0.5) if ctx.space.coords is not None else 0, radius)
+        return [spaces.jn_distribution(ctx.space, f, ctx.psi, ball, 2.0)
+                for f in ctx.functions(count, "psi_adapted")]
+
+    fitted = distributions(fit)
+    matched = list(zip(fitted, fitted if test is fit else distributions(test)))
+    dominated = sum(int(np.sum(t.distribution <= 2.0 * np.exp(-f.rate * t.t_values)
+                               * t.mu_tau_ball * (1.0 + 1e-12))) for f, t in matched)
+    total = sum(int(t.t_values.size) for _, t in matched)
+    return {"functions": len(matched), "dominated": dominated, "total": total,
+            "fraction": dominated / max(total, 1), "rates": [f.rate for f, _ in matched]}
+
+
 def _check_jn_envelope(ctx: _Context) -> Row:
-    count = ctx.budget("jn_functions")
-    fs = generate_functions(ctx.space, "psi_adapted", count, ctx.seed,
-                            lam=ctx.lam, psi=ctx.psi)
-    center = _resolve_center(ctx.space, 0.5) if ctx.space.coords is not None else 0
-    ball = Ball(center, max(0.25, ctx.space.diameter / 4.0))
-    dominated = 0
-    total = 0
-    rates = []
-    for f in fs:
-        rep = spaces.jn_distribution(ctx.space, f, ctx.psi, ball, 2.0)
-        dominated += _envelope_hits(rep.rate, rep)
-        total += rep.t_values.size
-        rates.append(rep.rate)
-    frac = dominated / max(total, 1)
-    return _row(ctx, "jn_envelope", frac, "pass",
-                witness={"rates": rates, "points": total})
+    res = _jn_envelope(ctx, ctx, ctx.budget("jn_functions"), max(0.25, ctx.space.diameter / 4.0))
+    return _row(ctx, "jn_envelope", res["fraction"], "pass",
+                witness={"rates": res["rates"], "points": res["total"]})
 
 
 def _check_mean_jumps(ctx: _Context) -> Row:
@@ -596,24 +635,22 @@ def _check_p_oscillation_bands(ctx: _Context) -> Row:
 def _check_operator_norm_ratios(ctx: _Context) -> Row:
     fs = ctx.functions(ctx.budget("functions"))
     mz = ctx.functions(ctx.budget("functions"), "mean_zero_random")
-    b = ctx.functions(1)[0]
-    ratios = operator_norm_ratios(ctx.space, ctx.lam, ctx.profile, ctx.psi, ctx.phi,
-                                  ctx.kernel, ctx.params, fs, mz, b,
-                                  seed=ctx.seed, pair_budget=ctx.budget("pairs"))
+    ratios = operator_norm_ratios(ctx, fs, mz, ctx.functions(1)[0])
     return _row(ctx, "operator_norm_ratios", ratios["marcinkiewicz_morrey_ratio"],
                 "pass", witness=ratios)
 
 
-def _sharp_ratio(space, lam, profile, kernel, psi, b, fs, params, pair_budget, seed) -> float:
+def _sharp_ratio(ctx: _Context, b, fs) -> float:
     """The largest sharp-maximal commutator ratio against the symbol b over fs, floored at 0."""
     return max([0.0] + [operators.check_sharp_maximal_estimate(
-        space, lam, profile, kernel, psi, b, f, params, pair_budget=pair_budget, seed=seed).value
-        for f in fs])
+        ctx.space, ctx.lam, ctx.profile, ctx.kernel, ctx.psi, b, f, ctx.params,
+        pair_budget=ctx.budget("pairs"), seed=ctx.seed).value for f in fs])
 
 
-def _embedding_reports(space, phi, fs, params) -> tuple:
+def _embedding_reports(ctx: _Context, fs) -> tuple:
     """``c10``, the largest ratio (or 0) and per f the maximal-Morrey estimate
     under psi = phi**(1/q - 1/p) of f / ||f|| at eta = tau (None if <= 1e-13)."""
+    space, phi, params = ctx.space, ctx.phi, ctx.params
     psi = spaces.phi_compatible_psi(phi, params.p, params.q)
     c10 = operators.maximal_embedding_constant(space, psi, phi, params.p, params.q)
     norms = [spaces.morrey_norm(space, f, params.p, phi, eta=params.tau) for f in fs]
@@ -625,35 +662,33 @@ def _embedding_reports(space, phi, fs, params) -> tuple:
 
 def _check_sharp_estimate(ctx: _Context) -> Row:
     return _row(ctx, "sharp_maximal_estimate", _sharp_ratio(
-        ctx.space, ctx.lam, ctx.profile, ctx.kernel, ctx.psi, ctx.functions(1)[0],
-        ctx.functions(ctx.budget("sharp_functions")), ctx.params, ctx.budget("pairs"),
-        ctx.seed), "pass")
+        ctx, ctx.functions(1)[0], ctx.functions(ctx.budget("sharp_functions"))), "pass")
 
 
 def _check_maximal_embedding(ctx: _Context) -> Row:
     fs = ctx.functions(2 * ctx.budget("embedding_functions"))
-    c10, cal, reports = _embedding_reports(ctx.space, ctx.phi, fs, ctx.params)
+    c10, cal, reports = _embedding_reports(ctx, fs)
     # the first half calibrates; only the second half is checked
     failed = any(r is not None and not r.passed for r in reports[len(fs) // 2:])
     return _row(ctx, "maximal_morrey_pointwise", cal, "fail" if failed else "pass", witness={"c10": c10})
 
 
-def operator_norm_ratios(space, lam, profile, psi, phi, kernel, params,
-                         fs, mean_zero_fs, b, *, seed=0, pair_budget=2000) -> dict:
+def operator_norm_ratios(ctx: _Context, fs, mean_zero_fs, b) -> dict:
     """Suprema over a function family of the operator norm ratios used in the
-    refinement-stability experiments.
+    refinement-stability experiments, under the context's pairs budget and seed.
 
     The Morrey ratios skip functions of Morrey norm at most 1e-13, the Lp
     ratios functions of Lp norm at most 1e-13.
     """
+    space, lam, profile, kernel = ctx.space, ctx.lam, ctx.profile, ctx.kernel
+    phi, params, pair_budget, seed = ctx.phi, ctx.params, ctx.budget("pairs"), ctx.seed
     p, q, eta = params.p, params.q, params.eta
     pot = 0.0
     marc = 0.0
     comm = 0.0
     maximal = 0.0
     doubling = 0.0
-    b_norm = spaces.campanato_norm(space, lam, b, psi, pair_budget=pair_budget,
-                                   seed=seed).norm
+    b_norm = spaces.campanato_norm(space, lam, b, ctx.psi, pair_budget=pair_budget, seed=seed).norm
     for f in fs:
         mn = spaces.morrey_norm(space, f, p, phi, eta)
         if mn > 1e-13:
@@ -714,22 +749,11 @@ def run_experiments(config: ExperimentConfig) -> ExperimentReport:
     """Execute the configured checks in declared order on a freshly generated
     space; the seed can be overridden with the NHS_LAB_SEED variable."""
     start = time.perf_counter()
-    seed = config.seed
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as exc:
-            raise SpecError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
-    space = generate_space(config.generator)
-    lam = mmspace.fit_power_lambda(space)
-    profile = mmspace.make_profile(space, lam)
-    psi = make_psi(config.psi, lam)
-    phi = make_phi(config.phi)
-    kernel = operators.make_kernel(space, lam, l=config.params.l)
-    ctx = _Context(space=space, lam=lam, profile=profile, psi=psi, phi=phi,
-                   kernel=kernel, params=config.params, seed=seed,
-                   gen_name=generator_name(config.generator), budgets=config.budgets)
+    seed = os.environ.get(SEED_ENV_VAR, config.seed)
+    with contextlib.suppress(ValueError):  # _number names text that is not an integer
+        seed = int(seed)
+    seed = _number(seed, SEED_ENV_VAR, 0, integer=True)
+    ctx = _Context.build(config.generator, config.params, seed, config.budgets, config.psi, config.phi)
     rows = []
     check_seconds: dict = {}
     tracebacks: dict = {}
@@ -743,18 +767,12 @@ def run_experiments(config: ExperimentConfig) -> ExperimentReport:
             tracebacks[name] = traceback.format_exc()
         check_seconds[name] = check_seconds.get(name, 0.0) + time.process_time() - cpu
     elapsed = time.perf_counter() - start
-    cfg_echo = {
-        "generator": config.generator,
-        "checks": config.checks,
-        "seed": seed,
-        "params": asdict(config.params),
-        "psi": config.psi,
-        "phi": config.phi,
-        "budgets": config.budgets,
-    }
+    cfg_echo = {"generator": config.generator, "checks": config.checks, "seed": ctx.seed,
+                "params": asdict(config.params), "psi": config.psi, "phi": config.phi,
+                "budgets": config.budgets}
     return ExperimentReport(rows=rows, config=cfg_echo, runtime_seconds=elapsed,
                             check_seconds=check_seconds, tracebacks=tracebacks,
-                            cache_bytes=mmspace.cache_bytes(space))
+                            cache_bytes=mmspace.cache_bytes(ctx.space))
 
 
 # ------------------------------------------------------------------------------
@@ -807,41 +825,16 @@ def emit_report(report: ExperimentReport, fmt: str = "json",
 PINNED_KAPPA = 0.8
 
 
-def _envelope_hits(rate: float, rep: spaces.JNReport) -> int:
-    """How many levels of ``rep`` lie under 2 * exp(-rate * t) * mu(tau B) * (1 + 1e-12)."""
-    envelope = 2.0 * np.exp(-rate * rep.t_values) * rep.mu_tau_ball
-    return int(np.sum(rep.distribution <= envelope * (1.0 + 1e-12)))
-
-
 def jn_envelope_experiment(generator_small: dict, generator_large: dict,
                            count: int = 20, seed: int = 7) -> dict:
     """Fit exponential envelope rates on the coarse space and measure how often
     the envelope dominates the re-measured distribution on the fine space, on
-    the ball B(middle of the cube, 0.25) enlarged by tau = 2."""
-    results = {"functions": 0, "dominated": 0, "total": 0}
-    spc_small = generate_space(generator_small)
-    spc_large = generate_space(generator_large)
-    for spc in (spc_small, spc_large):
-        if spc.coords is None:
-            raise SpecError("the envelope experiment needs coordinate-backed spaces")
-    lam_s = mmspace.fit_power_lambda(spc_small, PINNED_KAPPA)
-    lam_l = mmspace.fit_power_lambda(spc_large, PINNED_KAPPA)
-    psi = spaces.constant_psi()
-    fs_small = generate_functions(spc_small, "psi_adapted", count, seed, lam=lam_s, psi=psi)
-    fs_large = generate_functions(spc_large, "psi_adapted", count, seed, lam=lam_l, psi=psi)
-    ball_small = Ball(_resolve_center(spc_small, 0.5), 0.25)
-    ball_large = Ball(_resolve_center(spc_large, 0.5), 0.25)
-    rates = []
-    for f_s, f_l in zip(fs_small, fs_large):
-        rep_s = spaces.jn_distribution(spc_small, f_s, psi, ball_small, 2.0)
-        rep_l = spaces.jn_distribution(spc_large, f_l, psi, ball_large, 2.0)
-        results["dominated"] += _envelope_hits(rep_s.rate, rep_l)
-        results["total"] += int(rep_l.t_values.size)
-        results["functions"] += 1
-        rates.append(rep_s.rate)
-    results["fraction"] = results["dominated"] / max(results["total"], 1)
-    results["rates"] = rates
-    return results
+    the ball B(middle of the cube, 0.25) enlarged by tau = 2, under constant psi."""
+    small, large = (_Context.build(generator, OperatorParams(), seed, {}, kappa=PINNED_KAPPA)
+                    for generator in (generator_small, generator_large))
+    if small.space.coords is None or large.space.coords is None:
+        raise SpecError("the envelope experiment needs coordinate-backed spaces")
+    return _jn_envelope(small, large, count, 0.25)
 
 
 def constant_battery(generator: dict, count: int = 100, seed: int = 7,
@@ -850,44 +843,37 @@ def constant_battery(generator: dict, count: int = 100, seed: int = 7,
 
     :func:`operator_norm_ratios` and :func:`spaces.function_constants` give
     the operator ratios, norm bands and mean jumps, and the sharp and
-    embedding ratios come from the function loops of those rows.  All use the
-    default ``OperatorParams``, 5000 coefficient triples and 2000 sampled
-    pairs.  The dominating-function exponent is pinned (only its tight
-    constant is refitted per space) so that every refinement level runs the
-    same power-law family; with a per-scale exponent fit the potential
-    operator's constants inherit the drift of the exponent itself.
+    embedding ratios come from the function loops of those rows.  All read
+    one :class:`_Context` with the default ``OperatorParams``, constant psi,
+    5000 coefficient triples and 2000 sampled pairs, and the coefficient rows
+    and the constants pass are the experiment's own.  The dominating-function
+    exponent is pinned (only its tight constant is refitted per space) so that
+    every refinement level runs the same power-law family; with a per-scale
+    exponent fit the potential operator's constants inherit the drift of the
+    exponent itself.
     """
-    params = OperatorParams()
-    space = generate_space(generator)
-    lam = mmspace.fit_power_lambda(space, kappa)
-    profile = mmspace.make_profile(space, lam)
-    psi = spaces.constant_psi()
-    phi = make_phi(None)
-    kernel = operators.make_kernel(space, lam, l=params.l)
+    ctx = _Context.build(generator, OperatorParams(), seed,
+                         {"triples": 5000, "pairs": 2000, "functions": count}, kappa=kappa)
+    d = _check_coefficient_inequalities(ctx).witness
+    out = {"coeff_difference": d["difference_constant"],
+           "coeff_cross_ratio_max": d["cross_step_ratio_max"],
+           "coeff_cross_ratio_min": d["cross_step_ratio_min"],
+           "doubling_coeff_max": _check_doubling_coefficient(ctx).value}
 
-    out: dict = {}
-    rep = geometry.check_coefficient_inequalities(space, lam, (2.0, 6.0), 5000, seed)
-    out["coeff_difference"] = rep.details["difference_constant"]
-    out["coeff_cross_ratio_max"] = rep.details["cross_step_ratio_max"]
-    out["coeff_cross_ratio_min"] = rep.details["cross_step_ratio_min"]
-    out["doubling_coeff_max"] = geometry.check_doubling_coefficient_bound(
-        space, lam, profile, 6.0).value
-
-    fs = generate_functions(space, "random_bounded", count, seed)
-    mz = generate_functions(space, "mean_zero_random", count, seed)
-    b = generate_functions(space, "random_bounded", 1, seed + 104729)[0]
-    ratios = operator_norm_ratios(space, lam, profile, psi, phi, kernel, params, fs, mz, b, seed=seed)
+    fs = ctx.functions(count)
+    b = generate_functions(ctx.space, "random_bounded", 1, seed + 104729)[0]  # the battery's own symbol
+    ratios = operator_norm_ratios(ctx, fs, ctx.functions(count, "mean_zero_random"), b)
     del ratios["b_norm"]  # an input of the ratios, not a constant of the battery
 
-    constants = spaces.function_constants(space, lam, psi, fs, 2000, seed)
+    constants = ctx.constants
     out.update({f"mean_jump_{key}": value for key, value in constants["mean_jump_max"].items()})
     bands = constants["equivalence"].details["bands"]
     for name, key in (("tau", "tau2_gamma1_vs_tau6_gamma1"), ("gamma", "tau2_gamma1_vs_tau2_gamma2")):
         out[f"norm_band_{name}_min"], out[f"norm_band_{name}_max"] = bands.get(key, (math.inf, -math.inf))
     for name, band in constants["p_oscillation"].items():
         out[f"p_osc_band_{name}_min"], out[f"p_osc_band_{name}_max"] = band
-    out["sharp_commutator_ratio"] = _sharp_ratio(space, lam, profile, kernel, psi, b, fs, params, 2000, seed)
-    out["maximal_embedding_ratio"] = _embedding_reports(space, phi, fs, params)[1]
+    out["sharp_commutator_ratio"] = _sharp_ratio(ctx, b, fs)
+    out["maximal_embedding_ratio"] = _embedding_reports(ctx, fs)[1]
     out.update(ratios)
     return out
 

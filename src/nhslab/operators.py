@@ -64,7 +64,6 @@ class OperatorParams:
     q: float = 2.0
     tau: float = 5.0
     eta: float = 2.0
-    delta: float = 0.5
     sigma: float = 0.2
     gamma: float = 1.0
 
@@ -83,8 +82,6 @@ class OperatorParams:
             raise InvalidParams(f"tau must be at least 5, got {self.tau!r}")
         if not self.eta > 1:
             raise InvalidParams(f"eta must exceed 1, got {self.eta!r}")
-        if not 0.0 < self.delta < 1.0:
-            raise InvalidParams(f"delta must lie in (0, 1), got {self.delta!r}")
         if not self.sigma > 0:
             raise InvalidParams(f"sigma must be positive, got {self.sigma!r}")
         if not self.gamma >= 1:

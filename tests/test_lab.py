@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,6 +277,30 @@ def test_chain_row_says_when_its_pass_is_vacuous(generator, qualifying):
 
 
 # ------------------------------------------------------------------------------
+# cross-refinement experiments
+# ------------------------------------------------------------------------------
+BATTERY_PATH = Path(__file__).parent / "data" / "battery_grid1d_32.json"
+
+
+def test_battery_and_envelope_experiment_match_the_stored_numbers():
+    # constant_battery(grid(d=1, n=32), 4, 7, kappa=0.8) and the envelope
+    # experiment 16 -> 32 with 5 functions at seed 7, within 1e-9 relative to
+    # max(|a|, |b|, 1): BLAS kernels can differ in the last bit across hosts
+    def grid(n):
+        return {"kind": "grid", "d": 1, "n": n}
+
+    got = {"battery": lab.constant_battery(grid(32), 4, 7, kappa=0.8),
+           "jn_envelope": lab.jn_envelope_experiment(grid(16), grid(32), count=5, seed=7)}
+    want = json.loads(BATTERY_PATH.read_text())
+    for part, stored in want.items():
+        assert list(got[part]) == list(stored), part
+        for key, value in stored.items():
+            a, b = np.atleast_1d(got[part][key]), np.atleast_1d(value)
+            scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+            assert a.shape == b.shape and np.all(np.abs(a - b) <= 1e-9 * scale), (part, key, a, b)
+
+
+# ------------------------------------------------------------------------------
 # command-line interface
 # ------------------------------------------------------------------------------
 def _write_two_point(tmp_path):
@@ -422,6 +447,41 @@ def test_cli_experiment_malformed_budgets_are_a_config_error(tmp_path, capsys, b
     assert capsys.readouterr().err.startswith("config error: budgets")
     zeros = dict.fromkeys(lab.BUDGETS, 0)
     assert lab.ExperimentConfig.from_dict({**cfg, "budgets": zeros}).budgets == zeros
+
+
+@pytest.mark.parametrize("change, env_seed", [
+    ({"seed": "abc"}, None),
+    ({"seed": 2.7}, None),
+    ({"seed": -1}, None),
+    ({"seed": True}, None),
+    ({"max_n": "x"}, None),
+    ({"max_n": 600.5}, None),
+    ({"generator": {"kind": "grid", "d": 1, "n": "eight"}}, None),
+    ({"generator": {"kind": "grid", "d": 1.5, "n": 8}}, None),
+    ({"generator": {"kind": "grid", "d": 1, "n": 8, "weights": {"power": "x"}}}, None),
+    ({"generator": {"kind": "grid", "d": 1, "n": 8, "weights": {"random": -1}}}, None),
+    ({"generator": {"kind": "grid", "d": 1, "n": 8, "weights": {"random": 2.5}}}, None),
+    ({"psi": {"family": "radius_power", "exponent": "x"}}, None),
+    ({"psi": {"family": "lambda_power", "alpha": True}}, None),
+    ({"phi": {"family": "power", "a": True, "delta": 0.5}}, None),
+    ({"phi": {"family": "constant", "delta": math.nan}}, None),
+    ({"params": {"delta": 0.5}}, None),
+    ({}, "-1"),
+])
+def test_cli_experiment_malformed_numbers_are_config_errors(tmp_path, capsys, monkeypatch, change, env_seed):
+    # a number that is not an integer (or, for the weight, psi and phi
+    # fields, a finite number) in range exits 2; none runs truncated.
+    # OperatorParams has no delta (phi's delta is set in "phi")
+    cfg = {"generator": {"kind": "grid", "d": 1, "n": 8}, "checks": ["coefficient_inequalities"],
+           "seed": 7, "budgets": {"triples": 50}, **change}
+    if env_seed is None:
+        monkeypatch.delenv(lab.SEED_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(lab.SEED_ENV_VAR, env_seed)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["experiment", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_two_dimensional_grid_experiment_runs():
