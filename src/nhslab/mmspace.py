@@ -519,43 +519,50 @@ def _check_triangle(dist: np.ndarray) -> None:
 # ------------------------------------------------------------------------------
 # Geometric doubling estimate
 # ------------------------------------------------------------------------------
+#: Float64 elements per block of cover rows in the doubling count (256 KB).
+_COVER_BLOCK = 1 << 15
+
+
 def estimate_geometric_doubling(space: PointCloudSpace) -> int:
     """Upper bound the geometric doubling count of the space.
 
     Every candidate ball B(c, r) is covered greedily by balls of radius r/2
     centered at its members (farthest-point traversal from c, ties going to
     the lowest point index); a greedy cover is a valid cover, so its largest
-    size is a valid, possibly non-tight, doubling count.  One batched greedy
-    runs per center over all R of its candidate radii, in O(R n N0) time and
-    one R x n buffer: row i holds each member's distance to the cover of
-    B(c, r_i) (-inf off the ball) and every step adds each row's farthest
-    point.  Steps only lower a covered row, so the center's largest cover is
-    the number of steps until no row has a member beyond its r_i/2.
+    size is a valid, possibly non-tight, doubling count.
+
+    The balls of every center run together in blocks of ``_COVER_BLOCK // n``
+    rows, one 256 KB buffer: row i holds each member's distance to the cover
+    of ball i (-inf off the ball), and each step adds every row's farthest
+    point.  Steps only lower a row, so a row with no member beyond its r/2 is
+    finished and dropped; the block's largest cover is the number of steps
+    until no row is left, in O(rows n steps) time.
 
     Only rows that can raise the count run: balls of one center with equal
     member counts have the same members and the same traversal, which a
     larger r/2 only stops sooner, so each run of counts keeps its smallest
-    radius; and a ball of at most ``best`` members needs at most ``best``.
+    radius; and a ball of at most ``best`` members, the largest cover of the
+    blocks before, needs at most ``best``.
     """
     family = space.balls()
     counts = family.counts()
-    best = 1
-    for c in range(space.n):
-        s = family.segment(c)
-        k = counts[s]
-        rises = np.ones(k.size, dtype=bool)
-        rises[1:] = k[1:] != k[:-1]
-        r = family.radius[s][rises & (k > best)]
-        if not r.size:
-            continue
-        row = space.dist[c]
-        mind = np.where(row <= r[:, None], row, -np.inf)
-        half, rows = r / 2.0, np.arange(r.size)
-        count = 1
+    rises = np.ones(counts.size, dtype=bool)
+    rises[1:] = (counts[1:] != counts[:-1]) | (family.center[1:] != family.center[:-1])
+    rows = np.flatnonzero(rises & (counts > 1))
+    step, best = max(1, _COVER_BLOCK // space.n), 1
+    for b0 in range(0, rows.size, step):
+        b = rows[b0:b0 + step]
+        b = b[counts[b] > best]
+        r, mind = family.radius[b], space.dist[family.center[b]]
+        mind[mind > r[:, None]] = -np.inf
+        half, count = r / 2.0, 1
         while True:
             far = np.argmax(mind, axis=1)
-            if not np.any(mind[rows, far] > half):
+            live = mind[np.arange(half.size), far] > half
+            if not live.any():
                 break
+            if not live.all():
+                mind, half, far = mind[live], half[live], far[live]
             count += 1
             np.minimum(mind, space.dist[far], out=mind)
         best = max(best, count)

@@ -42,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -51,7 +52,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import nhslab as nl
-from nhslab import geometry, lab, operators, spaces
+from nhslab import geometry, lab, mmspace, operators, spaces
 from nhslab.geometry import Ball, ball_measure, coefficient_tables, nested_pairs
 from nhslab.operators import OperatorParams
 from nhslab.spaces import CampanatoNormReport, ball_mean
@@ -1001,8 +1002,9 @@ TIE_SENSITIVE = nl.build_space(distances=[[0, 3, 5, 1, 2], [3, 0, 2, 3, 2], [5, 
 
 def _batched_doubling(space):
     """The batched greedy ``estimate_geometric_doubling`` ran before it
-    skipped rows: one farthest-point step per round over every candidate
-    radius of a center."""
+    skipped rows and ran blocks of rows across centers: one farthest-point
+    step per round over every candidate radius of a center, until none of
+    them has a member beyond its r/2."""
     family = space.balls()
     best = 1
     for c in range(space.n):
@@ -1025,7 +1027,11 @@ def _batched_doubling(space):
 @given(st.one_of(small_spaces(), small_spaces(coincident=True)))
 @example(TIE_SENSITIVE)
 def test_doubling_count_skipping_rows_equals_batched_greedy(space):
-    assert nl.estimate_geometric_doubling(space) == _batched_doubling(space)
+    want = _batched_doubling(space)
+    assert nl.estimate_geometric_doubling(space) == want
+    # one row per block: blocks split centers and ``best`` prunes across them
+    with mock.patch.object(mmspace, "_COVER_BLOCK", 1):
+        assert nl.estimate_geometric_doubling(space) == want
 
 
 @PROPERTY
@@ -1034,9 +1040,33 @@ def test_doubling_count_skipping_rows_equals_batched_greedy(space):
 def test_doubling_count_equals_per_ball_greedy(space):
     count = nl.estimate_geometric_doubling(space)
     assert count == _per_ball_doubling(space)
+    with mock.patch.object(mmspace, "_COVER_BLOCK", 1):
+        assert nl.estimate_geometric_doubling(space) == count
     if space.n <= 7:
         # a greedy cover is a cover, so it is no smaller than the least one
         assert count >= _exhaustive_doubling_count(space)
+
+
+@pytest.mark.parametrize("generator, want", [({"kind": "grid", "d": 1, "n": 256}, 3),
+                                             ({"kind": "grid", "d": 2, "n": 16}, 13)])
+def test_doubling_count_in_many_blocks_equals_batched_greedy(generator, want):
+    # 256 points: a block holds 128 rows, so the family spans many blocks
+    space = lab.generate_space(generator)
+    assert len(space.balls()) > mmspace._COVER_BLOCK // space.n
+    assert nl.estimate_geometric_doubling(space) == _batched_doubling(space) == want
+
+
+def test_doubling_count_peaks_in_its_blocks():
+    # a buffer over the whole family would take about 1.2 GB at n = 512
+    space = lab.generate_space({"kind": "grid", "d": 1, "n": 512})
+    space.balls().counts()
+    tracemalloc.start()
+    try:
+        assert nl.estimate_geometric_doubling(space) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20, peak
 
 
 # ------------------------------------------------------------------------------
