@@ -11,11 +11,11 @@ class DimensionMismatch(NhsLabError):
 
 
 class NonPositiveWeight(NhsLabError):
-    """An atom weight is zero or negative."""
+    """An atom weight is not a positive finite number."""
 
 
 class MetricViolation(NhsLabError):
-    """The distance data violates a metric axiom; the message names the witness."""
+    """The distance data is not finite or violates a metric axiom; the message names the witness."""
 
 
 class DegenerateRadii(NhsLabError):

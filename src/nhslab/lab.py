@@ -96,11 +96,10 @@ def generate_space(spec: dict) -> PointCloudSpace:
     if kind == "two_point":
         return two_point_space()
     if kind == "atoms":
-        if "points" in spec:
-            return mmspace.build_space(points=spec["points"], weights=spec["weights"])
-        if "distances" in spec:
-            return mmspace.build_space(distances=spec["distances"], weights=spec["weights"])
-        raise SpecError("atoms generator needs 'points' or 'distances'")
+        key = next((k for k in ("points", "distances") if k in spec), None)
+        if key is None or "weights" not in spec:
+            raise SpecError("atoms generator needs 'points' or 'distances', and 'weights'")
+        return mmspace.build_space(weights=spec["weights"], **{key: spec[key]})
     if kind != "grid":
         raise SpecError(f"unknown generator kind {kind!r}")
     d, n = _grid_size(spec)

@@ -1,12 +1,16 @@
 """Finite metric measure spaces and their dominating functions.
 
 A :class:`PointCloudSpace` is a finite set of atoms with pairwise distances
-and positive weights.  Everything downstream (coefficients, norms, operators)
-enumerates *candidate balls*: for each center, the closed balls whose radii
-are the distances of that center and their halves (``RADIUS_MULTIPLIERS``).
-On an atomic space ball membership only changes at those distances, so the
-family is finite and canonical, up to one merge: a radius is kept when it
-exceeds the last kept radius of its center by the factor 1 + ``RADIUS_DEDUP_TOL``.
+and positive weights.  :func:`build_space` is the one gate for outside input:
+it takes finite numbers only, trusts coordinates to give a metric (the
+Euclidean one), and checks a distance matrix on every triple.
+
+Everything downstream (coefficients, norms, operators) enumerates *candidate
+balls*: for each center, the closed balls whose radii are the distances of
+that center and their halves (``RADIUS_MULTIPLIERS``).  On an atomic space
+ball membership only changes at those distances, so the family is finite and
+canonical, up to one merge: a radius is kept when it exceeds the last kept
+radius of its center by the factor 1 + ``RADIUS_DEDUP_TOL``.
 
 The family is built once per space as a flat :class:`BallFamily`: ball ``b``
 is ``B(center[b], radius[b])``, the balls of one center are contiguous with
@@ -76,12 +80,6 @@ RADIUS_MULTIPLIERS = (0.5, 1.0)
 
 #: Radius assigned to a center with no positive distances (singleton space).
 FALLBACK_RADIUS = 1.0
-
-#: ``build_space`` checks the triangle inequality on every triple of a space
-#: with at most this many points, and above it on ``TRIANGLE_SAMPLE_FACTOR *
-#: n**2`` random triples (generator seed 0).
-TRIANGLE_EXHAUSTIVE_LIMIT = 2048
-TRIANGLE_SAMPLE_FACTOR = 10
 
 
 def _arrays(value) -> list:
@@ -434,11 +432,15 @@ def build_space(
 ) -> PointCloudSpace:
     """Build and validate a finite metric measure space.
 
-    Exactly one of ``points`` (coordinates; Euclidean metric) or ``distances``
-    (a full square matrix) must be given.  The metric axioms are verified
-    exhaustively up to ``TRIANGLE_EXHAUSTIVE_LIMIT`` points and on
-    ``TRIANGLE_SAMPLE_FACTOR * n**2`` random triples above that, with a
-    relative slack of ``METRIC_REL_TOL`` for coordinate rounding.
+    Exactly one of ``points`` (coordinates) or ``distances`` (a full square
+    matrix) must be given, with one positive finite weight per point, and
+    every distance must be finite (NaN or inf coordinates, or an overflowing
+    Euclidean distance, raise :class:`MetricViolation`).  Coordinates give the
+    Euclidean matrix, a metric by construction up to rounding far inside
+    ``METRIC_REL_TOL``, which is not checked again.  A distance matrix must be
+    nonnegative, with a zero diagonal and symmetric up to ``METRIC_REL_TOL``
+    times max(its largest entry, 1); it is symmetrised, and
+    :func:`_check_triangle` checks every triple.
     """
     if (points is None) == (distances is None):
         raise DimensionMismatch("provide exactly one of points= or distances=")
@@ -448,30 +450,34 @@ def build_space(
     n = w.shape[0]
     if n < 1:
         raise DimensionMismatch("a space needs at least one point")
-    bad = np.nonzero(~(w > 0.0))[0]
+    bad = np.nonzero(~((w > 0.0) & (w < math.inf)))[0]
     if bad.size:
-        raise NonPositiveWeight(f"weight of point {int(bad[0])} is {w[bad[0]]!r}; weights must be positive")
+        raise NonPositiveWeight(f"weight of point {int(bad[0])} is {w[bad[0]]!r}; "
+                                "weights must be positive and finite")
 
     coords = None
     if points is not None:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.shape[0] != n:
-            raise DimensionMismatch(f"{pts.shape[0]} points but {n} weights")
-        coords = pts
-        dist = _euclidean_matrix(pts)
+        coords = np.asarray(points, dtype=float)
+        if coords.ndim == 1:
+            coords = coords[:, None]
+        if coords.shape[0] != n:
+            raise DimensionMismatch(f"{coords.shape[0]} points but {n} weights")
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite input fails below
+            dist = _euclidean_matrix(coords)
     else:
         dist = np.asarray(distances, dtype=float)
         if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
             raise DimensionMismatch("distance matrix must be square")
         if dist.shape[0] != n:
             raise DimensionMismatch(f"{dist.shape[0]}x{dist.shape[0]} distances but {n} weights")
-        scale = float(np.abs(dist).max()) if dist.size else 0.0
+    if not np.isfinite(dist).all():
+        i, j = np.argwhere(~np.isfinite(dist))[0]
+        raise MetricViolation(f"distance d({i},{j}) = {dist[i, j]!r} is not finite")
+    if coords is None:
         if np.any(dist < 0):
             i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
             raise MetricViolation(f"negative distance d({i},{j}) = {dist[i, j]!r}")
-        slack = METRIC_REL_TOL * max(scale, 1.0)
+        slack = METRIC_REL_TOL * max(float(dist.max()), 1.0)
         if np.any(np.abs(np.diag(dist)) > slack):
             i = int(np.argmax(np.abs(np.diag(dist))))
             raise MetricViolation(f"nonzero diagonal entry d({i},{i}) = {dist[i, i]!r}")
@@ -481,39 +487,31 @@ def build_space(
             raise MetricViolation(f"asymmetry at ({i},{j}): {dist[i, j]!r} vs {dist[j, i]!r}")
         dist = 0.5 * (dist + dist.T)
         np.fill_diagonal(dist, 0.0)
-
-    _check_triangle(dist)
+        _check_triangle(dist)
     return PointCloudSpace(dist, w, coords)
 
 
 def _check_triangle(dist: np.ndarray) -> None:
-    n = dist.shape[0]
-    if n <= 2:
-        return
-    if n <= TRIANGLE_EXHAUSTIVE_LIMIT:
-        slack = METRIC_REL_TOL * np.maximum(dist, 1.0)
-        for k in range(n):
-            bound = dist[:, k : k + 1] + dist[k : k + 1, :]
-            viol = dist - bound - slack
-            if np.any(viol > 0):
-                i, j = np.unravel_index(int(np.argmax(viol)), viol.shape)
-                raise MetricViolation(
-                    f"triangle inequality fails on ({i},{k},{j}): "
-                    f"d({i},{j})={dist[i, j]!r} > d({i},{k})+d({k},{j})={bound[i, j]!r}"
-                )
-        return
-    rng = np.random.default_rng(0)
-    triples = rng.integers(0, n, size=(TRIANGLE_SAMPLE_FACTOR * n * n, 3))
-    i, k, j = triples[:, 0], triples[:, 1], triples[:, 2]
-    lhs = dist[i, j]
-    rhs = dist[i, k] + dist[k, j]
-    viol = lhs - rhs - METRIC_REL_TOL * np.maximum(lhs, 1.0)
-    if np.any(viol > 0):
-        t = int(np.argmax(viol))
-        raise MetricViolation(
-            f"triangle inequality fails on sampled triple ({i[t]},{k[t]},{j[t]}): "
-            f"{lhs[t]!r} > {rhs[t]!r}"
-        )
+    """Check d(i, j) <= d(i, k) + d(k, j) on every triple of a finite symmetric
+    matrix, with a slack of ``METRIC_REL_TOL * max(d(i, j), 1)``.
+
+    One step per middle point k writes the excess of every pair (i, j) into
+    one n x n buffer: O(n**3) time, O(n**2) memory.  The first k with a
+    positive excess raises :class:`MetricViolation`, naming the pair of its
+    largest excess (the first in row order on ties).
+    """
+    slack = METRIC_REL_TOL * np.maximum(dist, 1.0)
+    viol = np.empty_like(dist)
+    for k in range(dist.shape[0]):
+        np.add(dist[:, k:k + 1], dist[k:k + 1, :], out=viol)
+        np.subtract(dist, viol, out=viol)
+        np.subtract(viol, slack, out=viol)
+        if viol.max() > 0:
+            i, j = np.unravel_index(int(np.argmax(viol)), viol.shape)
+            raise MetricViolation(
+                f"triangle inequality fails on ({i},{k},{j}): "
+                f"d({i},{j})={dist[i, j]!r} > d({i},{k})+d({k},{j})={dist[i, k] + dist[k, j]!r}"
+            )
 
 
 # ------------------------------------------------------------------------------

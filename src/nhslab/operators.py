@@ -102,22 +102,6 @@ def power_theta(a: float) -> Callable:
     return theta
 
 
-def zero_theta() -> Callable:
-    def theta(t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    theta.family = "zero"
-    return theta
-
-
-def constant_theta() -> Callable:
-    def theta(t):
-        return np.ones_like(np.asarray(t, dtype=float))
-
-    theta.family = "constant(1)"
-    return theta
-
-
 #: Gauss-Kronrod G10-K21 rule on [-1, 1] (Kronrod 1965, as tabulated by
 #: QUADPACK's qk21, Piessens et al. 1983): the 21 Kronrod abscissae in
 #: descending order (the odd positions 1, 3, ..., 9 are the 10-point Gauss

@@ -93,13 +93,6 @@ def lambda_power_psi(lam: DominatingFunction, alpha: float) -> RegularityFunctio
                                  family="lambda_power", param=alpha)
 
 
-def weight_psi(space: PointCloudSpace) -> RegularityFunctionPsi:
-    """Center-dependent, radius-free normalizer; useful as a comparability
-    stress case because wildly varying weights break the equal-radius bound."""
-    w = space.weights
-    return RegularityFunctionPsi(lambda c, r: w[c], family="weight", param=None)
-
-
 def power_phi(a: float, delta: float = 0.5) -> GrowthFunctionPhi:
     if not a > 0:
         raise InvalidExponent(f"power decay exponent must be positive, got {a!r}")

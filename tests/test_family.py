@@ -61,6 +61,13 @@ from test_mmspace import _exhaustive_doubling_count
 PROPERTY = settings(max_examples=60, deadline=None)
 
 
+def weight_psi(space):
+    """Center-dependent, radius-free normalizer; useful as a comparability
+    stress case because wildly varying weights break the equal-radius bound."""
+    w = space.weights
+    return spaces.RegularityFunctionPsi(lambda c, r: w[c], family="weight", param=None)
+
+
 # ------------------------------------------------------------------------------
 # Strategies
 # ------------------------------------------------------------------------------
@@ -142,7 +149,7 @@ def radial_functions(draw, space):
     return draw(st.sampled_from([
         lam, lab.two_point_lambda(), phi,
         spaces.constant_psi(), spaces.radius_power_psi(expo),
-        spaces.lambda_power_psi(lam, expo), spaces.weight_psi(space),
+        spaces.lambda_power_psi(lam, expo), weight_psi(space),
         spaces.phi_compatible_psi(phi, 2.0, draw(st.floats(2.0, 8.0))),
     ]))
 
@@ -423,7 +430,7 @@ def _scatter_reference(space, per_center):
 def test_morrey_and_oscillation_norms_equal_per_center_loops(data, p, tau):
     space, f = data
     phi = spaces.shifted_power_phi(1.0)
-    psi = spaces.weight_psi(space)
+    psi = weight_psi(space)
     power = space.prefix_of(np.abs(f) ** p * space.weights)
     want = _per_center_sup(space, lambda c, radii: (
         power[c][space.counts(c, radii)] / (phi.table(c, radii) * _mu(space, c, tau * radii))) ** (1.0 / p))
@@ -448,7 +455,7 @@ def test_morrey_and_oscillation_norms_equal_per_center_loops(data, p, tau):
 @given(spaces_and_functions(), st.sampled_from([5.0, 6.0]))
 def test_maximal_operators_equal_per_center_loops(data, tau):
     space, f = data
-    psi = spaces.weight_psi(space)
+    psi = weight_psi(space)
     phi = spaces.power_phi(0.5)
     power = space.prefix_of(np.abs(f) ** 2.0 * space.weights)
 
@@ -718,7 +725,7 @@ def test_campanato_and_mean_jump_ladders_equal_per_center_loops(data, tau, gamma
         lam = nl.fit_power_lambda(space, kappa)
     except nl.errors.DegenerateRadii:
         reject()
-    psi = spaces.weight_psi(space)
+    psi = weight_psi(space)
     with mock.patch.object(geometry, "EXHAUSTIVE_PAIR_LIMIT", 0):
         report = spaces.campanato_norm(space, lam, f, psi, tau, gamma, pair_budget=0)
     assert (report.regularity_sup, report.regularity_witness) == \
@@ -755,7 +762,7 @@ def test_ladders_and_sharp_maximal_equal_per_center_loops_on_medium_spaces(make_
     # sparse-table windows of sharp_maximal stay at most 4 rows deep
     space = make_space()
     assert space.balls().windows(6.0)[0] > 4
-    lam, psi = _lam(space), spaces.weight_psi(space)
+    lam, psi = _lam(space), weight_psi(space)
     f = np.random.default_rng(space.n).uniform(-1.0, 1.0, space.n)
     with mock.patch.object(geometry, "EXHAUSTIVE_PAIR_LIMIT", 0):
         for tau, gamma in spaces.NORM_COMBOS:
@@ -931,7 +938,7 @@ def test_fit_and_doubling_indices_equal_per_center_loops(space):
 @PROPERTY
 @given(small_spaces())
 def test_psi_and_phi_validators_equal_per_center_loops(space):
-    psi = spaces.weight_psi(space)
+    psi = weight_psi(space)
     worst, witness = 1.0, {}
     for c in range(space.n):
         radii = space.candidate_radii(c)
@@ -1188,7 +1195,7 @@ def test_ladder_levels_equal_the_dense_oracle_and_every_reader_stays_inside(spac
     nl.check_doubling_coefficient_bound(space, lam, PROFILE, tau)
     report = geometry.check_coefficient_inequalities(space, lam, (tau, 6.0), 200, 0)
     assert report.details == _coefficient_inequalities_reference(space, lam, (tau, 6.0), 200, 0)[3]
-    f, psi = np.cos(np.arange(space.n)), spaces.weight_psi(space)
+    f, psi = np.cos(np.arange(space.n)), weight_psi(space)
     with mock.patch.object(geometry, "EXHAUSTIVE_PAIR_LIMIT", 0):
         report = spaces.campanato_norm(space, lam, f, psi, tau, 2.0, pair_budget=0)
         assert (report.regularity_sup, report.regularity_witness) == \
@@ -1291,7 +1298,7 @@ def test_exhaustive_suprema_equal_pair_loops(space, values, weighted, kappa):
     except nl.errors.DegenerateRadii:
         reject()
     profile = nl.make_profile(space, lam)
-    psi = spaces.weight_psi(space) if weighted else spaces.constant_psi()
+    psi = weight_psi(space) if weighted else spaces.constant_psi()
     for f in (np.asarray(values[:space.n]), np.round(values[:space.n])):
         reports = spaces.campanato_norm_multi(space, lam, f, psi, ORACLE_COMBOS)
         assert reports == [_campanato_exhaustive(space, lam, f, psi, tau, gamma)
@@ -1810,7 +1817,7 @@ def test_replayed_samples_equal_draw_loops(space, budget, seed):
     assert np.array_equal(sample.b1, inner) and np.array_equal(sample.b2, outer)
 
     lam = nl.fit_power_lambda(space, 1.0)
-    psi = spaces.weight_psi(space)
+    psi = weight_psi(space)
     f = np.random.default_rng(seed).uniform(-1.0, 1.0, size=space.n)
     rep = spaces.check_mean_jump_bounds(space, lam, f, psi, (2.0, 6.0), budget, seed, norm=0.5)
     per_k, iterated = _mean_jump_reference(space, f, psi, (2.0, 6.0), 0.5)

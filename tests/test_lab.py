@@ -62,6 +62,8 @@ def test_generator_errors():
         lab.generate_space({"kind": "mystery"})
     with pytest.raises(SpecError):
         lab.generate_space({"kind": "grid", "weights": "unknown-kind"})
+    with pytest.raises(SpecError, match="'weights'"):
+        lab.generate_space({"kind": "atoms", "points": [[0.0], [1.0]]})
 
 
 # ------------------------------------------------------------------------------
@@ -355,6 +357,21 @@ def test_cli_negative_kappa_is_a_config_error(tmp_path, capsys, kappa):
         "metadata": {"lambda": {"kappa": kappa}}}))
     assert cli.main(["validate", str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error: lambda kappa")
+
+
+@pytest.mark.parametrize("space, code, err", [
+    ({"points": [[0.0], [1.0], [3.0]]}, 2, "config error: atoms generator needs"),
+    ([[0.0], [1.0]], 2, "config error: space file must be a JSON object"),
+    ({"points": [[0.0], [1.0]], "weights": [1.0, math.inf]}, 1, "check error: weight of point 1"),
+    ({"distances": [[0.0, math.nan], [math.nan, 0.0]], "weights": [1.0, 1.0]}, 1,
+     "check error: distance d(0,1)"),
+])
+def test_cli_malformed_space_file(tmp_path, capsys, space, code, err):
+    # a missing key is a config error; a non-finite number fails the build by name
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    assert cli.main(["validate", str(path)]) == code
+    assert capsys.readouterr().err.startswith(err)
 
 
 @pytest.mark.parametrize("tau", ["1.0", "0.5", "-3", "nan"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import warnings
 from itertools import combinations
 from unittest import mock
@@ -44,17 +45,102 @@ def test_triangle_violation_reports_triple():
     assert "triangle" in str(err.value)
 
 
-def test_sampled_triangle_check_finds_a_planted_violation():
+def test_triangle_check_finds_a_planted_violation():
     # d(0, 1) = 10 exceeds d(0, k) + d(k, 1) = 2 through each of the four other points
     bad = np.ones((6, 6)) - np.eye(6)
     bad[0, 1] = bad[1, 0] = 10.0
-    with mock.patch.object(mmspace, "TRIANGLE_EXHAUSTIVE_LIMIT", 5):
-        with pytest.raises(MetricViolation, match="sampled triple"):
-            nl.build_space(distances=bad, weights=np.ones(6))
-        # a metric passes the sampled branch
-        nl.build_space(distances=np.ones((6, 6)) - np.eye(6), weights=np.ones(6))
     with pytest.raises(MetricViolation, match="fails on \\(0,"):
         nl.build_space(distances=bad, weights=np.ones(6))
+
+
+def test_triangle_check_reaches_the_last_middle_point():
+    # entries in [1, 1.5] are a metric; the legs d(a, n-1) = d(n-1, b) = 0.5
+    # break d(a, b) = 1.5 through the last point only
+    n, a, b = 300, 17, 203
+    rng = np.random.default_rng(5)
+    d = np.triu(rng.uniform(1.0, 1.5, (n, n)), 1)
+    d = d + d.T
+    d[a, n - 1] = d[n - 1, a] = d[b, n - 1] = d[n - 1, b] = 0.5
+    d[a, b] = d[b, a] = 1.5
+    with pytest.raises(MetricViolation) as err:
+        nl.build_space(distances=d, weights=np.ones(n))
+    assert str(err.value) == (f"triangle inequality fails on ({a},{n - 1},{b}): "
+                              f"d({a},{b})={np.float64(1.5)!r} > "
+                              f"d({a},{n - 1})+d({n - 1},{b})={np.float64(1.0)!r}")
+
+
+def _triangle_loop(d):
+    """The message of the first violated triple, middle point k outermost and
+    the largest excess (first in row order) within it, or None: a plain loop."""
+    n = d.shape[0]
+    for k in range(n):
+        worst = None
+        for i in range(n):
+            for j in range(n):
+                excess = (d[i, j] - (d[i, k] + d[k, j])) - 1e-12 * max(d[i, j], 1.0)
+                if excess > 0 and (worst is None or excess > worst[0]):
+                    worst = (excess, i, j)
+        if worst is not None:
+            _, i, j = worst
+            return (f"triangle inequality fails on ({i},{k},{j}): "
+                    f"d({i},{j})={d[i, j]!r} > d({i},{k})+d({k},{j})={d[i, k] + d[k, j]!r}")
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 12), st.integers(0, 10_000), st.integers(-60, 60))
+def test_triangle_check_equals_a_triple_loop(n, seed, scale_exp):
+    # points of a line give equality on every ordered triple; nudging entries
+    # by a few slacks puts triples on both sides of the check's cut
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.integers(0, 4 * n, n)).astype(float) * 2.0 ** scale_exp
+    d = np.abs(x[:, None] - x[None, :])
+    nudge = np.triu(rng.integers(-3, 4, (n, n)) * rng.uniform(0.0, 1.0, (n, n)) * 1e-12, 1)
+    d = np.maximum(d + (nudge + nudge.T) * np.maximum(d, 1.0), 0.0)
+    want = _triangle_loop(d)
+    if want is None:
+        assert np.array_equal(nl.build_space(distances=d, weights=np.ones(n)).dist, d)
+    else:
+        with pytest.raises(MetricViolation) as err:
+            nl.build_space(distances=d, weights=np.ones(n))
+        assert str(err.value) == want
+
+
+def test_coordinates_skip_the_triangle_check():
+    rng = np.random.default_rng(11)
+    points, weights = rng.uniform(-1.0, 1.0, (40, 3)), np.ones(40)
+    with mock.patch.object(mmspace, "_check_triangle", side_effect=AssertionError("called")) as check:
+        space = nl.build_space(points=points, weights=weights)
+        with pytest.raises(AssertionError, match="called"):
+            nl.build_space(distances=space.dist, weights=weights)
+    assert check.call_count == 1
+    assert np.array_equal(space.dist, mmspace._euclidean_matrix(points))
+    assert np.array_equal(nl.build_space(distances=space.dist, weights=weights).dist, space.dist)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 24), st.integers(1, 64), st.integers(-100, 100), st.integers(0, 10_000))
+def test_euclidean_matrices_pass_the_triangle_check(n, dim, scale_exp, seed):
+    # why build_space(points=...) runs no triangle pass
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-1.0, 1.0, (n, dim)) * 10.0 ** scale_exp
+    mmspace._check_triangle(mmspace._euclidean_matrix(points))
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"distances": [[0, math.nan, 1], [math.nan, 0, 1], [1, 1, 0]]}, MetricViolation),
+    ({"distances": [[0, math.inf], [math.inf, 0]]}, MetricViolation),
+    ({"distances": [[0, 1], [1, 0]], "weights": [1.0, math.inf]}, NonPositiveWeight),
+    ({"points": [[0.0], [math.inf]]}, MetricViolation),
+    ({"points": [[0.0, math.nan], [1.0, 0.0]]}, MetricViolation),
+    ({"points": [[1e300], [-1e300]]}, MetricViolation),  # finite, but the distance overflows
+])
+def test_non_finite_input_is_rejected(kwargs, error):
+    kwargs = {"weights": [1.0] * len(next(iter(kwargs.values()))), **kwargs}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="not finite|positive and finite"):
+            nl.build_space(**kwargs)
 
 
 def test_nonpositive_weight():

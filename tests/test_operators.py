@@ -20,7 +20,7 @@ from nhslab.errors import (
     ZeroNormB,
 )
 from nhslab.geometry import Ball
-from nhslab.operators import OperatorParams, constant_theta, power_theta, zero_theta
+from nhslab.operators import OperatorParams, power_theta
 
 
 # ------------------------------------------------------------------------------
@@ -66,6 +66,22 @@ def random_instance(seed, n_max=16):
 # ------------------------------------------------------------------------------
 # modulus integral
 # ------------------------------------------------------------------------------
+def zero_theta():
+    def theta(t):
+        return np.zeros_like(np.asarray(t, dtype=float))
+
+    theta.family = "zero"
+    return theta
+
+
+def constant_theta():
+    def theta(t):
+        return np.ones_like(np.asarray(t, dtype=float))
+
+    theta.family = "constant(1)"
+    return theta
+
+
 def test_dini_identity_modulus():
     # theta(t) = t: the integral is the area under log(1/t), which is 1
     assert nl.dini_integral(power_theta(1.0)) == pytest.approx(1.0, abs=2e-8)

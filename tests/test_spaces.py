@@ -10,6 +10,7 @@ import nhslab as nl
 from nhslab import geometry, lab, spaces
 from nhslab.errors import InvalidExponent, ZeroNorm
 from nhslab.geometry import Ball
+from test_family import weight_psi
 
 
 # ------------------------------------------------------------------------------
@@ -369,7 +370,7 @@ def test_psi_lambda_power_doubling_constant(two_point):
 
 def test_psi_weight_comparability_blows_up():
     space = nl.build_space(points=[[0.0], [1.0]], weights=[1.0, 50.0])
-    psi = spaces.weight_psi(space)
+    psi = weight_psi(space)
     report = nl.validate_psi(space, psi)
     assert report.value == pytest.approx(50.0)
     assert report.worst_witness["kind"] == "comparability"
