@@ -55,15 +55,15 @@ def load_space(path: str):
     return space, mmspace.fit_power_lambda(space, kappa)
 
 
-def load_function(path: str, space=None) -> np.ndarray:
+def load_function(path: str, space) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    if "values" not in raw:
-        raise SpecError("function file needs a 'values' array")
-    values = np.asarray(raw["values"], dtype=float)
-    if space is not None and values.shape != (space.n,):
-        raise SpecError(f"function has {values.shape[0]} values but the space has {space.n} points")
-    return values
+    values = raw.get("values") if isinstance(raw, dict) else None
+    if not isinstance(values, list):
+        raise SpecError("function file must be a JSON object with a 'values' array")
+    if len(values) != space.n:
+        raise SpecError(f"function has {len(values)} values but the space has {space.n} points")
+    return np.array([lab._number(v, f"function value {i}") for i, v in enumerate(values)])
 
 
 def _emit(reports: list) -> int:

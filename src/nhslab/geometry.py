@@ -13,8 +13,8 @@ Every nested-pair supremum reads its pairs from :func:`pair_source`: every
 pair of :func:`nested_pairs` when :func:`pairs_are_exhaustive` holds, else
 :func:`sampled_nested_pairs`, one sample per (space, budget, seed), which
 :func:`replay_draws` recomputes from the PCG64 raw stream with no scalar
-``Generator`` loop.  Scale indices come from the one array form,
-:func:`~nhslab.mmspace.scale_index_array`.
+``Generator`` loop, from the chain's own word offsets when no draw is rejected.
+Scale indices come from the one array form, :func:`~nhslab.mmspace.scale_index_array`.
 """
 from __future__ import annotations
 
@@ -285,28 +285,33 @@ def replay_draws(seed: int, budget: int, words: int, step) -> list:
     """The values of ``budget`` steps of a scalar ``Generator`` draw loop,
     recomputed from one raw PCG64 block of ``default_rng(seed)``.
 
-    ``step(draw)`` runs one step from every 32-bit word offset of the block
-    at once; ``draw(r)`` is ``Generator.integers(r)``, r <= 2**32: Lemire's
-    method, whose threshold ``(2**32 - r) % r`` equals ``2**32 % r``.  The
-    chain of steps from offset 0 is walked one list lookup per step.
-    ``words`` bounds the words of a step without rejections; a chain that
-    runs past the block enlarges it.
+    ``step(draw)`` runs one step from many 32-bit word offsets at once; ``draw(r)``
+    is ``Generator.integers(r)``, r <= 2**32: Lemire's method, whose threshold
+    ``(2**32 - r) % r`` equals ``2**32 % r``.  ``words`` bounds the words of a step
+    without rejections.  The steps run from the offsets ``k * words`` (k < budget)
+    when each then ends where the next starts, else from every offset of the block,
+    where the chain from offset 0 is walked and a chain past the block enlarges it.
     """
     raw = default_rng(seed).bit_generator.random_raw(words * max(budget, 0) // 2 + 32)
     block = raw.astype("<u8").view("<u4").astype(np.uint64)
-    pos = np.arange(block.size + 1 if budget > 0 else 0)
 
-    def draw(r):
-        nonlocal pos
-        r = np.broadcast_to(np.asarray(r, dtype=np.uint64), pos.shape)
-        m, pos, todo = np.zeros(pos.shape, dtype=np.uint64), pos.copy(), np.flatnonzero(r > 1)
-        while todo.size:
-            # a word read past the block ends the draw, with its offset past too
-            m[todo] = block[np.minimum(pos[todo], block.size - 1)] * r[todo]
-            pos[todo] += 1
-            todo = todo[(m[todo] % 2**32 < 2**32 % r[todo]) & (pos[todo] <= block.size)]
-        return (m >> 32).astype(np.int64)
-    values = step(draw)
+    def run(pos):
+        def draw(r):
+            nonlocal pos
+            r = np.broadcast_to(np.asarray(r, dtype=np.uint64), pos.shape)
+            m, pos, todo = np.zeros(pos.shape, dtype=np.uint64), pos.copy(), np.flatnonzero(r > 1)
+            while todo.size:
+                # a word read past the block ends the draw, with its offset past too
+                m[todo] = block[np.minimum(pos[todo], block.size - 1)] * r[todo]
+                pos[todo] += 1
+                todo = todo[(m[todo] % 2**32 < 2**32 % r[todo]) & (pos[todo] <= block.size)]
+            return (m >> 32).astype(np.int64)
+        return step(draw), pos
+    starts = words * np.arange(max(budget, 0))
+    values, ends = run(starts)
+    if np.array_equal(ends[:-1], starts[1:]) and np.all(ends[-1:] <= block.size):
+        return [np.asarray(v) for v in values]
+    values, pos = run(np.arange(block.size + 1))
     # every offset past the block leads to block.size + 1, and that to itself
     nxt, chain, at = np.minimum(pos, block.size + 1).tolist() + [block.size + 1], [], 0
     for _ in range(budget):
@@ -342,8 +347,8 @@ def sampled_nested_pairs(space: PointCloudSpace, budget: int, seed: int) -> Nest
     and the sharp maximal function keeps the pairs of :func:`doubling_flags`
     balls.  The draws are those of the scalar loop ``c1, c2 =
     rng.choice(n, 2, replace=False)`` then ``rng.integers(size)`` for each
-    center, replayed by :func:`replay_draws`; the radius order and the
-    containment test of every draw run in one vectorised pass.
+    center, replayed by :func:`replay_draws`; the radius order, the drop of draws whose
+    outer ball misses the inner center and the containment test run in one vectorised pass.
     """
     def build():
         family = space.balls()
@@ -357,6 +362,8 @@ def sampled_nested_pairs(space: PointCloudSpace, budget: int, seed: int) -> Nest
         swap = family.radius[b2] < family.radius[b1]
         c1, c2 = np.where(swap, c2, c1), np.where(swap, c1, c2)
         b1, b2 = np.where(swap, b2, b1), np.where(swap, b1, b2)
+        keep = space.dist[c2, c1] <= family.radius[b2]
+        c1, c2, b1, b2 = c1[keep], c2[keep], b1[keep], b2[keep]
         # b1 is nested in b2 when the farthest of b1's members, seen from c2, is
         # within b2's radius; the (rows, n) gather runs in chunks of at most 1 MB
         counts = family.counts()[b1]

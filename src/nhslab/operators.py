@@ -15,6 +15,7 @@ The commutator estimate reads the symbol's norm from
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -134,6 +135,10 @@ GK_MAX_INTERVALS = 200
 #: Dyadic levels of :func:`dini_integral`: 2**-1000 is still a normal double,
 #: and the constant modulus's integrand stays finite there.
 DINI_LEVELS = 1000
+
+#: The default kernel modulus theta(t) = t; ``_linear_dini`` integrates it once per process.
+LINEAR_THETA = power_theta(1.0)
+_linear_dini = functools.cache(lambda: dini_integral(LINEAR_THETA))
 
 
 def _gk21(f: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple:
@@ -256,16 +261,14 @@ def size_bound_matrix(space: PointCloudSpace, lam: DominatingFunction, l: float)
 def make_kernel(space: PointCloudSpace, lam: DominatingFunction, *,
                 l: float = 0.0, theta: Optional[Callable] = None,
                 family: str = "canonical", scale: float = 1.0, eps: float = 0.1,
-                seed: int = 0, check_dini: bool = True) -> KernelSpec:
+                seed: int = 0) -> KernelSpec:
     """Build a kernel from a named family against the reference envelope.
 
     Families: "canonical" (the envelope itself), "scaled" (a constant multiple)
     and "perturbed" (the envelope times 1 + eps*h for a seeded bounded h).
     """
-    if theta is None:
-        theta = power_theta(1.0)
-    dini = dini_integral(theta) if check_dini else math.nan
-    if check_dini and not math.isfinite(dini):
+    theta, dini = (LINEAR_THETA, _linear_dini()) if theta is None else (theta, dini_integral(theta))
+    if not math.isfinite(dini):
         raise InvalidParams("the kernel modulus fails the log-weighted integrability test")
     bound = size_bound_matrix(space, lam, l)
     if family == "canonical":

@@ -26,8 +26,10 @@ operators with the ``np.maximum.at`` form it replaced.  The draws that
 with the scalar ``Generator`` calls they replace: the bounded draw itself,
 the three draw schedules, and every report field of the pair sample, the
 mean-jump comparable pairs and the coefficient triples against their draw
-loops.  ``validate_kernel`` is compared with its all-pairs loop, and with
-the 8000 pairs it once drew.  Guard tests pin that the family and the pair
+loops; the replay is also compared with the every-offset pass alone (an
+oracle kept here), and the pair sample with its pass without the prefilter
+of draws whose outer ball misses the inner center.  ``validate_kernel`` is
+compared with its all-pairs loop, and with the 8000 pairs it once drew.  Guard tests pin that the family and the pair
 sample are one per space, with no option.  Spaces are small (n <= 10):
 points in 1 to 3 dimensions and integer-length graph metrics with many tied
 distances, with weight ratios up to 1e6; the doubling property also draws
@@ -347,6 +349,44 @@ def test_sampled_pairs_equal_draw_loop(space, budget, seed):
     sample = geometry.sampled_nested_pairs(space, budget, seed)
     inner, outer = _sampled_nested_pairs_reference(space, budget, seed)
     assert sample.b1.dtype == sample.b2.dtype == np.int64
+    assert np.array_equal(sample.b1, inner) and np.array_equal(sample.b2, outer)
+
+
+def _sampled_nested_pairs_unfiltered(space, budget, seed):
+    """The vectorised pass of ``sampled_nested_pairs`` before its prefilter:
+    every draw reaches the containment gather."""
+    family = space.balls()
+    sizes = np.diff(family.offsets)
+
+    def step(draw):
+        c1, c2 = geometry.replay_choice(draw, space.n, 2).T
+        return c1, c2, draw(sizes[c1]), draw(sizes[c2])
+    c1, c2, i1, i2 = geometry.replay_draws(seed, budget if space.n > 1 else 0, 5, step)
+    b1, b2 = family.offsets[c1] + i1, family.offsets[c2] + i2
+    swap = family.radius[b2] < family.radius[b1]
+    c1, c2 = np.where(swap, c2, c1), np.where(swap, c1, c2)
+    b1, b2 = np.where(swap, b2, b1), np.where(swap, b1, b2)
+    counts = family.counts()[b1]
+    nested = np.empty(b1.shape, dtype=bool)
+    step = max(1, (1 << 20) // (8 * space.n))
+    for lo in range(0, b1.size, step):
+        s = slice(lo, lo + step)
+        farthest = np.maximum.accumulate(space.dist[c2[s, None], space.order[c1[s]]], axis=1)
+        nested[s] = farthest[np.arange(farthest.shape[0]), counts[s] - 1] <= family.radius[b2[s]]
+    return b1[nested], b2[nested]
+
+
+#: Coincident atoms: ``order[c, 0]`` is another point for c = 1 and c = 3.
+COINCIDENT = nl.build_space(points=[[0.0], [0.0], [1.0], [1.0], [3.0]], weights=np.arange(1.0, 6.0))
+
+
+@PROPERTY
+@given(st.one_of(small_spaces(), small_spaces(coincident=True)), st.sampled_from([0, 1, 2000]),
+       st.integers(0, 2))
+@example(COINCIDENT, 2000, 0)
+def test_prefiltered_sample_equals_unfiltered_pass(space, budget, seed):
+    inner, outer = _sampled_nested_pairs_unfiltered(space, budget, seed)
+    sample = geometry.sampled_nested_pairs(space, budget, seed)
     assert np.array_equal(sample.b1, inner) and np.array_equal(sample.b2, outer)
 
 
@@ -1591,7 +1631,7 @@ def test_marcinkiewicz_one_pass_equals_per_point_loop(data, lrs):
     params = OperatorParams(l=lrs[0], rho=lrs[1], s=lrs[2])
     lam = _lam(space)
     kernel = operators.make_kernel(space, lam, l=params.l, family="perturbed",
-                                   seed=data.draw(st.integers(0, 3)), check_dini=False)
+                                   seed=data.draw(st.integers(0, 3)))
     for weight in (None, b):
         # NaN where d ** -(l + rho) s overflows on tiny distances, as in the loop
         got = operators._marcinkiewicz(space, kernel, f, None, params, weight)
@@ -1599,7 +1639,7 @@ def test_marcinkiewicz_one_pass_equals_per_point_loop(data, lrs):
         assert np.array_equal(got, want, equal_nan=True)
         single = [operators._marcinkiewicz(space, kernel, f, x, params, weight) for x in range(space.n)]
         assert np.array_equal(single, got, equal_nan=True)
-    canonical = operators.make_kernel(space, lam, l=params.l, check_dini=False)
+    canonical = operators.make_kernel(space, lam, l=params.l)
     if np.all(np.isfinite(operators.marcinkiewicz(space, canonical, f, None, params))):
         assert operators.check_pointwise_domination(space, lam, canonical, f, params).passed
 
@@ -1760,6 +1800,100 @@ def test_replayed_schedules_equal_scalar_generator_calls(n, sizes_seed, budget, 
 
     got = geometry.replay_draws(seed, budget if eligible.size else 0, 6, triples)
     assert list(zip(got[0].tolist(), got[1].tolist())) == want
+
+
+def _replay_every_offset(seed, budget, words, step):
+    """``geometry.replay_draws`` before its pass along the chain: every step
+    runs from every word offset of the block, and the chain is walked."""
+    raw = np.random.default_rng(seed).bit_generator.random_raw(words * max(budget, 0) // 2 + 32)
+    block = raw.astype("<u8").view("<u4").astype(np.uint64)
+    pos = np.arange(block.size + 1 if budget > 0 else 0)
+
+    def draw(r):
+        nonlocal pos
+        r = np.broadcast_to(np.asarray(r, dtype=np.uint64), pos.shape)
+        m, pos, todo = np.zeros(pos.shape, dtype=np.uint64), pos.copy(), np.flatnonzero(r > 1)
+        while todo.size:
+            m[todo] = block[np.minimum(pos[todo], block.size - 1)] * r[todo]
+            pos[todo] += 1
+            todo = todo[(m[todo] % 2**32 < 2**32 % r[todo]) & (pos[todo] <= block.size)]
+        return (m >> 32).astype(np.int64)
+    values = step(draw)
+    nxt, chain, at = np.minimum(pos, block.size + 1).tolist() + [block.size + 1], [], 0
+    for _ in range(budget):
+        chain.append(at)
+        at = nxt[at]
+    if at > block.size:
+        return _replay_every_offset(seed, budget, 2 * words, step)
+    return [np.asarray(v)[np.asarray(chain, dtype=np.int64)] for v in values]
+
+
+def _assert_replays_equal(seed, budget, words, step):
+    """``replay_draws`` gives the oracle's arrays; returns how often it ran ``step``."""
+    runs = []
+
+    def counted(draw):
+        runs.append(None)
+        return step(draw)
+    got = geometry.replay_draws(seed, budget, words, counted)
+    want = _replay_every_offset(seed, budget, words, step)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    return len(runs)
+
+
+REPLAY_BUDGETS = (0, 1, 2, 2000, 5000)
+
+
+@pytest.mark.parametrize("r", DRAW_BOUNDS)
+def test_bounded_draws_equal_every_offset_pass(r):
+    for budget in REPLAY_BUDGETS:
+        for seed in (0, 7):
+            _assert_replays_equal(seed, budget, 1, lambda draw: (draw(r),))
+
+
+def _replayed_steps(space, budget):
+    """``(seed, budget, words, step)`` of the ``replay_draws`` calls of the
+    pair sample, the mean-jump comparable pairs and the coefficient triples."""
+    calls, real = [], geometry.replay_draws
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    lam = nl.fit_power_lambda(space, 1.0)
+    f = np.arange(space.n, dtype=float)
+    with mock.patch.object(geometry, "replay_draws", spy), mock.patch.object(spaces, "replay_draws", spy):
+        geometry.sampled_nested_pairs(space, budget, 0)
+        spaces.check_mean_jump_bounds(space, lam, f, weight_psi(space), (2.0,), budget, 0, norm=0.5)
+        geometry.check_coefficient_inequalities(space, lam, (2.0, 6.0), budget, 0)
+    return calls
+
+
+#: grid(d=1, n=64), whose steps read 5, 4 and 6 words; two points, whose
+#: pair steps read 4 words (the first pick has one choice); a line of four
+#: points, whose centers 1 and 2 have exactly three candidate radii
+#: (distances {1, 2}), so their triple steps read 5 words and the others 6.
+REPLAY_SPACES = {
+    "grid64": lambda: lab.generate_space({"kind": "grid", "d": 1, "n": 64}),
+    "two_points": lambda: nl.build_space(points=[[0.0], [1.0]], weights=[1.0, 1.0]),
+    "mixed_sizes": lambda: nl.build_space(points=[[0.0], [1.0], [2.0], [3.0]], weights=np.ones(4)),
+}
+
+
+@pytest.mark.parametrize("budget", REPLAY_BUDGETS)
+@pytest.mark.parametrize("name", list(REPLAY_SPACES))
+def test_replayed_steps_equal_every_offset_pass(name, budget):
+    """The pair, mean-jump and triple steps of three spaces give the oracle's
+    arrays; where the chain's offsets are not ``k * words``, ``step`` runs at
+    most twice (the pass along the chain, then the every-offset pass)."""
+    calls = _replayed_steps(REPLAY_SPACES[name](), budget)
+    assert [words for _, _, words, _ in calls] == [5, 4, 6]
+    runs = [_assert_replays_equal(*call) for call in calls]
+    if name == "grid64":
+        assert runs[0] == runs[2] == 1
+    else:
+        assert max(runs) <= 2
 
 
 def _lattice_space(n, dim, top, seed):

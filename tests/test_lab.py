@@ -338,6 +338,21 @@ def test_cli_function_length_mismatch(tmp_path, capsys):
     assert cli.main(["norms", space_path, str(f_path)]) == 2
 
 
+@pytest.mark.parametrize("content, err", [
+    ('{"values": [NaN, 1, 2]}', "function value 0 must be a finite number, got nan"),
+    ("5", "function file must be a JSON object with a 'values' array"),
+    ('{"values": [[1, 2], [3, 4], [5, 6]]}', "function value 0 must be a finite number, got [1, 2]"),
+    ('{"values": ["a", 1, 2]}', "function value 0 must be a finite number, got 'a'"),
+], ids=["nan", "number", "nested", "string"])
+def test_cli_malformed_function_is_a_config_error(tmp_path, capsys, content, err):
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps({"points": [[0.0], [1.0], [3.0]], "weights": [1.0, 1.0, 1.0]}))
+    f_path = tmp_path / "f.json"
+    f_path.write_text(content)
+    assert cli.main(["norms", str(space_path), str(f_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {err}\n"
+
+
 @pytest.mark.parametrize("kappa", ["steep", True, None])
 def test_cli_malformed_kappa_is_a_config_error(tmp_path, capsys, kappa):
     path = tmp_path / "space.json"

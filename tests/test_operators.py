@@ -262,6 +262,30 @@ def test_perturbed_kernel_constants_match_triple_enumeration():
     assert report.details["smoothness_sum"] == pytest.approx(smooth_sum, rel=1e-12)
 
 
+def test_default_modulus_is_integrated_once_per_process():
+    """Default kernels share one integral of theta(t) = t; an explicit
+    modulus is integrated, and its monotonicity checked, on every call."""
+    integrations = []
+    real = operators.gauss_kronrod
+
+    def counted(*args):
+        integrations.append(None)
+        return real(*args)
+    spaces_ = [lab.two_point_space(), lab.generate_space({"kind": "grid", "d": 1, "n": 8})]
+    operators._linear_dini.cache_clear()
+    with mock.patch.object(operators, "gauss_kronrod", counted):
+        kernels = [nl.make_kernel(s, nl.fit_power_lambda(s, 1.0)) for s in spaces_]
+        assert len(integrations) == 1
+        assert kernels[0].dini_value == kernels[1].dini_value == nl.dini_integral(power_theta(1.0))
+        for s in spaces_:
+            explicit = nl.make_kernel(s, nl.fit_power_lambda(s, 1.0), theta=power_theta(1.0))
+            assert explicit.dini_value == kernels[0].dini_value
+        assert len(integrations) == 4
+        for s in spaces_:
+            with pytest.raises(NonMonotoneTheta):
+                nl.make_kernel(s, nl.fit_power_lambda(s, 1.0), theta=lambda t: 1.0 / (1.0 + np.asarray(t)))
+
+
 def test_kernel_rejects_divergent_modulus(two_point):
     space, lam = two_point
     with pytest.raises(InvalidParams):
