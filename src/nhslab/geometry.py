@@ -9,11 +9,10 @@ running sum along its levels of ``BallFamily.ladder``; the scalar
 pairs of one center, so the two agree bit for bit, and serves balls outside
 the family such as chain links; :func:`discrete_coefficient` is its one-pair
 form.
-Every nested-pair supremum reads its pairs from :func:`pair_source`: every
-pair of :func:`nested_pairs` when :func:`pairs_are_exhaustive` holds, else
-:func:`sampled_nested_pairs`, one sample per (space, budget, seed), which
-:func:`replay_draws` recomputes from the PCG64 raw stream with no scalar
-``Generator`` loop, from the chain's own word offsets when no draw is rejected.
+Every nested-pair supremum reads its pairs from :func:`pair_source`: every pair of
+:func:`nested_pairs` when :func:`pairs_are_exhaustive` holds, else :func:`sampled_nested_pairs`,
+one sample per (space, budget, seed), which :func:`replay_draws` recomputes from the PCG64 raw
+stream with no scalar ``Generator`` loop, from the chain's own word offsets when they line up.
 Scale indices come from the one array form, :func:`~nhslab.mmspace.scale_index_array`.
 """
 from __future__ import annotations
@@ -282,15 +281,13 @@ class NestedPairSample:
 
 
 def replay_draws(seed: int, budget: int, words: int, step) -> list:
-    """The values of ``budget`` steps of a scalar ``Generator`` draw loop,
-    recomputed from one raw PCG64 block of ``default_rng(seed)``.
+    """``budget`` steps of a scalar ``Generator`` loop, replayed from the raw words of ``default_rng(seed)``.
 
-    ``step(draw)`` runs one step from many 32-bit word offsets at once; ``draw(r)``
-    is ``Generator.integers(r)``, r <= 2**32: Lemire's method, whose threshold
-    ``(2**32 - r) % r`` equals ``2**32 % r``.  ``words`` bounds the words of a step
-    without rejections.  The steps run from the offsets ``k * words`` (k < budget)
-    when each then ends where the next starts, else from every offset of the block,
-    where the chain from offset 0 is walked and a chain past the block enlarges it.
+    ``step(draw)`` runs one step from many 32-bit word offsets at once; ``draw(r)`` is
+    ``Generator.integers(r)``, r <= 2**32: Lemire's method, whose threshold ``(2**32 - r) % r``
+    equals ``2**32 % r``.  ``words`` bounds the words of a step without rejections.  Steps run
+    from the offsets ``k * words`` (k < budget), kept if each ends where the next starts; else
+    also from the other offsets, and the chain from 0 is walked (a chain past the block doubles it).
     """
     raw = default_rng(seed).bit_generator.random_raw(words * max(budget, 0) // 2 + 32)
     block = raw.astype("<u8").view("<u4").astype(np.uint64)
@@ -306,12 +303,15 @@ def replay_draws(seed: int, budget: int, words: int, step) -> list:
                 pos[todo] += 1
                 todo = todo[(m[todo] % 2**32 < 2**32 % r[todo]) & (pos[todo] <= block.size)]
             return (m >> 32).astype(np.int64)
-        return step(draw), pos
+        return [np.asarray(v) for v in step(draw)] + [pos]
     starts = words * np.arange(max(budget, 0))
-    values, ends = run(starts)
+    *values, ends = run(starts)
     if np.array_equal(ends[:-1], starts[1:]) and np.all(ends[-1:] <= block.size):
-        return [np.asarray(v) for v in values]
-    values, pos = run(np.arange(block.size + 1))
+        return values
+    # the other offsets run too; start k * words goes after k * (words - 1) of them
+    rest = np.flatnonzero(np.bincount(starts, minlength=block.size + 1) == 0)
+    slot = starts - np.arange(starts.size)
+    *values, pos = [np.insert(m, slot, v, axis=0) for v, m in zip(values + [ends], run(rest))]
     # every offset past the block leads to block.size + 1, and that to itself
     nxt, chain, at = np.minimum(pos, block.size + 1).tolist() + [block.size + 1], [], 0
     for _ in range(budget):
@@ -319,7 +319,7 @@ def replay_draws(seed: int, budget: int, words: int, step) -> list:
         at = nxt[at]
     if at > block.size:
         return replay_draws(seed, budget, 2 * words, step)
-    return [np.asarray(v)[np.asarray(chain, dtype=np.int64)] for v in values]
+    return [v[np.asarray(chain, dtype=np.int64)] for v in values]
 
 
 def replay_choice(draw, m, k: int) -> np.ndarray:

@@ -1829,18 +1829,20 @@ def _replay_every_offset(seed, budget, words, step):
 
 
 def _assert_replays_equal(seed, budget, words, step):
-    """``replay_draws`` gives the oracle's arrays; returns how often it ran ``step``."""
+    """``replay_draws`` gives the oracle's arrays; returns the number of word
+    offsets of each run of ``step``."""
     runs = []
 
     def counted(draw):
-        runs.append(None)
-        return step(draw)
+        values = step(draw)
+        runs.append(len(values[0]))
+        return values
     got = geometry.replay_draws(seed, budget, words, counted)
     want = _replay_every_offset(seed, budget, words, step)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
-    return len(runs)
+    return runs
 
 
 REPLAY_BUDGETS = (0, 1, 2, 2000, 5000)
@@ -1871,29 +1873,38 @@ def _replayed_steps(space, budget):
 
 
 #: grid(d=1, n=64), whose steps read 5, 4 and 6 words; two points, whose
-#: pair steps read 4 words (the first pick has one choice); a line of four
-#: points, whose centers 1 and 2 have exactly three candidate radii
-#: (distances {1, 2}), so their triple steps read 5 words and the others 6.
+#: pair and mean-jump steps read 4 and 3 words (the first pick has one
+#: choice); a line of four points, whose centers 1 and 2 have exactly three
+#: candidate radii (distances {1, 2}), so their triple steps read 5 words and
+#: the others 6; a line with two doubled points, whose mean-jump steps read 3
+#: words when c1 and c2 coincide (no radius is up to distance 0, so no draw).
+#: Each maps to the step runs of its pair, mean-jump and triple replays at
+#: budgets of 2000 and up.
 REPLAY_SPACES = {
-    "grid64": lambda: lab.generate_space({"kind": "grid", "d": 1, "n": 64}),
-    "two_points": lambda: nl.build_space(points=[[0.0], [1.0]], weights=[1.0, 1.0]),
-    "mixed_sizes": lambda: nl.build_space(points=[[0.0], [1.0], [2.0], [3.0]], weights=np.ones(4)),
+    "grid64": (lambda: lab.generate_space({"kind": "grid", "d": 1, "n": 64}), [1, 1, 1]),
+    "two_points": (lambda: nl.build_space(points=[[0.0], [1.0]], weights=[1.0, 1.0]), [2, 2, 1]),
+    "mixed_sizes": (lambda: nl.build_space(points=[[0.0], [1.0], [2.0], [3.0]], weights=np.ones(4)),
+                    [1, 1, 2]),
+    "coincident": (lambda: nl.build_space(points=[[0.0], [0.0], [1.0], [2.0], [2.0], [3.0]],
+                                          weights=np.ones(6)), [1, 2, 2]),
 }
 
 
 @pytest.mark.parametrize("budget", REPLAY_BUDGETS)
 @pytest.mark.parametrize("name", list(REPLAY_SPACES))
 def test_replayed_steps_equal_every_offset_pass(name, budget):
-    """The pair, mean-jump and triple steps of three spaces give the oracle's
-    arrays; where the chain's offsets are not ``k * words``, ``step`` runs at
-    most twice (the pass along the chain, then the every-offset pass)."""
-    calls = _replayed_steps(REPLAY_SPACES[name](), budget)
+    """The pair, mean-jump and triple steps of four spaces give the oracle's
+    arrays.  Where the chain's offsets are not ``k * words``, ``step`` runs
+    twice, and the two runs cover each word offset of the block once: the
+    pass along the chain is kept, not run again."""
+    make, fallbacks = REPLAY_SPACES[name]
+    calls = _replayed_steps(make(), budget)
     assert [words for _, _, words, _ in calls] == [5, 4, 6]
     runs = [_assert_replays_equal(*call) for call in calls]
-    if name == "grid64":
-        assert runs[0] == runs[2] == 1
-    else:
-        assert max(runs) <= 2
+    if budget >= 2000:
+        assert [len(r) for r in runs] == fallbacks
+    for (_, b, words, _), r in zip(calls, runs):
+        assert len(r) <= 2 and (len(r) == 1 or sum(r) == 2 * (words * b // 2 + 32) + 1)
 
 
 def _lattice_space(n, dim, top, seed):
