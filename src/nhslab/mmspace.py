@@ -496,14 +496,20 @@ def _check_triangle(dist: np.ndarray) -> None:
     matrix, with a slack of ``METRIC_REL_TOL * max(d(i, j), 1)``.
 
     One step per middle point k writes the excess of every pair (i, j) into
-    one n x n buffer: O(n**3) time, O(n**2) memory.  The first k with a
-    positive excess raises :class:`MetricViolation`, naming the pair of its
-    largest excess (the first in row order on ties).
+    one n x n buffer: O(n**3) time, O(n**2) memory.  The step's d(i, k) + d(k, j)
+    is the product of the (n x 2) factor (d(i, k), 1) and the (2 x n) factor
+    (1, d(k, j)): both terms are exact and their sum rounds once, so it equals
+    the broadcast add, bit for bit.  The first k with a positive excess raises
+    :class:`MetricViolation`, naming the pair of its largest excess (the first
+    in row order on ties).
     """
+    n = dist.shape[0]
     slack = METRIC_REL_TOL * np.maximum(dist, 1.0)
     viol = np.empty_like(dist)
-    for k in range(dist.shape[0]):
-        np.add(dist[:, k:k + 1], dist[k:k + 1, :], out=viol)
+    left, right = np.ones((n, 2)), np.ones((2, n))
+    for k in range(n):
+        left[:, 0], right[1] = dist[:, k], dist[k]
+        np.matmul(left, right, out=viol)
         np.subtract(dist, viol, out=viol)
         np.subtract(viol, slack, out=viol)
         if viol.max() > 0:

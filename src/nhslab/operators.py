@@ -11,7 +11,8 @@ concentric pairs always come from the run ends of the family, its other
 pairs from :func:`~nhslab.geometry.pair_source` and its per-ball numbers
 from :func:`~nhslab.spaces.function_tables`, where the family size chooses.
 The commutator estimate reads the symbol's norm from
-:func:`~nhslab.spaces.campanato_norm`, which the space memoises.
+:func:`~nhslab.spaces.campanato_norm`, which the space memoises, and every
+point's Marcinkiewicz integral is memoised per kernel on (f, b, l, rho, s).
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from .mmspace import (
     DominatingFunction,
     GeometryProfile,
     PointCloudSpace,
+    memo,
 )
 from .report import CheckReport
 from .spaces import (
@@ -358,15 +360,29 @@ def _marcinkiewicz(space: PointCloudSpace, kernel: KernelSpec, f, x: Optional[in
                    params: Optional[OperatorParams], b: Optional[np.ndarray] = None):
     """The integral at ``x`` (every point if None), weighted by b(x) - b(y) if ``b`` is given.
 
-    One pass over the rows of ``space.order``: the summands of every row
-    (positive distance, f(y) != 0) in distance order form one flat array, and
-    each row's run of equal distances is one jump.  The per-row reductions
-    add in the order of a per-point evaluation, so the values do not depend
-    on how many points are evaluated.
+    Every point's values are memoised in the kernel's store, keyed on the
+    float64 bytes of f and b (an f changed in place reads fresh values) and
+    on (l, rho, s), and returned as a copy; the kernel's matrix is read as fixed.
     """
     params = params or OperatorParams()
     f = np.asarray(f, dtype=float)
-    rows = np.arange(space.n) if x is None else np.asarray([x])
+    if x is not None:
+        return float(_integral_rows(space, kernel, f, np.asarray([x]), params, b)[0])
+    key = ("marcinkiewicz", f.tobytes(), None if b is None else b.tobytes(),
+           params.l, params.rho, params.s)
+    return memo(space.store(kernel), key, lambda: _integral_rows(
+        space, kernel, f, np.arange(space.n), params, b)).copy()
+
+
+def _integral_rows(space: PointCloudSpace, kernel: KernelSpec, f: np.ndarray, rows: np.ndarray,
+                   params: OperatorParams, b: Optional[np.ndarray]) -> np.ndarray:
+    """The integral at each of ``rows``, in one pass over their rows of ``space.order``.
+
+    The summands of every row (positive distance, f(y) != 0) in distance
+    order form one flat array, and each row's run of equal distances is one
+    jump.  The per-row reductions add in the order of a per-point evaluation,
+    so the values do not depend on how many points are evaluated.
+    """
     order = space.order[rows]
     dist = space.sorted_dist[rows]
     r, k = np.nonzero((dist > 0) & (f[order] != 0))
@@ -394,7 +410,7 @@ def _marcinkiewicz(space: PointCloudSpace, kernel: KernelSpec, f, x: Optional[in
         totals = np.add.reduceat(np.insert(pieces, row_first, 0.0), row_first + np.arange(row_first.size))
         # scalar powers, as array powers may take a different (SIMD) route
         out[row_of[row_first]] = [t ** (1.0 / params.s) for t in totals.tolist()]
-    return out if x is None else float(out[0])
+    return out
 
 
 def marcinkiewicz(space: PointCloudSpace, kernel: KernelSpec, f: np.ndarray,

@@ -14,8 +14,9 @@ PCG64 raw stream by :func:`~nhslab.geometry.replay_draws`.  The nested-ball
 constants of phi measure every concentric pair exactly, then the pair source.
 
 The space's store keeps the latest function's tables in one slot
-(:func:`function_tables`) and each Campanato report under (lambda, psi), so
-a norm asked for again, such as a commutator symbol's, is not recomputed.
+(:func:`function_tables`), each Campanato report under (lambda, psi), so
+a norm asked for again, such as a commutator symbol's, is not recomputed,
+and the mean-jump check's comparable pairs per (budget, seed).
 
 The normalizers psi and phi follow the radial-function protocol of
 :class:`~nhslab.mmspace.Radial`: each family is one broadcasting
@@ -132,53 +133,71 @@ def ball_mean(space: PointCloudSpace, f: np.ndarray, ball: Ball) -> float:
 _OSC_TILE = 16
 
 
+def _shifted(space: PointCloudSpace, g: np.ndarray) -> tuple:
+    """g and the weights in each center's distance order, g measured from the
+    center's first value: the sums do not see a shift, and so the running mean
+    stays as small as the spread of g."""
+    gs = np.asarray(g, dtype=float)[space.order]
+    return gs - gs[:, :1], space.weights[space.order]
+
+
+def _moment_sums(space: PointCloudSpace, g: np.ndarray) -> tuple:
+    """The p = 2 and p = 4 tables of :func:`oscillation_sums`, from one pass
+    over the prefix position q, vectorised over the centers, that adds the q-th
+    closest point to every center's weighted central moments (West 1979;
+    Pebay 2008): O(n^2) in all."""
+    n = space.n
+    gs, ws = _shifted(space, g)
+    pw = space.prefix_weight
+    out = np.zeros((2, n, n))
+    mean = np.zeros(n)
+    m2, m3, m4 = np.zeros(n), np.zeros(n), np.zeros(n)
+    for q in range(1, n):
+        wa, w, big_w = pw[:, q], ws[:, q], pw[:, q + 1]
+        d = gs[:, q] - mean
+        dw = d * w / big_w
+        mean += dw
+        t = d * dw * wa
+        # M4 reads the old M2 and M3, and M3 the old M2
+        m4 += (t * d * d * (wa * wa - wa * w + w * w) / (big_w * big_w)
+               + 6.0 * dw * dw * m2 - 4.0 * dw * m3)
+        m3 += t * d * (wa - w) / big_w - 3.0 * dw * m2
+        m2 += t
+        out[0, :, q], out[1, :, q] = m2, m4
+    return out[0], out[1]
+
+
 def oscillation_sums(space: PointCloudSpace, g: np.ndarray, p: float = 1.0) -> np.ndarray:
     """``out[c, q-1]`` is the weighted p-th oscillation sum of g around its
     mean over the q points closest to c.
 
-    For p = 2 and 4, one pass over the prefix position q, vectorised over the
-    centers, adds the q-th closest point to every center's weighted central
-    moments (West 1979; Pebay 2008): O(n^2) in all.  Any other p walks tiles
-    of ``_OSC_TILE`` centers by ``_OSC_TILE`` prefix rows: a tile writes
+    For p = 2 and 4 it is a table of :func:`_moment_sums`.  Any other p walks
+    tiles of ``_OSC_TILE`` centers by ``_OSC_TILE`` prefix rows: a tile writes
     ``|g_j - mean_q|**p`` for the columns j its rows reach into one buffer,
     zeroes j > q in its diagonal block, and gets its rows' sums from one
-    stacked product with the weights.
+    stacked product with the weights.  The buffer's g_j - mean_q is the
+    product (1, -mean_q) . (g_j, 1), a rank-2 BLAS product built once per
+    center tile: both terms are exact (a product by 1.0 is exact), and their
+    sum, an add or a fused multiply-add, rounds once (IEEE 754-2008), so it
+    equals the broadcast subtract, bit for bit, at any BLAS thread count.
     """
+    if p in (2.0, 4.0):
+        return _moment_sums(space, g)[int(p == 4.0)]
     n = space.n
-    g = np.asarray(g, dtype=float)
-    gs, ws = g[space.order], space.weights[space.order]
+    gs, ws = _shifted(space, g)
     pw = space.prefix_weight
     out = np.zeros((n, n))
-    # the sums do not see a shift; measuring g from each center's first value
-    # keeps the running mean as small as the spread of g
-    gs = gs - gs[:, :1]
-    if p in (2.0, 4.0):
-        mean = np.zeros(n)
-        m2, m3, m4 = np.zeros(n), np.zeros(n), np.zeros(n)
-        for q in range(1, n):
-            wa, w, big_w = pw[:, q], ws[:, q], pw[:, q + 1]
-            d = gs[:, q] - mean
-            dw = d * w / big_w
-            mean += dw
-            t = d * dw * wa
-            # M4 reads the old M2 and M3, and M3 the old M2
-            if p == 4.0:
-                m4 += (t * d * d * (wa * wa - wa * w + w * w) / (big_w * big_w)
-                       + 6.0 * dw * dw * m2 - 4.0 * dw * m3)
-                m3 += t * d * (wa - w) / big_w - 3.0 * dw * m2
-            m2 += t
-            out[:, q] = m4 if p == 4.0 else m2
-        return out
-
     means = np.cumsum(gs * ws, axis=1) / pw[:, 1:]
     tril = np.tril(np.ones((_OSC_TILE, _OSC_TILE)))
     buf = np.empty(_OSC_TILE * _OSC_TILE * n)
     for c0 in range(0, n, _OSC_TILE):
         c1 = min(c0 + _OSC_TILE, n)
+        left, right = np.ones((c1 - c0, n, 2)), np.ones((c1 - c0, 2, n))
+        left[..., 1], right[:, 0] = -means[c0:c1], gs[c0:c1]
         for q0 in range(0, n, _OSC_TILE):
             q1 = min(q0 + _OSC_TILE, n)
             diff = buf[:(c1 - c0) * (q1 - q0) * q1].reshape(c1 - c0, q1 - q0, q1)
-            np.subtract(gs[c0:c1, None, :q1], means[c0:c1, q0:q1, None], out=diff)
+            np.matmul(left[:, q0:q1], right[:, :, :q1], out=diff)
             np.abs(diff, out=diff)
             if p != 1.0:
                 diff **= p
@@ -236,6 +255,10 @@ class FunctionTables:
         if self.exhaustive and p == 1.0:
             return self._ball_sums()[1]
         family = self._space.balls()
+        if p in (2.0, 4.0) and ("osc", p) not in self.store:
+            # one recurrence gives both tables
+            for q, sums in zip((2.0, 4.0), _moment_sums(self._space, self.f)):
+                memo(self.store, ("osc", q), lambda sums=sums: sums[family.center, family.counts() - 1])
         return memo(self.store, ("osc", p), lambda: oscillation_sums(self._space, self.f, p)[
             family.center, family.counts() - 1])
 
@@ -624,23 +647,27 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
             if j == 1:
                 per_k[str(k)] = max(0.0, float(jumps.max()))
             iterated = max(iterated, float(jumps.max()) / j)
-    # the loop c1, c2 = rng.choice(n, 2, replace=False), then rng.integers(small)
-    # when c1 has small > 0 radii up to d(c1, c2); the first maximum is the witness
-    small = np.asarray([np.searchsorted(family.radius[family.segment(c)], space.dist[c], side="right")
-                        for c in range(space.n)])
 
-    def step(draw):
-        c1, c2 = replay_choice(draw, space.n, 2).T
-        return c1, c2, draw(np.maximum(small[c1, c2], 1))
-    c1, c2, i1 = replay_draws(seed, pair_budget if space.n > 1 else 0, 4, step)
-    drawn = small[c1, c2] > 0
-    c1, c2, b1 = c1[drawn], c2[drawn], family.offsets[c1[drawn]] + i1[drawn]
-    d = space.dist[c1, c2]
-    q2 = np.count_nonzero(space.dist[c2] <= d[:, None], axis=1)
+    def pairs():
+        # the loop c1, c2 = rng.choice(n, 2, replace=False), then rng.integers(small)
+        # when c1 has small > 0 radii up to d(c1, c2)
+        small = np.asarray([np.searchsorted(family.radius[family.segment(c)], space.dist[c], side="right")
+                            for c in range(space.n)])
+
+        def step(draw):
+            c1, c2 = replay_choice(draw, space.n, 2).T
+            return c1, c2, draw(np.maximum(small[c1, c2], 1))
+        c1, c2, i1 = replay_draws(seed, pair_budget if space.n > 1 else 0, 4, step)
+        drawn = small[c1, c2] > 0
+        c1, c2, b1 = c1[drawn], c2[drawn], family.offsets[c1[drawn]] + i1[drawn]
+        d = space.dist[c1, c2]
+        return c1, c2, b1, d, np.count_nonzero(space.dist[c2] <= d[:, None], axis=1)
+    # the pairs do not depend on f: drawn once per (space, budget, seed)
+    c1, c2, b1, d, q2 = memo(space.store(), ("mean_jump_pairs", pair_budget, seed), pairs)
     vals = np.abs(means[b1] - mean_table[c2, q2]) / (psit[b1] * norm)
     comparable = float(np.fmax.reduce(vals, initial=0.0))
     comp_witness: dict = {}
-    if comparable > 0.0:
+    if comparable > 0.0:  # the first maximum is the witness
         t = int(np.argmax(vals == comparable))
         comp_witness = {"b1": {"center": int(c1[t]), "radius": float(family.radius[b1[t]])},
                         "b2": {"center": int(c2[t]), "radius": float(d[t])}}

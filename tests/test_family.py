@@ -88,10 +88,11 @@ def _graph_metric(n, parents, extra):
 
 
 @st.composite
-def small_spaces(draw, coincident=False):
-    """Points or graph metrics; with ``coincident``, points on the integer
-    lattice {0..3}^dim, so atoms coincide and distances tie."""
-    n = draw(st.integers(1, 10))
+def small_spaces(draw, coincident=False, n=None):
+    """Points or graph metrics on n points (1 to 10 if None); with
+    ``coincident``, points on the integer lattice {0..3}^dim, so atoms
+    coincide and distances tie."""
+    n = draw(st.integers(1, 10)) if n is None else n
     weights = draw(st.lists(st.floats(1.0, 1e6), min_size=n, max_size=n))
     if coincident or draw(st.booleans()):
         dim = draw(st.integers(1, 3))
@@ -1720,6 +1721,43 @@ def test_oscillation_sums_match_exact_and_dense_sums(data, p):
         assert np.all(spaces.oscillation_sums(space, const, p) == 0.0)
     else:
         np.testing.assert_allclose(got, _oscillation_sums_dense(space, g, p), rtol=1e-13, atol=0.0)
+
+
+def _oscillation_sums_broadcast(space, g, p):
+    """The generic-p tile loop of ``oscillation_sums`` as it ran before its
+    rank-2 product: each tile's g_j - mean_q from one broadcast subtract."""
+    n, tile = space.n, spaces._OSC_TILE
+    gs, ws = np.asarray(g, dtype=float)[space.order], space.weights[space.order]
+    pw = space.prefix_weight
+    out = np.zeros((n, n))
+    gs = gs - gs[:, :1]
+    means = np.cumsum(gs * ws, axis=1) / pw[:, 1:]
+    tril = np.tril(np.ones((tile, tile)))
+    buf = np.empty(tile * tile * n)
+    for c0 in range(0, n, tile):
+        c1 = min(c0 + tile, n)
+        for q0 in range(0, n, tile):
+            q1 = min(q0 + tile, n)
+            diff = buf[:(c1 - c0) * (q1 - q0) * q1].reshape(c1 - c0, q1 - q0, q1)
+            np.subtract(gs[c0:c1, None, :q1], means[c0:c1, q0:q1, None], out=diff)
+            np.abs(diff, out=diff)
+            if p != 1.0:
+                diff **= p
+            diff[:, :, q0:] *= tril[:q1 - q0, :q1 - q0]
+            out[c0:c1, q0:q1] = np.matmul(diff, ws[c0:c1, :q1, None])[..., 0]
+    return out
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from([1, 2, 15, 16, 17, 33, 81]), st.sampled_from([1.0, 1.5, 3.0]))
+def test_oscillation_tiles_equal_the_broadcast_subtract(data, n, p):
+    # the rank-2 product rounds each g_j - mean_q once, as the subtract does;
+    # the sizes fill one tile, end a tile early or late, and cross several
+    space = data.draw(st.one_of(small_spaces(n=n), small_spaces(coincident=True, n=n)))
+    g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, n)
+    g = np.round(g, data.draw(st.sampled_from([1, 17])))  # one decimal ties many values
+    g *= 10.0 ** data.draw(st.integers(-3, 3))
+    assert np.array_equal(spaces.oscillation_sums(space, g, p), _oscillation_sums_broadcast(space, g, p))
 
 
 @pytest.mark.parametrize("make_space", [

@@ -144,3 +144,83 @@ def test_a_dropped_normalizer_is_freed_without_a_collection(grid16):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_one_moment_pass_fills_the_p2_and_p4_tables(monkeypatch, grid64):
+    space, _ = grid64
+    space = _fresh(space)
+    calls = []
+    moments = spaces._moment_sums
+
+    def counted(*args):
+        calls.append(args)
+        return moments(*args)
+
+    monkeypatch.setattr(spaces, "_moment_sums", counted)
+    f = np.sin(7.0 * np.arange(space.n))
+    tables = spaces.function_tables(space, f)
+    shared = {p: tables.oscillation(p) for p in (2.0, 4.0)}
+    assert len(calls) == 1
+    family = space.balls()
+    for p, table in shared.items():
+        assert np.all(table == spaces.oscillation_sums(space, f, p)[family.center, family.counts() - 1])
+        assert tables.oscillation(p) is table
+
+
+def test_each_marcinkiewicz_integral_is_evaluated_once(monkeypatch, grid64):
+    space, lam = grid64
+    space = _fresh(space)
+    profile = nl.make_profile(space, lam)
+    kernel = operators.make_kernel(space, lam)
+    calls = []
+    integral = operators._integral_rows
+
+    def counted(space, kernel, f, rows, params, b):
+        calls.append((rows.size, b is not None))
+        return integral(space, kernel, f, rows, params, b)
+
+    def fresh(f, b=None, params=operators.OperatorParams()):
+        return integral(space, kernel, np.asarray(f, dtype=float), np.arange(space.n), params, b)
+
+    monkeypatch.setattr(operators, "_integral_rows", counted)
+    rng = np.random.default_rng(3)
+    f, b, b2 = (rng.uniform(-1.0, 1.0, space.n) for _ in range(3))
+    # the battery's order: the ratios, then the sharp estimate and the domination check
+    mf = operators.marcinkiewicz(space, kernel, f)
+    cf = operators.marcinkiewicz_commutator(space, kernel, b, f)
+    operators.check_sharp_maximal_estimate(space, lam, profile, kernel, spaces.constant_psi(), b, f)
+    operators.check_pointwise_domination(space, lam, kernel, f)
+    assert calls == [(space.n, False), (space.n, True)]
+    assert np.array_equal(mf, fresh(f)) and np.array_equal(cf, fresh(f, b))
+    # b separates the commutator entries, and (l, rho, s) every entry
+    assert np.array_equal(operators.marcinkiewicz_commutator(space, kernel, b2, f), fresh(f, b2))
+    params = operators.OperatorParams(s=3.0)
+    assert np.array_equal(operators.marcinkiewicz(space, kernel, f, None, params), fresh(f, None, params))
+    assert len(calls) == 4
+    # an f changed in place reads fresh values
+    f[::2] *= -2.0
+    got = operators.marcinkiewicz(space, kernel, f)
+    assert len(calls) == 5 and np.array_equal(got, fresh(f))
+    # x= calls bypass the memo
+    assert [operators.marcinkiewicz(space, kernel, f, x) for x in (0, 5, 5)] == [got[0], got[5], got[5]]
+    assert calls[5:] == [(1, False)] * 3
+    # a returned array is the caller's own
+    got[:] = 0.0
+    assert np.array_equal(operators.marcinkiewicz(space, kernel, f), fresh(f))
+    assert len(calls) == 8
+    assert mmspace.cache_bytes(space)["marcinkiewicz"] == 5 * space.n * 8
+
+
+def test_the_mean_jump_pairs_are_drawn_once_per_budget_and_seed(monkeypatch, grid64):
+    space, lam = grid64
+    space = _fresh(space)
+    psi = spaces.constant_psi()
+    calls = []
+    replay = spaces.replay_draws
+    monkeypatch.setattr(spaces, "replay_draws", lambda *args: calls.append(args[:2]) or replay(*args))
+    fs = [np.sin(k * np.arange(space.n)) for k in (1.0, 2.0, 3.0)]
+    reports = [spaces.check_mean_jump_bounds(space, lam, f, psi, pair_budget=300, seed=7) for f in fs]
+    spaces.check_mean_jump_bounds(space, lam, fs[0], psi, pair_budget=300, seed=8)
+    assert calls == [(7, 300), (8, 300)]
+    for f, report in zip(fs, reports):
+        assert report == spaces.check_mean_jump_bounds(_fresh(space), lam, f, psi, pair_budget=300, seed=7)

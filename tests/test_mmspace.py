@@ -127,6 +127,26 @@ def test_euclidean_matrices_pass_the_triangle_check(n, dim, scale_exp, seed):
     mmspace._check_triangle(mmspace._euclidean_matrix(points))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(-100, 100), st.integers(0, 10_000))
+def test_triangle_step_sums_equal_the_broadcast_add(n, scale_exp, seed):
+    # each step's d(i, k) + d(k, j) is a rank-2 product, which must round as
+    # the add does; entries in [1, 2] times a scale make a metric, so every k runs
+    rng = np.random.default_rng(seed)
+    d = np.triu(rng.uniform(1.0, 2.0, (n, n)), 1) * 10.0 ** scale_exp
+    d = d + d.T
+    real, sums = np.matmul, []
+
+    def spy(a, b, out=None):
+        sums.append(real(a, b, out=out).copy())
+        return out
+    with mock.patch.object(np, "matmul", spy):
+        mmspace._check_triangle(d)
+    assert len(sums) == n
+    for k, got in enumerate(sums):
+        assert np.array_equal(got, d[:, k:k + 1] + d[k:k + 1, :]), k
+
+
 @pytest.mark.parametrize("kwargs, error", [
     ({"distances": [[0, math.nan, 1], [math.nan, 0, 1], [1, 1, 0]]}, MetricViolation),
     ({"distances": [[0, math.inf], [math.inf, 0]]}, MetricViolation),
