@@ -19,8 +19,8 @@ points of its center's distance order.  Every supremum over balls is a
 gather over this family followed by one argmax; suprema over nested ball
 pairs read theirs from ``geometry.pair_source``.  Per dilation step tau
 the family caches one :class:`Ladder`, the member counts of every tau**k * B,
-and the sparse-table ``windows`` that group each ball's concentric outer
-balls by scale index.  ``flat`` turns a per-ball read ``table[center, q]`` of
+and the power-of-two ``windows`` that cover each ball's concentric outer
+balls of one scale index.  ``flat`` turns a per-ball read ``table[center, q]`` of
 a center-by-prefix table into one 1-D ``take``.
 
 Every cache is a store entry read through :func:`memo`, which builds it on
@@ -82,11 +82,11 @@ RADIUS_MULTIPLIERS = (0.5, 1.0)
 FALLBACK_RADIUS = 1.0
 
 
-def _arrays(value) -> list:
+def _arrays(value) -> tuple:
     """The arrays a cached value holds: itself, a tuple's items or an object's public fields."""
     parts = (value,) if isinstance(value, np.ndarray) else value if isinstance(value, tuple) \
         else [v for k, v in getattr(value, "__dict__", {}).items() if not k.startswith("_")]
-    return [a for a in parts if isinstance(a, np.ndarray)]
+    return tuple(a for a in parts if isinstance(a, np.ndarray))
 
 
 def memo(store: dict, key, build: Callable):
@@ -116,15 +116,27 @@ def _object_bytes(value) -> int:
 def cache_bytes(space: "PointCloudSpace") -> dict:
     """Bytes held per cache kind (an entry's key or its first item) in the space's store, its
     owners' stores and, as ``kind.inner``, cached objects' stores: each array's, or a view's base's
-    (a broadcast table holds one scalar), or for an entry with neither its objects' ``sys.getsizeof``."""
+    (a broadcast table holds one scalar), or for an entry with neither its objects' ``sys.getsizeof``;
+    and the bytes objects of its key, such as a function's.  A buffer counts once, in the first kind."""
     out: dict = {}
+    seen: set = set()
+
+    def held(obj) -> int:
+        """The bytes of an array (a view's base's), a bytes object or a tuple of them, each buffer once."""
+        if isinstance(obj, tuple):
+            return sum(map(held, obj))
+        buf = obj.base if isinstance(getattr(obj, "base", None), (np.ndarray, bytes)) else obj
+        if not isinstance(buf, (np.ndarray, bytes)) or id(buf) in seen:
+            return 0
+        seen.add(id(buf))
+        return len(buf) if isinstance(buf, bytes) else buf.nbytes
 
     def walk(store: dict, prefix: str) -> None:
         for key, value in store.items():
             kind = prefix + (key if isinstance(key, str) else key[0])
             sub = value if isinstance(value, dict) else getattr(value, "store", None)
-            sizes = [(a.base if isinstance(a.base, np.ndarray) else a).nbytes for a in _arrays(value)]
-            out[kind] = out.get(kind, 0) + (sum(sizes) if sizes or sub is not None else _object_bytes(value))
+            size = held(_arrays(value)) if _arrays(value) or sub is not None else _object_bytes(value)
+            out[kind] = out.get(kind, 0) + held(key) + size
             walk(sub or {}, kind + ".")
         for child in getattr(store, "owned", {}).values():
             walk(child, prefix)
@@ -290,24 +302,28 @@ class BallFamily:
         return memo(self.store, ("ladder", tau), build)
 
     def windows(self, tau: float) -> tuple:
-        """``(depth, offsets, idx)`` for range maxima over concentric runs (cached):
-        run N of ball b is the balls j >= b of its segment of pair scale index N, empty
-        past sat[b].  Columns ``offsets[N]:offsets[N + 1]`` of ``idx`` follow ladder level
-        N + k_floor in its order: flat indices of two power-of-two windows covering the run
-        in a sparse table of ``depth`` rows with a last, pad column, both the pad if empty."""
+        """``(depth, offsets, idx)`` for range maxima over concentric runs (cached): run N
+        of ball b is the balls j >= b of its segment of pair scale index N, empty past sat[b];
+        run 0 is b itself.  Each non-empty run N >= 1 is an int32 column of ``idx``: b's place
+        in the ladder's order and the starts of two windows of 2**k balls that cover the run,
+        k = floor(log2 of its length) < depth, at ``offsets[k, N]:offsets[k, N + 1]``."""
         tau = float(tau)
         def build():
-            ladder, parts = self.ladder(tau), []
-            start, hi = self.offsets[self.center].astype(np.int32), np.arange(len(self), dtype=np.int32)
+            ladder, parts = self.ladder(tau), [np.empty((4, 0), dtype=np.int32)]
+            start, hi = self.offsets[self.center].astype(np.int32), np.arange(len(self), dtype=np.int32) + 1
             top = scale_index_array(tau, self.radius, self.radius[self.offsets[1:] - 1][self.center]).max()
-            w, levels = len(self) + 1, range(ladder.k_floor, ladder.k_floor + int(top) + 1)
-            for scale, size in zip(ladder.scales[levels], np.diff(ladder.offsets)[levels]):
-                lo, hi = hi, start + self.counts_of(self.radius * scale, in_segment=True)
-                lo_b, hi_b = lo[ladder.order[:size]], hi[ladder.order[:size]]
-                k = np.frexp(np.maximum(hi_b - lo_b, 1))[1] - 1
-                parts.append(np.where(hi_b > lo_b, np.stack([k * w + lo_b, k * w + hi_b - (1 << k)]), w - 1))
-            offsets = np.concatenate([[0], np.cumsum([p.shape[1] for p in parts])])
-            return int(np.diff(self.offsets).max()).bit_length(), offsets, np.hstack(parts)
+            for j in range(ladder.k_floor + 1, ladder.k_floor + top + 1):  # scale index N = j - k_floor
+                lo, hi = hi, start + self.counts_of(self.radius * ladder.scales[j], in_segment=True)
+                level = ladder.order[:ladder.offsets[j + 1] - ladder.offsets[j]]
+                p = np.flatnonzero(hi[level] > lo[level])
+                b = level[p]
+                k = np.frexp(hi[b] - lo[b])[1] - 1
+                parts.append(np.stack([k * (top + 1) + j, p, lo[b], hi[b] - (1 << k)], dtype=np.int32))
+            cols = np.hstack(parts)
+            del parts
+            depth = int(np.diff(self.offsets).max()).bit_length()  # 2**depth > every run
+            keys = np.arange(depth)[:, None] * (top + 1) + np.arange(top + 2) + ladder.k_floor
+            return depth, np.searchsorted(np.sort(cols[0]), keys), cols[1:, cols[0].argsort(kind="stable")]
         return memo(self.store, ("windows", tau), build)
 
     def later_max(self, values: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from .mmspace import (
     DominatingFunction,
     GeometryProfile,
     PointCloudSpace,
+    _COVER_BLOCK,
     memo,
 )
 from .report import CheckReport
@@ -376,6 +377,14 @@ def _marcinkiewicz(space: PointCloudSpace, kernel: KernelSpec, f, x: Optional[in
 
 def _integral_rows(space: PointCloudSpace, kernel: KernelSpec, f: np.ndarray, rows: np.ndarray,
                    params: OperatorParams, b: Optional[np.ndarray]) -> np.ndarray:
+    """The integral at each of ``rows``, by blocks of ``_COVER_BLOCK // n`` rows."""
+    step = max(1, _COVER_BLOCK // space.n)
+    return np.concatenate([_integral_block(space, kernel, f, rows[i:i + step], params, b)
+                           for i in range(0, rows.size, step)])
+
+
+def _integral_block(space: PointCloudSpace, kernel: KernelSpec, f: np.ndarray, rows: np.ndarray,
+                    params: OperatorParams, b: Optional[np.ndarray]) -> np.ndarray:
     """The integral at each of ``rows``, in one pass over their rows of ``space.order``.
 
     The summands of every row (positive distance, f(y) != 0) in distance
@@ -390,6 +399,7 @@ def _integral_rows(space: PointCloudSpace, kernel: KernelSpec, f: np.ndarray, ro
     contrib = kernel.matrix[center, y] * f[y] * space.weights[y] / d ** (1.0 - params.rho)
     if b is not None:
         contrib = contrib * (b[center] - b[y])
+    del order, dist, k, y, center  # each as large as a row block, 256 KB
     out = np.zeros(rows.size)
     if r.size:
         new_row = np.r_[True, r[1:] != r[:-1]]
@@ -492,19 +502,6 @@ def doubling_maximal(space: PointCloudSpace, profile: GeometryProfile, f: np.nda
     return out if x is None else float(out[x])
 
 
-def _max_table(values: np.ndarray, depth: int) -> np.ndarray:
-    """Sparse table: row k < depth holds the largest of ``values`` over each
-    window ``i:i + 2**k``; a -inf pad ends every row."""
-    table = np.empty((depth, values.size + 1))
-    table[0, :-1] = values
-    table[0, -1] = -math.inf
-    for k in range(1, depth):
-        half = 1 << (k - 1)
-        table[k, -half:] = table[k - 1, -half:]
-        np.maximum(table[k - 1, :-half], table[k - 1, half:], out=table[k, :-half])
-    return table
-
-
 def sharp_maximal(space: PointCloudSpace, lam: DominatingFunction,
                   profile: GeometryProfile, f: np.ndarray,
                   x: Optional[int] = None, *, pair_budget: int = 2000, seed: int = 0):
@@ -518,27 +515,31 @@ def sharp_maximal(space: PointCloudSpace, lam: DominatingFunction,
     """
     family = space.balls()
     fn = function_tables(space, f)
-    means, mu6 = fn.means, fn.measures(6.0)
+    means, mu6, osc = fn.means, fn.measures(6.0), fn.oscillation()  # the p = 1 pass first
     b1, b2 = pair_source(space, pair_budget, seed)
     flags = mu6 <= profile.beta(6.0) * fn.measures(1.0)  # the doubling balls
     tables = coefficient_tables(space, lam, 6.0)
 
-    # concentric pairs (b, j >= b): the outer balls of scale index N form the
-    # run lo:hi of b's segment, so the largest jump is at the run's extrema;
-    # one sparse table is alive at a time, of the means and then of their
-    # negatives, since max(a, b) / c == max(a / c, b / c) for a coefficient c > 0;
-    # scale index N reads the balls of its ladder level, a prefix of the ladder's order
+    # concentric pairs (b, j > b): the outer balls of scale index N >= 1 form a
+    # run of b's segment, so the largest jump is at the run's largest or smallest
+    # mean, and max(a, b) / c == max(a / c, b / c) for a coefficient c > 0; after
+    # step k the rows hold those extrema over every window of 2**k balls (the
+    # non-doubling ones masked), and the runs of that power read them
     ladder, (depth, offsets, windows) = family.ladder(6.0), family.windows(6.0)
-    pair_vals = np.full(len(family), -math.inf)
+    top, low = np.where(flags, means, -math.inf), np.where(flags, means, math.inf)
+    ordered, pair_vals = means[ladder.order], np.full(len(family), -math.inf)
     with np.errstate(invalid="ignore"):
-        for signed in (means, -means):
-            table = _max_table(np.where(flags, signed, -math.inf), depth).ravel()
-            signed = signed[ladder.order]
-            for n_idx in range(offsets.size - 1):
-                i0, i1 = windows[:, offsets[n_idx]:offsets[n_idx + 1]]
-                jump = np.maximum(table.take(i0), table.take(i1)) - signed[:i0.size]
-                np.maximum(pair_vals[:i0.size], jump / tables.level(n_idx), out=pair_vals[:i0.size])
-            del table
+        for k in range(depth):
+            if k:
+                half = 1 << (k - 1)
+                np.maximum(top[:-half], top[half:], out=top[:-half])
+                np.minimum(low[:-half], low[half:], out=low[:-half])
+            for n_idx in range(1, offsets.shape[1] - 1):
+                p, i0, i1 = windows[:, offsets[k, n_idx]:offsets[k, n_idx + 1]]
+                m = ordered[p]
+                jump = np.maximum(np.maximum(top[i0], top[i1]) - m, m - np.minimum(low[i0], low[i1]))
+                pair_vals[p] = np.maximum(pair_vals[p], jump / tables.level(n_idx, p))
+    del top, low, ordered
     pair_vals = pair_vals[ladder.rank]
     pair_vals[~flags] = -math.inf
     # a pair of the other source (for a small family, every nested pair) reaches
@@ -547,7 +548,7 @@ def sharp_maximal(space: PointCloudSpace, lam: DominatingFunction,
     b1, b2 = b1[doubling], b2[doubling]
     np.maximum.at(pair_vals, b1, np.abs(means[b1] - means[b2]) / tables.pairs(b1, b2))
 
-    out = np.maximum(_scatter_sup(space, np.maximum(fn.oscillation() / mu6, pair_vals)), 0.0)
+    out = np.maximum(_scatter_sup(space, np.maximum(osc / mu6, pair_vals)), 0.0)
     return out if x is None else float(out[x])
 
 

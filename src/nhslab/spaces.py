@@ -49,6 +49,7 @@ from .mmspace import (
     DominatingFunction,
     PointCloudSpace,
     Radial,
+    _COVER_BLOCK,
     comparability_ratio,
     memo,
 )
@@ -337,13 +338,14 @@ class CampanatoNormReport:
 def _ladder_jumps(family, mean_table: np.ndarray, means: np.ndarray, psit: np.ndarray, tau: float):
     """``(k, |means - mean of tau**k B|, psi, live)`` for k = 1 .. one past the
     deepest saturation, over the balls B of ladder level k in the ladder's
-    ``order``; ``live`` marks those with k at most one past their own."""
+    ``order``; ``live`` marks those with k at most one past their own.  A level's
+    arrays are its own gathers (a constant psi stays a broadcast), bound to no name."""
     ladder = family.ladder(tau)
-    flat, means, psit, sat = (a[ladder.order] for a in (family.flat, means, psit, ladder.sat))
     for k in range(1, int(ladder.sat.max()) + 2):
         q = ladder.level(ladder.counts, k + ladder.k_floor)
-        w = q.size
-        yield k, np.abs(means[:w] - mean_table.ravel().take(flat[:w] + q)), psit[:w], k <= sat[:w] + 1
+        balls = ladder.order[:q.size]
+        yield (k, np.abs(means.take(balls) - mean_table.ravel().take(family.flat.take(balls) + q)),
+               psit[:q.size] if psit.strides == (0,) else psit.take(balls), ladder.sat.take(balls) >= k - 1)
 
 
 def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.ndarray,
@@ -375,30 +377,31 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
         coeffs = coefficient_tables(space, lam, tau)
         ladder = family.ladder(tau)
         osc, osc_w = family.sup(tables.oscillation() / (psit * tables.measures(tau)))
-        # per ball, the best pair (B, tau**k B) up to one step past saturation
-        # (tau**sat B covers the space), and the first k attaining it; a small
-        # family reads every nested pair instead, so its best stays -inf
+        # per ball in the ladder's order, the best pair (B, tau**k B) up to one step
+        # past saturation (tau**sat B covers the space), and the first k attaining
+        # it; a small family reads every nested pair instead, so its best stays -inf
         best = np.full((len(slots), len(family)), -np.inf)
-        best_k = np.zeros((len(slots), len(family)), dtype=np.int64)
+        best_k = np.zeros((len(slots), len(family)), dtype=np.min_scalar_type(int(ladder.sat.max()) + 1))
         for k, jump, psi_k, live in () if exhaustive else _ladder_jumps(
                 family, tables.mean_table, means, psit, tau):
-            coeff = coeffs.level(k)
             for s, (_, gamma) in enumerate(slots):
-                vals = jump / (psi_k * coeff ** gamma)
+                vals = jump / (psi_k * coeffs.level(k) ** gamma)
                 better = live & (vals > best[s, :jump.size])
-                best[s, :jump.size][better] = vals[better]
+                np.copyto(best[s, :jump.size], vals, where=better)
                 best_k[s, :jump.size][better] = k
-        best, best_k = best[:, ladder.rank], best_k[:, ladder.rank]
+                del vals, better
+            del jump, psi_k, live
         pair_coeff = coeffs.pairs(b1, b2)
         for s, (i, gamma) in enumerate(slots):
             reg, reg_w = 0.0, {}
             top = float(best[s].max())
             if top > reg:
                 # ties go to the first center, then the first k, then the first radius
-                tied = np.flatnonzero(best[s] == top)
+                tied = np.sort(ladder.order[best[s] == top])
                 tied = tied[family.center[tied] == family.center[tied[0]]]
-                b = int(tied[np.argmin(best_k[s][tied])])
-                outer = ladder.scales[best_k[s][b] + ladder.k_floor] * family.radius[b]
+                k = best_k[s][ladder.rank[tied]]
+                b = int(tied[np.argmin(k)])
+                outer = ladder.scales[int(k.min()) + ladder.k_floor] * family.radius[b]
                 reg, reg_w = top, {"inner": family.ball(b),
                                    "outer": {"center": int(family.center[b]), "radius": float(outer)}}
             if b1.size:
@@ -629,10 +632,9 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
             details={"constant_function": True, "per_k": {str(k): 0.0 for k in k_values},
                      "iterated": 0.0, "comparable": 0.0, "norm": norm},
         )
-    mean_table = function_tables(space, f).mean_table
-    family = space.balls()
+    tables, family = function_tables(space, f), space.balls()
     # the prefix-table means at every family size, as the ladders read them
-    means = family.at(mean_table, family.counts())
+    means = family.at(tables.mean_table, family.counts()) if tables.exhaustive else tables.means
     psit = space.fn_table(psi)
     per_k = {}
     iterated = 0.0
@@ -642,11 +644,11 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
             continue
         # past saturation the jump stays and jump / j falls, so each ball
         # stops one step after it
-        for j, jump, psi_j, live in _ladder_jumps(family, mean_table, means, psit, k):
-            jumps = (jump / (psi_j * norm))[live]
+        for j, jump, psi_j, live in _ladder_jumps(family, tables.mean_table, means, psit, k):
+            top = float(np.max(jump / (psi_j * norm), where=live, initial=-np.inf))
             if j == 1:
-                per_k[str(k)] = max(0.0, float(jumps.max()))
-            iterated = max(iterated, float(jumps.max()) / j)
+                per_k[str(k)] = max(0.0, top)
+            iterated = max(iterated, top / j)
 
     def pairs():
         # the loop c1, c2 = rng.choice(n, 2, replace=False), then rng.integers(small)
@@ -660,11 +662,12 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
         c1, c2, i1 = replay_draws(seed, pair_budget if space.n > 1 else 0, 4, step)
         drawn = small[c1, c2] > 0
         c1, c2, b1 = c1[drawn], c2[drawn], family.offsets[c1[drawn]] + i1[drawn]
-        d = space.dist[c1, c2]
-        return c1, c2, b1, d, np.count_nonzero(space.dist[c2] <= d[:, None], axis=1)
+        d, block = space.dist[c1, c2], max(1, _COVER_BLOCK // space.n)  # the rows of c2 by blocks
+        return c1, c2, b1, d, np.concatenate([np.zeros(0, dtype=np.intp)] + [np.count_nonzero(
+            space.dist[c2[i:i + block]] <= d[i:i + block, None], axis=1) for i in range(0, d.size, block)])
     # the pairs do not depend on f: drawn once per (space, budget, seed)
     c1, c2, b1, d, q2 = memo(space.store(), ("mean_jump_pairs", pair_budget, seed), pairs)
-    vals = np.abs(means[b1] - mean_table[c2, q2]) / (psit[b1] * norm)
+    vals = np.abs(means[b1] - tables.mean_table[c2, q2]) / (psit[b1] * norm)
     comparable = float(np.fmax.reduce(vals, initial=0.0))
     comp_witness: dict = {}
     if comparable > 0.0:  # the first maximum is the witness

@@ -18,8 +18,9 @@ every reader within each ball's levels), the run ends of ``sharp_maximal``'s
 concentric pass with the scale-index matrix, the one supremum tail of ``campanato_norm_multi`` and
 ``sharp_maximal`` on small families with the per-ball and per-pair loops it
 replaced (kept here as oracles), and the one-pass Marcinkiewicz integral
-with its per-point loop.  The oscillation sums are compared with
-exact rational sums and with the dense table they replaced, also on spaces
+with its per-point loop, also across the seams of its row blocks.  The
+oscillation sums are compared with exact rational sums and with the dense
+table they replaced, also on spaces
 that cross the edges of their tiles, and the scatter of the maximal
 operators with the ``np.maximum.at`` form it replaced.  The draws that
 ``geometry.replay_draws`` recomputes from the raw PCG64 stream are compared
@@ -36,8 +37,7 @@ distances, with weight ratios up to 1e6; the doubling property also draws
 coincident lattice points, and the replay tests lattice spaces up to
 n = 600, whose centers may have one or exactly three candidate radii.  The
 ladders and the sharp maximal function are also compared on grid(d=1, n=64)
-and a 40-point graph metric, whose long segments need deep sparse-table
-windows.
+and a 40-point graph metric, whose long runs need wide windows.
 """
 from __future__ import annotations
 
@@ -800,7 +800,7 @@ def _medium_graph_space():
 ], ids=["grid64", "graph40"])
 def test_ladders_and_sharp_maximal_equal_per_center_loops_on_medium_spaces(make_space):
     # the property spaces have n <= 10, so their segments are short and the
-    # sparse-table windows of sharp_maximal stay at most 4 rows deep
+    # windows of sharp_maximal take at most 4 powers of two
     space = make_space()
     assert space.balls().windows(6.0)[0] > 4
     lam, psi = _lam(space), weight_psi(space)
@@ -817,6 +817,22 @@ def test_ladders_and_sharp_maximal_equal_per_center_loops_on_medium_spaces(make_
             pairs = _sampled_nested_pairs_reference(space, budget, 0, PROFILE)
             got = operators.sharp_maximal(space, lam, PROFILE, f, pair_budget=budget)
             assert np.array_equal(got, _sharp_maximal_reference(space, lam, PROFILE, f, pairs))
+
+
+def test_marcinkiewicz_equals_per_point_loop_across_row_blocks():
+    # the property spaces fit in one block of rows; 300 points take three blocks
+    # of _COVER_BLOCK // 300 = 109 rows, so the values meet at two seams
+    space = lab.generate_space({"kind": "grid", "d": 1, "n": 300})
+    assert -(-space.n // (mmspace._COVER_BLOCK // space.n)) == 3
+    kernel = operators.make_kernel(space, _lam(space), family="perturbed", seed=1)
+    rng = np.random.default_rng(300)
+    f, b = rng.uniform(-1.0, 1.0, (2, space.n))
+    f[::7] = 0.0
+    for params in (OperatorParams(), OperatorParams(l=0.2, rho=0.7, s=3.0)):
+        for weight in (None, b):
+            got = operators._marcinkiewicz(space, kernel, f, None, params, weight)
+            want = _marcinkiewicz_reference(space, kernel, f, None, params, weight)
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 def _doubling_indices_reference(space, profile, alpha):
@@ -1163,25 +1179,29 @@ def test_run_ends_group_outer_balls_by_scale_index(space, tau):
                 assert start <= j < ends[b, n_idx]
     # no column past the largest scale index of a concentric pair
     assert ends.shape[1] == top + 1
-    # level N of the windows follows the balls of ladder level N + k_floor, which
-    # hold every non-empty run N; two power-of-two windows of the sparse table
-    # cover each run exactly, and an empty run points both at the pad column
-    depth, offsets, idx = family.windows(tau)
-    assert idx.dtype == np.int32 and offsets.size - 1 == ends.shape[1]
-    width = len(family) + 1
+    # run 0 of a ball is the ball itself, and has no window; every non-empty run
+    # N >= 1 is one column of the windows, under its (k, N) with b in ladder level
+    # N + k_floor; its two windows of 2**k balls cover the run exactly, and an
+    # empty run has no column
     lo = np.hstack([np.arange(len(family))[:, None], ends[:, :-1]])
-    for n_idx in range(offsets.size - 1):
-        b = ladder.order[:np.diff(ladder.offsets)[n_idx + ladder.k_floor]]
-        assert offsets[n_idx + 1] - offsets[n_idx] == b.size
-        assert set(np.flatnonzero(ends[:, n_idx] > lo[:, n_idx])) <= set(b)
-        (k, k1), (c0, c1) = np.divmod(idx[:, offsets[n_idx]:offsets[n_idx + 1]].astype(np.int64), width)
-        length = ends[b, n_idx] - lo[b, n_idx]
-        full = length > 0
-        assert np.all(full | ((k == 0) & (k1 == 0) & (c0 == width - 1) & (c1 == width - 1)))
-        assert np.array_equal(k[full], k1[full]) and k.max(initial=0) < depth
-        assert np.all((1 << k[full]) <= length[full]) and np.all(length[full] < (2 << k[full]))
-        assert np.array_equal(c0[full], lo[b, n_idx][full])
-        assert np.array_equal(c1[full] + (1 << k[full]), ends[b, n_idx][full])
+    assert np.array_equal(ends[:, 0], np.arange(len(family)) + 1)
+    depth, offsets, idx = family.windows(tau)
+    assert idx.dtype == np.int32 and offsets.shape == (depth, ends.shape[1] + 1)
+    assert np.all(np.diff(offsets.ravel()) >= 0)
+    assert np.array_equal(offsets.ravel()[[0, -1]], [0, idx.shape[1]])
+    assert np.all(offsets[1:, 0] == offsets[:-1, -1]) and np.all(offsets[:, 0] == offsets[:, 1])
+    seen = set()
+    for k in range(depth):
+        for n_idx in range(1, ends.shape[1]):
+            p, c0, c1 = idx[:, offsets[k, n_idx]:offsets[k, n_idx + 1]].astype(np.int64)
+            assert np.all(p < np.diff(ladder.offsets)[n_idx + ladder.k_floor])
+            b = ladder.order[p]
+            length = ends[b, n_idx] - lo[b, n_idx]
+            assert np.all((1 << k) <= length) and np.all(length < (2 << k))
+            assert np.array_equal(c0, lo[b, n_idx]) and np.array_equal(c1 + (1 << k), ends[b, n_idx])
+            seen.update((int(ball), n_idx) for ball in b)
+    assert len(seen) == idx.shape[1]
+    assert seen == {(int(b), int(n) + 1) for b, n in zip(*np.nonzero(ends[:, 1:] > lo[:, 1:]))}
     # the ladder's scales give the products scale_index_array tests, bit for bit
     n = np.arange(-ladder.k_floor, ladder.scales.size - ladder.k_floor)
     r = family.radius[:, None]

@@ -3,6 +3,7 @@ answers as a cold one, and repeated per-function work is gone."""
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -208,7 +209,38 @@ def test_each_marcinkiewicz_integral_is_evaluated_once(monkeypatch, grid64):
     got[:] = 0.0
     assert np.array_equal(operators.marcinkiewicz(space, kernel, f), fresh(f))
     assert len(calls) == 8
-    assert mmspace.cache_bytes(space)["marcinkiewicz"] == 5 * space.n * 8
+    # five entries of n values; their keys hold f five times and b twice
+    assert mmspace.cache_bytes(space)["marcinkiewicz"] == (5 + 7) * space.n * 8
+
+
+def test_each_per_function_kernel_works_in_a_few_family_arrays():
+    # the peak one call adds over a warm space, in float64 arrays of the family size B:
+    # no table of depth x B, no level table per call, no n x n pass in one piece
+    space = lab.generate_space({"kind": "grid", "d": 1, "n": 256})
+    lam = nl.fit_power_lambda(space, lab.PINNED_KAPPA)
+    profile, kernel, psi = nl.make_profile(space, lam), operators.make_kernel(space, lam), spaces.constant_psi()
+    f, g, b = np.random.default_rng(1).uniform(-1.0, 1.0, (3, space.n))
+    calls = {
+        "sharp_maximal": lambda f: operators.sharp_maximal(space, lam, profile, f),
+        "campanato_norm_multi": lambda f: spaces.campanato_norm_multi(space, lam, f, psi, spaces.NORM_COMBOS),
+        "check_mean_jump_bounds": lambda f: spaces.check_mean_jump_bounds(space, lam, f, psi, norm=0.5),
+        "marcinkiewicz_commutator": lambda f: operators.marcinkiewicz_commutator(space, kernel, b, f),
+    }
+    unit = 8 * len(space.balls())
+    tracemalloc.start()  # before the warm-up, so that the frees of f's tables count
+    try:
+        for call in calls.values():  # every space-level cache, warm
+            call(f)
+        rises = {}
+        for name, call in calls.items():
+            spaces.function_tables(space, f).means  # the slot holds f, as after a call on f
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            call(g)
+            rises[name] = (tracemalloc.get_traced_memory()[1] - before) / unit
+    finally:
+        tracemalloc.stop()
+    assert max(rises.values()) <= 7.0, rises
 
 
 def test_the_mean_jump_pairs_are_drawn_once_per_budget_and_seed(monkeypatch, grid64):

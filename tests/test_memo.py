@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nhslab import geometry, lab, mmspace, spaces
+from nhslab import geometry, lab, mmspace, operators, spaces
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -148,6 +148,19 @@ def test_cache_bytes_walks_every_store_and_frees_a_dropped_owner(cold64):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_cache_bytes_count_the_bytes_a_key_holds_once(cold64):
+    space, lam = cold64
+    kernel = operators.make_kernel(space, lam)
+    f, b = np.random.default_rng(0).uniform(-1.0, 1.0, (2, space.n))
+    operators.marcinkiewicz(space, kernel, f)
+    operators.marcinkiewicz_commutator(space, kernel, b, f)
+    # two entries of n values; their keys hold f twice and b once
+    assert mmspace.cache_bytes(space)["marcinkiewicz"] == (2 + 3) * space.n * 8
+    # the function slot's key and its tables' f are one buffer
+    assert spaces.function_tables(space, f).f.base is spaces.function_tables(space, f).key[2]
+    assert mmspace.cache_bytes(space)["function.tables"] == space.n * 8
 
 
 def test_cache_bytes_are_in_the_json_report_only():
