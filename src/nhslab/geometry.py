@@ -189,9 +189,9 @@ class CoefficientTables:
                 terms += ladder.level(self.cumulative, j - 1)[:q.size]
             ladder.level(self.cumulative, j)[:] = terms
 
-    def level(self, n_index: int, at=slice(None)) -> np.ndarray:
-        """Coefficients of (B, tau**n_index B) over their ladder level, in its order, at ``at``."""
-        return 1.0 + self._ladder.level(self.cumulative, n_index + self.k_floor)[at]
+    def level(self, n_index: int) -> np.ndarray:
+        """Coefficients of the pairs (B, tau**n_index B) over their ladder level, in its order."""
+        return 1.0 + self._ladder.level(self.cumulative, n_index + self.k_floor)
 
     def concentric(self, ball, n_index) -> np.ndarray:
         """Coefficients of the family balls ``ball`` at outer scale index

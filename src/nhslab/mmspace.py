@@ -122,7 +122,6 @@ def cache_bytes(space: "PointCloudSpace") -> dict:
     seen: set = set()
 
     def held(obj) -> int:
-        """The bytes of an array (a view's base's), a bytes object or a tuple of them, each buffer once."""
         if isinstance(obj, tuple):
             return sum(map(held, obj))
         buf = obj.base if isinstance(getattr(obj, "base", None), (np.ndarray, bytes)) else obj
@@ -304,9 +303,9 @@ class BallFamily:
     def windows(self, tau: float) -> tuple:
         """``(depth, offsets, idx)`` for range maxima over concentric runs (cached): run N
         of ball b is the balls j >= b of its segment of pair scale index N, empty past sat[b];
-        run 0 is b itself.  Each non-empty run N >= 1 is an int32 column of ``idx``: b's place
-        in the ladder's order and the starts of two windows of 2**k balls that cover the run,
-        k = floor(log2 of its length) < depth, at ``offsets[k, N]:offsets[k, N + 1]``."""
+        run 0 is b itself.  Each non-empty run N >= 1 is an int32 column of ``idx``: b and
+        the starts of two windows of 2**k balls that cover the run, k = floor(log2 of its
+        length) < depth, at ``offsets[k, N]:offsets[k, N + 1]``."""
         tau = float(tau)
         def build():
             ladder, parts = self.ladder(tau), [np.empty((4, 0), dtype=np.int32)]
@@ -315,10 +314,9 @@ class BallFamily:
             for j in range(ladder.k_floor + 1, ladder.k_floor + top + 1):  # scale index N = j - k_floor
                 lo, hi = hi, start + self.counts_of(self.radius * ladder.scales[j], in_segment=True)
                 level = ladder.order[:ladder.offsets[j + 1] - ladder.offsets[j]]
-                p = np.flatnonzero(hi[level] > lo[level])
-                b = level[p]
+                b = level[hi[level] > lo[level]]
                 k = np.frexp(hi[b] - lo[b])[1] - 1
-                parts.append(np.stack([k * (top + 1) + j, p, lo[b], hi[b] - (1 << k)], dtype=np.int32))
+                parts.append(np.stack([k * (top + 1) + j, b, lo[b], hi[b] - (1 << k)], dtype=np.int32))
             cols = np.hstack(parts)
             del parts
             depth = int(np.diff(self.offsets).max()).bit_length()  # 2**depth > every run

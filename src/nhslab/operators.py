@@ -524,23 +524,25 @@ def sharp_maximal(space: PointCloudSpace, lam: DominatingFunction,
     # run of b's segment, so the largest jump is at the run's largest or smallest
     # mean, and max(a, b) / c == max(a / c, b / c) for a coefficient c > 0; after
     # step k the rows hold those extrema over every window of 2**k balls (the
-    # non-doubling ones masked), and the runs of that power read them
+    # non-doubling ones masked), read at once by the runs of that power, any N
     ladder, (depth, offsets, windows) = family.ladder(6.0), family.windows(6.0)
     top, low = np.where(flags, means, -math.inf), np.where(flags, means, math.inf)
-    ordered, pair_vals = means[ladder.order], np.full(len(family), -math.inf)
+    pair_vals = np.full(len(family), -math.inf)
+    levels = ladder.offsets[ladder.k_floor + 1:ladder.k_floor + offsets.shape[1] - 1]
     with np.errstate(invalid="ignore"):
         for k in range(depth):
             if k:
                 half = 1 << (k - 1)
                 np.maximum(top[:-half], top[half:], out=top[:-half])
                 np.minimum(low[:-half], low[half:], out=low[:-half])
-            for n_idx in range(1, offsets.shape[1] - 1):
-                p, i0, i1 = windows[:, offsets[k, n_idx]:offsets[k, n_idx + 1]]
-                m = ordered[p]
-                jump = np.maximum(np.maximum(top[i0], top[i1]) - m, m - np.minimum(low[i0], low[i1]))
-                pair_vals[p] = np.maximum(pair_vals[p], jump / tables.level(n_idx, p))
-    del top, low, ordered
-    pair_vals = pair_vals[ladder.rank]
+            b, i0, i1 = windows[:, offsets[k, 1]:offsets[k, -1]]
+            m, jump, dip = means.take(b), top.take(i0), low.take(i0)
+            np.subtract(np.maximum(jump, top.take(i1), out=jump), m, out=jump)
+            np.maximum(jump, np.subtract(m, np.minimum(dip, low.take(i1), out=dip), out=dip), out=jump)
+            jump /= tables.cumulative.take(ladder.rank.take(b) + np.repeat(levels, np.diff(offsets[k, 1:]))) + 1.0
+            np.maximum.at(pair_vals, b, jump)
+            del m, jump, dip
+    del top, low
     pair_vals[~flags] = -math.inf
     # a pair of the other source (for a small family, every nested pair) reaches
     # the members of its inner ball, as a concentric one

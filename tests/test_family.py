@@ -1193,9 +1193,8 @@ def test_run_ends_group_outer_balls_by_scale_index(space, tau):
     seen = set()
     for k in range(depth):
         for n_idx in range(1, ends.shape[1]):
-            p, c0, c1 = idx[:, offsets[k, n_idx]:offsets[k, n_idx + 1]].astype(np.int64)
-            assert np.all(p < np.diff(ladder.offsets)[n_idx + ladder.k_floor])
-            b = ladder.order[p]
+            b, c0, c1 = idx[:, offsets[k, n_idx]:offsets[k, n_idx + 1]].astype(np.int64)
+            assert np.all(ladder.rank[b] < np.diff(ladder.offsets)[n_idx + ladder.k_floor])
             length = ends[b, n_idx] - lo[b, n_idx]
             assert np.all((1 << k) <= length) and np.all(length < (2 << k))
             assert np.array_equal(c0, lo[b, n_idx]) and np.array_equal(c1 + (1 << k), ends[b, n_idx])
