@@ -187,10 +187,11 @@ def scale_index_array(tau: float, inner: np.ndarray, outer: np.ndarray) -> np.nd
     ratio = np.maximum(outer / inner, 1.0)
     n = np.ceil(np.log(ratio) / math.log(tau) - 1e-12).astype(np.int64)
     n = np.maximum(n, 0)
+    power = tau ** np.arange(n.max(initial=0) + 3)  # tau ** n for every n the steps reach
     # exact adjustment of the float estimate; one step each way suffices
     for _ in range(2):
-        n = n + (tau ** n * inner < outer)
-        back = (n > 0) & (tau ** np.maximum(n - 1, 0) * inner >= outer)
+        n = n + (power[n] * inner < outer)
+        back = (n > 0) & (power[np.maximum(n - 1, 0)] * inner >= outer)
         n = n - back
     return n
 
@@ -225,9 +226,9 @@ class BallFamily:
     """The candidate balls of a space, flattened center by center.
 
     Ball ``b`` is ``B(center[b], radius[b])``; the balls of center ``c`` are
-    ``offsets[c]:offsets[c + 1]``, in ascending radius order.  Member counts
-    at rescaled radii come from the one per-center ``searchsorted`` in
-    :meth:`counts_of`; ``store`` caches them and the measures for the few
+    ``offsets[c]:offsets[c + 1]``, in ascending radius order.  Member counts at
+    rescaled radii (levels by balls) come from :meth:`counts_of`, one per-center
+    ``searchsorted``; ``store`` caches them and the measures for the few
     scales that several suprema share (the radius itself, the enlargements 2,
     5, 6), and the :meth:`ladder` of every power of one dilation step tau.
     """
@@ -257,12 +258,30 @@ class BallFamily:
         """Ball ``b`` as a ``{"center", "radius"}`` witness."""
         return {"center": int(self.center[b]), "radius": float(self.radius[b])}
 
-    def counts_of(self, radii: np.ndarray, in_segment: bool = False) -> np.ndarray:
-        """Member counts of the closed balls B(center[b], radii[b, ...]), or with
-        ``in_segment`` the number of radii of b's segment at most radii[b, ...]."""
-        out = np.empty(radii.shape, dtype=np.int32)
-        for s, row in zip(self._segments, self._sorted_dist):
-            out[s] = (self.radius[s] if in_segment else row).searchsorted(radii[s], side="right")
+    def counts_of(self, radii: np.ndarray, in_segment: bool = False,
+                  centers: slice = slice(0, None)) -> np.ndarray:
+        """Member counts of the closed balls B(center[b], radii[..., b]) for the balls b of a run of
+        ``centers``, or with ``in_segment`` the number of radii of b's segment at most radii[..., b]."""
+        rows, out, c0 = self._sorted_dist[centers], np.empty(radii.shape, dtype=np.int32), centers.start
+        ends = (self.offsets[c0:c0 + len(rows) + 1] - self.offsets[c0]).tolist()  # on the last axis
+        for s, a, b, row in zip(self._segments[centers], ends, ends[1:], rows):
+            out[..., a:b] = (self.radius[s] if in_segment else row).searchsorted(radii[..., a:b], "right")
+        return out
+
+    def _by_level(self, ladder: Ladder, levels: slice, in_segment: bool = False) -> np.ndarray:
+        """``counts_of(scales[j] * radius, in_segment)`` at the ladder levels j of ``levels``, each
+        ball b of level j at ``offsets[j] + rank[b] - offsets[levels.start]``: one level-major search
+        per center, in runs of centers whose products fit in ``_COVER_BLOCK`` floats."""
+        sizes = np.diff(ladder.offsets)[levels, None]
+        at = ladder.offsets[levels, None] - ladder.offsets[levels.start]
+        out, c0 = np.empty(at[-1, 0] + sizes[-1, 0], dtype=np.int32), 0
+        width = max(1, _COVER_BLOCK // len(at))  # balls per run of centers
+        while c0 < self.n:
+            c1 = max(c0 + 1, int(self.offsets.searchsorted(self.offsets[c0] + width, side="right")) - 1)
+            s = slice(self.offsets[c0], self.offsets[c1])
+            keep = ladder.rank[s] < sizes
+            counts = self.counts_of(ladder.scales[levels, None] * self.radius[s], in_segment, slice(c0, c1))
+            out[(at + ladder.rank[s])[keep]], c0 = counts[keep], c1
         return out
 
     def counts(self, scale: float = 1.0) -> np.ndarray:
@@ -291,13 +310,14 @@ class BallFamily:
             k_floor = floor_log(tau)
             sat = scale_index_array(tau, self.radius, self._diameter).astype(np.int32)
             last = np.maximum(sat + 1, scale_index_array(tau, self.radius, 6.0 * self.radius)) + k_floor
-            order = np.argsort(-last, kind="stable").astype(np.int32)
+            top, rank = int(last.max()), np.empty(len(self), dtype=np.int32)
+            # small unsigned keys, so the stable sort is a radix sort
+            order = np.argsort((top - last).astype(np.min_scalar_type(top)), kind="stable").astype(np.int32)
+            rank[order] = np.arange(order.size, dtype=np.int32)
             offsets = np.concatenate([[0], np.cumsum(np.cumsum(np.bincount(last)[::-1])[::-1])])
-            scales = tau ** np.arange(-k_floor, int(last.max()) - k_floor + 1)
-            counts = np.empty(offsets[-1], dtype=np.int32)
-            for j, (scale, size) in enumerate(zip(scales, np.diff(offsets))):
-                counts[offsets[j]:offsets[j] + size] = self.counts_of(self.radius * scale)[order[:size]]
-            return Ladder(k_floor, scales, order, np.argsort(order).astype(np.int32), offsets, counts, sat)
+            scales = tau ** np.arange(-k_floor, top - k_floor + 1)
+            ladder = Ladder(k_floor, scales, order, rank, offsets, None, sat)
+            return ladder._replace(counts=self._by_level(ladder, slice(0, top + 1)))
         return memo(self.store, ("ladder", tau), build)
 
     def windows(self, tau: float) -> tuple:
@@ -308,20 +328,29 @@ class BallFamily:
         length) < depth, at ``offsets[k, N]:offsets[k, N + 1]``."""
         tau = float(tau)
         def build():
-            ladder, parts = self.ladder(tau), [np.empty((4, 0), dtype=np.int32)]
-            start, hi = self.offsets[self.center].astype(np.int32), np.arange(len(self), dtype=np.int32) + 1
-            top = scale_index_array(tau, self.radius, self.radius[self.offsets[1:] - 1][self.center]).max()
-            for j in range(ladder.k_floor + 1, ladder.k_floor + top + 1):  # scale index N = j - k_floor
-                lo, hi = hi, start + self.counts_of(self.radius * ladder.scales[j], in_segment=True)
-                level = ladder.order[:ladder.offsets[j + 1] - ladder.offsets[j]]
-                b = level[hi[level] > lo[level]]
-                k = np.frexp(hi[b] - lo[b])[1] - 1
-                parts.append(np.stack([k * (top + 1) + j, b, lo[b], hi[b] - (1 << k)], dtype=np.int32))
-            cols = np.hstack(parts)
-            del parts
+            ladder = self.ladder(tau)
             depth = int(np.diff(self.offsets).max()).bit_length()  # 2**depth > every run
-            keys = np.arange(depth)[:, None] * (top + 1) + np.arange(top + 2) + ladder.k_floor
-            return depth, np.searchsorted(np.sort(cols[0]), keys), cols[1:, cols[0].argsort(kind="stable")]
+            k0, sizes = ladder.k_floor, np.diff(ladder.offsets)
+            at = ladder.offsets - ladder.offsets[k0]  # level starts in ``ends``
+            # the deepest run of a segment is its first ball's, to its last ball
+            first, last = self.radius[self.offsets[:-1]], self.radius[self.offsets[1:] - 1]
+            top = int(scale_index_array(tau, first, last).max())
+            # in-segment counts at scale indices 0..top; at 0, b's place in its segment plus 1
+            ends = self._by_level(ladder, slice(k0, k0 + top + 1), in_segment=True)
+            runs, parts = np.zeros((depth, top + 2), dtype=np.int64), [np.empty((3, 0), dtype=np.int32)]
+            for j in range(k0 + 1, k0 + top + 1):  # scale index N = j - k0; its columns by k, then rank
+                prev, cur = ends[at[j - 1]:][:sizes[j]], ends[at[j]:][:sizes[j]]
+                pos = np.flatnonzero(cur > prev)
+                k = np.frexp(cur[pos] - prev[pos])[1] - 1
+                runs[:, j - k0] = np.bincount(k, minlength=depth)
+                pos = pos[np.argsort(k.astype(np.uint8), kind="stable")]
+                part = np.stack([ladder.order[pos], prev[pos], cur[pos] - (1 << np.sort(k))])
+                part[1:] += part[0] + 1 - ends[pos]  # plus the start of b's segment: b, lo, hi - 2**k
+                parts.append(part)
+            cut = np.cumsum(runs, axis=0)
+            idx = np.hstack([p[:, cut[k, n] - runs[k, n]:cut[k, n]] for k in range(depth)
+                             for n, p in enumerate(parts)])
+            return depth, np.cumsum(runs).reshape(runs.shape) - runs, idx
         return memo(self.store, ("windows", tau), build)
 
     def later_max(self, values: np.ndarray) -> np.ndarray:

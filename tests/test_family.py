@@ -683,7 +683,7 @@ def _dense_ladder(space, tau):
     top = max(top, int(geometry.scale_index_array(tau, family.radius, 6.0 * family.radius).max()))
     k_floor = nl.mmspace.floor_log(tau)
     scales = tau ** np.arange(-k_floor, top + 1)
-    return k_floor, scales, family.counts_of(family.radius[:, None] * scales)
+    return k_floor, scales, family.counts_of(scales[:, None] * family.radius).T
 
 
 def _dense_cumulative(space, lam, tau):
@@ -1131,6 +1131,22 @@ def test_doubling_count_peaks_in_its_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2 ** 20, peak
+
+
+def test_ladder_and_window_builds_peak_in_their_blocks():
+    # with one block over the whole family (no _COVER_BLOCK cap) the three
+    # builds peak 69.6, 35.5 and 29.1 MiB above their bytes at n = 512
+    space = lab.generate_space({"kind": "grid", "d": 1, "n": 512})
+    family = space.balls()
+    family.counts()
+    for build in (lambda: family.ladder(2.0), lambda: family.ladder(6.0), lambda: family.windows(6.0)):
+        tracemalloc.start()
+        try:
+            held = sum(a.nbytes for a in build() if isinstance(a, np.ndarray))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= 12 * 2 ** 20, (peak, held)
 
 
 # ------------------------------------------------------------------------------

@@ -102,6 +102,34 @@ def test_scale_index_array_matches_scalar():
     assert list(got) == want
 
 
+def _scale_index_by_powers(tau: float, inner, outer) -> np.ndarray:
+    """``scale_index_array`` as it was before it read one table of powers:
+    ``tau ** n`` with an integer-array exponent at every correction step."""
+    inner, outer = np.asarray(inner, dtype=float), np.asarray(outer, dtype=float)
+    n = np.maximum(np.ceil(np.log(np.maximum(outer / inner, 1.0)) / math.log(tau) - 1e-12).astype(np.int64), 0)
+    for _ in range(2):
+        n = n + (tau ** n * inner < outer)
+        n = n - ((n > 0) & (tau ** np.maximum(n - 1, 0) * inner >= outer))
+    return n
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1.1, 1.5, 2.0, 3.0, 6.0, 6.0 ** (1.0 / 3.0)]), st.data())
+def test_scale_index_array_equals_the_per_step_power_oracle(tau, data):
+    # outer radii at ratios 10**e up to 1e308, where tau**(n + 1) overflows to
+    # inf, and exact ties outer = inner * tau**k; inner radii from 1e-300 to 1
+    size = data.draw(st.integers(1, 24))
+    inner = 10.0 ** np.array(data.draw(st.lists(st.floats(-300.0, 0.0), min_size=size, max_size=size)))
+    ratio = 10.0 ** np.array(data.draw(st.lists(st.floats(-1.0, 308.0), min_size=size, max_size=size)))
+    k = np.array(data.draw(st.lists(st.integers(0, 60), min_size=size, max_size=size)))
+    for outer in (inner * ratio, inner * tau ** k, np.maximum(inner * ratio, inner)):
+        with np.errstate(over="ignore"):
+            got, want = scale_index_array(tau, inner, outer), _scale_index_by_powers(tau, inner, outer)
+            scalar = scale_index_array(tau, inner[0], outer[0])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert scalar == want[0]
+
+
 # ------------------------------------------------------------------------------
 # discrete coefficient
 # ------------------------------------------------------------------------------
