@@ -155,10 +155,9 @@ def _cmd_experiment(args) -> int:
     config = lab.ExperimentConfig.from_dict(raw)
     report = lab.run_experiments(config)
     out = args.output or config.output_path
-    if out:
-        lab.emit_report(report, "json", out if out.endswith(".json") else out + ".json")
-        lab.emit_report(report, "csv", out[: -5] + ".csv" if out.endswith(".json") else out + ".csv")
-    print(lab.emit_report(report, args.format), end="")
+    base = out[:-5] if out and out.endswith(".json") else out
+    texts = {fmt: lab.emit_report(report, fmt, f"{base}.{fmt}") for fmt in ("json", "csv")} if out else {}
+    print(texts[args.format] if out else lab.emit_report(report, args.format), end="")
     return report.exit_code
 
 

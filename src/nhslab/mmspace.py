@@ -236,10 +236,14 @@ class BallFamily:
     def __init__(self, space: "PointCloudSpace"):
         scaled = np.sort(np.concatenate([m * space.sorted_dist for m in RADIUS_MULTIPLIERS],
                                         axis=1), axis=1)
-        self.radius, self.center = _dedup_rows(scaled)
+        self.radius, center = _dedup_rows(scaled)
         self.radius.setflags(write=False)
         self.n = space.n
-        self.offsets = np.concatenate([[0], np.cumsum(np.bincount(self.center, minlength=space.n))])
+        self.center = center.astype(np.min_scalar_type(space.n - 1))
+        sizes = np.bincount(center, minlength=space.n)
+        self.offsets = np.concatenate([[0], np.cumsum(sizes)])
+        # the narrowest unsigned dtypes of member counts (at most n) and in-segment counts
+        self._count_dtypes = np.min_scalar_type(space.n), np.min_scalar_type(int(sizes.max()))
         self._segments = [slice(a, b) for a, b in zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())]
         self.flat = self.center.astype(np.int64) * (space.n + 1)  # row starts in an n x (n + 1) table
         self.flat.setflags(write=False)
@@ -262,7 +266,8 @@ class BallFamily:
                   centers: slice = slice(0, None)) -> np.ndarray:
         """Member counts of the closed balls B(center[b], radii[..., b]) for the balls b of a run of
         ``centers``, or with ``in_segment`` the number of radii of b's segment at most radii[..., b]."""
-        rows, out, c0 = self._sorted_dist[centers], np.empty(radii.shape, dtype=np.int32), centers.start
+        rows, c0 = self._sorted_dist[centers], centers.start
+        out = np.empty(radii.shape, dtype=self._count_dtypes[in_segment])
         ends = (self.offsets[c0:c0 + len(rows) + 1] - self.offsets[c0]).tolist()  # on the last axis
         for s, a, b, row in zip(self._segments[centers], ends, ends[1:], rows):
             out[..., a:b] = (self.radius[s] if in_segment else row).searchsorted(radii[..., a:b], "right")
@@ -274,7 +279,7 @@ class BallFamily:
         per center, in runs of centers whose products fit in ``_COVER_BLOCK`` floats."""
         sizes = np.diff(ladder.offsets)[levels, None]
         at = ladder.offsets[levels, None] - ladder.offsets[levels.start]
-        out, c0 = np.empty(at[-1, 0] + sizes[-1, 0], dtype=np.int32), 0
+        out, c0 = np.empty(at[-1, 0] + sizes[-1, 0], dtype=self._count_dtypes[in_segment]), 0
         width = max(1, _COVER_BLOCK // len(at))  # balls per run of centers
         while c0 < self.n:
             c1 = max(c0 + 1, int(self.offsets.searchsorted(self.offsets[c0] + width, side="right")) - 1)
@@ -308,7 +313,8 @@ class BallFamily:
             raise InvalidParams(f"tau must exceed 1, got {tau!r}")
         def build():
             k_floor = floor_log(tau)
-            sat = scale_index_array(tau, self.radius, self._diameter).astype(np.int32)
+            sat = scale_index_array(tau, self.radius, self._diameter)
+            sat = sat.astype(np.min_scalar_type(int(sat.max()) + 1))  # so sat + 1 cannot wrap
             last = np.maximum(sat + 1, scale_index_array(tau, self.radius, 6.0 * self.radius)) + k_floor
             top, rank = int(last.max()), np.empty(len(self), dtype=np.int32)
             # small unsigned keys, so the stable sort is a radix sort
@@ -624,7 +630,7 @@ class Radial:
     """A function of (center point, radius), written once as a broadcasting
     callable ``fn(center, radius)``.
 
-    ``fn`` receives an integer center array and a float radius array of one
+    ``fn`` receives an intp center array and a float radius array of one
     shape and returns values of that shape (or anything broadcasting to it,
     such as a constant).  Write it with NumPy operations only, as
     ``lambda c, r: a[c] * r ** k[c]``.
@@ -634,7 +640,8 @@ class Radial:
 
     def table(self, center, radii) -> np.ndarray:
         """``fn`` at the broadcast of ``center`` and ``radii``."""
-        center, radii = np.asarray(center), np.asarray(radii, dtype=float)
+        # intp, as arithmetic on the family's narrow unsigned centers could wrap or raise
+        center, radii = np.asarray(center, dtype=np.intp), np.asarray(radii, dtype=float)
         if center.ndim == 0:
             # a 0-d center would turn a center-dependent exponent k[c] into a
             # scalar, for which NumPy's power takes other loops (2, 0.5, -1)

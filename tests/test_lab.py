@@ -542,6 +542,21 @@ def test_cli_experiment_csv_format(tmp_path, capsys):
     assert out.splitlines()[0] == "check,n,generator,value,lower,upper,witness,pass"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", ["out", "out.json"])
+def test_cli_experiment_stdout_is_the_written_report(tmp_path, capsys, monkeypatch, fmt, name):
+    # with --output, each format is encoded once: stdout is the text of its file
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "generator": {"kind": "grid", "d": 1, "n": 8}, "checks": ["hand_fixtures", "upper_doubling"]}))
+    encoded, emit = [], lab.emit_report
+    monkeypatch.setattr(lab, "emit_report", lambda report, f, path=None: encoded.append(f) or emit(report, f, path))
+    assert cli.main(["experiment", str(cfg_path), "--output", str(tmp_path / name), "--format", fmt]) == 0
+    assert capsys.readouterr().out == (tmp_path / f"out.{fmt}").read_text(encoding="utf-8")
+    assert sorted(encoded) == ["csv", "json"]
+    assert json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))["rows"]
+
+
 def test_cli_coeff_with_chain_file(tmp_path, capsys):
     space_path = _write_two_point(tmp_path)
     chains_path = tmp_path / "chains.json"
