@@ -242,8 +242,8 @@ class BallFamily:
         self.center = center.astype(np.min_scalar_type(space.n - 1))
         sizes = np.bincount(center, minlength=space.n)
         self.offsets = np.concatenate([[0], np.cumsum(sizes)])
-        # the narrowest unsigned dtypes of member counts (at most n) and in-segment counts
-        self._count_dtypes = np.min_scalar_type(space.n), np.min_scalar_type(int(sizes.max()))
+        # the narrowest unsigned dtype of member counts (at most n) and in-segment counts
+        self._count_dtype = np.min_scalar_type(max(space.n, int(sizes.max())))
         self._segments = [slice(a, b) for a, b in zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())]
         self.flat = self.center.astype(np.int64) * (space.n + 1)  # row starts in an n x (n + 1) table
         self.flat.setflags(write=False)
@@ -267,7 +267,7 @@ class BallFamily:
         """Member counts of the closed balls B(center[b], radii[..., b]) for the balls b of a run of
         ``centers``, or with ``in_segment`` the number of radii of b's segment at most radii[..., b]."""
         rows, c0 = self._sorted_dist[centers], centers.start
-        out = np.empty(radii.shape, dtype=self._count_dtypes[in_segment])
+        out = np.empty(radii.shape, dtype=self._count_dtype)
         ends = (self.offsets[c0:c0 + len(rows) + 1] - self.offsets[c0]).tolist()  # on the last axis
         for s, a, b, row in zip(self._segments[centers], ends, ends[1:], rows):
             out[..., a:b] = (self.radius[s] if in_segment else row).searchsorted(radii[..., a:b], "right")
@@ -279,7 +279,7 @@ class BallFamily:
         per center, in runs of centers whose products fit in ``_COVER_BLOCK`` floats."""
         sizes = np.diff(ladder.offsets)[levels, None]
         at = ladder.offsets[levels, None] - ladder.offsets[levels.start]
-        out, c0 = np.empty(at[-1, 0] + sizes[-1, 0], dtype=self._count_dtypes[in_segment]), 0
+        out, c0 = np.empty(at[-1, 0] + sizes[-1, 0], dtype=self._count_dtype), 0
         width = max(1, _COVER_BLOCK // len(at))  # balls per run of centers
         while c0 < self.n:
             c1 = max(c0 + 1, int(self.offsets.searchsorted(self.offsets[c0] + width, side="right")) - 1)

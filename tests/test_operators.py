@@ -612,6 +612,22 @@ def test_sharp_budgeted_equals_exhaustive_small():
         assert np.array_equal(got, want)
 
 
+def test_sharp_on_geometric_atoms_equals_exhaustive():
+    # at distances 1, 10, 100, ... a ball's runs of one scale index are short and
+    # many, so at some window length there are more runs than balls
+    rng = np.random.default_rng(21)
+    space = lab.generate_space({"kind": "atoms", "points": [[0.0]] + [[10.0 ** i] for i in range(7)],
+                                "weights": rng.uniform(0.5, 2.0, 8).tolist()})
+    family = space.balls()
+    depth, offsets, _ = family.windows(6.0)
+    assert max(offsets[k, -1] - offsets[k, 1] for k in range(depth)) > len(family)
+    assert geometry.pairs_are_exhaustive(space)
+    lam = nl.fit_power_lambda(space)
+    profile = nl.make_profile(space, lam)
+    f = rng.uniform(-1, 1, space.n)
+    assert np.array_equal(nl.sharp_maximal(space, lam, profile, f), sharp_oracle(space, lam, profile, f))
+
+
 def test_sharp_fast_path_matches_exhaustive(small_space):
     space, lam = small_space
     profile = nl.make_profile(space, lam)

@@ -1,12 +1,13 @@
 """The integer tables of the candidate-ball family are stored in the narrowest
 unsigned dtype that holds them, and hold the same values as int64 oracles.
 
-Member counts are at most n, in-segment counts at most the longest segment,
-centers at most n - 1 and a ladder's saturation indices at most their maximum
-(plus one, so that ``sat + 1`` cannot wrap).  The spaces sit on both sides of
-each switch from one byte to two: spaces whose longest segment has 255 and 256
-balls (found from their families, as no 1-D grid has 256), and grids with
-n - 1 = 255 and 256.  On the first two, the windows of ``sharp_maximal``, built
+Member counts (at most n) and in-segment counts (at most the longest segment)
+share the one dtype holding both bounds, centers take the one holding n - 1 and
+a ladder's saturation indices the one holding their maximum plus one, so that
+``sat + 1`` cannot wrap.  The spaces sit on both sides of each switch from one
+byte to two: spaces whose longest segment has 255 and 256 balls (found from
+their families, as no 1-D grid has 256), and grids with n - 1 = 255 and 256.
+On the first two, the windows of ``sharp_maximal``, built
 from in-segment counts, cover their runs as a per-ball int64 search finds them.
 A radial function that does arithmetic on its center sees an intp array, so a
 narrow family center cannot wrap or raise.
@@ -41,6 +42,10 @@ def _space_with_longest_segment(longest: int):
 
 def _narrowest(table: np.ndarray, bound: int) -> bool:
     return table.dtype == np.min_scalar_type(bound)  # unsigned, as the bound is not negative
+
+
+def _holds_the_counts(table: np.ndarray, space) -> bool:
+    return _narrowest(table, max(space.n, _longest_segment(space)))
 
 
 def _counts_oracle(space, scale: float) -> np.ndarray:
@@ -79,7 +84,7 @@ def test_centers_are_narrow_and_equal_the_segment_oracle(space):
 def test_member_counts_are_narrow_and_equal_the_per_center_oracle(space, scale):
     got, want = space.balls().counts(scale), _counts_oracle(space, scale)
     assert np.array_equal(got, want)
-    assert _narrowest(got, int(want.max()))
+    assert _holds_the_counts(got, space) and want.max() == space.n
 
 
 def test_in_segment_counts_hold_the_longest_segment(space):
@@ -89,7 +94,7 @@ def test_in_segment_counts_hold_the_longest_segment(space):
     want = np.arange(len(family)) - np.repeat(family.offsets[:-1], sizes) + 1
     got = family.counts_of(family.radius, in_segment=True)
     assert np.array_equal(got, want)
-    assert _narrowest(got, int(sizes.max()))
+    assert _holds_the_counts(got, space)
 
 
 @pytest.mark.parametrize("longest", [255, 256])
@@ -123,7 +128,7 @@ def test_ladder_levels_and_saturation_are_narrow_and_equal_their_oracles(space, 
     for j, scale in enumerate(ladder.scales):
         want = _counts_oracle(space, scale)[ladder.order[:np.diff(ladder.offsets)[j]]]
         assert np.array_equal(ladder.level(ladder.counts, j), want)
-    assert _narrowest(ladder.counts, int(ladder.counts.max())) and ladder.counts.max() == space.n
+    assert _holds_the_counts(ladder.counts, space) and ladder.counts.max() == space.n
 
 
 def test_a_radial_function_computes_on_an_intp_center():
