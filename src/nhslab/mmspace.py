@@ -228,9 +228,9 @@ class BallFamily:
     Ball ``b`` is ``B(center[b], radius[b])``; the balls of center ``c`` are
     ``offsets[c]:offsets[c + 1]``, in ascending radius order.  Member counts at
     rescaled radii (levels by balls) come from :meth:`counts_of`, one per-center
-    ``searchsorted``; ``store`` caches them and the measures for the few
-    scales that several suprema share (the radius itself, the enlargements 2,
-    5, 6), and the :meth:`ladder` of every power of one dilation step tau.
+    ``searchsorted``; ``store`` caches them at the scales several suprema share
+    (the radius, the enlargements 2, 5, 6), where :meth:`measures` reads, and
+    the :meth:`ladder` of every power of one dilation step tau.
     """
 
     def __init__(self, space: "PointCloudSpace"):
@@ -299,9 +299,9 @@ class BallFamily:
         return table.ravel().take(self.flat + q)
 
     def measures(self, scale: float = 1.0) -> np.ndarray:
-        """Measures of the balls enlarged by ``scale`` (cached)."""
-        return memo(self.store, ("measures", scale),
-                    lambda: self.at(self._prefix_weight, self.counts(scale)))
+        """Measures of the balls enlarged by ``scale``: a fresh read-only gather at the cached counts."""
+        (mu := self.at(self._prefix_weight, self.counts(scale))).setflags(write=False)
+        return mu
 
     def ladder(self, tau: float) -> Ladder:
         """The :class:`Ladder` at dilation step tau (cached).  Its levels hold every

@@ -189,7 +189,7 @@ def oscillation_sums(space: PointCloudSpace, g: np.ndarray, p: float = 1.0) -> n
     pw = space.prefix_weight
     out = np.zeros((n, n))
     means = np.cumsum(gs * ws, axis=1) / pw[:, 1:]
-    tril = np.tril(np.ones((_OSC_TILE, _OSC_TILE)))
+    upper = np.triu(np.ones((_OSC_TILE, _OSC_TILE), dtype=bool), 1)
     buf = np.empty(_OSC_TILE * _OSC_TILE * n)
     for c0 in range(0, n, _OSC_TILE):
         c1 = min(c0 + _OSC_TILE, n)
@@ -202,24 +202,24 @@ def oscillation_sums(space: PointCloudSpace, g: np.ndarray, p: float = 1.0) -> n
             np.abs(diff, out=diff)
             if p != 1.0:
                 diff **= p
-            # row q keeps the columns j <= q; only the tile's own columns need the mask
-            diff[:, :, q0:] *= tril[:q1 - q0, :q1 - q0]
+            # row q keeps the columns j <= q (assigned: a non-finite g_j stays out of rows q < j)
+            np.copyto(diff[:, :, q0:], 0.0, where=upper[:q1 - q0, :q1 - q0])
             out[c0:c1, q0:q1] = np.matmul(diff, ws[c0:c1, :q1, None])[..., 0]
     return out
 
 
 class FunctionTables:
     """The per-ball numbers of one function f on a space's candidate family,
-    each built on first read and read-only: the means, the prefix-mean table
-    the ladders read, the p-th oscillation numerators, and the measures the
-    suprema set against them.  Only here does the family size choose their
-    source: when :func:`~nhslab.geometry.pairs_are_exhaustive` holds, the
-    means, p = 1 numerators and measures are summed over each ball's members
-    in point-index order, as :func:`ball_mean` sums, which the acceptance
-    criterion "budgeted suprema equal to exhaustive enumeration on small
-    fixtures exactly" pins; otherwise the prefix tables serve.  The tables live in
-    ``store`` and hold the space through a weak proxy, so the space's slot
-    makes no reference cycle.
+    each read-only: the means, the prefix-mean table the ladders read, the
+    p-th oscillation numerators, and the measures the suprema set against
+    them.  Only here does the family size choose their source: when
+    :func:`~nhslab.geometry.pairs_are_exhaustive` holds, the means, p = 1
+    numerators and measures are summed over each ball's members in point-index
+    order, as :func:`ball_mean` sums, which the acceptance criterion "budgeted
+    suprema equal to exhaustive enumeration on small fixtures exactly" pins;
+    otherwise the prefix tables serve, and the family's measures, gathered on
+    each read.  The tables, built on first read, live in ``store`` and hold
+    the space through a weak proxy, so the space's slot makes no reference cycle.
     """
 
     def __init__(self, space: PointCloudSpace, key: tuple):

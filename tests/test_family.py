@@ -293,10 +293,11 @@ def test_family_matches_candidate_radii_and_counts(space, scale):
         # later_max: per ball, the largest measure over the later balls of its segment
         mu = family.measures(scale)[s].tolist()
         assert later[s].tolist() == [max(mu[i + 1:], default=-math.inf) for i in range(len(mu))]
-    # the measures are cached per scale and read-only, as the counts are
+    # the measures are gathered at the cached counts on each read, not cached, and read-only
     mu = family.measures(scale)
     assert np.array_equal(mu, space.prefix_weight[family.center, family.counts(scale)])
-    assert family.measures(scale) is mu
+    assert ("measures", scale) not in family.store
+    assert np.array_equal(family.measures(scale), mu)
     with pytest.raises(ValueError, match="read-only"):
         mu[:1] = 0.0
 
@@ -1817,6 +1818,24 @@ def test_oscillation_sums_match_exact_sums_past_one_tile(p):
     got = spaces.oscillation_sums(space, g, p)
     for (c, q), (want, slack) in _oscillation_sums_exact(space, g, p).items():
         assert abs(Fraction(float(got[c, q])) - want) <= Fraction(1e-12) * want + slack, (c, q)
+
+
+@pytest.mark.parametrize("p", [1.0, 3.5])
+def test_oscillation_sums_keep_a_non_finite_value_out_of_balls_without_it(p):
+    # g = inf at the 21st closest point of center 5: every ball that misses the
+    # point, such as center 5's rows 16-19 in the tile of that point's column,
+    # keeps the sums of the finite g bit for bit (inf * 0 in a mask gives NaN)
+    space = lab.generate_space({"kind": "grid", "d": 1, "n": 40})
+    g = np.random.default_rng(40).uniform(-1.0, 1.0, space.n)
+    point, bad = space.order[5, 20], g.copy()
+    bad[point] = math.inf
+    want = spaces.oscillation_sums(space, g, p)
+    with np.errstate(invalid="ignore"):
+        got = spaces.oscillation_sums(space, bad, p)
+    place = np.argsort(space.order, axis=1)[:, point]  # row q - 1 < place misses the point
+    assert place[5] == 20
+    for c in range(space.n):
+        assert np.array_equal(got[c, :place[c]], want[c, :place[c]]), c
 
 
 # ------------------------------------------------------------------------------
