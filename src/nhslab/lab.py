@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import geometry, mmspace, operators, spaces
-from .errors import SpecError
+from .errors import InvalidParams, SpecError
 from .geometry import Ball
 from .mmspace import DominatingFunction, GeometryProfile, PointCloudSpace
 from .operators import KernelSpec, OperatorParams
@@ -333,7 +333,7 @@ class ExperimentConfig:
         params_raw = raw.get("params", {})
         try:
             params = OperatorParams(**params_raw)
-        except TypeError as exc:
+        except (TypeError, InvalidParams) as exc:
             raise SpecError(f"bad operator params: {exc}") from exc
         budgets = raw.get("budgets", {})
         if not isinstance(budgets, dict) or any(

@@ -20,8 +20,10 @@ gather over this family followed by one argmax; suprema over nested ball
 pairs read theirs from ``geometry.pair_source``.  Per dilation step tau
 the family caches one :class:`Ladder`, the member counts of every tau**k * B,
 and the power-of-two ``windows`` that cover each ball's concentric outer
-balls of one scale index.  ``flat`` turns a per-ball read ``table[center, q]`` of
-a center-by-prefix table into one 1-D ``take``.
+balls of one scale index.  ``run_max`` is the one range-maximum kernel over
+such windows: the sharp maximal function's run extrema and ``later_max`` (the
+nested-ball constants of phi) read it.  ``flat`` turns a per-ball read
+``table[center, q]`` of a center-by-prefix table into one 1-D ``take``.
 
 Every cache is a store entry read through :func:`memo`, which builds it on
 its first read and makes the arrays it holds read-only.
@@ -359,12 +361,27 @@ class BallFamily:
             return depth, np.cumsum(runs).reshape(runs.shape) - runs, idx
         return memo(self.store, ("windows", tau), build)
 
+    @staticmethod
+    def run_max(rows: tuple, depth: int, offsets: np.ndarray, idx: np.ndarray):
+        """Per step k of windows laid out as :meth:`windows` lays them out, the columns' inner balls b
+        and each row's maxima over their runs of 2**k to 2**(k + 1) - 1 balls (Bender and Farach-Colton,
+        2000); the 1-D float ``rows`` are overwritten: entry i then holds the max over i..i + 2**k - 1."""
+        for k in range(depth):
+            if k:
+                half = 1 << (k - 1)
+                for row in rows:
+                    np.maximum(row[:-half], row[half:], out=row[:-half])
+            b, i0, i1 = idx[:, offsets[k, 0]:offsets[k, -1]]
+            # into the gathers of the run starts, bound to no name that outlives the step
+            yield k, b, [np.maximum(top, row.take(i1), out=top)
+                         for top, row in zip([row.take(i0) for row in rows], rows)]
+
     def later_max(self, values: np.ndarray) -> np.ndarray:
-        """Per ball, the largest of ``values`` over the later balls of its segment, or -inf."""
+        """Per ball, the largest of ``values`` over the later balls of its segment, or -inf: at
+        any step tau the runs of scale index N >= 1 partition them, so those of ``windows(6.0)``."""
         out = np.full(values.shape, -math.inf)
-        for c in range(self.n):
-            s = self.segment(c)
-            out[s][:-1] = np.maximum.accumulate(values[s][:0:-1])[::-1]
+        for _, b, (top,) in self.run_max((np.array(values, dtype=float),), *self.windows(6.0)):
+            np.maximum.at(out, b, top)
         return out
 
     def sup(self, values: np.ndarray) -> tuple:
@@ -817,14 +834,12 @@ def validate_weak_reverse_doubling(lam: DominatingFunction, space: PointCloudSpa
     is continued with the geometric majorant C_(a)**j, and the truncation is
     chosen so the remaining geometric tail is below 1e-6, within 10,000 terms.
     """
-    if sigma <= 0:
-        raise DegenerateRadii(f"sigma must be positive, got {sigma!r}")
+    if not 0.0 < sigma < math.inf:
+        raise DegenerateRadii(f"sigma must be finite and positive, got {sigma!r}")
     diam = space.diameter if space.diameter > 0 else FALLBACK_RADIUS
     family = space.balls()
     base = space.fn_table(lam)
-    rows = []
-    all_converged = True
-    monotone = True
+    rows, all_converged, monotone = [], True, True
     for a in a_grid:
         if not a > 1.0:
             raise DegenerateRadii(f"dilation factors must exceed 1, got {a!r}")
@@ -851,13 +866,13 @@ def validate_weak_reverse_doubling(lam: DominatingFunction, space: PointCloudSpa
             all_converged = False
             continue
         ratio = c_a ** (-sigma)
-        # truncation with geometric tail ratio**(J+1)/(1-ratio) < 1e-6
-        j_cut = int(math.ceil(math.log(1e-6 * (1.0 - ratio) / ratio) / math.log(ratio)))
-        j_cut = max(1, min(j_cut, 10000))
-        partial = 0.0
-        measured = 0
+        # truncation with geometric tail ratio**(J+1)/(1-ratio) < 1e-6 (one term below 1e-6, the cap at 1)
+        j_cut = 1 if ratio < 1e-6 else 10000 if ratio == 1.0 else int(
+            math.ceil(math.log(1e-6 * (1.0 - ratio) / ratio) / math.log(ratio)))
+        j_cut, partial, measured = max(1, min(j_cut, 10000)), 0.0, 0
         for j in range(1, j_cut + 1):
-            c_aj = measure(a ** j)
+            # past the first dilation off the grid every later one is off it too
+            c_aj = measure(a ** j) if measured == j - 1 else None
             if c_aj is not None:
                 measured += 1
                 partial += c_aj ** (-sigma)

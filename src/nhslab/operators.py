@@ -72,24 +72,14 @@ class OperatorParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.l < 0:
-            raise InvalidParams(f"l must be nonnegative, got {self.l!r}")
-        if not self.rho > 0:
-            raise InvalidParams(f"rho must be positive, got {self.rho!r}")
-        if not self.s >= 1:
-            raise InvalidParams(f"s must be at least 1, got {self.s!r}")
-        if not 1.0 < self.p < math.inf:
-            raise InvalidParams(f"p must lie in (1, inf), got {self.p!r}")
-        if not self.p <= self.q < math.inf:
-            raise InvalidParams(f"q must lie in [p, inf), got {self.q!r}")
-        if not self.tau >= 5:
-            raise InvalidParams(f"tau must be at least 5, got {self.tau!r}")
-        if not self.eta > 1:
-            raise InvalidParams(f"eta must exceed 1, got {self.eta!r}")
-        if not self.sigma > 0:
-            raise InvalidParams(f"sigma must be positive, got {self.sigma!r}")
-        if not self.gamma >= 1:
-            raise InvalidParams(f"gamma must be at least 1, got {self.gamma!r}")
+        for name, ok, rule in (
+                ("l", self.l >= 0, "be nonnegative"), ("rho", self.rho > 0, "be positive"),
+                ("s", self.s >= 1, "be at least 1"), ("p", 1.0 < self.p < math.inf, "lie in (1, inf)"),
+                ("q", self.p <= self.q < math.inf, "lie in [p, inf)"), ("tau", self.tau >= 5, "be at least 5"),
+                ("eta", self.eta > 1, "exceed 1"), ("sigma", self.sigma > 0, "be positive"),
+                ("gamma", self.gamma >= 1, "be at least 1")):
+            if not ok:
+                raise InvalidParams(f"{name} must {rule}, got {getattr(self, name)!r}")
 
 
 # ------------------------------------------------------------------------------
@@ -522,27 +512,21 @@ def sharp_maximal(space: PointCloudSpace, lam: DominatingFunction,
 
     # concentric pairs (b, j > b): the outer balls of scale index N >= 1 form a
     # run of b's segment, so the largest jump is at the run's largest or smallest
-    # mean, and max(a, b) / c == max(a / c, b / c) for a coefficient c > 0; after
-    # step k the rows hold those extrema over every window of 2**k balls (the
-    # non-doubling ones masked), read at once by the runs of that power, any N
-    ladder, (depth, offsets, windows) = family.ladder(6.0), family.windows(6.0)
-    top, low = np.where(flags, means, -math.inf), np.where(flags, means, math.inf)
-    pair_vals = np.full(len(family), -math.inf)
+    # mean, and max(a, b) / c == max(a / c, b / c) for a coefficient c > 0; the
+    # run maxima of the means and of their negations (the non-doubling balls
+    # masked to -inf) give both, as m - min(x) == m + max(-x) bit for bit
+    ladder, windows = family.ladder(6.0), family.windows(6.0)
+    top, neg = np.where(flags, means, -math.inf), np.where(flags, -means, -math.inf)
+    pair_vals, offsets = np.full(len(family), -math.inf), windows[1]
     levels = ladder.offsets[ladder.k_floor + 1:ladder.k_floor + offsets.shape[1] - 1]
     with np.errstate(invalid="ignore"):
-        for k in range(depth):
-            if k:
-                half = 1 << (k - 1)
-                np.maximum(top[:-half], top[half:], out=top[:-half])
-                np.minimum(low[:-half], low[half:], out=low[:-half])
-            b, i0, i1 = windows[:, offsets[k, 1]:offsets[k, -1]]
-            m, jump, dip = means.take(b), top.take(i0), low.take(i0)
-            np.subtract(np.maximum(jump, top.take(i1), out=jump), m, out=jump)
-            np.maximum(jump, np.subtract(m, np.minimum(dip, low.take(i1), out=dip), out=dip), out=jump)
+        for k, b, (jump, dip) in family.run_max((top, neg), *windows):
+            m = means.take(b)
+            np.maximum(np.subtract(jump, m, out=jump), np.add(m, dip, out=dip), out=jump)
             jump /= tables.cumulative.take(ladder.rank.take(b) + np.repeat(levels, np.diff(offsets[k, 1:]))) + 1.0
             np.maximum.at(pair_vals, b, jump)
             del m, jump, dip
-    del top, low
+    del top, neg
     pair_vals[~flags] = -math.inf
     # a pair of the other source (for a small family, every nested pair) reaches
     # the members of its inner ball, as a concentric one

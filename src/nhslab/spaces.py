@@ -467,15 +467,16 @@ _LIMIT_TABLE = {
 def validate_phi_gdec(space: PointCloudSpace, phi: GrowthFunctionPhi,
                       etas: Sequence[float] = (2.0,), pair_budget: int = 2000,
                       seed: int = 0) -> CheckReport:
-    """Check strict radius decrease on the grid, measure the nested-ball
-    constants for each enlargement factor, and resolve the asymptotic limits
-    symbolically for the shipped families (reported as unchecked otherwise).
+    """Check strict radius decrease on the grid, measure the nested-ball constants for
+    each enlargement factor, and resolve the asymptotic limits symbolically for the
+    shipped families (reported as unchecked otherwise).
 
-    With a = phi * mu(eta B)**delta and c = phi * mu(eta B), every concentric
-    pair (b, j > b) gives min(a / later_max(a)) and max(c / -later_max(-c)),
-    exactly (a / max_j a_j == min_j (a / a_j) for positive operands); then the
-    :func:`~nhslab.geometry.pair_source` pairs.  ``details`` names the pairs
-    (``pairs``: ``"exhaustive"`` or ``"concentric_and_sampled"``) and counts them.
+    With a = phi * mu(eta B)**delta and c = phi * mu(eta B), every concentric pair
+    (b, j > b) gives min(a / later_max(a)) and max(c / -later_max(-c)), exactly
+    (a / max_j a_j == min_j (a / a_j) for positive operands): ``later_max`` runs the
+    family's one range-maximum kernel, ``run_max``, over the runs of b's later balls.
+    Then the :func:`~nhslab.geometry.pair_source` pairs, which ``details`` names
+    (``pairs``: ``"exhaustive"`` or ``"concentric_and_sampled"``) and counts.
     """
     family = space.balls()
     phit = space.fn_table(phi)

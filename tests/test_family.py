@@ -15,7 +15,9 @@ with the scalar formula it replaced, the chain search with its per-link
 loop, the coefficient inequalities with their per-triple loop, the per-ball
 ladder levels and coefficient sums with the dense tables they replaced (and
 every reader within each ball's levels), the run ends of ``sharp_maximal``'s
-concentric pass with the scale-index matrix, the one supremum tail of ``campanato_norm_multi`` and
+concentric pass with the scale-index matrix, the one range-maximum kernel
+``BallFamily.run_max`` with a per-run maximum over windows built here for
+arbitrary runs, the one supremum tail of ``campanato_norm_multi`` and
 ``sharp_maximal`` on small families with the per-ball and per-pair loops it
 replaced (kept here as oracles), and the one-pass Marcinkiewicz integral
 with its per-point loop, also across the seams of its row blocks.  The
@@ -1222,6 +1224,74 @@ def test_run_ends_group_outer_balls_by_scale_index(space, tau):
     n = np.arange(-ladder.k_floor, ladder.scales.size - ladder.k_floor)
     r = family.radius[:, None]
     assert (ladder.scales[n + ladder.k_floor] * r).tobytes() == (tau ** n * r).tobytes()
+
+
+def _windows_of_runs(runs):
+    """``(depth, offsets, idx)`` windows, laid out as ``BallFamily.windows`` lays
+    them out, of arbitrary runs ``(b, start, stop)`` with stop > start: a run of
+    length L, 2**k <= L < 2**(k + 1), is the column (b, start, stop - 2**k) of
+    step k, and step k's columns are ``offsets[k, 0]:offsets[k, 1]``."""
+    b, start, stop = np.asarray(runs, dtype=np.int64).reshape(-1, 3).T
+    k = np.array([int(n).bit_length() - 1 for n in stop - start], dtype=np.int64)
+    depth = int(k.max(initial=0)) + 1
+    order = np.argsort(k, kind="stable")
+    sizes = np.bincount(k, minlength=depth)
+    offsets = np.stack([np.cumsum(sizes) - sizes, np.cumsum(sizes)], axis=1)
+    idx = np.stack([b, start, stop - (1 << k)])[:, order].astype(np.int32)
+    return depth, offsets, idx
+
+
+def _assert_run_max(values, runs, windows):
+    """``BallFamily.run_max`` over ``windows`` yields, per step k, each run of
+    2**k to 2**(k + 1) - 1 balls with every row's largest value over it, and
+    leaves entry i of each row at its maximum over i .. i + 2**(depth - 1) - 1."""
+    rows = tuple(v.copy() for v in values)
+    got = []
+    for k, b, maxima in mmspace.BallFamily.run_max(rows, *windows):
+        assert all(m.shape == b.shape for m in maxima)
+        got += [(k, int(ball), *vals) for ball, *vals in zip(b.tolist(), *(m.tolist() for m in maxima))]
+    want = [((stop - start).bit_length() - 1, b, *(float(np.max(v[start:stop])) for v in values))
+            for b, start, stop in runs]
+    assert sorted(got) == sorted(want)
+    width = 1 << (windows[0] - 1)
+    for v, row in zip(values, rows):
+        assert row.tolist() == [float(np.max(v[i:i + width])) for i in range(v.size)]
+
+
+@PROPERTY
+@given(small_spaces(), st.integers(0, 2 ** 32 - 1))
+@example(TIE_SENSITIVE, 0)
+def test_run_max_equals_a_per_run_maximum(space, seed):
+    # arbitrary runs over the family's balls: every ball's run of length 1, then
+    # up to three times as many runs as balls, over rows with +-inf entries
+    n_balls = len(space.balls())
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1.0, 1.0, (2, n_balls))
+    values[rng.random(values.shape) < 0.2] = math.inf
+    values[rng.random(values.shape) < 0.2] = -math.inf
+    start = rng.integers(0, n_balls, int(rng.integers(0, 3 * n_balls + 1)))
+    stop = rng.integers(start + 1, n_balls + 1)
+    runs = [(j, j, j + 1) for j in range(n_balls)]
+    runs += list(zip(rng.integers(0, n_balls, start.size).tolist(), start.tolist(), stop.tolist()))
+    _assert_run_max(values, runs, _windows_of_runs(runs))
+
+
+def test_run_max_on_more_runs_than_balls():
+    # the geometric atoms of test_sharp_on_geometric_atoms_equals_exhaustive: at
+    # some window length the family's concentric runs outnumber its balls
+    rng = np.random.default_rng(21)
+    space = lab.generate_space({"kind": "atoms", "points": [[0.0]] + [[10.0 ** i] for i in range(7)],
+                                "weights": rng.uniform(0.5, 2.0, 8).tolist()})
+    family = space.balls()
+    depth, offsets, idx = windows = family.windows(6.0)
+    assert max(offsets[k, -1] - offsets[k, 0] for k in range(depth)) > len(family)
+    runs = [(b, i0, i1 + (1 << k)) for k in range(depth)
+            for b, i0, i1 in idx[:, offsets[k, 0]:offsets[k, -1]].T.tolist()]
+    values = rng.uniform(-1.0, 1.0, (2, len(family)))
+    values[:, ::3] = math.inf
+    values[1, 1::3] = -math.inf
+    for w in (windows, _windows_of_runs(runs)):
+        _assert_run_max(values, runs, w)
 
 
 LEVEL_TAUS = [1.1, 2.0, 3.0, 6.0]

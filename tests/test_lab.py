@@ -498,6 +498,9 @@ def test_cli_experiment_malformed_budgets_are_a_config_error(tmp_path, capsys, b
     ({"phi": {"family": "power", "a": True, "delta": 0.5}}, None),
     ({"phi": {"family": "constant", "delta": math.nan}}, None),
     ({"params": {"delta": 0.5}}, None),
+    ({"params": {"p": 0.5}}, None),
+    ({"params": {"tau": 2}}, None),
+    ({"params": {"q": 1.5}}, None),
     ({}, "-1"),
 ])
 def test_cli_experiment_malformed_numbers_are_config_errors(tmp_path, capsys, monkeypatch, change, env_seed):

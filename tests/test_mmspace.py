@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nhslab as nl
-from nhslab import mmspace
+from nhslab import cli, mmspace
 from nhslab.errors import (
     DegenerateRadii,
     DimensionMismatch,
@@ -376,6 +376,34 @@ def test_weak_reverse_doubling_quadratic(two_point):
     row = report.details["rows"][0]
     assert row["c_a"] == pytest.approx(4.0, rel=1e-12)
     assert row["partial_sum"] == pytest.approx(1.0 / (4.0 ** 0.25 - 1.0), abs=2e-6)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_weak_reverse_doubling_rejects_a_sigma_not_finite_and_positive(two_point, tmp_path, capsys, sigma):
+    space, lam = two_point
+    with pytest.raises(DegenerateRadii, match="sigma must be finite and positive"):
+        nl.validate_weak_reverse_doubling(lam, space, sigma, (2.0,))
+    path = tmp_path / "space.json"
+    path.write_text('{"points": [[0.0], [1.0]], "weights": [1.0, 1.0]}')
+    assert cli.main(["validate", str(path), f"--sigma={sigma}"]) == 1
+    assert capsys.readouterr().err.startswith("check error: sigma must be finite and positive")
+
+
+def test_weak_reverse_doubling_takes_the_cap_or_one_term_at_extreme_sigmas(two_point):
+    # c_a = 2: at sigma = 1e-20 the ratio c_a**-sigma rounds to 1, and at 1e-5 the
+    # tail bound asks for more than the cap, so both sum 10,000 terms, past the
+    # measured dilation and far past the largest float power of a; at sigma = 1e4
+    # the ratio rounds to 0 and one term meets the bound
+    space, _ = two_point
+    lam = nl.fit_power_lambda(space, 1.0)
+    for sigma, terms in ((1e-20, 10000), (1e-5, 10000), (1e4, 1)):
+        row = nl.validate_weak_reverse_doubling(lam, space, sigma, (2.0,)).details["rows"][0]
+        c_a = row["c_a"]
+        assert row["converged"] and row["measured_terms"] == 1
+        want = 0.0
+        for j in range(1, terms + 1):
+            want += c_a ** (-sigma * j)
+        assert row["partial_sum"] == want
 
 
 def test_weak_reverse_doubling_constant_diverges(two_point):
