@@ -33,6 +33,7 @@ from .mmspace import (
     PointCloudSpace,
     floor_log,
     memo,
+    row_blocks,
     scale_index_array,
 )
 from .report import CheckReport
@@ -365,12 +366,10 @@ def sampled_nested_pairs(space: PointCloudSpace, budget: int, seed: int) -> Nest
         keep = space.dist[c2, c1] <= family.radius[b2]
         c1, c2, b1, b2 = c1[keep], c2[keep], b1[keep], b2[keep]
         # b1 is nested in b2 when the farthest of b1's members, seen from c2, is
-        # within b2's radius; the (rows, n) gather runs in chunks of at most 1 MB
+        # within b2's radius; the (rows, n) gather runs in the blocks of row_blocks
         counts = family.counts()[b1]
         nested = np.empty(b1.shape, dtype=bool)
-        step = max(1, (1 << 20) // (8 * space.n))
-        for lo in range(0, b1.size, step):
-            s = slice(lo, lo + step)
+        for s in row_blocks(b1.size, space.n):
             farthest = np.maximum.accumulate(space.dist[c2[s, None], space.order[c1[s]]], axis=1)
             nested[s] = farthest[np.arange(farthest.shape[0]), counts[s] - 1] <= family.radius[b2[s]]
         return NestedPairSample(b1[nested], b2[nested])

@@ -446,10 +446,6 @@ class PointCloudSpace:
         with np.errstate(invalid="ignore"):
             return self.prefix_of(values * self.weights) / self.prefix_weight
 
-    def counts(self, center: int, radii) -> np.ndarray:
-        """Number of members of the closed balls B(center, r) for each r."""
-        return np.searchsorted(self.sorted_dist[center], radii, side="right")
-
     # -- candidate radius grid -------------------------------------------------
     def candidate_radii(self, center: int) -> np.ndarray:
         """The ascending candidate radii of ``center``: a read-only view of its
@@ -589,8 +585,14 @@ def _check_triangle(dist: np.ndarray) -> None:
 # ------------------------------------------------------------------------------
 # Geometric doubling estimate
 # ------------------------------------------------------------------------------
-#: Float64 elements per block of cover rows in the doubling count (256 KB).
+#: Float64 elements per block of an n-wide pass over rows (256 KB).
 _COVER_BLOCK = 1 << 15
+
+
+def row_blocks(rows: int, n: int):
+    """The slices of ``range(rows)`` a pass over rows n floats wide takes at a time: 256 KB each."""
+    step = max(1, _COVER_BLOCK // n)
+    yield from (slice(i, i + step) for i in range(0, rows, step))
 
 
 def estimate_geometric_doubling(space: PointCloudSpace) -> int:
@@ -601,8 +603,8 @@ def estimate_geometric_doubling(space: PointCloudSpace) -> int:
     the lowest point index); a greedy cover is a valid cover, so its largest
     size is a valid, possibly non-tight, doubling count.
 
-    The balls of every center run together in blocks of ``_COVER_BLOCK // n``
-    rows, one 256 KB buffer: row i holds each member's distance to the cover
+    The balls of every center run together in the blocks of :func:`row_blocks`,
+    one 256 KB buffer: row i holds each member's distance to the cover
     of ball i (-inf off the ball), and each step adds every row's farthest
     point.  Steps only lower a row, so a row with no member beyond its r/2 is
     finished and dropped; the block's largest cover is the number of steps
@@ -619,9 +621,9 @@ def estimate_geometric_doubling(space: PointCloudSpace) -> int:
     rises = np.ones(counts.size, dtype=bool)
     rises[1:] = (counts[1:] != counts[:-1]) | (family.center[1:] != family.center[:-1])
     rows = np.flatnonzero(rises & (counts > 1))
-    step, best = max(1, _COVER_BLOCK // space.n), 1
-    for b0 in range(0, rows.size, step):
-        b = rows[b0:b0 + step]
+    best = 1
+    for block in row_blocks(rows.size, space.n):
+        b = rows[block]
         b = b[counts[b] > best]
         r, mind = family.radius[b], space.dist[family.center[b]]
         mind[mind > r[:, None]] = -np.inf
@@ -832,14 +834,15 @@ def validate_weak_reverse_doubling(lam: DominatingFunction, space: PointCloudSpa
     For each a the admissible radii satisfy r < 2*diam/a.  Measured constants
     are used for the dilations reachable on the grid; beyond that the series
     is continued with the geometric majorant C_(a)**j, and the truncation is
-    chosen so the remaining geometric tail is below 1e-6, within 10,000 terms.
+    chosen so the remaining geometric tail is below 1e-6, within 10,000 terms;
+    a row whose bound needs more terms stops at 10,000 and has not converged.
     """
     if not 0.0 < sigma < math.inf:
         raise DegenerateRadii(f"sigma must be finite and positive, got {sigma!r}")
     diam = space.diameter if space.diameter > 0 else FALLBACK_RADIUS
     family = space.balls()
     base = space.fn_table(lam)
-    rows, all_converged, monotone = [], True, True
+    rows, monotone = [], True
     for a in a_grid:
         if not a > 1.0:
             raise DegenerateRadii(f"dilation factors must exceed 1, got {a!r}")
@@ -863,12 +866,13 @@ def validate_weak_reverse_doubling(lam: DominatingFunction, space: PointCloudSpa
         if c_a <= 1.0 + RADIUS_DEDUP_TOL:
             rows.append({"a": a, "c_a": c_a, "partial_sum": math.inf,
                          "converged": False, "measured_terms": 1})
-            all_converged = False
             continue
         ratio = c_a ** (-sigma)
-        # truncation with geometric tail ratio**(J+1)/(1-ratio) < 1e-6 (one term below 1e-6, the cap at 1)
-        j_cut = 1 if ratio < 1e-6 else 10000 if ratio == 1.0 else int(
-            math.ceil(math.log(1e-6 * (1.0 - ratio) / ratio) / math.log(ratio)))
+        # truncation with geometric tail ratio**(J+1)/(1-ratio) < 1e-6 (one term below 1e-6; a
+        # ratio that rounds to 1 never meets it); a sum stopped at the cap has not converged
+        j_cut = 1 if ratio < 1e-6 else math.inf if ratio == 1.0 else math.ceil(
+            math.log(1e-6 * (1.0 - ratio) / ratio) / math.log(ratio))
+        converged = j_cut <= 10000
         j_cut, partial, measured = max(1, min(j_cut, 10000)), 0.0, 0
         for j in range(1, j_cut + 1):
             # past the first dilation off the grid every later one is off it too
@@ -879,8 +883,8 @@ def validate_weak_reverse_doubling(lam: DominatingFunction, space: PointCloudSpa
             else:
                 partial += c_a ** (-sigma * j)
         rows.append({"a": a, "c_a": c_a, "partial_sum": partial,
-                     "converged": True, "measured_terms": measured})
-    ok = all_converged and monotone
+                     "converged": converged, "measured_terms": measured})
+    ok = monotone and all(r["converged"] is not False for r in rows)
     value = min((r["c_a"] for r in rows if r["c_a"] is not None), default=None)
     return CheckReport(
         check="weak_reverse_doubling",

@@ -35,8 +35,8 @@ from .mmspace import (
     DominatingFunction,
     GeometryProfile,
     PointCloudSpace,
-    _COVER_BLOCK,
     memo,
+    row_blocks,
 )
 from .report import CheckReport
 from .spaces import (
@@ -367,10 +367,9 @@ def _marcinkiewicz(space: PointCloudSpace, kernel: KernelSpec, f, x: Optional[in
 
 def _integral_rows(space: PointCloudSpace, kernel: KernelSpec, f: np.ndarray, rows: np.ndarray,
                    params: OperatorParams, b: Optional[np.ndarray]) -> np.ndarray:
-    """The integral at each of ``rows``, by blocks of ``_COVER_BLOCK // n`` rows."""
-    step = max(1, _COVER_BLOCK // space.n)
-    return np.concatenate([_integral_block(space, kernel, f, rows[i:i + step], params, b)
-                           for i in range(0, rows.size, step)])
+    """The integral at each of ``rows``, by the blocks of :func:`~nhslab.mmspace.row_blocks`."""
+    return np.concatenate([_integral_block(space, kernel, f, rows[s], params, b)
+                           for s in row_blocks(rows.size, space.n)])
 
 
 def _integral_block(space: PointCloudSpace, kernel: KernelSpec, f: np.ndarray, rows: np.ndarray,

@@ -49,9 +49,9 @@ from .mmspace import (
     DominatingFunction,
     PointCloudSpace,
     Radial,
-    _COVER_BLOCK,
     comparability_ratio,
     memo,
+    row_blocks,
 )
 from .report import CheckReport
 
@@ -215,10 +215,11 @@ class FunctionTables:
     them.  Only here does the family size choose their source: when
     :func:`~nhslab.geometry.pairs_are_exhaustive` holds, the means, p = 1
     numerators and measures are summed over each ball's members in point-index
-    order, as :func:`ball_mean` sums, which the acceptance criterion "budgeted
-    suprema equal to exhaustive enumeration on small fixtures exactly" pins;
-    otherwise the prefix tables serve, and the family's measures, gathered on
-    each read.  The tables, built on first read, live in ``store`` and hold
+    order, the means and measures by :func:`ball_mean` and
+    :func:`~nhslab.geometry.ball_measure` themselves, which the acceptance
+    criterion "budgeted suprema equal to exhaustive enumeration on small
+    fixtures exactly" pins; otherwise the prefix tables serve, and the
+    family's measures, gathered on each read.  The tables, built on first read, live in ``store`` and hold
     the space through a weak proxy, so the space's slot makes no reference cycle.
     """
 
@@ -228,15 +229,14 @@ class FunctionTables:
         self._space, self.store = weakref.proxy(space), {}
 
     def _ball_sums(self) -> np.ndarray:
-        """Rows 0 and 1: each ball's mean and p = 1 numerator, in point-index order."""
+        """Rows 0 and 1: each ball's mean (:func:`ball_mean`) and p = 1 numerator, in point-index order."""
         def build():
             family, space, f = self._space.balls(), self._space, self.f
             out = np.empty((2, len(family)))
             for b, (c, r) in enumerate(zip(family.center.tolist(), family.radius.tolist())):
-                mask = space.dist[c] <= r
-                w = space.weights[mask]
-                out[0, b] = m = float(np.sum(f[mask] * w) / np.sum(w))
-                out[1, b] = np.sum(np.abs(f[mask] - m) * w)
+                members = ball_members(space, ball := Ball(c, r))
+                out[0, b] = m = ball_mean(space, f, ball)
+                out[1, b] = np.sum(np.abs(f[members] - m) * space.weights[members])
             return out
         return memo(self.store, "sums", build)
 
@@ -268,7 +268,7 @@ class FunctionTables:
         if not self.exhaustive:
             return family.measures(scale)
         return memo(self.store, ("measures", scale), lambda: np.array([
-            np.sum(space.weights[space.dist[c] <= scale * r])
+            ball_measure(space, Ball(c, scale * r))
             for c, r in zip(family.center.tolist(), family.radius.tolist())]))
 
 
@@ -356,8 +356,12 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
 
     A family for which :func:`~nhslab.geometry.pairs_are_exhaustive` holds
     reads every nested pair, raised with Python's pow; a larger one reads the
-    concentric ladder and the sampled pairs.  Each report is memoised for
-    :func:`campanato_norm`.
+    concentric ladder and the sampled pairs.  The regularity supremum of each
+    combination is one running maximum, a value with its ball and k: the top
+    of each ladder level over its live balls, then the pairs, a pair replacing
+    the best only when strictly larger.  Ties go to the first center, then the
+    first k, then the first radius, and among pairs to the first.  Each report
+    is memoised for :func:`campanato_norm`.
     """
     for tau, gamma in combos:
         if not tau > 1:
@@ -377,33 +381,25 @@ def campanato_norm_multi(space: PointCloudSpace, lam: DominatingFunction, f: np.
         coeffs = coefficient_tables(space, lam, tau)
         ladder = family.ladder(tau)
         osc, osc_w = family.sup(tables.oscillation() / (psit * tables.measures(tau)))
-        # per ball in the ladder's order, the best pair (B, tau**k B) up to one step
-        # past saturation (tau**sat B covers the space), and the first k attaining
-        # it; a small family reads every nested pair instead, so its best stays -inf
-        best = np.full((len(slots), len(family)), -np.inf)
-        best_k = np.zeros((len(slots), len(family)), dtype=np.min_scalar_type(int(ladder.sat.max()) + 1))
+        # per combination the running (value, ball, k) of the pairs (B, tau**k B) up to one step
+        # past saturation (tau**sat B covers the space); a small family reads every nested pair instead
+        run = [(0.0, 0, 0)] * len(slots)
         for k, jump, psi_k, live in () if exhaustive else _ladder_jumps(
                 family, tables.mean_table, means, psit, tau):
             for s, (_, gamma) in enumerate(slots):
                 vals = jump / (psi_k * coeffs.level(k) ** gamma)
-                better = live & (vals > best[s, :jump.size])
-                np.copyto(best[s, :jump.size], vals, where=better)
-                best_k[s, :jump.size][better] = k
-                del vals, better
+                top = float(np.fmax.reduce(vals, where=live, initial=-np.inf))
+                if top > 0.0 and top >= run[s][0]:
+                    # ties go to the first center, then the first k, then the first radius
+                    b = int(ladder.order[:vals.size][live & (vals == top)].min())
+                    if top > run[s][0] or family.center[b] < family.center[run[s][1]]:
+                        run[s] = (top, b, k)
+                del vals
             del jump, psi_k, live
         pair_coeff = coeffs.pairs(b1, b2)
-        for s, (i, gamma) in enumerate(slots):
-            reg, reg_w = 0.0, {}
-            top = float(best[s].max())
-            if top > reg:
-                # ties go to the first center, then the first k, then the first radius
-                tied = np.sort(ladder.order[best[s] == top])
-                tied = tied[family.center[tied] == family.center[tied[0]]]
-                k = best_k[s][ladder.rank[tied]]
-                b = int(tied[np.argmin(k)])
-                outer = ladder.scales[int(k.min()) + ladder.k_floor] * family.radius[b]
-                reg, reg_w = top, {"inner": family.ball(b),
-                                   "outer": {"center": int(family.center[b]), "radius": float(outer)}}
+        for (i, gamma), (reg, b, k) in zip(slots, run):
+            reg_w = {"inner": family.ball(b), "outer": {"center": int(family.center[b]), "radius": float(
+                ladder.scales[k + ladder.k_floor] * family.radius[b])}} if reg else {}
             if b1.size:
                 # Python's pow, as the exhaustive oracles and acceptance fixtures use;
                 # NumPy squares at gamma = 2, and the two can differ in the last bit
@@ -574,7 +570,7 @@ def jn_distribution(space: PointCloudSpace, f: np.ndarray,
     f = np.asarray(f, dtype=float)
     members = ball_members(space, ball)
     w = space.weights[members]
-    mean = float(np.sum(f[members] * w) / np.sum(w))
+    mean = ball_mean(space, f, ball)
     devs = np.abs(f[members] - mean) / psi(ball.center, ball.radius)
     dev_max = float(devs.max())
     if dev_max <= 0.0:
@@ -663,9 +659,9 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
         c1, c2, i1 = replay_draws(seed, pair_budget if space.n > 1 else 0, 4, step)
         drawn = small[c1, c2] > 0
         c1, c2, b1 = c1[drawn], c2[drawn], family.offsets[c1[drawn]] + i1[drawn]
-        d, block = space.dist[c1, c2], max(1, _COVER_BLOCK // space.n)  # the rows of c2 by blocks
+        d = space.dist[c1, c2]  # then the members of B(c2, d), by blocks of c2's rows
         return c1, c2, b1, d, np.concatenate([np.zeros(0, dtype=np.intp)] + [np.count_nonzero(
-            space.dist[c2[i:i + block]] <= d[i:i + block, None], axis=1) for i in range(0, d.size, block)])
+            space.dist[c2[s]] <= d[s, None], axis=1) for s in row_blocks(d.size, space.n)])
     # the pairs do not depend on f: drawn once per (space, budget, seed)
     c1, c2, b1, d, q2 = memo(space.store(), ("mean_jump_pairs", pair_budget, seed), pairs)
     vals = np.abs(means[b1] - tables.mean_table[c2, q2]) / (psit[b1] * norm)

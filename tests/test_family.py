@@ -65,6 +65,11 @@ from test_mmspace import _exhaustive_doubling_count
 PROPERTY = settings(max_examples=60, deadline=None)
 
 
+def member_counts(space, center, radii):
+    """Number of members of the closed balls B(center, r) for each r."""
+    return np.searchsorted(space.sorted_dist[center], radii, side="right")
+
+
 def weight_psi(space):
     """Center-dependent, radius-free normalizer; useful as a comparability
     stress case because wildly varying weights break the equal-radius bound."""
@@ -289,9 +294,9 @@ def test_family_matches_candidate_radii_and_counts(space, scale):
     for c, s in _segments(space):
         assert np.all(family.center[s] == c)
         radii = space.candidate_radii(c)
-        assert np.array_equal(family.counts(scale)[s], space.counts(c, scale * radii))
+        assert np.array_equal(family.counts(scale)[s], member_counts(space, c, scale * radii))
         assert np.array_equal(family.measures(scale)[s],
-                              space.prefix_weight[c][space.counts(c, scale * radii)])
+                              space.prefix_weight[c][member_counts(space, c, scale * radii)])
         # later_max: per ball, the largest measure over the later balls of its segment
         mu = family.measures(scale)[s].tolist()
         assert later[s].tolist() == [max(mu[i + 1:], default=-math.inf) for i in range(len(mu))]
@@ -453,14 +458,14 @@ def _per_center_sup(space, table):
 
 
 def _mu(space, c, radii):
-    return space.prefix_weight[c][space.counts(c, radii)]
+    return space.prefix_weight[c][member_counts(space, c, radii)]
 
 
 def _scatter_reference(space, per_center):
     out = np.full(space.n, -math.inf)
     ranks = np.arange(1, space.n + 1)
     for c in range(space.n):
-        counts = space.counts(c, space.candidate_radii(c))
+        counts = member_counts(space, c, space.candidate_radii(c))
         suffix = np.maximum.accumulate(np.asarray(per_center(c), dtype=float)[::-1])[::-1]
         first = np.searchsorted(counts, ranks, side="left")
         covered = first < counts.size
@@ -477,19 +482,19 @@ def test_morrey_and_oscillation_norms_equal_per_center_loops(data, p, tau):
     psi = weight_psi(space)
     power = space.prefix_of(np.abs(f) ** p * space.weights)
     want = _per_center_sup(space, lambda c, radii: (
-        power[c][space.counts(c, radii)] / (phi.table(c, radii) * _mu(space, c, tau * radii))) ** (1.0 / p))
+        power[c][member_counts(space, c, radii)] / (phi.table(c, radii) * _mu(space, c, tau * radii))) ** (1.0 / p))
     assert spaces.morrey_norm(space, f, p, phi, tau, with_witness=True) == want
 
     if p > 1:
         sums = spaces.oscillation_sums(space, f, p)
         want = _per_center_sup(space, lambda c, radii: (
-            sums[c][space.counts(c, radii) - 1] / _mu(space, c, tau * radii)) ** (1.0 / p)
+            sums[c][member_counts(space, c, radii) - 1] / _mu(space, c, tau * radii)) ** (1.0 / p)
             / psi.table(c, radii))
         assert spaces.p_oscillation_norm(space, f, psi, p, tau, with_witness=True) == want
 
     sums = spaces.oscillation_sums(space, f)
     want = _per_center_sup(space, lambda c, radii: (
-        sums[c][space.counts(c, radii) - 1] / (psi.table(c, radii) * _mu(space, c, tau * radii))))
+        sums[c][member_counts(space, c, radii) - 1] / (psi.table(c, radii) * _mu(space, c, tau * radii))))
     with mock.patch.object(geometry, "EXHAUSTIVE_PAIR_LIMIT", 0):
         report = spaces.campanato_norm(space, _lam(space), f, psi, tau, pair_budget=50)
     assert (report.oscillation_sup, report.oscillation_witness) == want
@@ -505,7 +510,7 @@ def test_maximal_operators_equal_per_center_loops(data, tau):
 
     def p_mean(c):
         radii = space.candidate_radii(c)
-        return (power[c][space.counts(c, radii)] / _mu(space, c, tau * radii)) ** 0.5
+        return (power[c][member_counts(space, c, radii)] / _mu(space, c, tau * radii)) ** 0.5
 
     assert np.array_equal(operators.maximal_p_tau(space, f, 2.0, tau),
                           _scatter_reference(space, p_mean))
@@ -518,7 +523,7 @@ def test_maximal_operators_equal_per_center_loops(data, tau):
 
     def doubling_mean(c):
         radii = space.candidate_radii(c)
-        qs = space.counts(c, radii)
+        qs = member_counts(space, c, radii)
         flags = _mu(space, c, 6.0 * radii) <= beta * _mu(space, c, radii)
         return np.where(flags, absf[c][qs] / space.prefix_weight[c][qs], -math.inf)
 
@@ -599,11 +604,11 @@ def _sharp_maximal_reference(space, lam, profile, f, pairs):
 
     def osc_vals(c):
         radii = space.candidate_radii(c)
-        return osc[c][space.counts(c, radii) - 1] / _mu(space, c, 6.0 * radii)
+        return osc[c][member_counts(space, c, radii) - 1] / _mu(space, c, 6.0 * radii)
 
     def pair_vals(c):
         radii = space.candidate_radii(c)
-        qs = space.counts(c, radii)
+        qs = member_counts(space, c, radii)
         fm = pf[c][qs] / pw[c][qs]
         s = space.balls().segment(c)
         coeff = tables.concentric(np.arange(s.start, s.stop)[:, None], tables.pair_scale_indices(c))
@@ -709,12 +714,12 @@ def _campanato_ladder_reference(space, lam, f, psi, tau, gamma):
     reg, witness = 0.0, {}
     for c, s in _segments(space):
         radii = family.radius[s]
-        qs = space.counts(c, radii)
+        qs = member_counts(space, c, radii)
         means = pf[c][qs] / pw[c][qs]
         sat = geometry.scale_index_array(tau, radii, max(space.diameter, float(radii[0])))
         for k in range(1, int(sat.max()) + 2):
             outer_r = scales[k + k_floor] * radii
-            q_out = space.counts(c, outer_r)
+            q_out = member_counts(space, c, outer_r)
             coeff = 1.0 + cumulative[s, k + k_floor]
             vals = np.abs(means - pf[c][q_out] / pw[c][q_out]) / (psi.table(c, radii) * coeff ** gamma)
             vals[k > sat + 1] = -np.inf
@@ -737,10 +742,10 @@ def _mean_jump_reference(space, f, psi, k_values, norm):
         best = 0.0
         for c, s in _segments(space):
             radii = family.radius[s]
-            qs = space.counts(c, radii)
+            qs = member_counts(space, c, radii)
             sat = geometry.scale_index_array(k, radii, max(space.diameter, float(radii[0])))
             for j in range(1, int(sat.max()) + 2):
-                q_out = space.counts(c, ladder.scales[j + ladder.k_floor] * radii)
+                q_out = member_counts(space, c, ladder.scales[j + ladder.k_floor] * radii)
                 jumps = np.abs(pf[c][q_out] / pw[c][q_out] - pf[c][qs] / pw[c][qs]) \
                     / (psi.table(c, radii) * norm)
                 if j == 1:

@@ -240,7 +240,8 @@ def test_each_per_function_kernel_works_in_a_few_family_arrays():
             rises[name] = (tracemalloc.get_traced_memory()[1] - before) / unit
     finally:
         tracemalloc.stop()
-    assert max(rises.values()) <= 7.0, rises
+    bounds = {name: 7.0 for name in calls} | {"campanato_norm_multi": 5.5}
+    assert all(rises[name] <= bounds[name] for name in calls), rises
 
 
 def test_the_mean_jump_pairs_are_drawn_once_per_budget_and_seed(monkeypatch, grid64):

@@ -19,6 +19,7 @@ import pytest
 
 import nhslab as nl
 from nhslab import geometry, lab
+from test_family import member_counts
 
 
 def _grid(n: int):
@@ -50,7 +51,7 @@ def _holds_the_counts(table: np.ndarray, space) -> bool:
 
 def _counts_oracle(space, scale: float) -> np.ndarray:
     family = space.balls()
-    return np.concatenate([space.counts(c, scale * family.radius[family.segment(c)]).astype(np.int64)
+    return np.concatenate([member_counts(space, c, scale * family.radius[family.segment(c)]).astype(np.int64)
                            for c in range(space.n)])
 
 
