@@ -49,7 +49,11 @@ def load_space(path: str):
     if not isinstance(raw, dict):
         raise SpecError("space file must be a JSON object")
     space = lab.generate_space({**raw, "kind": "atoms"})
-    kappa = raw.get("metadata", {}).get("lambda", {}).get("kappa", "auto")
+    metadata = raw.get("metadata", {})
+    lam_spec = metadata.get("lambda", {}) if isinstance(metadata, dict) else None
+    if not isinstance(lam_spec, dict):
+        raise SpecError(f"space metadata must be an object whose 'lambda' is an object, got {metadata!r}")
+    kappa = lam_spec.get("kappa", "auto")
     if kappa != "auto":
         kappa = lab._number(kappa, "lambda kappa", 0)
     return space, mmspace.fit_power_lambda(space, kappa)

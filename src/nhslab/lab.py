@@ -57,13 +57,8 @@ def two_point_lambda() -> DominatingFunction:
 
 
 def _grid_points(d: int, n: int) -> np.ndarray:
-    if n == 1:
-        axes = [np.zeros(1)]
-    else:
-        axes = [np.linspace(0.0, 1.0, n) for _ in range(d)]
-    mesh = np.meshgrid(*([axes[0]] * d), indexing="ij") if d > 1 else [axes[0]]
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    return pts
+    axis = np.zeros(1) if n == 1 else np.linspace(0.0, 1.0, n)
+    return np.stack([m.ravel() for m in np.meshgrid(*([axis] * d), indexing="ij")], axis=1)
 
 
 def _number(value, name: str, low: float = -math.inf, integer: bool = False):
@@ -152,17 +147,16 @@ def _random_field(seed: int, index: int) -> Callable:
     return evaluate
 
 
-def generate_functions(space: PointCloudSpace, family, count: int, seed: int = 0,
-                       *, lam: Optional[DominatingFunction] = None,
-                       psi: Optional[RegularityFunctionPsi] = None) -> list:
+def generate_functions(space: PointCloudSpace, family, count: int, seed: int = 0) -> list:
     """Generate ``count`` functions from a named family, deterministically in
     the seed.
 
     Families: ``random_bounded`` (random trigonometric fields),
     ``mean_zero_random`` (the same, projected to exact weighted mean zero),
-    ``psi_adapted`` (normalized to unit oscillation-regularity norm at tau =
-    2), and ``indicator`` (ball indicators; the dict form fixes the ball,
-    radii cycle over a deterministic ladder for count > 1).
+    and ``indicator`` (ball indicators; the dict form fixes the ball, radii
+    cycle over a deterministic ladder for count > 1).  No family is
+    normalized by a norm: a sampled supremum belongs to the caller's pair
+    budget and seed (see :meth:`_Context.campanato`).
     """
     name = family["kind"] if isinstance(family, dict) else str(family)
     out = []
@@ -175,7 +169,7 @@ def generate_functions(space: PointCloudSpace, family, count: int, seed: int = 0
             mask = space.dist[center] <= radius
             out.append(mask.astype(float))
         return out
-    if name not in ("random_bounded", "mean_zero_random", "psi_adapted"):
+    if name not in ("random_bounded", "mean_zero_random"):
         raise SpecError(f"unknown function family {family!r}")
     for i in range(count):
         if space.coords is not None:
@@ -185,13 +179,6 @@ def generate_functions(space: PointCloudSpace, family, count: int, seed: int = 0
             f = rng.uniform(-1.0, 1.0, size=space.n)
         if name == "mean_zero_random":
             f = f - float(np.sum(f * space.weights) / space.total_measure)
-        elif name == "psi_adapted":
-            if lam is None or psi is None:
-                raise SpecError("psi_adapted functions need lam= and psi=")
-            norm = spaces.campanato_norm(space, lam, f, psi).norm
-            if norm <= 1e-13:
-                continue
-            f = f / norm
         out.append(f)
     return out
 
@@ -219,13 +206,15 @@ def load_chains(path: str) -> list:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     chains = []
-    for item in raw:
-        if isinstance(item, dict):
-            chains.append((int(item["center"]), float(item["base_radius"]),
-                           [int(e) for e in item["exponents"]]))
-        else:
+    try:
+        for item in raw:
+            if isinstance(item, dict):
+                item = item["center"], item["base_radius"], item["exponents"]
             center, base, exps = item
             chains.append((int(center), float(base), [int(e) for e in exps]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecError("chain file must be a list of [center, base_radius, [exponents...]] "
+                        f"or objects with those keys ({type(exc).__name__}: {exc})") from exc
     return chains
 
 
@@ -327,6 +316,8 @@ class ExperimentConfig:
         if not isinstance(raw.get("generator"), dict):
             raise SpecError(f"experiment config needs a 'generator' object, got {raw.get('generator')!r}")
         checks = raw.get("checks", sorted(CHECKS))
+        if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
+            raise SpecError(f"checks must be a list of check names, got {checks!r}")
         unknown = [c for c in checks if c not in CHECKS]
         if unknown:
             raise SpecError(f"unknown checks: {unknown}")
@@ -335,6 +326,9 @@ class ExperimentConfig:
             params = OperatorParams(**params_raw)
         except (TypeError, InvalidParams) as exc:
             raise SpecError(f"bad operator params: {exc}") from exc
+        for key in ("psi", "phi"):
+            if not isinstance(raw.get(key, {}), (dict, type(None))):
+                raise SpecError(f"{key} must be an object, got {raw[key]!r}")
         budgets = raw.get("budgets", {})
         if not isinstance(budgets, dict) or any(
                 k not in BUDGETS or type(v) is not int or v < 0 for k, v in budgets.items()):
@@ -441,8 +435,12 @@ class _Context:
         return int(self.budgets.get(key, BUDGETS[key]))
 
     def functions(self, count: int, family: str = "random_bounded"):
-        return generate_functions(self.space, family, count, self.seed,
-                                  lam=self.lam, psi=self.psi)
+        return generate_functions(self.space, family, count, self.seed)
+
+    def campanato(self, f) -> float:
+        """The tau = 2, gamma = 1 Campanato norm of f under psi, the pairs budget and the seed."""
+        return spaces.campanato_norm(self.space, self.lam, f, self.psi,
+                                     pair_budget=self.budget("pairs"), seed=self.seed).norm
 
     @functools.cached_property
     def constants(self) -> dict:
@@ -525,17 +523,17 @@ def _check_phi(ctx: _Context) -> Row:
 
 
 def _check_identity_suite(ctx: _Context) -> Row:
-    space, lam, psi = ctx.space, ctx.lam, ctx.psi
-    params = ctx.params
+    space, params = ctx.space, ctx.params
     devs = []
     const = np.full(space.n, 3.25)
-    devs.append(spaces.campanato_norm(space, lam, const, psi).norm)
-    devs.append(float(np.max(operators.sharp_maximal(space, lam, ctx.profile, const))))
+    devs.append(ctx.campanato(const))
+    devs.append(float(np.max(operators.sharp_maximal(space, ctx.lam, ctx.profile, const,
+                                                     pair_budget=ctx.budget("pairs"), seed=ctx.seed))))
     f = ctx.functions(1)[0]
     g = ctx.functions(1, "mean_zero_random")[0]
     c, d = 2.5, -1.25
-    base = spaces.campanato_norm(space, lam, f, psi).norm
-    aff = spaces.campanato_norm(space, lam, c * f + d, psi).norm
+    base = ctx.campanato(f)
+    aff = ctx.campanato(c * f + d)
     devs.append(abs(aff - abs(c) * base) / max(abs(c) * base, 1e-30))
     m_base = spaces.morrey_norm(space, f, params.p, ctx.phi, params.eta)
     m_scaled = spaces.morrey_norm(space, c * f, params.p, ctx.phi, params.eta)
@@ -590,13 +588,15 @@ def _check_pointwise_domination(ctx: _Context) -> Row:
 
 def _jn_envelope(fit: _Context, test: _Context, count: int, radius: float) -> dict:
     """Exponential envelope rates fitted on ``fit`` against the distributions
-    re-measured on ``test``, for ``count`` psi-adapted functions on B(middle
-    of the cube, radius) enlarged by tau = 2: how many levels lie under
-    2 * exp(-rate * t) * mu(tau B) * (1 + 1e-12), of how many."""
+    re-measured on ``test``, for the first ``count`` functions divided by their
+    :meth:`_Context.campanato` norm (those of norm at most 1e-13 skipped) on
+    B(middle of the cube, radius) enlarged by tau = 2: how many levels lie
+    under 2 * exp(-rate * t) * mu(tau B) * (1 + 1e-12), of how many."""
     def distributions(ctx):
         ball = Ball(_resolve_center(ctx.space, 0.5) if ctx.space.coords is not None else 0, radius)
-        return [spaces.jn_distribution(ctx.space, f, ctx.psi, ball, 2.0)
-                for f in ctx.functions(count, "psi_adapted")]
+        fs = ctx.functions(count)
+        return [spaces.jn_distribution(ctx.space, f / norm, ctx.psi, ball, 2.0)
+                for f, norm in zip(fs, map(ctx.campanato, fs)) if norm > 1e-13]
 
     fitted = distributions(fit)
     matched = list(zip(fitted, fitted if test is fit else distributions(test)))
@@ -687,7 +687,7 @@ def operator_norm_ratios(ctx: _Context, fs, mean_zero_fs, b) -> dict:
     comm = 0.0
     maximal = 0.0
     doubling = 0.0
-    b_norm = spaces.campanato_norm(space, lam, b, ctx.psi, pair_budget=pair_budget, seed=seed).norm
+    b_norm = ctx.campanato(b)
     for f in fs:
         mn = spaces.morrey_norm(space, f, p, phi, eta)
         if mn > 1e-13:

@@ -502,13 +502,14 @@ def build_space(
     ``METRIC_REL_TOL``, which is not checked again.  A distance matrix must be
     nonnegative, with a zero diagonal and symmetric up to ``METRIC_REL_TOL``
     times max(its largest entry, 1); it is symmetrised, and
-    :func:`_check_triangle` checks every triple.
+    :func:`_check_triangle` checks every triple.  Input that is not a
+    rectangular array of numbers raises :class:`DimensionMismatch`.
     """
     if (points is None) == (distances is None):
         raise DimensionMismatch("provide exactly one of points= or distances=")
     if weights is None:
         raise DimensionMismatch("weights are required")
-    w = np.asarray(weights, dtype=float).ravel()
+    w = _float_array(weights, "weights").ravel()
     n = w.shape[0]
     if n < 1:
         raise DimensionMismatch("a space needs at least one point")
@@ -519,7 +520,7 @@ def build_space(
 
     coords = None
     if points is not None:
-        coords = np.asarray(points, dtype=float)
+        coords = _float_array(points, "points")
         if coords.ndim == 1:
             coords = coords[:, None]
         if coords.shape[0] != n:
@@ -527,7 +528,7 @@ def build_space(
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite input fails below
             dist = _euclidean_matrix(coords)
     else:
-        dist = np.asarray(distances, dtype=float)
+        dist = _float_array(distances, "distances")
         if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
             raise DimensionMismatch("distance matrix must be square")
         if dist.shape[0] != n:
@@ -551,6 +552,15 @@ def build_space(
         np.fill_diagonal(dist, 0.0)
         _check_triangle(dist)
     return PointCloudSpace(dist, w, coords)
+
+
+def _float_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array; data that is not a rectangular array of
+    numbers raises :class:`DimensionMismatch` naming ``name``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"{name} must be a rectangular array of numbers ({exc})") from exc
 
 
 def _check_triangle(dist: np.ndarray) -> None:

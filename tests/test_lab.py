@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import nhslab as nl
-from nhslab import cli, lab
+from nhslab import cli, geometry, lab, spaces
 from nhslab.errors import SpecError
 
 
@@ -93,11 +94,49 @@ def test_same_seed_same_functions(grid16):
         assert np.array_equal(fa, fb)
 
 
-def test_psi_adapted_unit_norm(grid16, psi_const):
-    space, lam = grid16
-    fs = lab.generate_functions(space, "psi_adapted", 2, 4, lam=lam, psi=psi_const)
-    for f in fs:
-        assert nl.campanato_norm(space, lam, f, psi_const).norm == pytest.approx(1.0, rel=1e-9)
+def test_jn_row_measures_functions_of_unit_context_norm(monkeypatch, grid16):
+    # the row divides each function by its norm at the context's pairs budget
+    # and seed; the function generator itself normalizes nothing.  On these
+    # random weights the first function's norm at the library default (2000
+    # pairs, seed 0) is 16% above its norm at (300, 3)
+    generator = {"kind": "grid", "d": 2, "n": 9, "weights": {"random": 1}}
+    ctx = lab._Context.build(generator, nl.OperatorParams(), 3, {"pairs": 300})
+    measured, jn = [], spaces.jn_distribution
+    monkeypatch.setattr(spaces, "jn_distribution", lambda space, f, *a: measured.append(f) or jn(space, f, *a))
+    lab._check_jn_envelope(ctx)
+    assert len(measured) == ctx.budget("jn_functions")
+    for f in measured:
+        norm = nl.campanato_norm(ctx.space, ctx.lam, f, ctx.psi, pair_budget=300, seed=3).norm
+        assert norm == pytest.approx(1.0, rel=1e-9)
+    with pytest.raises(SpecError, match="unknown function family 'psi_adapted'"):
+        lab.generate_functions(grid16[0], "psi_adapted", 2, 4)
+
+
+def test_each_context_draws_one_nested_pair_sample(monkeypatch):
+    # every sampled supremum of a context reads its (pairs budget, seed), here
+    # the default (500, 7), and no Campanato report is computed twice
+    monkeypatch.delenv(lab.SEED_ENV_VAR, raising=False)
+    samples, reports = [], collections.Counter()
+    sample, multi = geometry.sampled_nested_pairs, spaces.campanato_norm_multi
+
+    def spy_sample(space, budget, seed):
+        samples.append((budget, seed))
+        return sample(space, budget, seed)
+
+    def spy_multi(space, lam, f, psi, combos, *, pair_budget, seed):
+        reports.update((np.asarray(f).tobytes(), tau, gamma, pair_budget, seed) for tau, gamma in combos)
+        return multi(space, lam, f, psi, combos, pair_budget=pair_budget, seed=seed)
+
+    monkeypatch.setattr(geometry, "sampled_nested_pairs", spy_sample)
+    monkeypatch.setattr(spaces, "campanato_norm_multi", spy_multi)
+    report = lab.run_experiments(lab.ExperimentConfig.from_dict({"generator": {"kind": "grid", "d": 2, "n": 9},
+                                                                 "seed": 7}))
+    assert report.exit_code == 0
+    assert set(samples) == {(500, 7)} and max(reports.values()) == 1
+    samples.clear()
+    reports.clear()
+    lab.jn_envelope_experiment({"kind": "grid", "d": 1, "n": 16}, {"kind": "grid", "d": 1, "n": 32}, count=5)
+    assert set(samples) == {(500, 7)} and max(reports.values()) == 1
 
 
 def test_refinement_consistency_of_fields():
@@ -380,6 +419,12 @@ def test_cli_negative_kappa_is_a_config_error(tmp_path, capsys, kappa):
     ({"points": [[0.0], [1.0]], "weights": [1.0, math.inf]}, 1, "check error: weight of point 1"),
     ({"distances": [[0.0, math.nan], [math.nan, 0.0]], "weights": [1.0, 1.0]}, 1,
      "check error: distance d(0,1)"),
+    ({"points": [[0.0], [1.0]], "weights": [1.0, 1.0], "metadata": "x"}, 2,
+     "config error: space metadata must be an object"),
+    ({"points": [["a"], [1.0]], "weights": [1.0, 1.0]}, 1,
+     "check error: points must be a rectangular array of numbers"),
+    ({"points": [[0, 1], [1]], "weights": [1.0, 1.0]}, 1,
+     "check error: points must be a rectangular array of numbers"),
 ])
 def test_cli_malformed_space_file(tmp_path, capsys, space, code, err):
     # a missing key is a config error; a non-finite number fails the build by name
@@ -502,11 +547,17 @@ def test_cli_experiment_malformed_budgets_are_a_config_error(tmp_path, capsys, b
     ({"params": {"tau": 2}}, None),
     ({"params": {"q": 1.5}}, None),
     ({}, "-1"),
+    ({"checks": 5}, None),
+    ({"checks": None}, None),
+    ({"checks": [{}]}, None),
+    ({"psi": "constant"}, None),
+    ({"phi": ["power"]}, None),
 ])
 def test_cli_experiment_malformed_numbers_are_config_errors(tmp_path, capsys, monkeypatch, change, env_seed):
     # a number that is not an integer (or, for the weight, psi and phi
     # fields, a finite number) in range exits 2; none runs truncated.
-    # OperatorParams has no delta (phi's delta is set in "phi")
+    # OperatorParams has no delta (phi's delta is set in "phi").  So do
+    # checks that are not a list of names, and psi or phi that is not an object
     cfg = {"generator": {"kind": "grid", "d": 1, "n": 8}, "checks": ["coefficient_inequalities"],
            "seed": 7, "budgets": {"triples": 50}, **change}
     if env_seed is None:
@@ -572,6 +623,15 @@ def test_cli_coeff_with_chain_file(tmp_path, capsys):
     assert code == 0
     chain_rows = [r for r in out if r["check"] == "coefficient_chain_bound"]
     assert len(chain_rows) == 1
+
+
+@pytest.mark.parametrize("chains", [[[0, 0.5]], [{"center": 0}], 5])
+def test_cli_malformed_chain_file_is_a_config_error(tmp_path, capsys, chains):
+    space_path = _write_two_point(tmp_path)
+    chains_path = tmp_path / "chains.json"
+    chains_path.write_text(json.dumps(chains))
+    assert cli.main(["coeff", space_path, "--chains-file", str(chains_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: chain file must be a list")
 
 
 def test_cli_module_entry_point(tmp_path):
