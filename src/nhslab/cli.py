@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -25,12 +26,19 @@ from .operators import OperatorParams
 from .report import CheckReport
 
 
-def _tau(text: str) -> float:
-    """A dilation step: a number above 1."""
-    value = float(text)
-    if not value > 1.0:
-        raise argparse.ArgumentTypeError(f"tau must exceed 1, got {value!r}")
-    return value
+def _finite(name: str, low: float, closed: bool):
+    """An argparse type: a finite number above ``low``, or at least ``low`` when ``closed``."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and (value >= low if closed else value > low)):
+            raise argparse.ArgumentTypeError(
+                f"{name} must {'be at least' if closed else 'exceed'} {low:g} and be finite, got {value!r}")
+        return value
+    parse.__name__ = name  # argparse names the type in "invalid <name> value"
+    return parse
+
+
+_tau = _finite("tau", 1.0, False)  # a dilation step
 
 
 def _count(text: str) -> int:
@@ -101,7 +109,7 @@ def _cmd_coeff(args) -> int:
         geometry.validate_weak_doubling(space, lam, profile, args.tau),
     ]
     if args.chains_file is not None:
-        chains = lab.load_chains(args.chains_file)
+        chains = lab.load_chains(args.chains_file, space.n)
     else:
         chains = lab.generate_chains(space, lam, args.tau, args.chains, args.seed)
     reports.append(geometry.check_coefficient_chain_bound(space, lam, args.tau, chains))
@@ -172,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="space and dominating-function checks")
     p.add_argument("space")
-    p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--a-grid", type=float, nargs="+", default=[2.0])
+    p.add_argument("--sigma", type=_finite("sigma", 0.0, False), default=0.5)
+    p.add_argument("--a-grid", type=_finite("dilation factor", 1.0, False), nargs="+", default=[2.0])
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("coeff", help="coefficient inequality suite")
@@ -192,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("function")
     p.add_argument("--psi", default="constant")
     p.add_argument("--tau", type=_tau, default=2.0)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--gamma", type=_finite("gamma", 1.0, True), default=1.0)
     p.set_defaults(fn=_cmd_norms)
 
     p = sub.add_parser("operators", help="operator values and domination check")

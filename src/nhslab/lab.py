@@ -28,6 +28,7 @@ from .errors import InvalidParams, SpecError
 from .geometry import Ball
 from .mmspace import DominatingFunction, GeometryProfile, PointCloudSpace
 from .operators import KernelSpec, OperatorParams
+from .report import CheckReport
 from .spaces import GrowthFunctionPhi, RegularityFunctionPsi
 
 ARTIFACT_VERSION = "0.1.0"
@@ -200,18 +201,20 @@ def lp_norm(space: PointCloudSpace, f: np.ndarray, p: float) -> float:
 # ------------------------------------------------------------------------------
 # Chain generation
 # ------------------------------------------------------------------------------
-def load_chains(path: str) -> list:
+def load_chains(path: str, n: int) -> list:
     """Chain file: a JSON list of [center, base_radius, [exponents...]] triples
-    (or objects with those keys)."""
+    (or objects with those keys), each center a point index below ``n``."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     chains = []
     try:
-        for item in raw:
+        for i, item in enumerate(raw):
             if isinstance(item, dict):
                 item = item["center"], item["base_radius"], item["exponents"]
             center, base, exps = item
             chains.append((int(center), float(base), [int(e) for e in exps]))
+            if not 0 <= chains[-1][0] < n:
+                raise SpecError(f"chain {i} {raw[i]!r} has center {center!r}, outside the points 0..{n - 1}")
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError("chain file must be a list of [center, base_radius, [exponents...]] "
                         f"or objects with those keys ({type(exc).__name__}: {exc})") from exc
@@ -329,6 +332,8 @@ class ExperimentConfig:
         for key in ("psi", "phi"):
             if not isinstance(raw.get(key, {}), (dict, type(None))):
                 raise SpecError(f"{key} must be an object, got {raw[key]!r}")
+        if not isinstance(raw.get("output_path"), (str, type(None))):
+            raise SpecError(f"output_path must be a string, got {raw['output_path']!r}")
         budgets = raw.get("budgets", {})
         if not isinstance(budgets, dict) or any(
                 k not in BUDGETS or type(v) is not int or v < 0 for k, v in budgets.items()):
@@ -450,76 +455,43 @@ class _Context:
                                          self.budget("pairs"), self.seed)
 
 
-def _row(ctx: _Context, check: str, value, status: str, lower=None, upper=None, witness=None) -> Row:
-    return Row(check=check, n=ctx.space.n, generator=ctx.gen_name,
-               value=None if value is None else float(value),
-               lower=lower, upper=upper, witness=witness or {}, status=status)
-
-
-def _status(report) -> str:
-    if report.passed is None:
-        return "pass"
-    return "pass" if report.passed else "fail"
-
-
-def _check_upper_doubling(ctx: _Context) -> Row:
-    rep = mmspace.validate_upper_doubling(ctx.space, ctx.lam)
-    return _row(ctx, "upper_doubling", rep.value, _status(rep), witness=rep.worst_witness)
-
-
-def _check_lambda_comparability(ctx: _Context) -> Row:
-    rep = mmspace.validate_lambda_comparability(ctx.space, ctx.lam)
-    return _row(ctx, "lambda_comparability", rep.value, _status(rep), witness=rep.worst_witness)
+def _row(ctx: _Context, report: CheckReport, lower=None, upper=None, witness=None) -> Row:
+    """The experiment row of a check's report: "fail" exactly when the report
+    failed (``passed is False``); its witness unless the caller passes another."""
+    return Row(check=report.check, n=ctx.space.n, generator=ctx.gen_name,
+               value=None if report.value is None else float(report.value),
+               lower=lower, upper=upper, witness=report.worst_witness if witness is None else witness,
+               status="fail" if report.passed is False else "pass")
 
 
 def _check_weak_reverse_doubling(ctx: _Context) -> Row:
-    rep = mmspace.validate_weak_reverse_doubling(
-        ctx.lam, ctx.space, ctx.params.sigma, a_grid=(2.0, 4.0))
-    return _row(ctx, "weak_reverse_doubling", rep.value, _status(rep),
-                witness={"rows": rep.details["rows"]})
+    rep = mmspace.validate_weak_reverse_doubling(ctx.lam, ctx.space, ctx.params.sigma, (2.0, 4.0))
+    return _row(ctx, rep, witness={"rows": rep.details["rows"]})
 
 
 def _check_geometric_doubling(ctx: _Context) -> Row:
-    return _row(ctx, "geometric_doubling", float(ctx.profile.N0), "pass",
-                witness={"beta6": ctx.profile.beta(6.0), "nu": ctx.profile.nu})
+    return _row(ctx, CheckReport("geometric_doubling", None, float(ctx.profile.N0),
+                                 {"beta6": ctx.profile.beta(6.0), "nu": ctx.profile.nu}))
 
 
 def _check_coefficient_inequalities(ctx: _Context) -> Row:
     rep = geometry.check_coefficient_inequalities(
         ctx.space, ctx.lam, (2.0, 6.0), ctx.budget("triples"), ctx.seed)
     d = rep.details
-    return _row(ctx, "coefficient_inequalities", rep.value, _status(rep),
-                lower=d["cross_step_ratio_min"], upper=d["cross_step_ratio_max"],
-                witness=d)
+    return _row(ctx, rep, d["cross_step_ratio_min"], d["cross_step_ratio_max"], witness=d)
 
 
 def _check_chain_bound(ctx: _Context) -> Row:
     chains = generate_chains(ctx.space, ctx.lam, 2.0, ctx.budget("chains"), ctx.seed)
     rep = geometry.check_coefficient_chain_bound(ctx.space, ctx.lam, 2.0, chains)
-    return _row(ctx, "coefficient_chain_bound", rep.value, _status(rep),
-                witness={**rep.details, "centers_searched": chains.centers_searched,
-                         "links_evaluated": chains.links_evaluated})
-
-
-def _check_doubling_coefficient(ctx: _Context) -> Row:
-    rep = geometry.check_doubling_coefficient_bound(ctx.space, ctx.lam, ctx.profile, 6.0)
-    return _row(ctx, "doubling_coefficient_bound", rep.value, "pass", witness=rep.worst_witness)
-
-
-def _check_weak_doubling_index(ctx: _Context) -> Row:
-    rep = geometry.validate_weak_doubling(ctx.space, ctx.lam, ctx.profile, 2.0)
-    return _row(ctx, "weak_doubling_index", rep.value, "pass", witness=rep.worst_witness)
-
-
-def _check_psi(ctx: _Context) -> Row:
-    rep = spaces.validate_psi(ctx.space, ctx.psi)
-    return _row(ctx, "psi_regularity", rep.value, _status(rep), witness=rep.worst_witness)
+    return _row(ctx, rep, witness={**rep.details, "centers_searched": chains.centers_searched,
+                                   "links_evaluated": chains.links_evaluated})
 
 
 def _check_phi(ctx: _Context) -> Row:
     rep = spaces.validate_phi_gdec(ctx.space, ctx.phi, etas=(2.0, ctx.params.eta),
                                    pair_budget=ctx.budget("pairs"), seed=ctx.seed)
-    return _row(ctx, "phi_decrease", rep.value, _status(rep), witness=rep.details)
+    return _row(ctx, rep, witness=rep.details)
 
 
 def _check_identity_suite(ctx: _Context) -> Row:
@@ -550,8 +522,7 @@ def _check_identity_suite(ctx: _Context) -> Row:
     mpsi = operators.maximal_psi_p_tau(space, ident, f, params.p, 5.0)
     devs.append(float(np.max(np.abs(mp - mpsi))))
     worst = float(max(devs))
-    return _row(ctx, "identity_suite", worst, "pass" if worst <= 1e-12 else "fail",
-                witness={"deviations": devs})
+    return _row(ctx, CheckReport("identity_suite", worst <= 1e-12, worst, {"deviations": devs}))
 
 
 def _check_hand_fixtures(ctx: _Context) -> Row:
@@ -571,19 +542,15 @@ def _check_hand_fixtures(ctx: _Context) -> Row:
         abs(marc - rhs) / rhs,
     ]
     worst = float(max(devs))
-    return _row(ctx, "hand_fixtures", worst, "pass" if worst <= 1e-12 else "fail",
-                witness={"coefficient": coeff, "marcinkiewicz": marc, "potential": pot})
+    return _row(ctx, CheckReport("hand_fixtures", worst <= 1e-12, worst,
+                                 {"coefficient": coeff, "marcinkiewicz": marc, "potential": pot}))
 
 
 def _check_pointwise_domination(ctx: _Context) -> Row:
-    worst = -math.inf
-    status = "pass"
-    for f in ctx.functions(ctx.budget("domination_functions")):
-        rep = operators.check_pointwise_domination(ctx.space, ctx.lam, ctx.kernel, f, ctx.params)
-        worst = max(worst, rep.value)
-        if not rep.passed:
-            status = "fail"
-    return _row(ctx, "pointwise_domination", worst, status)
+    reports = [operators.check_pointwise_domination(ctx.space, ctx.lam, ctx.kernel, f, ctx.params)
+               for f in ctx.functions(ctx.budget("domination_functions"))]
+    return _row(ctx, CheckReport("pointwise_domination", all(r.passed for r in reports),
+                                 max([-math.inf] + [r.value for r in reports])))
 
 
 def _jn_envelope(fit: _Context, test: _Context, count: int, radius: float) -> dict:
@@ -609,34 +576,32 @@ def _jn_envelope(fit: _Context, test: _Context, count: int, radius: float) -> di
 
 def _check_jn_envelope(ctx: _Context) -> Row:
     res = _jn_envelope(ctx, ctx, ctx.budget("jn_functions"), max(0.25, ctx.space.diameter / 4.0))
-    return _row(ctx, "jn_envelope", res["fraction"], "pass",
-                witness={"rates": res["rates"], "points": res["total"]})
+    return _row(ctx, CheckReport("jn_envelope", None, res["fraction"],
+                                 {"rates": res["rates"], "points": res["total"]}))
 
 
 def _check_mean_jumps(ctx: _Context) -> Row:
     rep = ctx.constants["mean_jump"]
-    return _row(ctx, "mean_jump_bounds", rep.value, "pass", witness=rep.details)
+    return _row(ctx, rep, witness=rep.details)
 
 
 def _check_equivalence(ctx: _Context) -> Row:
     rep = ctx.constants["equivalence"]
     lower, upper = next(iter(rep.details["bands"].values()), (None, None))
-    return _row(ctx, "equivalence_bands", rep.value, "pass",
-                lower=lower, upper=upper, witness=rep.details)
+    return _row(ctx, rep, lower, upper, witness=rep.details)
 
 
 def _check_p_oscillation_bands(ctx: _Context) -> Row:
     bands = ctx.constants["p_oscillation"]
-    return _row(ctx, "p_oscillation_bands", bands["p2"][1], "pass",
-                lower=bands["p2"][0], upper=bands["p2"][1], witness=bands)
+    return _row(ctx, CheckReport("p_oscillation_bands", None, bands["p2"][1], bands), *bands["p2"])
 
 
 def _check_operator_norm_ratios(ctx: _Context) -> Row:
     fs = ctx.functions(ctx.budget("functions"))
     mz = ctx.functions(ctx.budget("functions"), "mean_zero_random")
     ratios = operator_norm_ratios(ctx, fs, mz, ctx.functions(1)[0])
-    return _row(ctx, "operator_norm_ratios", ratios["marcinkiewicz_morrey_ratio"],
-                "pass", witness=ratios)
+    return _row(ctx, CheckReport("operator_norm_ratios", None,
+                                 ratios["marcinkiewicz_morrey_ratio"], ratios))
 
 
 def _sharp_ratio(ctx: _Context, b, fs) -> float:
@@ -660,16 +625,16 @@ def _embedding_reports(ctx: _Context, fs) -> tuple:
 
 
 def _check_sharp_estimate(ctx: _Context) -> Row:
-    return _row(ctx, "sharp_maximal_estimate", _sharp_ratio(
-        ctx, ctx.functions(1)[0], ctx.functions(ctx.budget("sharp_functions"))), "pass")
+    return _row(ctx, CheckReport("sharp_maximal_estimate", None, _sharp_ratio(
+        ctx, ctx.functions(1)[0], ctx.functions(ctx.budget("sharp_functions")))))
 
 
 def _check_maximal_embedding(ctx: _Context) -> Row:
     fs = ctx.functions(2 * ctx.budget("embedding_functions"))
     c10, cal, reports = _embedding_reports(ctx, fs)
     # the first half calibrates; only the second half is checked
-    failed = any(r is not None and not r.passed for r in reports[len(fs) // 2:])
-    return _row(ctx, "maximal_morrey_pointwise", cal, "fail" if failed else "pass", witness={"c10": c10})
+    passed = all(r is None or r.passed for r in reports[len(fs) // 2:])
+    return _row(ctx, CheckReport("maximal_morrey_pointwise", passed, cal, {"c10": c10}))
 
 
 def operator_norm_ratios(ctx: _Context, fs, mean_zero_fs, b) -> dict:
@@ -720,16 +685,19 @@ def operator_norm_ratios(ctx: _Context, fs, mean_zero_fs, b) -> dict:
     }
 
 
+#: Each check's experiment row, ``_row`` of the check's report.
 CHECKS: dict = {
-    "upper_doubling": _check_upper_doubling,
-    "lambda_comparability": _check_lambda_comparability,
+    "upper_doubling": lambda ctx: _row(ctx, mmspace.validate_upper_doubling(ctx.space, ctx.lam)),
+    "lambda_comparability": lambda ctx: _row(ctx, mmspace.validate_lambda_comparability(ctx.space, ctx.lam)),
     "weak_reverse_doubling": _check_weak_reverse_doubling,
     "geometric_doubling": _check_geometric_doubling,
     "coefficient_inequalities": _check_coefficient_inequalities,
     "coefficient_chain_bound": _check_chain_bound,
-    "doubling_coefficient_bound": _check_doubling_coefficient,
-    "weak_doubling_index": _check_weak_doubling_index,
-    "psi_regularity": _check_psi,
+    "doubling_coefficient_bound": lambda ctx: _row(ctx, geometry.check_doubling_coefficient_bound(
+        ctx.space, ctx.lam, ctx.profile, 6.0)),
+    "weak_doubling_index": lambda ctx: _row(ctx, geometry.validate_weak_doubling(
+        ctx.space, ctx.lam, ctx.profile, 2.0)),
+    "psi_regularity": lambda ctx: _row(ctx, spaces.validate_psi(ctx.space, ctx.psi)),
     "phi_decrease": _check_phi,
     "identity_suite": _check_identity_suite,
     "hand_fixtures": _check_hand_fixtures,
@@ -761,8 +729,8 @@ def run_experiments(config: ExperimentConfig) -> ExperimentReport:
         try:
             rows.append(CHECKS[name](ctx))
         except Exception as exc:  # surfaced as a failed row, not a crash
-            rows.append(_row(ctx, name, None, "fail",
-                             witness={"error": repr(exc), "type": type(exc).__name__}))
+            rows.append(_row(ctx, CheckReport(name, False, worst_witness={"error": repr(exc),
+                                                                          "type": type(exc).__name__})))
             tracebacks[name] = traceback.format_exc()
         check_seconds[name] = check_seconds.get(name, 0.0) + time.process_time() - cpu
     elapsed = time.perf_counter() - start
@@ -853,11 +821,13 @@ def constant_battery(generator: dict, count: int = 100, seed: int = 7,
     """
     ctx = _Context.build(generator, OperatorParams(), seed,
                          {"triples": 5000, "pairs": 2000, "functions": count}, kappa=kappa)
-    d = _check_coefficient_inequalities(ctx).witness
+    d = geometry.check_coefficient_inequalities(
+        ctx.space, ctx.lam, (2.0, 6.0), ctx.budget("triples"), ctx.seed).details
     out = {"coeff_difference": d["difference_constant"],
            "coeff_cross_ratio_max": d["cross_step_ratio_max"],
            "coeff_cross_ratio_min": d["cross_step_ratio_min"],
-           "doubling_coeff_max": _check_doubling_coefficient(ctx).value}
+           "doubling_coeff_max": geometry.check_doubling_coefficient_bound(
+               ctx.space, ctx.lam, ctx.profile, 6.0).value}
 
     fs = ctx.functions(count)
     b = generate_functions(ctx.space, "random_bounded", 1, seed + 104729)[0]  # the battery's own symbol

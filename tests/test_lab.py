@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import nhslab as nl
-from nhslab import cli, geometry, lab, spaces
+from nhslab import cli, errors, geometry, lab, mmspace, spaces
 from nhslab.errors import SpecError
 
 
@@ -306,6 +307,69 @@ def test_a_check_that_raises_names_its_type_and_keeps_its_traceback_in_json():
     assert csv_text == lab.emit_report(again, "csv") and "Traceback" not in csv_text
 
 
+#: Each library-backed row: the module and function whose report it is, and
+#: for the rows of the shared constants pass, the report's key in its result.
+LIBRARY_ROWS = {
+    "upper_doubling": (mmspace, "validate_upper_doubling", None),
+    "lambda_comparability": (mmspace, "validate_lambda_comparability", None),
+    "weak_reverse_doubling": (mmspace, "validate_weak_reverse_doubling", None),
+    "coefficient_inequalities": (geometry, "check_coefficient_inequalities", None),
+    "coefficient_chain_bound": (geometry, "check_coefficient_chain_bound", None),
+    "doubling_coefficient_bound": (geometry, "check_doubling_coefficient_bound", None),
+    "weak_doubling_index": (geometry, "validate_weak_doubling", None),
+    "psi_regularity": (spaces, "validate_psi", None),
+    "phi_decrease": (spaces, "validate_phi_gdec", None),
+    "mean_jump_bounds": (spaces, "function_constants", "mean_jump"),
+    "equivalence_bands": (spaces, "function_constants", "equivalence"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(LIBRARY_ROWS))
+def test_a_library_row_fails_exactly_when_its_report_fails(tmp_path, capsys, monkeypatch, check):
+    # the row's verdict is its report's: a report with passed=False makes the
+    # row "fail" and the run exit 1, whatever the report's value
+    module, name, key = LIBRARY_ROWS[check]
+    real = getattr(module, name)
+
+    def failing(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if key is None:
+            return dataclasses.replace(out, passed=False)
+        return {**out, key: dataclasses.replace(out[key], passed=False)}
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"generator": {"kind": "grid", "d": 1, "n": 8}, "checks": [check],
+                                    "budgets": {"functions": 2}}))
+    assert cli.main(["experiment", str(cfg_path)]) == 0
+    assert [r["status"] for r in json.loads(capsys.readouterr().out)["rows"]] == ["pass"]
+    monkeypatch.setattr(module, name, failing)
+    assert cli.main(["experiment", str(cfg_path)]) == 1
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["check"] == check and row["status"] == "fail" and "error" not in row["witness"]
+
+
+@pytest.mark.parametrize("generator", [
+    {"kind": "two_point"},
+    {"kind": "grid", "d": 1, "n": 2},
+    {"kind": "grid", "d": 1, "n": 3},
+    {"kind": "grid", "d": 2, "n": 2},
+    {"kind": "atoms", "distances": [[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]],
+     "weights": [1, 2, 1, 3]},
+], ids=["two_point", "grid1d_2", "grid1d_3", "grid2d_2", "ultrametric4"])
+def test_degenerate_generators_fail_only_by_name(tmp_path, capsys, generator):
+    # every check runs on the smallest spaces; a check that raises there
+    # names an error of the package, and no run ends in an internal error
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"generator": generator}))
+    assert cli.main(["experiment", str(cfg_path)]) in (0, 1)
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert sorted(r["check"] for r in rows) == sorted(lab.CHECKS)
+    for row in rows:
+        if "error" in row["witness"]:
+            assert row["status"] == "fail"
+            assert issubclass(getattr(errors, row["witness"]["type"], Exception), errors.NhsLabError), row
+
+
 @pytest.mark.parametrize("generator, qualifying", [
     ({"kind": "grid", "d": 2, "n": 9}, 0),
     ({"kind": "grid", "d": 1, "n": 64}, 50),
@@ -434,7 +498,7 @@ def test_cli_malformed_space_file(tmp_path, capsys, space, code, err):
     assert capsys.readouterr().err.startswith(err)
 
 
-@pytest.mark.parametrize("tau", ["1.0", "0.5", "-3", "nan"])
+@pytest.mark.parametrize("tau", ["1.0", "0.5", "-3", "nan", "inf"])
 def test_cli_tau_at_most_one_is_a_config_error(tmp_path, capsys, tau):
     space_path = _write_two_point(tmp_path)
     f_path = tmp_path / "f.json"
@@ -446,6 +510,24 @@ def test_cli_tau_at_most_one_is_a_config_error(tmp_path, capsys, tau):
     assert cli.main(["coeff", space_path, "--tau=1.5", "--chains=2"]) == 0
     assert cli.main(["norms", space_path, str(f_path), "--tau=1.5"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, flag, err", [
+    ("validate", "--a-grid=0.5", "dilation factor must exceed 1"),
+    ("validate", "--a-grid=inf", "dilation factor must exceed 1"),
+    ("norms", "--gamma=0.5", "gamma must be at least 1"),
+    ("norms", "--gamma=nan", "gamma must be at least 1"),
+    ("norms", "--gamma=inf", "gamma must be at least 1"),
+])
+def test_cli_numeric_flag_out_of_range_is_a_config_error(tmp_path, capsys, command, flag, err):
+    # a flag outside its range or not finite exits 2 at parsing, before any
+    # check runs; exit 1 is kept for a check that fails
+    space_path = _write_two_point(tmp_path)
+    f_path = tmp_path / "f.json"
+    f_path.write_text(json.dumps({"values": [0.0, 1.0]}))
+    files = [space_path, str(f_path)] if command == "norms" else [space_path]
+    assert cli.main([command, *files, flag]) == 2
+    assert f"argument {flag.split('=')[0]}: {err} and be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("chains", ["-1", "-3", "two"])
@@ -552,12 +634,15 @@ def test_cli_experiment_malformed_budgets_are_a_config_error(tmp_path, capsys, b
     ({"checks": [{}]}, None),
     ({"psi": "constant"}, None),
     ({"phi": ["power"]}, None),
+    ({"output_path": 5}, None),
+    ({"output_path": ["out"]}, None),
 ])
 def test_cli_experiment_malformed_numbers_are_config_errors(tmp_path, capsys, monkeypatch, change, env_seed):
     # a number that is not an integer (or, for the weight, psi and phi
     # fields, a finite number) in range exits 2; none runs truncated.
     # OperatorParams has no delta (phi's delta is set in "phi").  So do
-    # checks that are not a list of names, and psi or phi that is not an object
+    # checks that are not a list of names, psi or phi that is not an object,
+    # and an output path that is not a string
     cfg = {"generator": {"kind": "grid", "d": 1, "n": 8}, "checks": ["coefficient_inequalities"],
            "seed": 7, "budgets": {"triples": 50}, **change}
     if env_seed is None:
@@ -632,6 +717,20 @@ def test_cli_malformed_chain_file_is_a_config_error(tmp_path, capsys, chains):
     chains_path.write_text(json.dumps(chains))
     assert cli.main(["coeff", space_path, "--chains-file", str(chains_path)]) == 2
     assert capsys.readouterr().err.startswith("config error: chain file must be a list")
+
+
+@pytest.mark.parametrize("chains", [[[5, 0.5, [0, 1]]], [[1, 1.0, [0, 1]], [-1, 0.5, [0, 1, 2]]]],
+                         ids=["past_the_last_point", "negative"])
+def test_cli_chain_center_outside_the_space_is_a_config_error(tmp_path, capsys, chains):
+    # a center past the last point would index out of range, and a negative
+    # one would wrap to a point from the end; both stop at the input gate
+    space_path = _write_two_point(tmp_path)
+    chains_path = tmp_path / "chains.json"
+    chains_path.write_text(json.dumps(chains))
+    assert cli.main(["coeff", space_path, "--chains-file", str(chains_path)]) == 2
+    i, bad = len(chains) - 1, chains[-1]
+    assert capsys.readouterr().err == (
+        f"config error: chain {i} {bad!r} has center {bad[0]}, outside the points 0..1\n")
 
 
 def test_cli_module_entry_point(tmp_path):

@@ -385,8 +385,8 @@ def test_weak_reverse_doubling_rejects_a_sigma_not_finite_and_positive(two_point
         nl.validate_weak_reverse_doubling(lam, space, sigma, (2.0,))
     path = tmp_path / "space.json"
     path.write_text('{"points": [[0.0], [1.0]], "weights": [1.0, 1.0]}')
-    assert cli.main(["validate", str(path), f"--sigma={sigma}"]) == 1
-    assert capsys.readouterr().err.startswith("check error: sigma must be finite and positive")
+    assert cli.main(["validate", str(path), f"--sigma={sigma}"]) == 2
+    assert "argument --sigma: sigma must exceed 0 and be finite" in capsys.readouterr().err
 
 
 def test_weak_reverse_doubling_takes_the_cap_or_one_term_at_extreme_sigmas(two_point):
