@@ -42,10 +42,10 @@ _tau = _finite("tau", 1.0, False)  # a dilation step
 
 
 def _count(text: str) -> int:
-    """A number of items: an integer of at least 0."""
+    """A number of items or a seed: an integer of at least 0."""
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"count must be nonnegative, got {value!r}")
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value!r}")
     return value
 
 
@@ -93,7 +93,7 @@ def _cmd_validate(args) -> int:
         mmspace.validate_weak_reverse_doubling(lam, space, args.sigma, tuple(args.a_grid)),
     ]
     profile = mmspace.make_profile(space, lam)
-    reports.append(CheckReport(check="geometric_doubling", passed=True,
+    reports.append(CheckReport(check="geometric_doubling", passed=None,
                                value=float(profile.N0),
                                details={"nu": profile.nu, "beta6": profile.beta(6.0)}))
     return _emit(reports)
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of qualifying chains to generate")
     p.add_argument("--chains-file", default=None,
                    help="JSON chain specifications instead of generated chains")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_count, default=7)
     p.set_defaults(fn=_cmd_coeff)
 
     p = sub.add_parser("norms", help="norms of a discrete function")

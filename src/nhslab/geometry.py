@@ -436,7 +436,9 @@ def check_coefficient_inequalities(space: PointCloudSpace, lam: DominatingFuncti
     cross_max = float(np.fmax.reduce(cross, initial=-math.inf))
     cross_min = float(np.fmin.reduce(cross, initial=math.inf))
 
-    # the sampled triples within each enlargement, and every pair (B, alpha*B)
+    # every pair (B, alpha*B), and the sampled triples within each enlargement:
+    # a triple exceeds the pairs only where the coefficient falls with the
+    # outer ball (a lambda with negative values), the case the exact check is for
     balls = np.arange(len(family))
     bounded_max = {}
     for alpha in (2.0, 6.0):

@@ -92,7 +92,6 @@ def power_theta(a: float) -> Callable:
     def theta(t):
         return np.power(t, a)
 
-    theta.family = f"power({a:g})"
     return theta
 
 
@@ -237,10 +236,6 @@ class KernelSpec:
     matrix: np.ndarray
     c_size: float
     dini_value: float
-    family: str = "canonical"
-
-    def __call__(self, x: int, y: int) -> float:
-        return float(self.matrix[x, y])
 
 
 def size_bound_matrix(space: PointCloudSpace, lam: DominatingFunction, l: float) -> np.ndarray:
@@ -252,30 +247,14 @@ def size_bound_matrix(space: PointCloudSpace, lam: DominatingFunction, l: float)
 
 
 def make_kernel(space: PointCloudSpace, lam: DominatingFunction, *,
-                l: float = 0.0, theta: Optional[Callable] = None,
-                family: str = "canonical", scale: float = 1.0, eps: float = 0.1,
-                seed: int = 0) -> KernelSpec:
-    """Build a kernel from a named family against the reference envelope.
-
-    Families: "canonical" (the envelope itself), "scaled" (a constant multiple)
-    and "perturbed" (the envelope times 1 + eps*h for a seeded bounded h).
-    """
+                l: float = 0.0, theta: Optional[Callable] = None) -> KernelSpec:
+    """The canonical kernel: the reference envelope itself, with size
+    exponent l and modulus theta (the linear modulus by default)."""
     theta, dini = (LINEAR_THETA, _linear_dini()) if theta is None else (theta, dini_integral(theta))
     if not math.isfinite(dini):
         raise InvalidParams("the kernel modulus fails the log-weighted integrability test")
     bound = size_bound_matrix(space, lam, l)
-    if family == "canonical":
-        matrix = bound.copy()
-    elif family == "scaled":
-        matrix = scale * bound
-    elif family == "perturbed":
-        rng = np.random.default_rng(seed)
-        h = rng.uniform(-1.0, 1.0, size=bound.shape)
-        matrix = bound * (1.0 + eps * h)
-    else:
-        raise InvalidParams(f"unknown kernel family {family!r}")
-    return KernelSpec(l=l, theta=theta, matrix=matrix, c_size=_size_constant(matrix, bound),
-                      dini_value=dini, family=family)
+    return KernelSpec(l=l, theta=theta, matrix=bound, c_size=_size_constant(bound, bound), dini_value=dini)
 
 
 def _size_constant(matrix: np.ndarray, bound: np.ndarray) -> float:
@@ -328,7 +307,6 @@ def validate_kernel(space: PointCloudSpace, lam: DominatingFunction, kernel: Ker
             "smoothness_difference": math.inf if unbounded else smooth_diff,
             "smoothness_sum": math.inf if unbounded else smooth_sum,
             "dini_value": kernel.dini_value,
-            "family": kernel.family,
         },
     )
 

@@ -608,12 +608,11 @@ def jn_distribution(space: PointCloudSpace, f: np.ndarray,
 # ------------------------------------------------------------------------------
 def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
                            f: np.ndarray, psi: RegularityFunctionPsi,
-                           k_values: Sequence[float] = (2.0, 6.0),
                            pair_budget: int = 2000, seed: int = 0,
                            norm: Optional[float] = None) -> CheckReport:
-    """Record the normalized mean-jump suprema: single enlargements per k,
-    iterated enlargements divided by the step count, and comparable-ball pairs
-    whose larger radius equals the center distance.
+    """Record the normalized mean-jump suprema: single enlargements per step
+    k of ``TAU_PAIR``, iterated enlargements divided by the step count, and
+    comparable-ball pairs whose larger radius equals the center distance.
 
     Constant functions yield the all-zero report rather than an error.  The
     oscillation-regularity norm (tau = 2, gamma = 1) is :func:`campanato_norm`
@@ -626,7 +625,7 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
     if norm <= 1e-13 * max(scale, 1.0):
         return CheckReport(
             check="mean_jump_bounds", passed=None, value=0.0,
-            details={"constant_function": True, "per_k": {str(k): 0.0 for k in k_values},
+            details={"constant_function": True, "per_k": {str(k): 0.0 for k in TAU_PAIR},
                      "iterated": 0.0, "comparable": 0.0, "norm": norm},
         )
     tables, family = function_tables(space, f), space.balls()
@@ -635,10 +634,7 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
     psit = space.fn_table(psi)
     per_k = {}
     iterated = 0.0
-    for k in k_values:
-        if k == 1.0:
-            per_k[str(k)] = 0.0
-            continue
+    for k in TAU_PAIR:
         # past saturation the jump stays and jump / j falls, so each ball
         # stops one step after it
         for j, jump, psi_j, live in _ladder_jumps(family, tables.mean_table, means, psit, k):
@@ -685,7 +681,8 @@ def check_mean_jump_bounds(space: PointCloudSpace, lam: DominatingFunction,
 # Parameter-independence bands
 # ------------------------------------------------------------------------------
 #: The dilation steps and coefficient powers whose four combinations the
-#: parameter-independence bands compare, tau-major.
+#: parameter-independence bands compare, tau-major; the steps are also those
+#: of :func:`check_mean_jump_bounds`.
 TAU_PAIR = (2.0, 6.0)
 GAMMA_PAIR = (1.0, 2.0)
 NORM_COMBOS = tuple((t, g) for t in TAU_PAIR for g in GAMMA_PAIR)

@@ -61,6 +61,7 @@ from nhslab.geometry import Ball, ball_measure, coefficient_tables, nested_pairs
 from nhslab.operators import OperatorParams
 from nhslab.spaces import CampanatoNormReport, ball_mean
 from test_mmspace import _exhaustive_doubling_count
+from test_operators import perturbed_kernel
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -785,10 +786,9 @@ def test_campanato_and_mean_jump_ladders_equal_per_center_loops(data, tau, gamma
     assert (report.regularity_sup, report.regularity_witness) == \
         _campanato_ladder_reference(space, lam, g, psi, tau, gamma)
 
-    k_values = (tau, 6.0)
-    report = spaces.check_mean_jump_bounds(space, lam, f, psi, k_values, pair_budget=0, norm=0.5)
+    report = spaces.check_mean_jump_bounds(space, lam, f, psi, pair_budget=0, norm=0.5)
     assert (report.details["per_k"], report.details["iterated"]) == \
-        _mean_jump_reference(space, f, psi, k_values, 0.5)
+        _mean_jump_reference(space, f, psi, spaces.TAU_PAIR, 0.5)
 
 
 def _medium_graph_space():
@@ -818,9 +818,9 @@ def test_ladders_and_sharp_maximal_equal_per_center_loops_on_medium_spaces(make_
             report = spaces.campanato_norm(space, lam, f, psi, tau, gamma, pair_budget=0)
             assert (report.regularity_sup, report.regularity_witness) == \
                 _campanato_ladder_reference(space, lam, f, psi, tau, gamma)
-        report = spaces.check_mean_jump_bounds(space, lam, f, psi, (2.0, 6.0), pair_budget=0, norm=0.5)
+        report = spaces.check_mean_jump_bounds(space, lam, f, psi, pair_budget=0, norm=0.5)
         assert (report.details["per_k"], report.details["iterated"]) == \
-            _mean_jump_reference(space, f, psi, (2.0, 6.0), 0.5)
+            _mean_jump_reference(space, f, psi, spaces.TAU_PAIR, 0.5)
         for budget in (0, 300):
             pairs = _sampled_nested_pairs_reference(space, budget, 0, PROFILE)
             got = operators.sharp_maximal(space, lam, PROFILE, f, pair_budget=budget)
@@ -832,7 +832,7 @@ def test_marcinkiewicz_equals_per_point_loop_across_row_blocks():
     # of _COVER_BLOCK // 300 = 109 rows, so the values meet at two seams
     space = lab.generate_space({"kind": "grid", "d": 1, "n": 300})
     assert -(-space.n // (mmspace._COVER_BLOCK // space.n)) == 3
-    kernel = operators.make_kernel(space, _lam(space), family="perturbed", seed=1)
+    kernel = perturbed_kernel(space, _lam(space), seed=1)
     rng = np.random.default_rng(300)
     f, b = rng.uniform(-1.0, 1.0, (2, space.n))
     f[::7] = 0.0
@@ -1352,9 +1352,9 @@ def test_ladder_levels_equal_the_dense_oracle_and_every_reader_stays_inside(spac
         report = spaces.campanato_norm(space, lam, f, psi, tau, 2.0, pair_budget=0)
         assert (report.regularity_sup, report.regularity_witness) == \
             _campanato_ladder_reference(space, lam, f, psi, tau, 2.0)
-        report = spaces.check_mean_jump_bounds(space, lam, f, psi, (tau, 6.0), pair_budget=0, norm=0.5)
+        report = spaces.check_mean_jump_bounds(space, lam, f, psi, pair_budget=0, norm=0.5)
         assert (report.details["per_k"], report.details["iterated"]) == \
-            _mean_jump_reference(space, f, psi, (tau, 6.0), 0.5)
+            _mean_jump_reference(space, f, psi, spaces.TAU_PAIR, 0.5)
         got = operators.sharp_maximal(space, lam, PROFILE, f, pair_budget=0)
     assert np.array_equal(got, _sharp_maximal_reference(space, lam, PROFILE, f, (b1[:0], b2[:0])))
 
@@ -1742,8 +1742,7 @@ def test_marcinkiewicz_one_pass_equals_per_point_loop(data, lrs):
     b = data.draw(sparse_values(space.n))
     params = OperatorParams(l=lrs[0], rho=lrs[1], s=lrs[2])
     lam = _lam(space)
-    kernel = operators.make_kernel(space, lam, l=params.l, family="perturbed",
-                                   seed=data.draw(st.integers(0, 3)))
+    kernel = perturbed_kernel(space, lam, l=params.l, seed=data.draw(st.integers(0, 3)))
     for weight in (None, b):
         # NaN where d ** -(l + rho) s overflows on tiny distances, as in the loop
         got = operators._marcinkiewicz(space, kernel, f, None, params, weight)
@@ -2034,7 +2033,7 @@ def _replayed_steps(space, budget):
     f = np.arange(space.n, dtype=float)
     with mock.patch.object(geometry, "replay_draws", spy), mock.patch.object(spaces, "replay_draws", spy):
         geometry.sampled_nested_pairs(space, budget, 0)
-        spaces.check_mean_jump_bounds(space, lam, f, weight_psi(space), (2.0,), budget, 0, norm=0.5)
+        spaces.check_mean_jump_bounds(space, lam, f, weight_psi(space), budget, 0, norm=0.5)
         geometry.check_coefficient_inequalities(space, lam, (2.0, 6.0), budget, 0)
     return calls
 
@@ -2131,8 +2130,8 @@ def test_replayed_samples_equal_draw_loops(space, budget, seed):
     lam = nl.fit_power_lambda(space, 1.0)
     psi = weight_psi(space)
     f = np.random.default_rng(seed).uniform(-1.0, 1.0, size=space.n)
-    rep = spaces.check_mean_jump_bounds(space, lam, f, psi, (2.0, 6.0), budget, seed, norm=0.5)
-    per_k, iterated = _mean_jump_reference(space, f, psi, (2.0, 6.0), 0.5)
+    rep = spaces.check_mean_jump_bounds(space, lam, f, psi, budget, seed, norm=0.5)
+    per_k, iterated = _mean_jump_reference(space, f, psi, spaces.TAU_PAIR, 0.5)
     comparable, witness = _comparable_pairs_reference(space, f, psi, budget, seed, 0.5)
     assert rep.worst_witness == witness
     assert rep.details == {"constant_function": False, "per_k": per_k, "iterated": iterated,
@@ -2186,7 +2185,7 @@ def _validate_kernel_reference(space, lam, kernel, xz_pairs):
     return c_size, {"c_size": c_size,
                     "smoothness_difference": math.inf if unbounded else smooth_diff,
                     "smoothness_sum": math.inf if unbounded else smooth_sum,
-                    "dini_value": kernel.dini_value, "family": kernel.family}
+                    "dini_value": kernel.dini_value}
 
 
 @settings(max_examples=6, deadline=None)
@@ -2199,7 +2198,8 @@ def test_validate_kernel_equals_all_pairs_loop(n, dim, top, seed, family):
     constants are at least those of the 8000 pairs once sampled."""
     space = _lattice_space(n, dim, top, seed)
     lam = nl.fit_power_lambda(space, 1.0)
-    kernel = operators.make_kernel(space, lam, family=family, seed=seed)
+    kernel = operators.make_kernel(space, lam) if family == "canonical" else \
+        perturbed_kernel(space, lam, seed=seed)
     rep = operators.validate_kernel(space, lam, kernel)
     every = [(x, z) for x in range(n) for z in range(n) if x != z]
     assert (rep.value, rep.details) == _validate_kernel_reference(space, lam, kernel, every)

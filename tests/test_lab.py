@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import nhslab as nl
-from nhslab import cli, errors, geometry, lab, mmspace, spaces
+from nhslab import cli, errors, geometry, lab, mmspace, operators, spaces
 from nhslab.errors import SpecError
 
 
@@ -71,13 +71,11 @@ def test_generator_errors():
 # ------------------------------------------------------------------------------
 # function generators
 # ------------------------------------------------------------------------------
-def test_indicator_family(grid16):
-    space, _ = grid16
-    fs = lab.generate_functions(space, {"kind": "indicator", "center": 0.5,
-                                        "radius": 0.2}, 1)
-    center = int(np.argmin(np.abs(space.coords[:, 0] - 0.5)))
-    mask = space.dist[center] <= 0.2
-    assert np.array_equal(fs[0], mask.astype(float))
+@pytest.mark.parametrize("family", ["indicator", {"kind": "random_bounded"}])
+def test_function_families_are_named_by_string(grid16, family):
+    # every program path draws random fields by name; nothing else is a family
+    with pytest.raises(SpecError, match="unknown function family"):
+        lab.generate_functions(grid16[0], family, 2, 4)
 
 
 def test_mean_zero_projection(grid16):
@@ -421,6 +419,8 @@ def test_cli_validate(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert {r["check"] for r in out} >= {"upper_doubling", "lambda_comparability"}
+    # N0 is a measured count, asserted nowhere, as in the experiment row
+    assert [r["pass"] for r in out if r["check"] == "geometric_doubling"] == [None]
 
 
 def test_cli_validate_failure_exit_code(tmp_path, capsys):
@@ -545,6 +545,14 @@ def test_cli_negative_coeff_budget_is_a_config_error(tmp_path, capsys, budget):
     space_path = _write_two_point(tmp_path)
     assert cli.main(["coeff", space_path, f"--budget={budget}", "--chains=0"]) == 2
     assert "--budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", "two"])
+def test_cli_negative_coeff_seed_is_a_config_error(tmp_path, capsys, seed):
+    # a seed below 0 stops at parsing, not in the pair sampler's draws
+    space_path = _write_two_point(tmp_path)
+    assert cli.main(["coeff", space_path, f"--seed={seed}", "--chains=0"]) == 2
+    assert "argument --seed: " in capsys.readouterr().err
 
 
 def test_cli_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
@@ -731,6 +739,41 @@ def test_cli_chain_center_outside_the_space_is_a_config_error(tmp_path, capsys, 
     i, bad = len(chains) - 1, chains[-1]
     assert capsys.readouterr().err == (
         f"config error: chain {i} {bad!r} has center {bad[0]}, outside the points 0..1\n")
+
+
+@pytest.mark.parametrize("chain, err", [
+    ([0.7, 1.0, [0, 1]], "center must be an integer, got 0.7"),
+    ([True, 1.0, [0, 1]], "center must be an integer, got True"),
+    ([0, 1.0, [0, 1.5]], "exponent must be an integer, got 1.5"),
+    ([0, True, [0, 1]], "base radius must be a finite number, got True"),
+], ids=["float_center", "bool_center", "float_exponent", "bool_radius"])
+def test_cli_chain_entry_of_another_type_is_a_config_error(tmp_path, capsys, chain, err):
+    # int() and float() would truncate or convert each of these and run
+    space_path = _write_two_point(tmp_path)
+    chains_path = tmp_path / "chains.json"
+    chains_path.write_text(json.dumps([[1, 0.5, [0, 2]], chain]))
+    assert cli.main(["coeff", space_path, "--chains-file", str(chains_path)]) == 2
+    assert capsys.readouterr().err == f"config error: chain 1 {chain!r} {err}\n"
+
+
+def test_the_maximal_morrey_row_reads_every_report(tmp_path, capsys, monkeypatch):
+    # one failing function among the row's 2 * embedding_functions fails it
+    real, calls = operators.check_maximal_morrey_pointwise, []
+
+    def first_fails(*args, **kwargs):
+        calls.append(None)
+        out = real(*args, **kwargs)
+        return dataclasses.replace(out, passed=False) if len(calls) == 1 else out
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"generator": {"kind": "grid", "d": 1, "n": 8},
+                                    "checks": ["maximal_morrey_pointwise"]}))
+    assert cli.main(["experiment", str(cfg_path)]) == 0
+    assert [r["status"] for r in json.loads(capsys.readouterr().out)["rows"]] == ["pass"]
+    monkeypatch.setattr(operators, "check_maximal_morrey_pointwise", first_fails)
+    assert cli.main(["experiment", str(cfg_path)]) == 1
+    assert [r["status"] for r in json.loads(capsys.readouterr().out)["rows"]] == ["fail"]
+    assert len(calls) == 2 * lab.BUDGETS["embedding_functions"]
 
 
 def test_cli_module_entry_point(tmp_path):

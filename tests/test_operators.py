@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -51,6 +52,15 @@ def marcinkiewicz_quadrature(space, kernel, f, x, params, b=None):
     return total ** (1.0 / params.s)
 
 
+def perturbed_kernel(space, lam, *, l=0.0, eps=0.1, seed=0):
+    """The canonical kernel times 1 + eps * h, h uniform on [-1, 1] from
+    ``seed``: a kernel off its envelope, with its size constant measured."""
+    kernel = nl.make_kernel(space, lam, l=l)
+    bound = kernel.matrix
+    matrix = bound * (1.0 + eps * np.random.default_rng(seed).uniform(-1.0, 1.0, bound.shape))
+    return dataclasses.replace(kernel, matrix=matrix, c_size=operators._size_constant(matrix, bound))
+
+
 def random_instance(seed, n_max=16):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, n_max + 1))
@@ -70,7 +80,6 @@ def zero_theta():
     def theta(t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
-    theta.family = "zero"
     return theta
 
 
@@ -78,7 +87,6 @@ def constant_theta():
     def theta(t):
         return np.ones_like(np.asarray(t, dtype=float))
 
-    theta.family = "constant(1)"
     return theta
 
 
@@ -216,7 +224,10 @@ def test_canonical_kernel_size_constant_exact(two_point):
 
 def test_zero_kernel_constants(two_point):
     space, lam = two_point
-    kernel = nl.make_kernel(space, lam, family="scaled", scale=0.0)
+    canonical = nl.make_kernel(space, lam)
+    matrix = 0.0 * canonical.matrix
+    kernel = dataclasses.replace(canonical, matrix=matrix,
+                                 c_size=operators._size_constant(matrix, canonical.matrix))
     report = nl.validate_kernel(space, lam, kernel)
     assert report.details["c_size"] == 0.0
     assert report.details["smoothness_difference"] == 0.0
@@ -228,7 +239,7 @@ def test_perturbed_kernel_constants_match_triple_enumeration():
     space = nl.build_space(points=rng.uniform(0, 1, (16, 1)),
                            weights=rng.uniform(0.5, 1.5, 16))
     lam = nl.fit_power_lambda(space)
-    kernel = nl.make_kernel(space, lam, family="perturbed", eps=0.3, seed=5)
+    kernel = perturbed_kernel(space, lam, eps=0.3, seed=5)
     report = nl.validate_kernel(space, lam, kernel)
     lam_mat = space.pair_table(lam)
     c_size = 0.0

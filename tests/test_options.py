@@ -26,6 +26,21 @@ ALLOWED = {
     ("main", "argv"),
 }
 
+#: ``function(parameter)`` of each default that tests set and no call in
+#: ``src/`` or ``perfbench/`` does, with the reason it stays a parameter.
+TEST_ONLY = {
+    "jn_envelope_experiment(count)": "the acceptance driver's function count",
+    "jn_envelope_experiment(seed)": "the acceptance driver's seed",
+    "stability_experiment(count)": "the acceptance driver's function count",
+    "stability_experiment(seed)": "the acceptance driver's seed",
+    "make_kernel(theta)": "the paper's kernel modulus; the programs use theta(t) = t",
+    "morrey_norm(with_witness)": "the maximizing ball, for observability",
+    "p_oscillation_norm(with_witness)": "the maximizing ball, for observability",
+    "check_mean_jump_bounds(norm)": "a known norm spares the Campanato pass in the tests",
+    "equivalence_experiment(pair_budget)": "the library entry point's sample size",
+    "equivalence_experiment(seed)": "the library entry point's sample seed",
+}
+
 
 def defaulted_parameters():
     """``(function, parameter, position)`` of every defaulted parameter in
@@ -56,12 +71,13 @@ def defaulted_parameters():
     return found
 
 
-def call_sites():
+def call_sites(tops=("src", "tests", "perfbench")):
     """``{function name: [(positional count or None for *args, keywords)]}``
-    over every call in ``src/``, ``tests/`` and ``perfbench/``; a keyword
-    set holding None stands for ``**kwargs``."""
+    over every call in the directories ``tops`` (by default ``src/``,
+    ``tests/`` and ``perfbench/``); a keyword set holding None stands for
+    ``**kwargs``."""
     sites: dict = {}
-    for top in ("src", "tests", "perfbench"):
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if not isinstance(node, ast.Call):
@@ -76,8 +92,7 @@ def call_sites():
     return sites
 
 
-def unset_parameters():
-    sites = call_sites()
+def unset_parameters(sites):
     unset = []
     for name, param, position in defaulted_parameters():
         if (name, param) in ALLOWED:
@@ -90,7 +105,13 @@ def unset_parameters():
 
 
 def test_every_defaulted_parameter_has_a_caller():
-    assert unset_parameters() == []
+    assert unset_parameters(call_sites()) == []
+
+
+def test_every_test_only_parameter_is_named():
+    # a default that only tests set is a knob the programs never turn: it is
+    # listed here with its reason, or its value belongs in the function body
+    assert set(unset_parameters(call_sites(("src", "perfbench")))) == set(TEST_ONLY)
 
 
 def test_the_scan_sees_the_library():

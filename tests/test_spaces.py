@@ -413,14 +413,6 @@ def test_mean_jumps_constant_function(small_space, psi_const):
     assert report.value == 0.0
 
 
-def test_mean_jumps_k_one_degenerate(small_space, psi_const):
-    space, lam = small_space
-    rng = np.random.default_rng(13)
-    f = rng.uniform(-1, 1, space.n)
-    report = nl.check_mean_jump_bounds(space, lam, f, psi_const, k_values=(1.0, 2.0))
-    assert report.details["per_k"]["1.0"] == 0.0
-
-
 def test_mean_jumps_deterministic(grid16, psi_const):
     space, lam = grid16
     f = lab.generate_functions(space, "random_bounded", 1, 42)[0]
